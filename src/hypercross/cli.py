@@ -2,8 +2,8 @@
 
 Config files are flat INI text with one section per concern; unknown sections
 or keys are rejected before any computation starts.  Artifacts (HXF1 fields,
-CSV tables, JSON-lines logs) carry the config hash, seed and grid size, and
-reproducible mode pins the thread count so reruns are byte-identical.
+CSV tables, JSON-lines logs) carry the config hash, seed and grid size.  There
+is no parallel mode: reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ class RunContext:
         run = self.config.get("run", {})
         self.n_log2 = run.get("grid_n_log2", 4)
         self.seed = args.seed if args.seed is not None else run.get("seed", 0)
-        self.reproducible = args.reproducible
-        self.threads = 1 if args.reproducible else max(1, args.threads)
         self.provenance = {
             "config_sha256": _config_hash(args.config),
             "seed": self.seed,
@@ -337,10 +335,8 @@ def cmd_verify(ctx: RunContext) -> None:
     ctx.check("linearizer_regularity", rep.passed, f"worst ratio {rep.worst_ratio:.3f}")
 
     buckets = lin.level_sets(V)
-    union = np.zeros(V.values.shape, dtype=int)
-    for mask in buckets.masks:
-        union += mask
-    ctx.check("level_set_partition", bool(np.all(union == 1)))
+    relabelled = buckets.distinct_values[buckets.labels]
+    ctx.check("level_set_partition", bool(np.array_equal(relabelled, lin.dyadic_floor(V.values))))
     ctx.flush()
 
 
@@ -362,8 +358,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        sp.add_argument("--reproducible", action="store_true", help="pin threads, byte-stable artifacts")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads (ignored in reproducible mode)")
+        sp.add_argument("--reproducible", action="store_true", help="accepted for compatibility; every run is byte-stable")
     args = parser.parse_args(argv)
     try:
         ctx = RunContext(args, args.command)

@@ -15,6 +15,10 @@ unity, so the product window phi2_hat * psi2_hat takes the balanced sharp
 form: 1 strictly inside the octave and 1/2 at the two endpoints.  psi2 keeps
 exact compact space support (the property the ratio check needs) and phi2
 absorbs the per-frequency correction; this is reported in the family record.
+
+The variable-scale terms (lemma, principal, error) are each one call of the
+bucketed kernel :func:`hypercross.linearized.gather` with their own key array
+(V or its dyadic rounding) and symbol per key.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SampledField, SpectralField, forward_transform, frequencies, inverse_transform
-from .linearized import LinearizerField, dyadic_round_up, level_sets
+from .linearized import BucketDecomposition, LinearizerField, _scaled_symbol, dyadic_floor, dyadic_round_up, gather, level_sets
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
@@ -277,13 +281,6 @@ def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
     return w1, g2
 
 
-def span_projection(f: SampledField, family: LPFamily) -> SampledField:
-    """Projection onto the span resolved by the full double ladder."""
-    w1, g2 = _axis_sums(family)
-    spec = forward_transform(f)
-    return inverse_transform(SpectralField(f.n_log2, spec.coeffs * w1[:, None] * g2[None, :]))
-
-
 def calderon_residual(f: SampledField, family: LPFamily) -> float:
     """||f - sum_k sum_l P1 P2 P3 f||_2 / ||f||_2 over the dyadic ladders."""
     spec = forward_transform(f)
@@ -340,21 +337,13 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
     argument stays strictly inside the flat region of m.
     """
     _check_positive(V)
-    if f.n_log2 != V.n_log2 or f.n_log2 != family.n_log2:
-        raise LadderError("grid sizes differ")
+    if f.n_log2 != family.n_log2:
+        raise LadderError("field and family grids differ")
     flat = flat_radius(m)
-    vtilde = dyadic_round_up(V.values)
-    labels = np.unique(vtilde)
-    spec = forward_transform(f).coeffs
-    n2 = f.n * f.n
-    out = np.zeros((f.n, f.n), dtype=np.complex128)
-    if labels.size and not np.isfinite(labels).all():
+    buckets = BucketDecomposition.of(dyadic_round_up(V.values))
+    if not np.isfinite(buckets.distinct_values).all():
         raise ValueError("non-finite rounded scales")
-    for vt in labels:
-        sym = _below_symbol(family, flat / vt)
-        piece = np.fft.ifft2(spec * sym) * n2
-        mask = vtilde == vt
-        out[mask] = piece[mask]
+    out = gather(forward_transform(f).coeffs, buckets, lambda vt: _below_symbol(family, flat / vt))
     return SampledField(f.n_log2, out)
 
 
@@ -362,21 +351,13 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
     """Profile-weighted complement of :func:`principal_term`: for each point,
     the remaining ladder pairs filtered through m(V(x,y) |xi|**beta |eta|)."""
     _check_positive(V)
-    if f.n_log2 != V.n_log2 or f.n_log2 != family.n_log2:
-        raise LadderError("grid sizes differ")
+    if f.n_log2 != family.n_log2:
+        raise LadderError("field and family grids differ")
     flat = flat_radius(m)
-    hyper = _hyper_args(family)
-    vtilde = dyadic_round_up(V.values)
-    below = {vt: _below_symbol(family, flat / vt) for vt in np.unique(vtilde)}
     full = _full_symbol(family)
-    spec = forward_transform(f).coeffs
-    n2 = f.n * f.n
-    out = np.zeros((f.n, f.n), dtype=np.complex128)
-    for lam in np.unique(V.values):
-        above = full - below[dyadic_round_up(float(lam))]
-        piece = np.fft.ifft2(spec * above * m(lam * hyper)) * n2
-        mask = V.values == lam
-        out[mask] = piece[mask]
+    above = {vt: full - _below_symbol(family, flat / vt) for vt in np.unique(dyadic_round_up(V.values))}
+    weight = _scaled_symbol(m, family.n_log2, family.beta, exponent_on="xi")
+    out = gather(forward_transform(f).coeffs, level_sets(V, "exact"), lambda v: above[dyadic_round_up(float(v))] * weight(v))
     return SampledField(f.n_log2, out)
 
 
@@ -384,16 +365,8 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     """Direct variable-scale application in this module's axis convention:
     output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise."""
     _check_positive(V)
-    freqs = frequencies(f.n_log2)
-    hyper = _abs_power(freqs, beta)[:, None] * np.abs(freqs).astype(np.float64)[None, :]
-    spec = forward_transform(f).coeffs
-    n2 = f.n * f.n
-    out = np.zeros((f.n, f.n), dtype=np.complex128)
-    for lam in np.unique(V.values):
-        piece = np.fft.ifft2(spec * m(lam * hyper)) * n2
-        mask = V.values == lam
-        out[mask] = piece[mask]
-    return SampledField(f.n_log2, out)
+    symbol = _scaled_symbol(m, f.n_log2, beta, exponent_on="xi")
+    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, level_sets(V, "exact"), symbol))
 
 
 def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> SymbolGrid:
@@ -455,18 +428,16 @@ def small_variation_error(
     for fields taking values in {2**j}.
     """
     _check_positive(V)
+    buckets = level_sets(V, "dyadic")
+    spec = forward_transform(f).coeffs
+    buckets.check_grid(spec)
     flat = flat_radius(m)
     hyper = _hyper_args(family)
-    spec = forward_transform(f).coeffs
     full = _full_symbol(family)
     n = f.n
-    out = np.zeros((n, n), dtype=np.float64)
-    buckets = level_sets(V, "dyadic")
-    for base, mask in zip(buckets.distinct_values, buckets.masks):
-        if base <= 0:
-            raise ValueError("decomposition requires V > 0 on the grid")
-        if not mask.any():
-            continue
+    v = V.values.ravel()
+    out = np.zeros(n * n, dtype=np.float64)
+    for base, idx in zip(buckets.distinct_values, buckets.members):
         vtilde = dyadic_round_up(float(base))  # constant across the octave
         above = full - _below_symbol(family, flat / vtilde)
         taus = base * 2.0 ** (np.arange(nodes_per_octave + 1) / nodes_per_octave)
@@ -475,16 +446,15 @@ def small_variation_error(
         for r in range(nodes_per_octave):
             step = taus[r + 1] - taus[r]
             cumulative.append(cumulative[-1] + 0.5 * step * (integrand[r] + integrand[r + 1]))
-        v_here = V.values[mask]
+        v_here = v[idx]
         pos = np.clip(np.searchsorted(taus, v_here, side="right") - 1, 0, nodes_per_octave - 1)
         lo_t = taus[pos]
         hi_t = taus[pos + 1]
         frac = (v_here - lo_t) / (hi_t - lo_t)
-        cum = np.stack(cumulative)  # (nodes+1, n, n)
-        cum_masked = cum[:, mask]
-        vals = cum_masked[pos, np.arange(pos.size)] * (1 - frac) + cum_masked[pos + 1, np.arange(pos.size)] * frac
-        out[mask] = vals
-    return SampledField(f.n_log2, out)
+        cum = np.stack(cumulative).reshape(nodes_per_octave + 1, n * n)[:, idx]
+        cols = np.arange(idx.size)
+        out[idx] = cum[pos, cols] * (1 - frac) + cum[pos + 1, cols] * frac
+    return SampledField(f.n_log2, out.reshape(n, n))
 
 
 def overlap_count(family: LPFamily, m: MultiplierProfile, j_range) -> int:
@@ -660,9 +630,7 @@ def dyadic_hit_mask_f1(V: LinearizerField) -> np.ndarray:
 
 def dyadic_hit_mask_f2(V: LinearizerField) -> np.ndarray:
     """(x, y) pairs whose interval [2V/3, V] contains a power of two."""
-    v = V.values
-    largest_below = np.exp2(np.floor(np.log2(v)))
-    return largest_below >= (2.0 / 3.0) * v
+    return dyadic_floor(V.values) >= (2.0 / 3.0) * V.values
 
 
 def rounded_scale_shift_masks(V: LinearizerField) -> tuple[np.ndarray, np.ndarray]:

@@ -156,7 +156,10 @@ def read_hxf1(path) -> tuple[int, np.ndarray]:
         magic = fh.read(4)
         if magic != HXF1_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {HXF1_MAGIC!r}")
-        (n_log2,) = struct.unpack("<I", fh.read(4))
+        raw_n = fh.read(4)
+        if len(raw_n) != 4:
+            raise ValueError(f"truncated HXF1 header: {len(magic) + len(raw_n)} of 8 bytes")
+        (n_log2,) = struct.unpack("<I", raw_n)
         n = 1 << n_log2
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != 2 * n * n:
@@ -177,15 +180,24 @@ def write_field_csv(path, field: SampledField) -> None:
 
 
 def read_field_csv(path, n_log2: int) -> SampledField:
+    """Read the CSV interchange format; every (i, j) of the grid must appear
+    exactly once."""
     n = 1 << n_log2
     samples = np.zeros((n, n), dtype=np.complex128)
+    seen = np.zeros((n, n), dtype=bool)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["i", "j", "re", "im"]:
             raise ValueError(f"unexpected CSV header {header}")
         for i_s, j_s, re_s, im_s in reader:
-            samples[int(i_s), int(j_s)] = float(re_s) + 1j * float(im_s)
+            i, j = int(i_s), int(j_s)
+            if not (0 <= i < n and 0 <= j < n) or seen[i, j]:
+                raise ValueError(f"line {reader.line_num}: sample ({i}, {j}) out of range or repeated on the {n}x{n} grid")
+            seen[i, j] = True
+            samples[i, j] = float(re_s) + 1j * float(im_s)
+    if not seen.all():
+        raise ValueError(f"CSV holds {int(seen.sum())} of {n * n} samples")
     return SampledField(n_log2, samples)
 
 

@@ -3,8 +3,11 @@
 A LinearizerField holds the nonnegative scale choice V(x, y) on the grid,
 together with the regularity class it was generated for.  The linearized
 operator gathers, at each output point, the fixed-multiplier result for the
-local scale V(x, y); a per-distinct-value bucketed path reproduces the
-O(N^4) brute-force oracle exactly up to floating-point reassociation.
+local scale V(x, y).  Every variable-scale operator in the package is one
+call of the kernel pair :func:`gather` / :func:`scatter` over a
+BucketDecomposition (distinct keys of V, or of a rounding of V, plus one
+integer label per point); it reproduces the O(N^4) brute-force oracle
+exactly up to floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -67,11 +70,7 @@ class LinearizerField:
 
 
 def _all_dyadic(arr: np.ndarray) -> bool:
-    pos = arr[arr > 0]
-    if pos.size == 0:
-        return True
-    mant, _ = np.frexp(pos)
-    return bool(np.all(mant == 0.5))
+    return bool(np.array_equal(dyadic_floor(arr), arr))
 
 
 def _band_limited_noise(n_log2: int, rng: np.random.Generator, band: int = 3) -> np.ndarray:
@@ -154,8 +153,7 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         measured = max(_adjacent_max_diff(w, axis=0), _adjacent_max_diff(w, axis=1)) * n
         scale = 0.95 * lip / (measured * math.sqrt(2.0))
         v = v_min + scale * (w - w.min())
-        dyadic = np.exp2(np.floor(np.log2(v)))
-        return LinearizerField(n_log2, dyadic, Regularity("dyadic_of_lipschitz", lip=lip), seed)
+        return LinearizerField(n_log2, dyadic_floor(v), Regularity("dyadic_of_lipschitz", lip=lip), seed)
 
     if kind == "staircase_x":
         # Reflecting +-1 random walks quantized to steps of size lip/N: the
@@ -280,35 +278,92 @@ def dyadic_round_up(lam):
     return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 
 
+def dyadic_floor(values) -> np.ndarray:
+    """2**floor(log2 v) for v > 0 (the largest power of two <= v); 0 stays 0."""
+    arr = np.asarray(values, dtype=np.float64)
+    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError("dyadic_floor requires finite input >= 0")
+    _, exp = np.frexp(arr)  # v = m * 2**exp with m in [0.5, 1)
+    return np.where(arr > 0, np.ldexp(1.0, exp - 1), 0.0)
+
+
 @dataclass(frozen=True)
 class BucketDecomposition:
-    """Partition of the grid by value buckets of a linearizer field."""
+    """Partition of the grid into buckets of equal key: point x lies in bucket
+    labels[x] with key distinct_values[labels[x]] (sorted; 0.0 marks the zero
+    bucket), and members[b] holds bucket b's flat indices in increasing order."""
 
-    distinct_values: np.ndarray  # sorted bucket labels; 0.0 marks the zero bucket
-    masks: np.ndarray  # (B, N, N) boolean, pairwise disjoint, covering
+    distinct_values: np.ndarray
+    labels: np.ndarray  # (N, N) integer bucket index per grid point
+    members: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distinct_values", _frozen_array(self.distinct_values, np.float64))
-        object.__setattr__(self, "masks", _frozen_array(self.masks, bool))
+        keys = _frozen_array(self.distinct_values, np.float64)
+        labels = _frozen_array(self.labels, np.intp)
+        flat = labels.ravel()
+        if flat.size and (flat.min() < 0 or flat.max() >= keys.size):
+            raise ValueError(f"labels must index the {keys.size} distinct values")
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=keys.size)
+        object.__setattr__(self, "distinct_values", keys)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "members", tuple(np.split(order, np.cumsum(counts)[:-1])))
+
+    @classmethod
+    def of(cls, keys) -> "BucketDecomposition":
+        """One bucket per distinct value of the key array."""
+        distinct, labels = np.unique(keys, return_inverse=True)
+        return cls(distinct, labels.reshape(np.shape(keys)))
+
+    def check_grid(self, arr: np.ndarray) -> None:
+        """Raise GridMismatchError unless arr lives on this partition's grid."""
+        if np.shape(arr) != self.labels.shape:
+            raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {self.labels.shape}")
 
 
 def level_sets(V: LinearizerField, mode: str = "dyadic") -> BucketDecomposition:
-    """Bucket the grid by V: dyadic level sets 2**j <= V < 2**(j+1) (labelled
+    """Bucket the grid by V: dyadic level sets 2**j <= V < 2**(j+1) (keyed
     by 2**j), or one bucket per distinct value ('exact').  Points with V = 0
     go to a reserved zero bucket in both modes."""
-    v = V.values
-    if mode == "exact":
-        labels = np.unique(v)
-    elif mode == "dyadic":
-        pos = v > 0
-        quantized = np.zeros_like(v)
-        quantized[pos] = np.exp2(np.floor(np.log2(v[pos])))
-        labels = np.unique(quantized)
-        v = quantized
-    else:
+    if mode not in ("exact", "dyadic"):
         raise ValueError(f"mode must be 'exact' or 'dyadic', got {mode!r}")
-    masks = np.stack([v == lab for lab in labels])
-    return BucketDecomposition(labels, masks)
+    return BucketDecomposition.of(V.values if mode == "exact" else dyadic_floor(V.values))
+
+
+def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
+    """Variable-symbol synthesis, one inverse FFT per bucket: for each point x
+    of the bucket with key k, out[x] = N^2 ifft2(spec * symbol_of(k))[x]."""
+    buckets.check_grid(spec)
+    n2 = spec.size
+    out = np.empty(n2, dtype=np.complex128)
+    for key, idx in zip(buckets.distinct_values, buckets.members):
+        piece = np.fft.ifft2(spec * symbol_of(key)) * n2
+        out[idx] = piece.ravel()[idx]
+    return out.reshape(spec.shape)
+
+
+def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
+    """Exact adjoint of :func:`gather` for real symbols, in the unweighted
+    inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b)."""
+    buckets.check_grid(g)
+    flat = np.asarray(g, dtype=np.complex128).ravel()
+    out = np.zeros(buckets.labels.shape, dtype=np.complex128)
+    for key, idx in zip(buckets.distinct_values, buckets.members):
+        restricted = np.zeros_like(flat)
+        restricted[idx] = flat[idx]
+        out += np.fft.fft2(restricted.reshape(out.shape)) * symbol_of(key)
+    return out
+
+
+def _scaled_symbol(m: MultiplierProfile, n_log2: int, beta: float, exponent_on: str = "eta"):
+    """The map key -> m(key * |xi| * |eta|**beta) on the frequency grid, or
+    m(key * |xi|**beta * |eta|) with exponent_on='xi'.  Key 0 gives the
+    reserved m(0) symbol."""
+    freqs = frequencies(n_log2)
+    plain = np.abs(freqs).astype(np.float64)
+    powed = _abs_power(freqs, beta)
+    hyper = powed[:, None] * plain[None, :] if exponent_on == "xi" else plain[:, None] * powed[None, :]
+    return lambda key: m(key * hyper)
 
 
 def _masked_symbol_base(f: SampledField, beta: float, exponent_on: str = "eta"):
@@ -348,31 +403,11 @@ def apply_linearized_bucketed(
     beta: float,
     quantize: str = "exact",
 ) -> SampledField:
-    """Fast path: one fixed-multiplier application per distinct V value,
-    gathered on that value's mask.  quantize='dyadic' first replaces V by
-    2**floor(log2 V) (an approximation, reported by the caller)."""
-    if f.n_log2 != V.n_log2:
-        raise GridMismatchError("field and linearizer grids differ")
-    if quantize == "exact":
-        v = V.values
-    elif quantize == "dyadic":
-        v = np.zeros_like(V.values)
-        pos = V.values > 0
-        v[pos] = np.exp2(np.floor(np.log2(V.values[pos])))
-    else:
-        raise ValueError(f"quantize must be 'exact' or 'dyadic', got {quantize!r}")
-    labels = np.unique(v)
-    base = _masked_symbol_base(f, beta)
-    freqs = frequencies(f.n_log2)
-    hyper = np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
-    n2 = f.n * f.n
-    out = np.zeros((f.n, f.n), dtype=np.complex128)
-    for lab in labels:
-        mask = v == lab
-        weighted = m(lab * hyper) * base  # lab = 0 gives the reserved m(0) bucket
-        piece = np.fft.ifft2(weighted) * n2
-        out[mask] = piece[mask]
-    return SampledField(f.n_log2, out)
+    """Fast path: the Pi_beta-masked spectrum gathered over the level sets of
+    V.  quantize='dyadic' first replaces V by 2**floor(log2 V) (an
+    approximation, reported by the caller)."""
+    spec = _masked_symbol_base(f, beta)
+    return SampledField(f.n_log2, gather(spec, level_sets(V, quantize), _scaled_symbol(m, f.n_log2, beta)))
 
 
 def maximal_over_scales(

@@ -15,17 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, apply_fixed_multiplier, frequencies, lp_norm
+from .grid import SampledField, apply_fixed_multiplier, lp_norm
 from .linearized import (
     LinearizerField,
     Regularity,
-    apply_linearized_bucketed,
+    _masked_symbol_base,
+    _scaled_symbol,
+    gather,
     generate_linearizer,
+    level_sets,
+    scatter,
 )
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
-    _abs_power,
     make_bump_profile,
     pi_beta_mask,
     smoothness_constant,
@@ -54,33 +57,18 @@ def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
     return LinearOperatorHandle(symbol.n_log2, apply, apply, "fixed multiplier")
 
 
-def linearized_operator(
-    V: LinearizerField, m: MultiplierProfile, beta: float, quantize: str = "exact"
-) -> LinearOperatorHandle:
-    """The variable-scale operator via the bucketed path; the adjoint applies
-    each bucket's (real) symbol to the mask-restricted input."""
-    if quantize == "dyadic":
-        vals = np.zeros_like(V.values)
-        pos = V.values > 0
-        vals[pos] = np.exp2(np.floor(np.log2(V.values[pos])))
-        V = LinearizerField(V.n_log2, vals, Regularity("none"), V.seed)
-    labels = np.unique(V.values)
-    freqs = frequencies(V.n_log2)
-    hyper = np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
+def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
+    """The variable-scale operator as a gather over the level sets of V, bucketed
+    once per handle; the adjoint is the matching scatter, then the Pi_beta mask."""
+    buckets = level_sets(V, "exact")
+    symbol = _scaled_symbol(m, V.n_log2, beta)
     mask_sym = pi_beta_mask(beta, V.n_log2).values
 
     def apply(f: SampledField) -> SampledField:
-        return apply_linearized_bucketed(f, V, m, beta, quantize="exact")
+        return SampledField(f.n_log2, gather(_masked_symbol_base(f, beta), buckets, symbol))
 
     def adjoint(g: SampledField) -> SampledField:
-        n2 = g.n * g.n
-        acc = np.zeros((g.n, g.n), dtype=np.complex128)
-        for lam in labels:
-            sel = V.values == lam
-            restricted = np.where(sel, g.samples, 0.0)
-            spec = np.fft.fft2(restricted) / n2
-            acc += np.fft.ifft2(spec * m(lam * hyper) * mask_sym) * n2
-        return SampledField(g.n_log2, acc)
+        return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol) * mask_sym))
 
     return LinearOperatorHandle(V.n_log2, apply, adjoint, "linearized multiplier")
 

@@ -156,6 +156,31 @@ def test_hxf1_rejects_bad_magic(tmp_path):
         g.read_hxf1(path)
 
 
+def test_hxf1_rejects_short_header(tmp_path):
+    path = tmp_path / "short.hxf1"
+    path.write_bytes(b"HXF1\x04\x00")
+    with pytest.raises(ValueError, match="truncated HXF1 header"):
+        g.read_hxf1(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: lines[:101],  # header plus a 100-row prefix
+        lambda lines: lines[:1] + ["-1,0,1.0,0.0"] + lines[2:],  # negative index
+        lambda lines: lines[:1] + ["0,16,1.0,0.0"] + lines[2:],  # index past the grid
+        lambda lines: lines + [lines[5]],  # a sample repeated
+    ],
+    ids=["truncated", "negative_index", "index_out_of_range", "duplicate"],
+)
+def test_csv_rejects_malformed_file(tmp_path, corrupt):
+    path = tmp_path / "field.csv"
+    g.write_field_csv(path, g.random_field(4, 13))
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError):
+        g.read_field_csv(path, 4)
+
+
 def test_csv_roundtrip(tmp_path):
     f = g.random_field(4, 13)
     path = tmp_path / "field.csv"

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from hypercross import decomposition as de
 from hypercross import grid as g
 from hypercross import linearized as lin
 from hypercross import multiplier as mu
+from hypercross import normest as ne
 from hypercross.decomposition import hl_maximal_m1
 
 
@@ -97,6 +99,18 @@ def test_dyadic_round_up_bracketing_bulk():
     assert np.all(lam < vt / 4.0)
 
 
+def test_dyadic_floor_examples_and_bracketing():
+    assert list(lin.dyadic_floor([0.0, 0.9, 1.0, 3.0, 4.0])) == [0.0, 0.5, 1.0, 2.0, 4.0]
+    rng = np.random.default_rng(1)
+    v = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=100_000))
+    low = lin.dyadic_floor(v)
+    assert np.all(low <= v) and np.all(v < 2.0 * low)
+    assert np.all(np.frexp(low)[0] == 0.5)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lin.dyadic_floor([bad])
+
+
 def test_dyadic_round_up_rejects_nonpositive():
     for lam in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
@@ -107,7 +121,7 @@ def test_level_sets_constant():
     V = lin.generate_linearizer("constant", {"value": 5.0}, 0, 4)
     buckets = lin.level_sets(V, "dyadic")
     assert list(buckets.distinct_values) == [4.0]  # 4 <= 5 < 8
-    assert buckets.masks[0].all()
+    assert np.all(buckets.labels == 0)
 
 
 def test_level_sets_partition_and_exact_counts():
@@ -116,10 +130,11 @@ def test_level_sets_partition_and_exact_counts():
     V = lin.LinearizerField(4, vals, lin.Regularity("none"))
     buckets = lin.level_sets(V, "exact")
     assert list(buckets.distinct_values) == [2.0, 8.0]
-    assert buckets.masks[0].sum() == 16 * 16 - 4 * 7
-    assert buckets.masks[1].sum() == 4 * 7
-    union = buckets.masks.sum(axis=0)
-    assert np.all(union == 1)
+    assert np.sum(buckets.labels == 0) == 16 * 16 - 4 * 7
+    assert np.sum(buckets.labels == 1) == 4 * 7
+    assert np.array_equal(buckets.distinct_values[buckets.labels], vals)
+    members = np.sort(np.concatenate(buckets.members))
+    assert np.array_equal(members, np.arange(16 * 16))
 
 
 def test_level_sets_zero_bucket():
@@ -128,7 +143,7 @@ def test_level_sets_zero_bucket():
     V = lin.LinearizerField(4, vals, lin.Regularity("none"))
     buckets = lin.level_sets(V, "dyadic")
     assert buckets.distinct_values[0] == 0.0
-    assert buckets.masks[0].sum() == 1
+    assert np.sum(buckets.labels == 0) == 1
 
 
 def test_constant_v_collapses_to_fixed_multiplier():
@@ -182,6 +197,27 @@ def test_grid_mismatch_raises():
         lin.apply_linearized_bucketed(f, V, m, 1.0)
     with pytest.raises(g.GridMismatchError):
         lin.apply_linearized_bruteforce(f, V, m, 1.0)
+
+
+_GATHER_ENTRY_POINTS = {
+    "apply_linearized_bucketed": lambda f, V, fam, m: lin.apply_linearized_bucketed(f, V, m, 1.0),
+    "lemma_operator": lambda f, V, fam, m: de.lemma_operator(f, V, m, 1.0),
+    "principal_term": lambda f, V, fam, m: de.principal_term(f, V, fam, m),
+    "error_term": lambda f, V, fam, m: de.error_term(f, V, fam, m),
+    "linearized_operator.apply": lambda f, V, fam, m: ne.linearized_operator(V, m, 1.0).apply(f),
+    "linearized_operator.adjoint": lambda f, V, fam, m: ne.linearized_operator(V, m, 1.0).adjoint(f),
+    "small_variation_error": lambda f, V, fam, m: de.small_variation_error(f, V, fam, m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GATHER_ENTRY_POINTS))
+def test_gather_entry_points_reject_mismatched_grids(entry):
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, 0, 5)
+    f = g.random_field(4, 0)  # N = 16 against V on N = 32
+    fam = de.make_lp_family(1.0, 4)
+    with pytest.raises(g.GridMismatchError):
+        _GATHER_ENTRY_POINTS[entry](f, V, fam, m)
 
 
 def test_maximal_over_scales_single_mode():

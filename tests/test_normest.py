@@ -57,16 +57,24 @@ def test_witness_consistency():
         assert est.value == pytest.approx(rederived, abs=1e-10)
 
 
-def test_adjoint_pairing():
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+def test_adjoint_pairing(beta):
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, 6, 3)
-    op = ne.linearized_operator(V, m, 1.0)
+    vals = V.values.copy()
+    vals[2:5, :] = 0.0  # routes these points through the reserved m(0) bucket
+    V_zero = lin.LinearizerField(3, vals, lin.Regularity("none"))
     rng = np.random.default_rng(0)
     a = g.SampledField(3, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     b = g.SampledField(3, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    lhs = np.mean(op.apply(a).samples * np.conj(b.samples))
-    rhs = np.mean(a.samples * np.conj(op.adjoint(b).samples))
-    assert abs(lhs - rhs) < 1e-13
+    for field in (V, V_zero):
+        op = ne.linearized_operator(field, m, beta)
+        lhs = np.mean(op.apply(a).samples * np.conj(b.samples))
+        rhs = np.mean(a.samples * np.conj(op.adjoint(b).samples))
+        assert abs(lhs - rhs) < 1e-13
+    brute = lin.apply_linearized_bruteforce(a, V_zero, m, beta).samples
+    fast = lin.apply_linearized_bucketed(a, V_zero, m, beta).samples
+    assert np.sqrt(np.mean(np.abs(brute - fast) ** 2) / np.mean(np.abs(brute) ** 2)) <= 1e-10
 
 
 def test_lower_bound_soundness_against_dense_oracle():
