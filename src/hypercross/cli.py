@@ -73,7 +73,7 @@ _SCHEMA = {
     },
     "normest": {"p": float, "beta": float, "method": str, "restarts": int, "max_iter": int},
     "sweep": {"p": float, "beta": float, "eps_list": _parse_float_list, "shape_ratio_limit": float},
-    "verify": {"level": str},
+    "verify": {},
 }
 
 _COMMAND_SECTIONS = {
@@ -293,7 +293,9 @@ def cmd_normest(ctx: RunContext) -> None:
     row = ne.SweepRow(p, beta, profile.epsilon or 0.0, 1 << ctx.n_log2, ctx.seed, a_const, est.value, est.iterations, est.converged)
     ne.write_sweep_csv(ctx.out / "estimate.csv", ne.SweepResult((row,), 0.0))
     ctx.log(estimate=est.value, iterations=est.iterations, converged=est.converged, p=p)
-    ctx.check("witness_consistency", True, f"estimate {est.value:.6f}")
+    rederived = gr.lp_norm(op.apply(est.witness), p) / gr.lp_norm(est.witness, p)
+    consistent = abs(rederived - est.value) <= 1e-12 * abs(est.value)
+    ctx.check("witness_consistency", consistent, f"estimate {est.value:.6f}, re-derived {rederived:.6f}")
     ctx.flush()
 
 

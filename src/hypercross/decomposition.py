@@ -18,7 +18,10 @@ absorbs the per-frequency correction; this is reported in the family record.
 
 The variable-scale terms (lemma, principal, error) are each one call of the
 bucketed kernel :func:`hypercross.linearized.gather` with their own key array
-(V or its dyadic rounding) and symbol per key.
+(V or its dyadic rounding) and symbol per key.  Every ladder-pair sum (the
+principal cutoff, the frozen large-variation windows) is one :func:`_pair_sum`
+over a selection of t * s**beta.  The small-variation piece takes d/dtau on
+the symbol, which commutes with the inverse FFT: one ifft2 per tau node.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .linearized import BucketDecomposition, LinearizerField, _scaled_symbol, dy
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
-    _abs_power,
     flat_radius,
+    hyperbolic_argument,
     smoothstep,
     smoothstep_d2,
 )
@@ -298,12 +301,12 @@ def calderon_residual(f: SampledField, family: LPFamily) -> float:
 
 def _hyper_args(family: LPFamily) -> np.ndarray:
     """|xi|**beta * |eta| on the frequency grid (exponent on the xi axis)."""
-    freqs = frequencies(family.n_log2)
-    return _abs_power(freqs, family.beta)[:, None] * np.abs(freqs).astype(np.float64)[None, :]
+    return hyperbolic_argument(family.n_log2, family.beta, "xi")
 
 
-def _below_symbol(family: LPFamily, cutoff: float) -> np.ndarray:
-    """Sum of pair symbols over ladder pairs with t * s**beta < cutoff."""
+def _pair_sum(family: LPFamily, keep) -> np.ndarray:
+    """Sum of the pair symbols phi1_k (x) phi2_l psi2_l over the ladder pairs
+    (k, l) whose t_l * s_k**beta satisfies ``keep``."""
     n = 1 << family.n_log2
     out = np.zeros((n, n))
     for k in family.k_indices:
@@ -311,12 +314,17 @@ def _below_symbol(family: LPFamily, cutoff: float) -> np.ndarray:
         col = np.zeros(n)
         hit = False
         for el in family.l_indices:
-            if family.t_of(el) * s_beta < cutoff:
+            if keep(family.t_of(el) * s_beta):
                 col += family.phi2_tab[el] * family.psi2_tab[el]
                 hit = True
         if hit:
             out += family.phi1_tab[k][:, None] * col[None, :]
     return out
+
+
+def _below_symbol(family: LPFamily, cutoff: float) -> np.ndarray:
+    """Sum of pair symbols over ladder pairs with t * s**beta < cutoff."""
+    return _pair_sum(family, lambda ts: ts < cutoff)
 
 
 def _full_symbol(family: LPFamily) -> np.ndarray:
@@ -373,45 +381,20 @@ def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> Sy
     """Symbol of the frozen error piece at scale 2**j: ladder pairs with
     1/(2**(j+3) s**beta) <= t <= 1/(2**(j-2) s**beta), weighted by
     m(2**j |xi|**beta |eta|)."""
-    n = 1 << family.n_log2
     lo = math.ldexp(1.0, -(j + 3))
     hi = math.ldexp(1.0, -(j - 2))
-    window = np.zeros((n, n))
-    for k in family.k_indices:
-        s_beta = family.s_of(k) ** family.beta
-        col = np.zeros(n)
-        hit = False
-        for el in family.l_indices:
-            ts = family.t_of(el) * s_beta
-            if lo <= ts <= hi:
-                col += family.phi2_tab[el] * family.psi2_tab[el]
-                hit = True
-        if hit:
-            window += family.phi1_tab[k][:, None] * col[None, :]
-    weighted = window * m(math.ldexp(1.0, j) * _hyper_args(family))
-    return SymbolGrid(family.n_log2, weighted)
+    window = _pair_sum(family, lambda ts: lo <= ts <= hi)
+    return SymbolGrid(family.n_log2, window * m(math.ldexp(1.0, j) * _hyper_args(family)))
 
 
-def large_variation_error(f: SampledField, j: int, family: LPFamily, m: MultiplierProfile) -> SampledField:
-    sym = large_variation_symbol(j, family, m)
-    spec = forward_transform(f).coeffs
-    return SampledField(f.n_log2, np.fft.ifft2(spec * sym.values) * f.n * f.n)
-
-
-def _e_tau(spec: np.ndarray, tau: float, above: np.ndarray, hyper: np.ndarray, m: MultiplierProfile, n: int) -> np.ndarray:
-    return np.fft.ifft2(spec * above * m(tau * hyper)) * n * n
-
-
-def _e_tau_derivative(spec, tau, above, hyper, m, n, rel_step: float = 1e-3):
-    """d/dtau of the tau-frozen error piece by central differences with one
+def _tau_derivative(m: MultiplierProfile, hyper: np.ndarray, tau: float) -> np.ndarray:
+    """d/dtau m(tau * hyper) by central differences (step tau / 1000) with one
     Richardson extrapolation step."""
     def central(h):
-        return (_e_tau(spec, tau + h, above, hyper, m, n) - _e_tau(spec, tau - h, above, hyper, m, n)) / (2 * h)
+        return (m((tau + h) * hyper) - m((tau - h) * hyper)) / (2 * h)
 
-    h = tau * rel_step
-    d1 = central(h)
-    d2 = central(h / 2)
-    return (4.0 * d2 - d1) / 3.0
+    h = tau * 1e-3
+    return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
 def small_variation_error(
@@ -441,17 +424,16 @@ def small_variation_error(
         vtilde = dyadic_round_up(float(base))  # constant across the octave
         above = full - _below_symbol(family, flat / vtilde)
         taus = base * 2.0 ** (np.arange(nodes_per_octave + 1) / nodes_per_octave)
-        integrand = [np.abs(_e_tau_derivative(spec, t, above, hyper, m, n)) for t in taus]
-        cumulative = [np.zeros((n, n))]
-        for r in range(nodes_per_octave):
-            step = taus[r + 1] - taus[r]
-            cumulative.append(cumulative[-1] + 0.5 * step * (integrand[r] + integrand[r + 1]))
+        # d/dtau commutes with the inverse FFT: one ifft2 per tau node,
+        # kept on the bucket's points only
+        integrand = np.array(
+            [np.abs(np.fft.ifft2(spec * above * _tau_derivative(m, hyper, t)) * n * n).ravel()[idx] for t in taus]
+        )
+        trapezoids = 0.5 * np.diff(taus)[:, None] * (integrand[:-1] + integrand[1:])
+        cum = np.concatenate([np.zeros((1, idx.size)), np.cumsum(trapezoids, axis=0)])
         v_here = v[idx]
         pos = np.clip(np.searchsorted(taus, v_here, side="right") - 1, 0, nodes_per_octave - 1)
-        lo_t = taus[pos]
-        hi_t = taus[pos + 1]
-        frac = (v_here - lo_t) / (hi_t - lo_t)
-        cum = np.stack(cumulative).reshape(nodes_per_octave + 1, n * n)[:, idx]
+        frac = (v_here - taus[pos]) / (taus[pos + 1] - taus[pos])
         cols = np.arange(idx.size)
         out[idx] = cum[pos, cols] * (1 - frac) + cum[pos + 1, cols] * frac
     return SampledField(f.n_log2, out.reshape(n, n))

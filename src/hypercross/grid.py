@@ -45,6 +45,8 @@ class SampledField:
         arr = np.asarray(self.samples)
         if arr.shape != (n, n):
             raise ValueError(f"samples shape {arr.shape} does not match N={n}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples contain non-finite values")
         object.__setattr__(self, "samples", _frozen_array(arr, np.complex128))
 
     @property
@@ -164,6 +166,8 @@ def read_hxf1(path) -> tuple[int, np.ndarray]:
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != 2 * n * n:
         raise ValueError(f"payload has {raw.size} doubles, expected {2 * n * n}")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("HXF1 payload holds non-finite values")
     pairs = raw.reshape(n * n, 2)
     return int(n_log2), (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
 

@@ -7,7 +7,8 @@ local scale V(x, y).  Every variable-scale operator in the package is one
 call of the kernel pair :func:`gather` / :func:`scatter` over a
 BucketDecomposition (distinct keys of V, or of a rounding of V, plus one
 integer label per point); it reproduces the O(N^4) brute-force oracle
-exactly up to floating-point reassociation.
+exactly up to floating-point reassociation.  The operator handle with its
+exact adjoint, :func:`linearized_operator`, lives here too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .grid import (
     frequencies,
     write_hxf1,
 )
-from .multiplier import MultiplierProfile, _abs_power, hyperbolic_symbol, pi_beta_mask
+from .multiplier import MultiplierProfile, _abs_power, hyperbolic_argument, hyperbolic_symbol, pi_beta_mask
 
 
 @dataclass(frozen=True)
@@ -359,17 +360,12 @@ def _scaled_symbol(m: MultiplierProfile, n_log2: int, beta: float, exponent_on: 
     """The map key -> m(key * |xi| * |eta|**beta) on the frequency grid, or
     m(key * |xi|**beta * |eta|) with exponent_on='xi'.  Key 0 gives the
     reserved m(0) symbol."""
-    freqs = frequencies(n_log2)
-    plain = np.abs(freqs).astype(np.float64)
-    powed = _abs_power(freqs, beta)
-    hyper = powed[:, None] * plain[None, :] if exponent_on == "xi" else plain[:, None] * powed[None, :]
+    hyper = hyperbolic_argument(n_log2, beta, exponent_on)
     return lambda key: m(key * hyper)
 
 
-def _masked_symbol_base(f: SampledField, beta: float, exponent_on: str = "eta"):
-    spec = forward_transform(f)
-    mask = pi_beta_mask(beta, f.n_log2, exponent_on=exponent_on)
-    return spec.coeffs * mask.values
+def _masked_symbol_base(f: SampledField, beta: float):
+    return forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
 
 
 def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
@@ -396,6 +392,33 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
     return SampledField(f.n_log2, out)
 
 
+@dataclass(frozen=True)
+class LinearOperatorHandle:
+    """A grid-linear operator with an explicit adjoint."""
+
+    n_log2: int
+    apply: callable
+    adjoint: callable
+    description: str = ""
+
+
+def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
+    """The variable-scale operator as a gather of the Pi_beta-masked spectrum
+    over the level sets of V, bucketed once per handle; the adjoint is the
+    matching scatter, then the Pi_beta mask."""
+    buckets = level_sets(V, "exact")
+    symbol = _scaled_symbol(m, V.n_log2, beta)
+    mask = pi_beta_mask(beta, V.n_log2).values
+
+    def apply(f: SampledField) -> SampledField:
+        return SampledField(f.n_log2, gather(_masked_symbol_base(f, beta), buckets, symbol))
+
+    def adjoint(g: SampledField) -> SampledField:
+        return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol) * mask))
+
+    return LinearOperatorHandle(V.n_log2, apply, adjoint, "linearized multiplier")
+
+
 def apply_linearized_bucketed(
     f: SampledField,
     V: LinearizerField,
@@ -403,11 +426,14 @@ def apply_linearized_bucketed(
     beta: float,
     quantize: str = "exact",
 ) -> SampledField:
-    """Fast path: the Pi_beta-masked spectrum gathered over the level sets of
-    V.  quantize='dyadic' first replaces V by 2**floor(log2 V) (an
+    """Fast path: one application of :func:`linearized_operator`.
+    quantize='dyadic' first replaces V by 2**floor(log2 V) (an
     approximation, reported by the caller)."""
-    spec = _masked_symbol_base(f, beta)
-    return SampledField(f.n_log2, gather(spec, level_sets(V, quantize), _scaled_symbol(m, f.n_log2, beta)))
+    if quantize == "dyadic":
+        V = LinearizerField(V.n_log2, dyadic_floor(V.values))
+    elif quantize != "exact":
+        raise ValueError(f"quantize must be 'exact' or 'dyadic', got {quantize!r}")
+    return linearized_operator(V, m, beta).apply(f)
 
 
 def maximal_over_scales(

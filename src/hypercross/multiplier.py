@@ -5,7 +5,8 @@ variable.  Bump profiles squeeze between the indicators of (-eps, eps) and
 (-2 eps, 2 eps) using a degree-11 smoothstep transition whose first five
 derivatives vanish at the knots, so all smoothness-constant scans see a C^5
 function.  The two-dimensional symbol of a profile at dilation lam is
-m(lam * |xi| * |eta|**beta) (optionally with the exponent on the xi axis).
+m(lam * |xi| * |eta|**beta); :func:`hyperbolic_argument` builds the argument
+grid |xi| * |eta|**beta (or |xi|**beta * |eta|) for every symbol of the package.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import _frozen_array, frequency_grids
+from .grid import _frozen_array, frequencies, frequency_grids
 
 # Degree-11 smoothstep: S(0)=0, S(1)=1, S', .., S^(5) vanish at both knots.
 # Evaluated as x**6 * poly(x) on [0, 1/2] and by the symmetry S = 1 - S(1-x)
@@ -253,46 +254,42 @@ def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def hyperbolic_symbol(
-    lam: float,
-    beta: float,
-    m: MultiplierProfile,
-    n_log2: int,
-    exponent_on: str = "eta",
-) -> SymbolGrid:
+def hyperbolic_argument(n_log2: int, beta: float, exponent_on: str = "eta") -> np.ndarray:
+    """|xi| * |eta|**beta on the frequency grid (FFT order), or
+    |xi|**beta * |eta| with ``exponent_on="xi"``, the convention of the
+    scale-decomposition machinery.  |k|**beta follows :func:`_abs_power`."""
+    freqs = frequencies(n_log2)
+    plain = np.abs(freqs).astype(np.float64)
+    powed = _abs_power(freqs, beta)
+    if exponent_on == "eta":
+        return plain[:, None] * powed[None, :]
+    if exponent_on == "xi":
+        return powed[:, None] * plain[None, :]
+    raise ValueError(f"exponent_on must be 'xi' or 'eta', got {exponent_on!r}")
+
+
+def hyperbolic_symbol(lam: float, beta: float, m: MultiplierProfile, n_log2: int) -> SymbolGrid:
     """Symbol m(lam * |xi| * |eta|**beta) on the frequency grid.
 
-    ``exponent_on="xi"`` swaps the roles of the axes and yields
-    m(lam * |xi|**beta * |eta|), the convention the scale-decomposition
-    machinery uses.  For beta < 0 the line where the exponentiated frequency
-    vanishes gets symbol value 0 (it always lies outside the matching
-    truncation mask).
+    For beta < 0 the line eta = 0 gets symbol value 0 (it always lies
+    outside the matching truncation mask).
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    xi, eta = frequency_grids(n_log2)
-    if exponent_on == "eta":
-        plain, powed = xi, eta
-    elif exponent_on == "xi":
-        plain, powed = eta, xi
-    else:
-        raise ValueError(f"exponent_on must be 'xi' or 'eta', got {exponent_on!r}")
-    args = lam * np.abs(plain).astype(np.float64) * _abs_power(powed, beta)
-    values = m(args)
+    values = m(lam * hyperbolic_argument(n_log2, beta))
     if beta < 0:
-        values = np.where(powed == 0, 0.0, values)
+        values = np.where(frequencies(n_log2) == 0, 0.0, values)  # broadcasts over eta
     return SymbolGrid(n_log2, values)
 
 
-def pi_beta_mask(beta: float, n_log2: int, exponent_on: str = "eta") -> SymbolGrid:
+def pi_beta_mask(beta: float, n_log2: int) -> SymbolGrid:
     """Indicator of {|eta|**beta <= 1} on the frequency grid.
 
     beta > 0 keeps |eta| <= 1 (the eta = 0 line included), beta < 0 keeps
     |eta| >= 1 (eta = 0 dropped), beta = 0 keeps everything.
     """
-    xi, eta = frequency_grids(n_log2)
-    freq = eta if exponent_on == "eta" else xi
-    a = np.abs(freq)
+    _, eta = frequency_grids(n_log2)
+    a = np.abs(eta)
     if beta == 0.0:
         keep = np.ones_like(a, dtype=bool)
     elif beta > 0.0:

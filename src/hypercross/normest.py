@@ -18,31 +18,13 @@ import numpy as np
 from .grid import SampledField, apply_fixed_multiplier, lp_norm
 from .linearized import (
     LinearizerField,
+    LinearOperatorHandle,
     Regularity,
-    _masked_symbol_base,
-    _scaled_symbol,
-    gather,
+    _adjacent_max_diff,
     generate_linearizer,
-    level_sets,
-    scatter,
+    linearized_operator,
 )
-from .multiplier import (
-    MultiplierProfile,
-    SymbolGrid,
-    make_bump_profile,
-    pi_beta_mask,
-    smoothness_constant,
-)
-
-
-@dataclass(frozen=True)
-class LinearOperatorHandle:
-    """A grid-linear operator with an explicit adjoint."""
-
-    n_log2: int
-    apply: callable
-    adjoint: callable
-    description: str = ""
+from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
 def identity_operator(n_log2: int) -> LinearOperatorHandle:
@@ -55,22 +37,6 @@ def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
 
     # real symbols are self-adjoint in the weighted inner product
     return LinearOperatorHandle(symbol.n_log2, apply, apply, "fixed multiplier")
-
-
-def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
-    """The variable-scale operator as a gather over the level sets of V, bucketed
-    once per handle; the adjoint is the matching scatter, then the Pi_beta mask."""
-    buckets = level_sets(V, "exact")
-    symbol = _scaled_symbol(m, V.n_log2, beta)
-    mask_sym = pi_beta_mask(beta, V.n_log2).values
-
-    def apply(f: SampledField) -> SampledField:
-        return SampledField(f.n_log2, gather(_masked_symbol_base(f, beta), buckets, symbol))
-
-    def adjoint(g: SampledField) -> SampledField:
-        return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol) * mask_sym))
-
-    return LinearOperatorHandle(V.n_log2, apply, adjoint, "linearized multiplier")
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
@@ -338,14 +304,6 @@ def _stripe_field(boundaries: np.ndarray, exponents: np.ndarray, n_log2: int) ->
     return LinearizerField(n_log2, np.repeat(vals[:, None], n, axis=1), Regularity("none"), None)
 
 
-def _measured_lipschitz_x(V: LinearizerField) -> float:
-    v = V.values
-    n = V.n
-    d = np.abs(np.diff(v, axis=0))
-    wrap = np.abs(v[0] - v[-1])
-    return float(max(d.max() if d.size else 0.0, wrap.max()) * n)
-
-
 def adversarial_linearizer_search(
     p: float,
     beta: float,
@@ -430,7 +388,7 @@ def adversarial_linearizer_search(
         cand = pending.pop(0) if pending else propose(cur_params)
         field = realize(cand)
         feasible = True
-        measured = _measured_lipschitz_x(field)
+        measured = _adjacent_max_diff(field.values, axis=0) * field.n
         if constraint == "lipschitz" and measured > lip_bound:
             feasible = False
         if feasible:
@@ -453,7 +411,7 @@ def adversarial_linearizer_search(
         best_value=best_val,
         best_params=best_params,
         best_field=best_field,
-        measured_lipschitz=_measured_lipschitz_x(best_field) if best_field is not None else float("nan"),
+        measured_lipschitz=_adjacent_max_diff(best_field.values, axis=0) * best_field.n if best_field is not None else float("nan"),
         evaluations=evals,
         constrained=constraint == "lipschitz",
         history=tuple(events),

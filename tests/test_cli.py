@@ -1,7 +1,9 @@
+import dataclasses
 import filecmp
 import json
 
 from hypercross import cli
+from hypercross import normest as ne
 
 
 def _write(tmp_path, name, text):
@@ -127,17 +129,43 @@ def test_decompose_command(tmp_path, capsys):
         assert f"PASS decompose.{check}" in out
 
 
+NORMEST_CONFIG = (
+    "[run]\ngrid_n_log2 = 3\nseed = 4\n\n[profile]\nkind = bump\nepsilon = 1.0\n\n"
+    "[linearizer]\nkind = constant\nvalue = 0.5\n\n[normest]\np = 2.0\nmethod = power\n"
+)
+
+
 def test_normest_command(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "n.ini",
-        "[run]\ngrid_n_log2 = 3\nseed = 4\n\n[profile]\nkind = bump\nepsilon = 1.0\n\n"
-        "[linearizer]\nkind = constant\nvalue = 0.5\n\n[normest]\np = 2.0\nmethod = power\n",
-    )
+    cfg = _write(tmp_path, "n.ini", NORMEST_CONFIG)
     rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
     assert (tmp_path / "o" / "witness.hxf1").exists()
     assert (tmp_path / "o" / "estimate.csv").exists()
+
+
+def test_normest_witness_check_fails_on_inconsistent_estimate(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "n.ini", NORMEST_CONFIG)
+    power = ne.l2_norm_power_iteration
+
+    def off_by_one_percent(op, **kwargs):
+        est = power(op, **kwargs)
+        return dataclasses.replace(est, value=1.01 * est.value)
+
+    monkeypatch.setattr(ne, "l2_norm_power_iteration", off_by_one_percent)
+    rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_ASSERTION
+    assert "FAIL normest.witness_consistency" in capsys.readouterr().out
+
+
+def test_verify_level_key_rejected(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "v.ini",
+        "[run]\ngrid_n_log2 = 4\n\n[linearizer]\nkind = constant\nvalue = 0.5\n\n[verify]\nlevel = full\n",
+    )
+    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "level" in capsys.readouterr().err
 
 
 def test_section_not_used_by_command_rejected(tmp_path, capsys):

@@ -268,6 +268,63 @@ def test_small_variation_nonzero_for_varying_field(fam):
     assert np.abs(sv.samples).max() > 0.0
 
 
+def _small_variation_field_side(f, V, family, m, nodes_per_octave=8):
+    """Reference for small_variation_error with the tau derivative taken on
+    the fields: one inverse FFT of E_tau f per tau +- h, central differences
+    and one Richardson step on the fields, then a trapezoid integral over
+    each dyadic octave and linear interpolation at V with np.interp."""
+    n = f.n
+    spec = g.forward_transform(f).coeffs
+    hyper = de._hyper_args(family)
+    full = de._full_symbol(family)
+    flat = mu.flat_radius(m)
+    v = V.values
+    base_of = lin.dyadic_floor(v)
+    out = np.zeros((n, n))
+    for base in np.unique(base_of):
+        above = full - de._below_symbol(family, flat / lin.dyadic_round_up(float(base)))
+
+        def e_tau(tau):
+            return np.fft.ifft2(spec * above * m(tau * hyper)) * n * n
+
+        def derivative(tau):
+            h = tau * 1e-3
+            d1 = (e_tau(tau + h) - e_tau(tau - h)) / (2 * h)
+            d2 = (e_tau(tau + h / 2) - e_tau(tau - h / 2)) / h
+            return np.abs((4.0 * d2 - d1) / 3.0)
+
+        taus = base * 2.0 ** (np.arange(nodes_per_octave + 1) / nodes_per_octave)
+        integrand = [derivative(t) for t in taus]
+        cumulative = [np.zeros((n, n))]
+        for r in range(nodes_per_octave):
+            cumulative.append(cumulative[-1] + 0.5 * (taus[r + 1] - taus[r]) * (integrand[r] + integrand[r + 1]))
+        for i, j in zip(*np.nonzero(base_of == base)):
+            out[i, j] = np.interp(v[i, j], taus, [c[i, j] for c in cumulative])
+    return out
+
+
+@pytest.mark.parametrize(
+    "beta, kind, params",
+    [
+        (1.0, "staircase_x", {"lip_constant": 1.0, "v_min": 2.0**-6, "levels": 48}),
+        (-1.0, "staircase_x", {"lip_constant": 1.0, "v_min": 2.0**-6, "levels": 48}),
+        # at beta = -1 this constant V gives exactly 0, so only beta = 1 tests it
+        (1.0, "constant", {"value": 0.013}),
+    ],
+    ids=["staircase_beta1", "staircase_beta-1", "constant_beta1"],
+)
+def test_small_variation_matches_field_side_reference(beta, kind, params):
+    family = de.make_lp_family(beta, 6)
+    m = mu.make_bump_profile(0.5)
+    f = mean_zero_band_limited(6, 13)
+    V = lin.generate_linearizer(kind, params, 15, 6)
+    ref = _small_variation_field_side(f, V, family, m)
+    sv = de.small_variation_error(f, V, family, m).samples
+    assert np.abs(ref).max() > 0.0
+    assert np.abs(sv.imag).max() == 0.0
+    assert np.abs(sv.real - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_ratio_check_constant_field(fam):
     V = lin.generate_linearizer("constant", {"value": 0.1}, 0, 6)
     rep = de.lipschitz_ratio_check(V, fam, 1.0, 1.0, "lip", 10_000, 1)

@@ -181,6 +181,32 @@ def test_csv_rejects_malformed_file(tmp_path, corrupt):
         g.read_field_csv(path, 4)
 
 
+def test_hxf1_rejects_non_finite_payload(tmp_path):
+    samples = g.random_field(4, 11).samples.copy()
+    samples[3, 5] = np.nan
+    path = tmp_path / "nan.hxf1"
+    g.write_hxf1(path, 4, samples)
+    with pytest.raises(ValueError, match="non-finite"):
+        g.read_hxf1(path)
+
+
+def test_csv_rejects_non_finite_sample(tmp_path):
+    path = tmp_path / "field.csv"
+    g.write_field_csv(path, g.random_field(4, 13))
+    lines = path.read_text().splitlines()
+    lines[7] = "0,6,nan,0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        g.read_field_csv(path, 4)
+
+
+def test_sampled_field_rejects_inf():
+    samples = np.ones((8, 8), dtype=np.complex128)
+    samples[2, 2] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        g.SampledField(3, samples)
+
+
 def test_csv_roundtrip(tmp_path):
     f = g.random_field(4, 13)
     path = tmp_path / "field.csv"
