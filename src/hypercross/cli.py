@@ -4,6 +4,9 @@ Config files are flat INI text with one section per concern; unknown sections
 or keys are rejected before any computation starts.  Artifacts (HXF1 fields,
 CSV tables, JSON-lines logs) carry the config hash, seed and grid size.  There
 is no parallel mode: reruns with the same config and seed are byte-identical.
+Exit status: 0 when every check passes, 1 when a numeric check fails, 2 for a
+config error (a malformed file, an unknown section or key, or a value the
+package rejects), 3 for an I/O error.
 """
 
 from __future__ import annotations
@@ -88,7 +91,10 @@ _COMMAND_SECTIONS = {
 
 def load_config(path: str, command: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
     if not read:
         raise OSError(f"cannot read config {path}")
     allowed = _COMMAND_SECTIONS[command]
@@ -364,15 +370,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx = RunContext(args, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         _COMMANDS[args.command](ctx)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a config value rejected by the package
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,14 +1,17 @@
 """Scale decomposition of the variable-scale hyperbolic multiplier.
 
-This module works in the axis convention m(V(x,y) |xi|**beta |eta|), with the
-dyadic scale family acting on the first variable through an annulus of
-log-width 2/|beta| and on the second variable through one-octave bands that
-are realized as a product of a genuinely space-localized kernel (psi2) and a
-compensating frequency window (phi2).  Continuous dt/t integrals are replaced
-by dyadic ladders that form exact partitions of unity on the grid, so the
-split of the operator into a principal part (scales where the profile is
-identically 1) and an error part (profile-weighted transition scales) is an
-exact finite identity rather than a quadrature approximation.
+This module works in the axis convention m(V(x,y) |xi|**beta |eta|), the only
+place in the package that puts the exponent on the first variable; its
+argument grid is the transpose of the package's |xi| |eta|**beta grid (see
+:func:`_hyper_args`).  The dyadic scale family acts on the first variable
+through an annulus of log-width 2/|beta| and on the second variable through
+one-octave bands that are realized as a product of a genuinely
+space-localized kernel (psi2) and a compensating frequency window (phi2).
+Continuous dt/t integrals are replaced by dyadic ladders that form exact
+partitions of unity on the grid, so the split of the operator into a
+principal part (scales where the profile is identically 1) and an error part
+(profile-weighted transition scales) is an exact finite identity rather than
+a quadrature approximation.
 
 A one-octave window supported in [1,2] admits no smooth dyadic partition of
 unity, so the product window phi2_hat * psi2_hat takes the balanced sharp
@@ -16,12 +19,13 @@ form: 1 strictly inside the octave and 1/2 at the two endpoints.  psi2 keeps
 exact compact space support (the property the ratio check needs) and phi2
 absorbs the per-frequency correction; this is reported in the family record.
 
-The variable-scale terms (lemma, principal, error) are each one call of the
-bucketed kernel :func:`hypercross.linearized.gather` with their own key array
-(V or its dyadic rounding) and symbol per key.  Every ladder-pair sum (the
-principal cutoff, the frozen large-variation windows) is one :func:`_pair_sum`
-over a selection of t * s**beta.  The small-variation piece takes d/dtau on
-the symbol, which commutes with the inverse FFT: one ifft2 per tau node.
+The variable-scale terms (lemma, principal, error, small variation) are
+calls of the bucketed kernel :func:`hypercross.linearized.gather` with their
+own key array (V, its dyadic rounding or its dyadic floor) and symbol per key.
+Every ladder-pair sum (the principal cutoff, the frozen large-variation
+windows) is one :func:`_pair_sum` over a selection of t * s**beta.  The
+small-variation piece takes d/dtau on the symbol, which commutes with the
+inverse FFT: one gather per tau node over the dyadic level sets of V.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SampledField, SpectralField, forward_transform, frequencies, inverse_transform
-from .linearized import BucketDecomposition, LinearizerField, _scaled_symbol, dyadic_floor, dyadic_round_up, gather, level_sets
+from .linearized import BucketDecomposition, LinearizerField, dyadic_floor, dyadic_round_up, gather, level_sets
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
@@ -43,6 +47,8 @@ from .multiplier import (
 )
 
 PSI2_SUPPORT_RADIUS = 9.0 / 512.0  # < 2**-5 and < 2**-4/3; > one cell at N = 64
+# tau nodes of the small-variation integral, as multiples r of the dyadic base
+_SMALL_VARIATION_RATIOS = 2.0 ** (np.arange(9) / 8)
 
 
 class LadderError(ValueError):
@@ -102,26 +108,28 @@ def _bump_cosine_transform(theta):
     return 2.0 * (flat + curved)
 
 
-def psi2_space(y, radius: float = PSI2_SUPPORT_RADIUS):
-    """Space samples of psi2: a mean-zero C^3 kernel supported in (-radius, radius)."""
+def psi2_space(y):
+    """Space samples of psi2: a mean-zero C^3 kernel supported in
+    (-R, R), R = PSI2_SUPPORT_RADIUS."""
     y = np.asarray(y, dtype=np.float64)
-    u = np.abs(y) / radius
+    u = np.abs(y) / PSI2_SUPPORT_RADIUS
     vals = np.where(
-        (u > 0.5) & (u < 1.0), 4.0 * smoothstep_d2(2.0 * u - 1.0) / radius**2, 0.0
+        (u > 0.5) & (u < 1.0), 4.0 * smoothstep_d2(2.0 * u - 1.0) / PSI2_SUPPORT_RADIUS**2, 0.0
     )
     return vals
 
 
-def psi2_hat(omega, radius: float = PSI2_SUPPORT_RADIUS):
-    """Frequency response of psi2: (2 pi omega)^2 radius * B^(omega radius).
+def psi2_hat(omega):
+    """Frequency response of psi2: (2 pi omega)^2 R * B^(omega R), with
+    R = PSI2_SUPPORT_RADIUS.
 
     Positive on 1 <= |omega| <= 2 (in fact on a much wider band) and zero at
     omega = 0, as the product normalization requires.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    theta = omega * radius
+    theta = omega * PSI2_SUPPORT_RADIUS
     scalar = omega.ndim == 0
-    vals = (2.0 * np.pi * omega) ** 2 * radius * _bump_cosine_transform(theta.ravel()).reshape(theta.shape)
+    vals = (2.0 * np.pi * omega) ** 2 * PSI2_SUPPORT_RADIUS * _bump_cosine_transform(theta.ravel()).reshape(theta.shape)
     return float(vals) if scalar else vals
 
 
@@ -133,15 +141,14 @@ def psi2_hat(omega, radius: float = PSI2_SUPPORT_RADIUS):
 class LPFamily:
     """Dyadic ladders and their per-scale one-axis symbol tables.
 
-    Scales are 2**(idx / substeps); phi1 acts on the xi axis, phi2/psi2 on
-    the eta axis.  Tables are keyed by the integer ladder index and aligned
-    with FFT frequency order.
+    Scales are 2**(idx / substeps); phi1 acts on the xi axis, phi2/psi2 (of
+    support radius PSI2_SUPPORT_RADIUS) on the eta axis.  Tables are keyed by
+    the integer ladder index and aligned with FFT frequency order.
     """
 
     beta: float
     n_log2: int
     substeps: int
-    psi_radius: float
     k_indices: tuple
     l_indices: tuple
     phi1_tab: dict
@@ -230,7 +237,6 @@ def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
         beta=beta,
         n_log2=n_log2,
         substeps=substeps,
-        psi_radius=PSI2_SUPPORT_RADIUS,
         k_indices=k_indices,
         l_indices=l_indices,
         phi1_tab=phi1_tab,
@@ -300,8 +306,9 @@ def calderon_residual(f: SampledField, family: LPFamily) -> float:
 # ---------------------------------------------------------------------------
 
 def _hyper_args(family: LPFamily) -> np.ndarray:
-    """|xi|**beta * |eta| on the frequency grid (exponent on the xi axis)."""
-    return hyperbolic_argument(family.n_log2, family.beta, "xi")
+    """|xi|**beta * |eta| on the frequency grid (exponent on the xi axis): the
+    transpose of the package's |xi| * |eta|**beta grid, with equal products."""
+    return hyperbolic_argument(family.n_log2, family.beta).T
 
 
 def _pair_sum(family: LPFamily, keep) -> np.ndarray:
@@ -364,8 +371,8 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
     flat = flat_radius(m)
     full = _full_symbol(family)
     above = {vt: full - _below_symbol(family, flat / vt) for vt in np.unique(dyadic_round_up(V.values))}
-    weight = _scaled_symbol(m, family.n_log2, family.beta, exponent_on="xi")
-    out = gather(forward_transform(f).coeffs, level_sets(V, "exact"), lambda v: above[dyadic_round_up(float(v))] * weight(v))
+    hyper = _hyper_args(family)
+    out = gather(forward_transform(f).coeffs, level_sets(V, "exact"), lambda v: above[dyadic_round_up(float(v))] * m(v * hyper))
     return SampledField(f.n_log2, out)
 
 
@@ -373,8 +380,8 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     """Direct variable-scale application in this module's axis convention:
     output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise."""
     _check_positive(V)
-    symbol = _scaled_symbol(m, f.n_log2, beta, exponent_on="xi")
-    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, level_sets(V, "exact"), symbol))
+    hyper = hyperbolic_argument(f.n_log2, beta).T
+    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, level_sets(V, "exact"), lambda v: m(v * hyper)))
 
 
 def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> SymbolGrid:
@@ -397,46 +404,38 @@ def _tau_derivative(m: MultiplierProfile, hyper: np.ndarray, tau: float) -> np.n
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def small_variation_error(
-    f: SampledField,
-    V: LinearizerField,
-    family: LPFamily,
-    m: MultiplierProfile,
-    nodes_per_octave: int = 8,
-) -> SampledField:
+def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
     """Pointwise integral of |d/dtau E_tau f| from the dyadic base of V(x,y)
-    up to V(x,y), on a geometric tau grid with the given node density.
+    up to V(x,y): the trapezoid rule on the 9 nodes tau = 2**(i/8) * base,
+    i = 0..8, interpolated linearly at V.
 
-    Exactly zero wherever V equals its dyadic base, hence identically zero
-    for fields taking values in {2**j}.
+    Node r * base is one gather over the dyadic level sets of V with the
+    symbol above(base) * d/dtau m(tau |xi|**beta |eta|) (d/dtau commutes with
+    the inverse FFT).  Exactly zero wherever V equals its dyadic base, hence
+    identically zero for fields taking values in {2**j}.
     """
     _check_positive(V)
     buckets = level_sets(V, "dyadic")
-    spec = forward_transform(f).coeffs
-    buckets.check_grid(spec)
     flat = flat_radius(m)
     hyper = _hyper_args(family)
     full = _full_symbol(family)
-    n = f.n
-    v = V.values.ravel()
-    out = np.zeros(n * n, dtype=np.float64)
-    for base, idx in zip(buckets.distinct_values, buckets.members):
-        vtilde = dyadic_round_up(float(base))  # constant across the octave
-        above = full - _below_symbol(family, flat / vtilde)
-        taus = base * 2.0 ** (np.arange(nodes_per_octave + 1) / nodes_per_octave)
-        # d/dtau commutes with the inverse FFT: one ifft2 per tau node,
-        # kept on the bucket's points only
-        integrand = np.array(
-            [np.abs(np.fft.ifft2(spec * above * _tau_derivative(m, hyper, t)) * n * n).ravel()[idx] for t in taus]
-        )
-        trapezoids = 0.5 * np.diff(taus)[:, None] * (integrand[:-1] + integrand[1:])
-        cum = np.concatenate([np.zeros((1, idx.size)), np.cumsum(trapezoids, axis=0)])
-        v_here = v[idx]
-        pos = np.clip(np.searchsorted(taus, v_here, side="right") - 1, 0, nodes_per_octave - 1)
-        frac = (v_here - taus[pos]) / (taus[pos + 1] - taus[pos])
-        cols = np.arange(idx.size)
-        out[idx] = cum[pos, cols] * (1 - frac) + cum[pos + 1, cols] * frac
-    return SampledField(f.n_log2, out.reshape(n, n))
+    # the rounded scale, hence the ladder pairs above it, is constant across an octave
+    above = {b: full - _below_symbol(family, flat / dyadic_round_up(b)) for b in buckets.distinct_values}
+    spec = forward_transform(f).coeffs
+    integrand = np.abs(
+        [gather(spec, buckets, lambda b: above[b] * _tau_derivative(m, hyper, b * r)) for r in _SMALL_VARIATION_RATIOS]
+    )
+    taus = _SMALL_VARIATION_RATIOS[:, None, None] * buckets.distinct_values[buckets.labels]
+    trapezoids = 0.5 * np.diff(taus, axis=0) * (integrand[:-1] + integrand[1:])
+    cum = np.concatenate([np.zeros((1,) + taus.shape[1:]), np.cumsum(trapezoids, axis=0)])
+    v = V.values
+    pos = np.clip(np.sum(taus <= v, axis=0) - 1, 0, taus.shape[0] - 2)[None]
+
+    def at(arr, k):
+        return np.take_along_axis(arr, k, axis=0)[0]
+
+    frac = (v - at(taus, pos)) / (at(taus, pos + 1) - at(taus, pos))
+    return SampledField(f.n_log2, at(cum, pos) * (1 - frac) + at(cum, pos + 1) * frac)
 
 
 def overlap_count(family: LPFamily, m: MultiplierProfile, j_range) -> int:
@@ -510,7 +509,7 @@ def lipschitz_ratio_check(
     vt = dyadic_round_up(v)
     t_all = np.array(sorted({family.t_of(el) for el in family.l_indices}))
     # keep scales whose kernel support spans at least one grid step
-    reach = np.floor(family.psi_radius / t_all * n - 1e-12).astype(np.int64)
+    reach = np.floor(PSI2_SUPPORT_RADIUS / t_all * n - 1e-12).astype(np.int64)
     t_choices = t_all[reach >= 1]
     if t_choices.size == 0:
         t_choices = t_all[:1]
@@ -519,7 +518,7 @@ def lipschitz_ratio_check(
     xs = rng.integers(0, n, size=n_samples)
     ys = rng.integers(0, n, size=n_samples)
     ts = t_choices[rng.integers(0, t_choices.size, size=n_samples)]
-    max_cells = np.maximum(np.floor(family.psi_radius / ts * n - 1e-12).astype(np.int64), 0)
+    max_cells = np.maximum(np.floor(PSI2_SUPPORT_RADIUS / ts * n - 1e-12).astype(np.int64), 0)
     deltas = rng.integers(-max_cells, max_cells + 1)
     zs = (ys + deltas) % n
 

@@ -186,6 +186,8 @@ def dyadic_model_operator(
     """
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
+    if method not in ("fast", "direct"):
+        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
     if f.n_log2 != V.n_log2:
         raise ValueError("field and linearizer grids differ")
     if not _all_dyadic(V.values) or np.any(V.values <= 0):
@@ -208,7 +210,7 @@ def dyadic_model_operator(
         if method == "fast":
             detail = (n * mats[a]).T @ c @ (n * mats[b])
             out += np.where(admissible, detail, 0.0)
-        elif method == "direct":
+        else:
             for p in range(c.shape[0]):
                 hx = n * mats[a][p]
                 for q in range(c.shape[1]):
@@ -216,8 +218,6 @@ def dyadic_model_operator(
                         continue
                     hy = n * mats[b][q]
                     out += np.where(admissible, c[p, q] * np.outer(hx, hy), 0.0)
-        else:
-            raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
     return SampledField(f.n_log2, out)
 
 
@@ -243,14 +243,14 @@ def check_selection_stability(
     beta: float,
     variant: str,
     depth: int = 6,
-    max_witnesses: int = 8,
 ) -> StabilityReport:
     """Exhaustively test that admissibility of a scale pair at (x, y) is
     inherited by every x' in the same I.
 
     For each scale pair (|I|, |J|) passing the variant's side condition and
     each (I, y), the admissibility mask must be constant in x over I; every
-    non-constant block counts as one violation.
+    non-constant block counts as one violation, and the first 8 are kept as
+    witnesses.
     """
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -276,7 +276,7 @@ def check_selection_stability(
             if count:
                 violations += count
                 for blk, y in zip(*np.nonzero(bad)):
-                    if len(witnesses) >= max_witnesses:
+                    if len(witnesses) >= 8:
                         break
                     col = grouped[blk, :, y]
                     x_true = int(blk) * block + int(np.argmax(col))
@@ -361,9 +361,10 @@ def dyadic_square_function(f: SampledField, axis: int) -> SampledField:
 # Hypothesis-class generators and their structural verifiers.
 # ---------------------------------------------------------------------------
 
-def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int, split_prob: float = 0.7) -> LinearizerField:
+def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerField:
     """Dyadic-valued V that is L-Lipschitz for the 2D dyadic metric with
-    sqrt(V) > L: a random quadtree whose leaf values are powers of two in
+    sqrt(V) > L: a random quadtree (each splittable square splits with
+    probability 0.7) whose leaf values are powers of two in
     (L**2, 2 L * leaf_side]."""
     if L <= 0:
         raise ValueError("L must be positive")
@@ -375,7 +376,7 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int, split_prob: floa
     def fill(x0: int, y0: int, cells: int, constrained: bool) -> None:
         side = cells / n
         can_split = side > L and cells >= 2
-        if can_split and rng.random() < split_prob:
+        if can_split and rng.random() < 0.7:
             half = cells // 2
             for dx in (0, half):
                 for dy in (0, half):
@@ -391,10 +392,12 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int, split_prob: floa
     return LinearizerField(n_log2, v, Regularity("dyadic_metric_2d", lip=L), seed)
 
 
-def generate_dyadic_metric_x(L: float, n_log2: int, seed: int, split_prob: float = 0.7, y_band_log2: int = 2) -> LinearizerField:
+def generate_dyadic_metric_x(L: float, n_log2: int, seed: int) -> LinearizerField:
     """Dyadic-valued V that is L-Lipschitz in the first variable for the
-    dyadic metric, with a factor-2 margin: a random binary tree in x; each
-    (x-leaf, y-band) takes a power of two at most L * leaf_length.
+    dyadic metric, with a factor-2 margin: a random binary tree in x (each
+    interval of two or more cells splits with probability 0.7); each (x-leaf,
+    y-band), with 4 equal y-bands (fewer on grids under 4 cells), takes a
+    power of two at most L * leaf_length.
 
     The margin matters: a field saturating the Lipschitz bound exactly can
     defeat selection stability at scale pairs with |J|**beta = L, where the
@@ -404,12 +407,12 @@ def generate_dyadic_metric_x(L: float, n_log2: int, seed: int, split_prob: float
         raise ValueError("L must be positive")
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
-    bands = 1 << min(y_band_log2, n_log2)
+    bands = 1 << min(2, n_log2)
     band_cells = n // bands
     v = np.empty((n, n))
 
     def fill(x0: int, cells: int, constrained: bool) -> None:
-        if cells >= 2 and rng.random() < split_prob:
+        if cells >= 2 and rng.random() < 0.7:
             fill(x0, cells // 2, True)
             fill(x0 + cells // 2, cells // 2, True)
             return

@@ -205,16 +205,9 @@ def read_field_csv(path, n_log2: int) -> SampledField:
     return SampledField(n_log2, samples)
 
 
-def random_field(n_log2: int, seed: int, *, real: bool = False, band_limit: int | None = None) -> SampledField:
-    """Deterministic pseudo-random field, optionally real and band-limited."""
+def random_field(n_log2: int, seed: int) -> SampledField:
+    """Deterministic pseudo-random complex field: independent standard normal
+    real and imaginary parts at every sample, all frequencies present."""
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
-    samples = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
-    if band_limit is not None:
-        spec = np.fft.fft2(samples) / (n * n)
-        xi, eta = frequency_grids(n_log2)
-        spec = np.where((np.abs(xi) <= band_limit) & (np.abs(eta) <= band_limit), spec, 0.0)
-        samples = np.fft.ifft2(spec) * (n * n)
-        if real:
-            samples = samples.real
-    return SampledField(n_log2, samples)
+    return SampledField(n_log2, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

@@ -92,13 +92,10 @@ def _band_limited_noise(n_log2: int, rng: np.random.Generator, band: int = 3) ->
     return w
 
 
-def _adjacent_max_diff(values: np.ndarray, axis: int, wrap: bool = True) -> float:
-    d = np.abs(np.diff(values, axis=axis))
-    worst = float(d.max()) if d.size else 0.0
-    if wrap:
-        edge = np.abs(np.take(values, 0, axis=axis) - np.take(values, -1, axis=axis))
-        worst = max(worst, float(edge.max()))
-    return worst
+def _adjacent_max_diff(values: np.ndarray, axis: int) -> float:
+    """Largest |difference| of neighbours along the axis, the wrap-around pair
+    included."""
+    return float(np.abs(np.roll(values, -1, axis=axis) - values).max())
 
 
 def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> LinearizerField:
@@ -192,22 +189,33 @@ def _torus_delta(n: int) -> np.ndarray:
     return np.minimum(d, n - d) / n
 
 
-def verify_lipschitz(V: LinearizerField, mode: Regularity, n_random_pairs: int = 10_000, seed: int = 0) -> LipschitzReport:
+def _random_pairs(n: int, seed: int):
+    """10,000 random grid point pairs (a, b) and their torus distances."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n, size=(10_000, 2))
+    b = rng.integers(0, n, size=(10_000, 2))
+    dx = _torus_delta(n)[(a[:, 0] - b[:, 0]) % n]
+    dy = _torus_delta(n)[(a[:, 1] - b[:, 1]) % n]
+    return a, b, np.hypot(dx, dy)
+
+
+def verify_lipschitz(V: LinearizerField, mode: Regularity, seed: int = 0) -> LipschitzReport:
     """Check a declared regularity class on the grid.
 
     'lip_x' / 'lip_y' scan non-wrapping adjacent pairs along the axis (the
     path metric of the sampled segment; this makes exact linear fields pass
-    with ratio 1).  'lip_2d' additionally draws random long-range pairs and
-    applies the allowance max(lip**2, lip * torus distance).
+    with ratio 1); 'staircase_x' is checked with the 'lip_x' rule.  'lip_2d'
+    additionally draws 10,000 random long-range pairs and applies the
+    allowance max(lip**2, lip * torus distance).
     """
     v = V.values
     n = V.n
     if mode.kind in ("constant", "none"):
         return LipschitzReport(True, 0.0, None)
 
-    if mode.kind in ("lip_x", "lip_y"):
+    if mode.kind in ("lip_x", "lip_y", "staircase_x"):
         lip = mode.lip if mode.lip is not None else 1.0
-        axis = 0 if mode.kind == "lip_x" else 1
+        axis = 1 if mode.kind == "lip_y" else 0
         diffs = np.abs(np.diff(v, axis=axis))
         ratios = diffs / (lip / n)
         if ratios.size == 0:
@@ -232,12 +240,7 @@ def verify_lipschitz(V: LinearizerField, mode: Regularity, n_random_pairs: int =
                 worst = float(ratios[idx])
                 nxt = ((idx[0] + 1) % n, idx[1]) if axis == 0 else (idx[0], (idx[1] + 1) % n)
                 witness = (idx, nxt)
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, n, size=(n_random_pairs, 2))
-        b = rng.integers(0, n, size=(n_random_pairs, 2))
-        dx = _torus_delta(n)[(a[:, 0] - b[:, 0]) % n]
-        dy = _torus_delta(n)[(a[:, 1] - b[:, 1]) % n]
-        dist = np.hypot(dx, dy)
+        a, b, dist = _random_pairs(n, seed)
         dv = np.abs(v[a[:, 0], a[:, 1]] - v[b[:, 0], b[:, 1]])
         allowed = np.maximum(allowance_floor, lip * dist)
         ratios = dv / allowed
@@ -252,12 +255,7 @@ def verify_lipschitz(V: LinearizerField, mode: Regularity, n_random_pairs: int =
         if not _all_dyadic(v):
             return LipschitzReport(False, math.inf, None)
         lip = mode.lip if mode.lip is not None else 1.0
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, n, size=(n_random_pairs, 2))
-        b = rng.integers(0, n, size=(n_random_pairs, 2))
-        dx = _torus_delta(n)[(a[:, 0] - b[:, 0]) % n]
-        dy = _torus_delta(n)[(a[:, 1] - b[:, 1]) % n]
-        dist = np.hypot(dx, dy)
+        a, b, dist = _random_pairs(n, seed)
         va = v[a[:, 0], a[:, 1]]
         vb = v[b[:, 0], b[:, 1]]
         ratios = np.maximum(va, vb) / (2.0 * np.minimum(va, vb) + lip * dist)
@@ -356,14 +354,6 @@ def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarra
     return out
 
 
-def _scaled_symbol(m: MultiplierProfile, n_log2: int, beta: float, exponent_on: str = "eta"):
-    """The map key -> m(key * |xi| * |eta|**beta) on the frequency grid, or
-    m(key * |xi|**beta * |eta|) with exponent_on='xi'.  Key 0 gives the
-    reserved m(0) symbol."""
-    hyper = hyperbolic_argument(n_log2, beta, exponent_on)
-    return lambda key: m(key * hyper)
-
-
 def _masked_symbol_base(f: SampledField, beta: float):
     return forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
 
@@ -399,15 +389,15 @@ class LinearOperatorHandle:
     n_log2: int
     apply: callable
     adjoint: callable
-    description: str = ""
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
     """The variable-scale operator as a gather of the Pi_beta-masked spectrum
     over the level sets of V, bucketed once per handle; the adjoint is the
-    matching scatter, then the Pi_beta mask."""
+    matching scatter, then the Pi_beta mask.  Key 0 gives the m(0) symbol."""
     buckets = level_sets(V, "exact")
-    symbol = _scaled_symbol(m, V.n_log2, beta)
+    hyper = hyperbolic_argument(V.n_log2, beta)
+    symbol = lambda key: m(key * hyper)
     mask = pi_beta_mask(beta, V.n_log2).values
 
     def apply(f: SampledField) -> SampledField:
@@ -416,7 +406,7 @@ def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -
     def adjoint(g: SampledField) -> SampledField:
         return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol) * mask))
 
-    return LinearOperatorHandle(V.n_log2, apply, adjoint, "linearized multiplier")
+    return LinearOperatorHandle(V.n_log2, apply, adjoint)
 
 
 def apply_linearized_bucketed(

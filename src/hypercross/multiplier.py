@@ -6,7 +6,9 @@ variable.  Bump profiles squeeze between the indicators of (-eps, eps) and
 derivatives vanish at the knots, so all smoothness-constant scans see a C^5
 function.  The two-dimensional symbol of a profile at dilation lam is
 m(lam * |xi| * |eta|**beta); :func:`hyperbolic_argument` builds the argument
-grid |xi| * |eta|**beta (or |xi|**beta * |eta|) for every symbol of the package.
+grid |xi| * |eta|**beta for every symbol of the package.  This is the one
+argument convention: the scale-decomposition module, which puts the exponent
+on the first variable, works with the transpose of this grid.
 """
 
 from __future__ import annotations
@@ -147,15 +149,15 @@ def make_custom_profile(func: Callable, support_radius: float, epsilon: float | 
     return MultiplierProfile(kind="custom", support_radius=support_radius, evaluate=evaluate, epsilon=epsilon)
 
 
-def smoothness_constant(m: MultiplierProfile, grid_points: int = 1 << 16) -> float:
+def smoothness_constant(m: MultiplierProfile) -> float:
     """sum_{i<=3} sup_t |t^i m^(i)(t)| with central finite differences.
 
     Derivatives use step h = 2**-16 * support_radius; the sup is taken over an
-    equispaced scan of ``grid_points`` + 1 points on [-2R, 2R].
+    equispaced scan of 2**16 + 1 points on [-2R, 2R].
     """
     r = m.support_radius
     h = math.ldexp(r, -16)
-    t = np.linspace(-2.0 * r, 2.0 * r, grid_points + 1)
+    t = np.linspace(-2.0 * r, 2.0 * r, (1 << 16) + 1)
     f0 = m(t)
     fp = m(t + h)
     fm = m(t - h)
@@ -254,18 +256,11 @@ def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def hyperbolic_argument(n_log2: int, beta: float, exponent_on: str = "eta") -> np.ndarray:
-    """|xi| * |eta|**beta on the frequency grid (FFT order), or
-    |xi|**beta * |eta| with ``exponent_on="xi"``, the convention of the
-    scale-decomposition machinery.  |k|**beta follows :func:`_abs_power`."""
+def hyperbolic_argument(n_log2: int, beta: float) -> np.ndarray:
+    """|xi| * |eta|**beta on the frequency grid (FFT order); |k|**beta follows
+    :func:`_abs_power`."""
     freqs = frequencies(n_log2)
-    plain = np.abs(freqs).astype(np.float64)
-    powed = _abs_power(freqs, beta)
-    if exponent_on == "eta":
-        return plain[:, None] * powed[None, :]
-    if exponent_on == "xi":
-        return powed[:, None] * plain[None, :]
-    raise ValueError(f"exponent_on must be 'xi' or 'eta', got {exponent_on!r}")
+    return np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
 
 
 def hyperbolic_symbol(lam: float, beta: float, m: MultiplierProfile, n_log2: int) -> SymbolGrid:
@@ -306,13 +301,13 @@ def write_symbol_hxf1(path, sym: SymbolGrid) -> None:
     write_hxf1(path, sym.n_log2, sym.values.astype(np.complex128))
 
 
-def flat_radius(m: MultiplierProfile, tol: float = 1e-9) -> float:
-    """Largest r such that m >= 1 - tol on [0, r] (eps for bump profiles)."""
+def flat_radius(m: MultiplierProfile) -> float:
+    """Largest r such that m >= 1 - 1e-9 on [0, r] (eps for bump profiles)."""
     if m.epsilon is not None:
         return float(m.epsilon)
     scan = np.linspace(0.0, m.support_radius, 8193)
     vals = m(scan)
-    below = np.nonzero(vals < 1.0 - tol)[0]
+    below = np.nonzero(vals < 1.0 - 1e-9)[0]
     if below.size == 0:
         return float(m.support_radius)
     if below[0] == 0:

@@ -28,7 +28,7 @@ from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
 def identity_operator(n_log2: int) -> LinearOperatorHandle:
-    return LinearOperatorHandle(n_log2, lambda f: f, lambda f: f, "identity")
+    return LinearOperatorHandle(n_log2, lambda f: f, lambda f: f)
 
 
 def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
@@ -36,7 +36,7 @@ def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
         return apply_fixed_multiplier(f, symbol)
 
     # real symbols are self-adjoint in the weighted inner product
-    return LinearOperatorHandle(symbol.n_log2, apply, apply, "fixed multiplier")
+    return LinearOperatorHandle(symbol.n_log2, apply, apply)
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
@@ -71,14 +71,10 @@ def _ratio(op: LinearOperatorHandle, w: SampledField, p: float) -> float:
     return lp_norm(op.apply(w), p) / denom
 
 
-def l2_norm_power_iteration(
-    op: LinearOperatorHandle,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-    seed: int = 0,
-) -> NormEstimate:
-    """Power iteration on T* T from a random start; the reported value is the
-    ratio at the final witness, hence a lower bound on the operator norm."""
+def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed: int = 0) -> NormEstimate:
+    """Power iteration on T* T from a random start, stopped once successive
+    estimates agree to 1e-12 relative; the reported value is the ratio at the
+    final witness, hence a lower bound on the operator norm."""
     rng = np.random.default_rng(seed)
     n = 1 << op.n_log2
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -94,7 +90,7 @@ def l2_norm_power_iteration(
         if scale == 0.0:
             return NormEstimate(2.0, 0.0, iterations, w, True)
         w = SampledField(op.n_log2, nxt.samples / scale)
-        if abs(est - prev) <= tol * max(est, 1e-300):
+        if abs(est - prev) <= 1e-12 * max(est, 1e-300):
             converged = True
             break
         prev = est
@@ -121,6 +117,8 @@ def lp_norm_ascent(
     value across restarts (independent streams per restart)."""
     if not (np.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     n = 1 << op.n_log2
     best_val = -math.inf
     best_w = None
@@ -250,18 +248,12 @@ class ResolutionStabilityReport:
     within_factor: bool
 
 
-def resolution_stability(
-    p: float,
-    v_spec: dict,
-    n_log2_list,
-    seed: int,
-    factor: float = 2.0,
-    epsilon: float = 0.5,
-    restarts: int = 6,
-) -> ResolutionStabilityReport:
-    """Estimate the norm of the same operator family at several resolutions
-    and report the max/min spread."""
-    m = make_bump_profile(epsilon)
+def resolution_stability(p: float, v_spec: dict, n_log2_list, seed: int) -> ResolutionStabilityReport:
+    """Estimate the norm of the same operator family (bump profile with
+    epsilon 1/2) at several resolutions and report the max/min spread;
+    ``within_factor`` holds when the spread is at most 2.  For p != 2 the
+    ascent runs 6 restarts of 40 steps."""
+    m = make_bump_profile(0.5)
     v_kind = v_spec.get("kind", "staircase_x")
     v_params = {k: v for k, v in v_spec.items() if k != "kind"}
     estimates = []
@@ -271,11 +263,11 @@ def resolution_stability(
         if p == 2.0:
             est = l2_norm_power_iteration(op, seed=seed)
         else:
-            est = lp_norm_ascent(op, p, restarts=restarts, iters=40, seed=seed)
+            est = lp_norm_ascent(op, p, restarts=6, iters=40, seed=seed)
         estimates.append((n_log2, est.value))
     values = [v for _, v in estimates]
     spread = max(values) / min(values) if min(values) > 0 else math.inf
-    return ResolutionStabilityReport(p, tuple(estimates), spread, spread <= factor)
+    return ResolutionStabilityReport(p, tuple(estimates), spread, spread <= 2.0)
 
 
 # ---------------------------------------------------------------------------

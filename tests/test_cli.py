@@ -2,6 +2,8 @@ import dataclasses
 import filecmp
 import json
 
+import pytest
+
 from hypercross import cli
 from hypercross import normest as ne
 
@@ -166,6 +168,40 @@ def test_verify_level_key_rejected(tmp_path, capsys):
     rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "level" in capsys.readouterr().err
+
+
+def test_verify_staircase_config_passes(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "v.ini",
+        "[run]\ngrid_n_log2 = 4\nseed = 3\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
+        "[linearizer]\nkind = staircase_x\nlip_constant = 1.0\nv_min = 0.125\nlevels = 8\n",
+    )
+    rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "PASS verify.linearizer_regularity" in capsys.readouterr().out
+    assert (tmp_path / "o" / "report.jsonl").exists()
+
+
+_VERIFY_BODY = "[profile]\nkind = bump\nepsilon = {eps}\n\n[linearizer]\nkind = {kind}\nvalue = 0.5\n"
+_BAD_CONFIGS = {
+    "no_section_header": ("verify", "grid_n_log2 = 4\n"),
+    "duplicate_option": ("verify", "[run]\ngrid_n_log2 = 4\ngrid_n_log2 = 5\n"),
+    "duplicate_section": ("verify", "[run]\ngrid_n_log2 = 4\n\n[run]\nseed = 1\n"),
+    "epsilon_not_dyadic": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.3, kind="constant")),
+    "unknown_linearizer_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.5, kind="lipx")),
+    "grid_too_small": ("verify", "[run]\ngrid_n_log2 = 2\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant")),
+    "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0\nmethod = power", "p = 3.0\nrestarts = 0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_bad_config_exits_config_error(tmp_path, capsys, case):
+    command, text = _BAD_CONFIGS[case]
+    cfg = _write(tmp_path, "bad.ini", text)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_section_not_used_by_command_rejected(tmp_path, capsys):

@@ -180,6 +180,15 @@ def test_model_operator_fast_matches_direct():
     assert rel2 < 1e-10
 
 
+def test_model_operator_rejects_unknown_method_without_admissible_pairs():
+    # at L = 1e9 no scale pair passes |J|**beta >= L, so the loop body never runs
+    f = g.random_field(5, 33)
+    V = dy.generate_dyadic_metric_x(2.0**-2, 5, 6)
+    assert np.all(dy.dyadic_model_operator(f, V, 1.0, 1e9, "thm_4_2").samples == 0.0)
+    with pytest.raises(ValueError, match="method"):
+        dy.dyadic_model_operator(f, V, 1.0, 1e9, "thm_4_2", method="bogus")
+
+
 def test_model_operator_hypothesis_errors():
     f = g.random_field(4, 0)
     not_dyadic = lin.LinearizerField(4, np.full((16, 16), 0.3), lin.Regularity("none"))

@@ -54,6 +54,14 @@ def test_steep_linear_field_fails_with_adjacent_witness():
     assert abs(i2 - i) == 1 and j2 == j
 
 
+def test_generated_staircase_x_passes_checker():
+    # every x-step of the walk is exactly 0, or 0.9 * lip / N
+    V = lin.generate_linearizer("staircase_x", {"lip_constant": 1.0, "v_min": 0.125, "levels": 8}, 3, 5)
+    rep = lin.verify_lipschitz(V, V.regularity)
+    assert rep.passed
+    assert rep.worst_ratio <= 0.9 + 1e-12
+
+
 def test_lip_2d_generator_and_floor():
     L = 0.5
     V = lin.generate_linearizer("lip_2d", {"lip_constant": L}, 3, 5)

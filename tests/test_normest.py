@@ -105,6 +105,8 @@ def test_lp_ascent_rejects_bad_p():
     for p in (1.0, 0.3, float("inf")):
         with pytest.raises(ValueError):
             ne.lp_norm_ascent(op, p)
+    with pytest.raises(ValueError, match="restarts"):
+        ne.lp_norm_ascent(op, 2.0, restarts=0)
 
 
 def test_sweep_reproducible_and_shape(tmp_path):
