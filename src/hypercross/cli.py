@@ -212,6 +212,8 @@ def cmd_dyadic(ctx: RunContext) -> None:
     depth = section.get("depth", 6)
     count = section.get("count", 5)
     beta = section.get("beta", 1.0)
+    if count < 1 or depth < 0:
+        raise ConfigError(f"[dyadic] needs count >= 1 and depth >= 0, got count = {count}, depth = {depth}")
     total_viol = 0
     for i in range(count):
         if variant == "thm_4_1":

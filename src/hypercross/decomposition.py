@@ -22,6 +22,10 @@ absorbs the per-frequency correction; this is reported in the family record.
 The variable-scale terms (lemma, principal, error, small variation) are
 calls of the bucketed kernel :func:`hypercross.linearized.gather` with their
 own key array (V, its dyadic rounding or its dyadic floor) and symbol per key.
+The lemma and error symbols are :class:`hypercross.linearized.ScaledSymbol`
+values, which the kernel may group by frequency instead of by V; the error
+part runs one gather per dyadic rounding of V, weighted by that rounding's
+ladder pairs above the principal cutoff.
 Every ladder-pair sum (the principal cutoff, the frozen large-variation
 windows) is one :func:`_pair_sum` over a selection of t * s**beta.  The
 small-variation piece takes d/dtau on the symbol, which commutes with the
@@ -36,7 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SampledField, SpectralField, forward_transform, frequencies, inverse_transform
-from .linearized import BucketDecomposition, LinearizerField, dyadic_floor, dyadic_round_up, gather, level_sets
+from .linearized import (
+    BucketDecomposition,
+    LinearizerField,
+    ScaledSymbol,
+    dyadic_floor,
+    dyadic_round_up,
+    gather,
+    level_sets,
+)
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
@@ -370,9 +382,17 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
         raise LadderError("field and family grids differ")
     flat = flat_radius(m)
     full = _full_symbol(family)
-    above = {vt: full - _below_symbol(family, flat / vt) for vt in np.unique(dyadic_round_up(V.values))}
     hyper = _hyper_args(family)
-    out = gather(forward_transform(f).coeffs, level_sets(V, "exact"), lambda v: above[dyadic_round_up(float(v))] * m(v * hyper))
+    spec = forward_transform(f).coeffs
+    vt = dyadic_round_up(V.values)
+    out = np.empty(spec.shape, dtype=np.complex128)
+    for c in np.unique(vt):
+        # one gather per rounded scale c, its symbol weighted by the ladder
+        # pairs above c's cutoff; points of other classes go to a zero bucket
+        in_class = vt == c
+        keys = BucketDecomposition.of(np.where(in_class, V.values, 0.0))
+        piece = gather(spec, keys, ScaledSymbol(m, hyper, full - _below_symbol(family, flat / c)))
+        out[in_class] = piece[in_class]
     return SampledField(f.n_log2, out)
 
 
@@ -380,8 +400,8 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     """Direct variable-scale application in this module's axis convention:
     output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise."""
     _check_positive(V)
-    hyper = hyperbolic_argument(f.n_log2, beta).T
-    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, level_sets(V, "exact"), lambda v: m(v * hyper)))
+    symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, 1.0)
+    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, level_sets(V, "exact"), symbol))
 
 
 def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> SymbolGrid:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField
+from .grid import GridMismatchError, SampledField
 from .linearized import LinearizerField, Regularity, _all_dyadic
 
 
@@ -189,7 +189,7 @@ def dyadic_model_operator(
     if method not in ("fast", "direct"):
         raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
     if f.n_log2 != V.n_log2:
-        raise ValueError("field and linearizer grids differ")
+        raise GridMismatchError("field and linearizer grids differ")
     if not _all_dyadic(V.values) or np.any(V.values <= 0):
         raise HypothesisViolationError("V must take values in {2**k}")
     if variant == "thm_4_1" and not np.all(np.sqrt(V.values) > L):
@@ -250,10 +250,13 @@ def check_selection_stability(
     For each scale pair (|I|, |J|) passing the variant's side condition and
     each (I, y), the admissibility mask must be constant in x over I; every
     non-constant block counts as one violation, and the first 8 are kept as
-    witnesses.
+    witnesses.  A negative depth, which would check no scale pair, raises
+    ValueError.
     """
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     n_log2 = V.n_log2
     depth = min(depth, n_log2)
     n = V.n

@@ -9,6 +9,16 @@ BucketDecomposition (distinct keys of V, or of a rounding of V, plus one
 integer label per point); it reproduces the O(N^4) brute-force oracle
 exactly up to floating-point reassociation.  The operator handle with its
 exact adjoint, :func:`linearized_operator`, lives here too.
+
+The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
+orders.  On the V side it runs one FFT per bucket, each evaluated at the
+bucket's points.  A :class:`ScaledSymbol` weight * m(V h), with h the
+argument grid (|xi| |eta|**beta), may instead be summed on the frequency
+side: one FFT per distinct value of h on the support of the spectrum, each
+multiplied by m(V(x) h) at every point.  The kernel takes the frequency
+side when it has fewer groups than the V side.  A continuous V has a
+distinct value at nearly every point, while h takes 17 values on the
+Pi_beta support at N = 32 and beta = 1.  Either order keeps memory O(N^2).
 """
 
 from __future__ import annotations
@@ -286,6 +296,13 @@ def dyadic_floor(values) -> np.ndarray:
     return np.where(arr > 0, np.ldexp(1.0, exp - 1), 0.0)
 
 
+def _positions(labels: np.ndarray, count: int) -> list:
+    """For each label 0..count-1, its positions in the flat label array, in
+    increasing order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 @dataclass(frozen=True)
 class BucketDecomposition:
     """Partition of the grid into buckets of equal key: point x lies in bucket
@@ -302,11 +319,9 @@ class BucketDecomposition:
         flat = labels.ravel()
         if flat.size and (flat.min() < 0 or flat.max() >= keys.size):
             raise ValueError(f"labels must index the {keys.size} distinct values")
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=keys.size)
         object.__setattr__(self, "distinct_values", keys)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "members", tuple(np.split(order, np.cumsum(counts)[:-1])))
+        object.__setattr__(self, "members", tuple(_positions(flat, keys.size)))
 
     @classmethod
     def of(cls, keys) -> "BucketDecomposition":
@@ -329,33 +344,90 @@ def level_sets(V: LinearizerField, mode: str = "dyadic") -> BucketDecomposition:
     return BucketDecomposition.of(V.values if mode == "exact" else dyadic_floor(V.values))
 
 
+@dataclass(frozen=True)
+class ScaledSymbol:
+    """The symbol weight * m(key * hyper) at scale key: a profile m, an
+    argument grid hyper and a weight on the frequency grid (an array or a
+    scalar).  :func:`gather` and :func:`scatter` may group its sum by the
+    distinct values of hyper instead of the distinct keys."""
+
+    m: MultiplierProfile
+    hyper: np.ndarray
+    weight: np.ndarray | float
+
+    def __call__(self, key):
+        return self.weight * self.m(key * self.hyper)
+
+
+def _pick(transform, arr: np.ndarray, groups, factor_of) -> np.ndarray:
+    """out[idx] = transform(arr * factor_of(key))[idx] for each (key, idx)."""
+    out = np.zeros(arr.size, dtype=np.complex128)
+    for key, idx in groups:
+        out[idx] = transform(arr * factor_of(key)).ravel()[idx]
+    return out.reshape(arr.shape)
+
+
+def _spread(transform, arr: np.ndarray, groups, factor_of) -> np.ndarray:
+    """Sum over (key, idx) of transform(arr restricted to idx) * factor_of(key)."""
+    flat = np.asarray(arr, dtype=np.complex128).ravel()
+    out = np.zeros(np.shape(arr), dtype=np.complex128)
+    for key, idx in groups:
+        restricted = np.zeros_like(flat)
+        restricted[idx] = flat[idx]
+        out += transform(restricted.reshape(out.shape)) * factor_of(key)
+    return out
+
+
+def _synthesis(spec: np.ndarray) -> np.ndarray:
+    return np.fft.ifft2(spec) * spec.size
+
+
+def _frequency_side(buckets: BucketDecomposition, symbol: ScaledSymbol, support: np.ndarray):
+    """The groups (h, flat frequency indices) of the distinct hyper values on
+    the support, and the factor h -> m(key(x) * h) on the grid, when those
+    values are fewer than the buckets; None otherwise."""
+    idx = np.flatnonzero(support)
+    h_values, labels = np.unique(np.ravel(symbol.hyper)[idx], return_inverse=True)
+    if h_values.size >= buckets.distinct_values.size:
+        return None
+    keys = buckets.distinct_values[buckets.labels]
+    members = [idx[pos] for pos in _positions(labels, h_values.size)]
+    return zip(h_values, members), lambda h: symbol.m(keys * h)
+
+
 def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
-    """Variable-symbol synthesis, one inverse FFT per bucket: for each point x
-    of the bucket with key k, out[x] = N^2 ifft2(spec * symbol_of(k))[x]."""
+    """Variable-symbol synthesis: out[x] = N^2 ifft2(spec * symbol_of(k))[x]
+    for each point x of the bucket with key k.
+
+    The V side runs one inverse FFT per bucket.  A :class:`ScaledSymbol`
+    with fewer distinct hyper values on the support of spec * weight than
+    there are buckets takes the frequency side instead: one inverse FFT of
+    spec * weight restricted to each such value h, times m(key(x) * h) at
+    every point.  Both orders give the same sum."""
     buckets.check_grid(spec)
-    n2 = spec.size
-    out = np.empty(n2, dtype=np.complex128)
-    for key, idx in zip(buckets.distinct_values, buckets.members):
-        piece = np.fft.ifft2(spec * symbol_of(key)) * n2
-        out[idx] = piece.ravel()[idx]
-    return out.reshape(spec.shape)
+    if isinstance(symbol_of, ScaledSymbol):
+        weighted = spec * symbol_of.weight
+        side = _frequency_side(buckets, symbol_of, weighted != 0)
+        if side:
+            return _spread(_synthesis, weighted, *side)
+    return _pick(_synthesis, spec, zip(buckets.distinct_values, buckets.members), symbol_of)
 
 
 def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
     """Exact adjoint of :func:`gather` for real symbols, in the unweighted
-    inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b)."""
+    inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b).
+
+    A :class:`ScaledSymbol` takes the frequency side under the rule of
+    :func:`gather`, counting hyper values on the support of the weight:
+    for each such value h, fft2(g * m(key * h)) on the frequencies of h,
+    times the weight."""
     buckets.check_grid(g)
-    flat = np.asarray(g, dtype=np.complex128).ravel()
-    out = np.zeros(buckets.labels.shape, dtype=np.complex128)
-    for key, idx in zip(buckets.distinct_values, buckets.members):
-        restricted = np.zeros_like(flat)
-        restricted[idx] = flat[idx]
-        out += np.fft.fft2(restricted.reshape(out.shape)) * symbol_of(key)
-    return out
-
-
-def _masked_symbol_base(f: SampledField, beta: float):
-    return forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
+    if isinstance(symbol_of, ScaledSymbol):
+        weight = np.broadcast_to(symbol_of.weight, g.shape)
+        side = _frequency_side(buckets, symbol_of, weight != 0)
+        if side:
+            return _pick(np.fft.fft2, g, *side) * weight
+    return _spread(np.fft.fft2, g, zip(buckets.distinct_values, buckets.members), symbol_of)
 
 
 def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
@@ -364,7 +436,7 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
     if f.n_log2 != V.n_log2:
         raise GridMismatchError("field and linearizer grids differ")
     n = f.n
-    base = _masked_symbol_base(f, beta)
+    base = forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
     freqs = frequencies(f.n_log2)
     abs_xi = np.abs(freqs).astype(np.float64)[:, None]
     eta_pow = _abs_power(freqs, beta)[None, :]
@@ -392,19 +464,18 @@ class LinearOperatorHandle:
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
-    """The variable-scale operator as a gather of the Pi_beta-masked spectrum
-    over the level sets of V, bucketed once per handle; the adjoint is the
-    matching scatter, then the Pi_beta mask.  Key 0 gives the m(0) symbol."""
+    """The variable-scale operator as a gather of the spectrum over the level
+    sets of V, bucketed once per handle, with the symbol m(V h) weighted by
+    the Pi_beta mask; the adjoint is the matching scatter.  Key 0 gives the
+    m(0) symbol."""
     buckets = level_sets(V, "exact")
-    hyper = hyperbolic_argument(V.n_log2, beta)
-    symbol = lambda key: m(key * hyper)
-    mask = pi_beta_mask(beta, V.n_log2).values
+    symbol = ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values)
 
     def apply(f: SampledField) -> SampledField:
-        return SampledField(f.n_log2, gather(_masked_symbol_base(f, beta), buckets, symbol))
+        return SampledField(f.n_log2, gather(forward_transform(f).coeffs, buckets, symbol))
 
     def adjoint(g: SampledField) -> SampledField:
-        return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol) * mask))
+        return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol)))
 
     return LinearOperatorHandle(V.n_log2, apply, adjoint)
 

@@ -105,13 +105,14 @@ def test_sweep_writes_csv(tmp_path):
     assert len(lines) == 4
 
 
+_DYADIC_CONFIG = (
+    "[run]\ngrid_n_log2 = 5\nseed = 1\n\n[dyadic]\nvariant = thm_4_1\n"
+    "lip_constant = 0.125\ndepth = {depth}\ncount = {count}\n"
+)
+
+
 def test_dyadic_command(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "d.ini",
-        "[run]\ngrid_n_log2 = 5\nseed = 1\n\n[dyadic]\nvariant = thm_4_1\n"
-        "lip_constant = 0.125\ndepth = 5\ncount = 3\n",
-    )
+    cfg = _write(tmp_path, "d.ini", _DYADIC_CONFIG.format(depth=5, count=3))
     rc = cli.main(["dyadic", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
     assert "PASS dyadic.selection_stability" in capsys.readouterr().out
@@ -192,6 +193,8 @@ _BAD_CONFIGS = {
     "unknown_linearizer_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.5, kind="lipx")),
     "grid_too_small": ("verify", "[run]\ngrid_n_log2 = 2\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant")),
     "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0\nmethod = power", "p = 3.0\nrestarts = 0")),
+    "dyadic_zero_count": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=0)),
+    "dyadic_negative_depth": ("dyadic", _DYADIC_CONFIG.format(depth=-1, count=3)),
 }
 
 

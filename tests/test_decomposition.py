@@ -200,15 +200,21 @@ def test_decomposition_identity_constant_and_lipschitz(fam, eps):
         ("constant", {"value": 0.013}),
         # levels capped so the walk stays below the profile support everywhere
         ("staircase_x", {"lip_constant": 1.0, "v_min": 2.0**-7, "levels": 8}),
+        # 4096 distinct values over 4 dyadic roundings: error_term runs one
+        # gather per rounding
+        ("lip_x", {"lip_constant": 1.0, "v_min": 2.0**-7, "amplitude": 0.1}),
     ]
+    classes = 0
     for kind, params in specs:
         V = lin.generate_linearizer(kind, params, 12, 6)
+        classes = max(classes, np.unique(lin.dyadic_round_up(V.values)).size)
         T = de.lemma_operator(f, V, m, 1.0)
         S = de.principal_term(f, V, fam, m)
         E = de.error_term(f, V, fam, m)
         resid = np.sqrt(np.mean(np.abs(T.samples - S.samples - E.samples) ** 2)) / fnorm
         assert resid <= 1e-8
         assert np.sqrt(np.mean(np.abs(T.samples) ** 2)) > 1e-3 * fnorm  # nontrivial
+    assert classes >= 3
 
 
 def test_all_terms_vanish_on_zero_field(fam):

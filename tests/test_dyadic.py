@@ -199,6 +199,13 @@ def test_model_operator_hypothesis_errors():
         dy.dyadic_model_operator(f, small, 1.0, 1.0, "thm_4_1")  # sqrt(V) <= L
 
 
+def test_selection_stability_rejects_negative_depth():
+    V = lin.LinearizerField(5, np.full((32, 32), 0.25), lin.Regularity("none"))
+    assert dy.check_selection_stability(V, 2.0**-3, 1.0, "thm_4_1", depth=0).violations == 0
+    with pytest.raises(ValueError, match="depth"):
+        dy.check_selection_stability(V, 2.0**-3, 1.0, "thm_4_1", depth=-1)
+
+
 def test_selection_stability_constant_field():
     V = lin.LinearizerField(6, np.full((64, 64), 0.25), lin.Regularity("none"))
     for variant in ("thm_4_1", "thm_4_2"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypercross import decomposition as de
+from hypercross import dyadic as dy
 from hypercross import grid as g
 from hypercross import linearized as lin
 from hypercross import multiplier as mu
@@ -215,6 +216,7 @@ _GATHER_ENTRY_POINTS = {
     "linearized_operator.apply": lambda f, V, fam, m: ne.linearized_operator(V, m, 1.0).apply(f),
     "linearized_operator.adjoint": lambda f, V, fam, m: ne.linearized_operator(V, m, 1.0).adjoint(f),
     "small_variation_error": lambda f, V, fam, m: de.small_variation_error(f, V, fam, m),
+    "dyadic_model_operator": lambda f, V, fam, m: dy.dyadic_model_operator(f, V, 1.0, 2.0**-3, "thm_4_1"),
 }
 
 
@@ -226,6 +228,90 @@ def test_gather_entry_points_reject_mismatched_grids(entry):
     fam = de.make_lp_family(1.0, 4)
     with pytest.raises(g.GridMismatchError):
         _GATHER_ENTRY_POINTS[entry](f, V, fam, m)
+
+
+_LIP_X = {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}
+
+
+def _mean_zero(f):
+    """f without its energy on the frequency axes: the spectrum has zero lines."""
+    coeffs = g.forward_transform(f).coeffs.copy()
+    coeffs[0, :] = 0
+    coeffs[:, 0] = 0
+    return g.inverse_transform(g.SpectralField(f.n_log2, coeffs))
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0])
+def test_gather_and_scatter_groupings_agree(beta):
+    # a continuous V has more distinct values than the masked spectrum has
+    # distinct h, so the ScaledSymbol takes the frequency side and the plain
+    # callable the V side; the weight is the Pi_beta mask times a random factor
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", _LIP_X, 2, 5)
+    buckets = lin.level_sets(V, "exact")
+    hyper = mu.hyperbolic_argument(5, beta)
+    weight = mu.pi_beta_mask(beta, 5).values * np.random.default_rng(5).uniform(0.5, 1.5, (32, 32))
+    assert np.unique(hyper[weight != 0]).size < buckets.distinct_values.size
+    scaled = lin.ScaledSymbol(m, hyper, weight)
+    plain = lambda key: weight * m(key * hyper)
+    spec = g.forward_transform(g.random_field(5, 3)).coeffs
+    samples = g.random_field(5, 4).samples
+    for kernel, arr in ((lin.gather, spec), (lin.scatter, samples)):
+        by_v = kernel(arr, buckets, plain)
+        by_h = kernel(arr, buckets, scaled)
+        assert np.linalg.norm(by_h - by_v) <= 1e-12 * np.linalg.norm(by_v)
+
+
+def _three_valued(n_log2):
+    n = 1 << n_log2
+    return np.repeat([0.1, 0.4, 0.9], [n // 4, n // 2, n - 3 * n // 4])[:, None] * np.ones((1, n))
+
+
+def _zero_block(n_log2):
+    vals = lin.generate_linearizer("lip_2d", {"lip_constant": 0.5, "floor": 0.25}, 5, n_log2).values.copy()
+    vals[2:6, 3:9] = 0.0  # the reserved m(0) bucket
+    return vals
+
+
+_V_KINDS = {
+    "constant": lambda n_log2: lin.generate_linearizer("constant", {"value": 0.3}, 0, n_log2).values,
+    "three_valued": _three_valued,
+    "continuous": lambda n_log2: lin.generate_linearizer("lip_x", _LIP_X, 1, n_log2).values,
+    "zero_block": _zero_block,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_V_KINDS))
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0])
+def test_bucketed_apply_and_adjoint_on_both_sides(beta, kind):
+    # constant and 3-valued V take the V side, continuous V (with or without a
+    # zero block) the frequency side
+    m = mu.make_bump_profile(0.5)
+    V = lin.LinearizerField(4, _V_KINDS[kind](4), lin.Regularity("none"))
+    op = lin.linearized_operator(V, m, beta)
+    rng = np.random.default_rng(9)
+    b = g.SampledField(4, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    for f in (g.random_field(4, 8), _mean_zero(g.random_field(4, 8))):
+        brute = lin.apply_linearized_bruteforce(f, V, m, beta).samples
+        tf = op.apply(f).samples
+        assert _rel_l2(brute, tf) <= 1e-10
+        tb = op.adjoint(b).samples
+        gap = abs(np.vdot(b.samples, tf) - np.vdot(tb, f.samples))
+        assert gap <= 1e-10 * np.linalg.norm(tf) * np.linalg.norm(b.samples)
+
+
+def test_bucketed_apply_runs_one_inverse_fft_per_masked_h(monkeypatch):
+    # lip_x at N = 32 has about 1000 distinct values; at beta = 1 the Pi_beta
+    # mask keeps |eta| <= 1, where h = |xi| |eta| takes the 17 values 0..16
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", _LIP_X, 0, 5)
+    assert np.unique(V.values).size > 17
+    f = g.random_field(5, 1)
+    calls = []
+    ifft2 = np.fft.ifft2
+    monkeypatch.setattr(np.fft, "ifft2", lambda *a, **k: calls.append(1) or ifft2(*a, **k))
+    lin.apply_linearized_bucketed(f, V, m, 1.0)
+    assert 0 < len(calls) <= 17
 
 
 def test_maximal_over_scales_single_mode():
