@@ -5,8 +5,9 @@ or keys are rejected before any computation starts.  Artifacts (HXF1 fields,
 CSV tables, JSON-lines logs) carry the config hash, seed and grid size.  There
 is no parallel mode: reruns with the same config and seed are byte-identical.
 Exit status: 0 when every check passes, 1 when a numeric check fails, 2 for a
-config error (a malformed file, an unknown section or key, or a value the
-package rejects), 3 for an I/O error.
+config error (a malformed file, an unknown section or key, a key the chosen
+linearizer or profile kind does not read, or a value the package rejects), 3
+for an I/O error.
 """
 
 from __future__ import annotations
@@ -153,14 +154,21 @@ class RunContext:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+# the [profile] keys each profile kind reads, besides kind
+_PROFILE_KEYS = {"bump": {"epsilon"}, "plateau": {"flat_radius", "support_radius"}}
+
+
 def _build_profile(cfg: dict) -> mu.MultiplierProfile:
-    section = cfg.get("profile", {})
-    kind = section.get("kind", "bump")
+    section = dict(cfg.get("profile", {}))
+    kind = section.pop("kind", "bump")
+    if kind not in _PROFILE_KEYS:
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    unread = sorted(set(section) - _PROFILE_KEYS[kind])
+    if unread:
+        raise ConfigError(f"profile kind {kind!r} does not read {unread}")
     if kind == "bump":
         return mu.make_bump_profile(section.get("epsilon", 1.0))
-    if kind == "plateau":
-        return mu.make_plateau_profile(section.get("flat_radius", 1.0), section.get("support_radius", 2.0))
-    raise ConfigError(f"unknown profile kind {kind!r}")
+    return mu.make_plateau_profile(section.get("flat_radius", 1.0), section.get("support_radius", 2.0))
 
 
 def _build_linearizer(cfg: dict, seed: int, n_log2: int) -> lin.LinearizerField:

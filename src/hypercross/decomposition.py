@@ -39,12 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, SpectralField, forward_transform, frequencies, inverse_transform
+from .grid import SampledField, forward_transform, frequencies
 from .linearized import (
     BucketDecomposition,
     LinearizerField,
     ScaledSymbol,
-    dyadic_floor,
     dyadic_round_up,
     gather,
     level_sets,
@@ -259,38 +258,6 @@ def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
     )
 
 
-def _scale_index(family: LPFamily, scale: float, axis: int) -> int:
-    idx = int(round(math.log2(scale) * family.substeps))
-    indices = family.k_indices if axis == 1 else family.l_indices
-    if idx not in indices or abs(2.0 ** (idx / family.substeps) - scale) > 1e-9 * scale:
-        raise LadderError(f"scale {scale} not on the axis-{axis} ladder")
-    return idx
-
-
-def project(f: SampledField, family: LPFamily, axis: int, kind: str, scale: float) -> SampledField:
-    """One-variable scale projection as a one-axis multiplier.
-
-    axis 1 convolves in x (kinds: 'phi1'); axis 2 convolves in y (kinds:
-    'phi2', 'psi2', 'p2p3').
-    """
-    if f.n_log2 != family.n_log2:
-        raise LadderError("field and family grids differ")
-    idx = _scale_index(family, scale, axis)
-    if axis == 1:
-        if kind != "phi1":
-            raise ValueError(f"axis 1 supports kind 'phi1', got {kind!r}")
-        table = family.phi1_tab[idx][:, None]
-    elif axis == 2:
-        tab = {"phi2": family.phi2_tab, "psi2": family.psi2_tab, "p2p3": family.p2p3_tab}.get(kind)
-        if tab is None:
-            raise ValueError(f"axis 2 supports kinds 'phi2', 'psi2', 'p2p3', got {kind!r}")
-        table = tab[idx][None, :]
-    else:
-        raise ValueError("axis must be 1 or 2")
-    spec = forward_transform(f)
-    return inverse_transform(SpectralField(f.n_log2, spec.coeffs * table))
-
-
 def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
     n = 1 << family.n_log2
     w1 = np.zeros(n)
@@ -480,7 +447,7 @@ def representable_j_range(family: LPFamily, m: MultiplierProfile) -> range:
 
 
 # ---------------------------------------------------------------------------
-# The ratio check and maximal/square diagnostics.
+# The ratio check and the first-variable maximal function.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -594,50 +561,3 @@ def hl_maximal_m1(f: SampledField) -> SampledField:
             avg = acc / (2 * h + 1)
         out = np.maximum(out, avg)
     return SampledField(f.n_log2, out)
-
-
-def continuous_square_function(f: SampledField, family: LPFamily, kind: str = "p3") -> SampledField:
-    """(sum over the t ladder of |P f|^2)**1/2 for the chosen projection kind."""
-    tab = {"p3": family.psi2_tab, "p2": family.phi2_tab, "p2p3": family.p2p3_tab}.get(kind)
-    if tab is None:
-        raise ValueError(f"kind must be 'p2', 'p3' or 'p2p3', got {kind!r}")
-    spec = forward_transform(f).coeffs
-    n2 = f.n * f.n
-    acc = np.zeros((f.n, f.n), dtype=np.float64)
-    for el in family.l_indices:
-        piece = np.fft.ifft2(spec * tab[el][None, :]) * n2
-        acc += np.abs(piece) ** 2
-    return SampledField(f.n_log2, np.sqrt(acc))
-
-
-def square_function_l2_constant(family: LPFamily, kind: str = "p3") -> float:
-    """Sharp Parseval constant: sqrt(max_eta sum_l |table|^2)."""
-    tab = {"p3": family.psi2_tab, "p2": family.phi2_tab, "p2p3": family.p2p3_tab}[kind]
-    total = np.zeros(1 << family.n_log2)
-    for el in family.l_indices:
-        total += tab[el] ** 2
-    return math.sqrt(float(total.max()))
-
-
-# ---------------------------------------------------------------------------
-# Mask builders for the duality-regime sets (diagnostics only).
-# ---------------------------------------------------------------------------
-
-def dyadic_hit_mask_f1(V: LinearizerField) -> np.ndarray:
-    """(x, z) pairs whose interval (V, 3V/2] contains a power of two."""
-    next_pow = dyadic_round_up(V.values) / 4.0  # smallest 2**k > V
-    return next_pow <= 1.5 * V.values
-
-
-def dyadic_hit_mask_f2(V: LinearizerField) -> np.ndarray:
-    """(x, y) pairs whose interval [2V/3, V] contains a power of two."""
-    return dyadic_floor(V.values) >= (2.0 / 3.0) * V.values
-
-
-def rounded_scale_shift_masks(V: LinearizerField) -> tuple[np.ndarray, np.ndarray]:
-    """Triple masks E+/-: indices (x, y, z) where the rounded scale at (x, y)
-    is exactly twice / half the one at (x, z)."""
-    vt = dyadic_round_up(V.values)
-    at_y = vt[:, :, None]  # (x, y, *)
-    at_z = vt[:, None, :]  # (x, *, z)
-    return at_y == 2.0 * at_z, 2.0 * at_y == at_z

@@ -1,5 +1,5 @@
-"""Dyadic models: Haar tensor expansions, the dyadic metric, and the
-scale-selected model operator with its stability checks.
+"""Dyadic models: Haar tensor expansions and the scale-selected model
+operator with its stability checks.
 
 Dyadic intervals are 2**k ((0,1] + n), left-open right-closed; grid cell i is
 identified with ((i)/N, (i+1)/N].  Haar functions are L2-normalized with the
@@ -128,40 +128,6 @@ def haar_inverse(h: HaarCoefficients) -> SampledField:
     return SampledField(h.n_log2, out)
 
 
-def dyadic_metric(x: float, x2: float, floor_scale: float) -> float:
-    """Length of the smallest dyadic interval containing both points of (0,1],
-    floored at floor_scale (coincident points return the floor)."""
-    for val in (x, x2):
-        if not (0.0 < val <= 1.0):
-            raise ValueError(f"point {val} outside (0, 1]")
-    if floor_scale <= 0:
-        raise ValueError("floor_scale must be positive")
-    j_max = max(0, int(math.ceil(-math.log2(floor_scale))))
-    for j in range(j_max, -1, -1):
-        if math.ceil(x * (1 << j)) == math.ceil(x2 * (1 << j)):
-            return max(math.ldexp(1.0, -j), floor_scale)
-    return 1.0  # both points lie in (0, 1]
-
-
-def dyadic_metric_cells(i, i2, n_log2: int):
-    """Grid version: distance between cells i and i2 in units of [0,1]; the
-    floor is one cell."""
-    xor = np.bitwise_xor(np.asarray(i, dtype=np.int64), np.asarray(i2, dtype=np.int64))
-    bitlen = np.zeros_like(xor)
-    nz = xor > 0
-    bitlen[nz] = np.frexp(xor[nz].astype(np.float64))[1]
-    return np.ldexp(1.0, bitlen - n_log2)
-
-
-def dyadic_metric_2d(p, q, floor_scale: float) -> float:
-    """Side of the smallest dyadic square containing both points: the max of
-    the coordinate metrics."""
-    return max(
-        dyadic_metric(p[0], q[0], floor_scale),
-        dyadic_metric(p[1], q[1], floor_scale),
-    )
-
-
 def _size_product(a: int, b: int, beta: float, variant: str) -> float:
     """|I| |J|**beta for thm_4_2, plain |I| |J| for thm_4_1."""
     if variant == "thm_4_1":
@@ -286,39 +252,6 @@ def check_selection_stability(
                     x_false = int(blk) * block + int(np.argmin(col))
                     witnesses.append((x_true, x_false, int(y), -a, -b))
     return StabilityReport(variant, depth, violations, tuple(witnesses))
-
-
-def collection_J(I: DyadicInterval, y_cell: int, V: LinearizerField) -> list[DyadicInterval]:
-    """Intervals J containing the cell of y with |J| >= |I| such that some
-    grid x in I makes the pair (I, J) admissible for the plain product."""
-    n_log2 = V.n_log2
-    n = V.n
-    a = -I.k
-    if a < 0:
-        raise ValueError("I must lie within (0, 1]")
-    x_lo = I.n * (n >> a)
-    x_hi = (I.n + 1) * (n >> a)
-    vmax = float(V.values[x_lo:x_hi, y_cell].max())
-    out = []
-    for b in range(0, a + 1):  # |J| = 2**-b >= |I|
-        if math.ldexp(1.0, -a - b) <= vmax:
-            out.append(DyadicInterval(-b, y_cell >> (n_log2 - b)))
-    return out
-
-
-def telescoping_check(V: LinearizerField, depth: int = 6) -> bool:
-    """True iff every collection_J(I, y) forms a contiguous range of scales."""
-    n_log2 = V.n_log2
-    n = V.n
-    depth = min(depth, n_log2 - 1)
-    for a in range(depth + 1):
-        for pos in range(1 << a):
-            I = DyadicInterval(-a, pos)
-            for y in range(n):
-                scales = sorted(-J.k for J in collection_J(I, y, V))
-                if scales and scales != list(range(scales[0], scales[-1] + 1)):
-                    return False
-    return True
 
 
 def _axis_block_average(values: np.ndarray, cells: int, axis: int) -> np.ndarray:

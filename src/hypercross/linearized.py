@@ -37,7 +37,7 @@ from .grid import (
     frequencies,
     write_hxf1,
 )
-from .multiplier import MultiplierProfile, _abs_power, hyperbolic_argument, hyperbolic_symbol, pi_beta_mask
+from .multiplier import MultiplierProfile, _abs_power, hyperbolic_argument, pi_beta_mask
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,30 @@ def _adjacent_max_diff(values: np.ndarray, axis: int) -> float:
     return float(np.abs(np.roll(values, -1, axis=axis) - values).max())
 
 
+# the parameters each linearizer kind reads
+_LINEARIZER_KEYS = {
+    "constant": {"value"},
+    "lip_x": {"lip_constant", "v_min", "band", "amplitude"},
+    "lip_y": {"lip_constant", "v_min", "band", "amplitude"},
+    "lip_2d": {"lip_constant", "floor", "band"},
+    "dyadic_of_lipschitz": {"lip_constant", "v_min", "band"},
+    "staircase_x": {"lip_constant", "v_min", "levels"},
+}
+
+
 def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> LinearizerField:
     """Deterministic pseudo-random field satisfying the declared regularity.
 
     Noise fields are band-limited trigonometric polynomials (hence periodic)
-    rescaled so the measured grid constants hold with >= 5% margin.
+    rescaled so the measured grid constants hold with >= 5% margin.  An
+    unknown kind, or a parameter the kind does not read, raises ValueError.
     """
+    keys = _LINEARIZER_KEYS.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown linearizer kind {kind!r}")
+    unread = sorted(set(params) - keys)
+    if unread:
+        raise ValueError(f"linearizer kind {kind!r} does not read {unread}")
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
 
@@ -163,28 +181,26 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         v = v_min + scale * (w - w.min())
         return LinearizerField(n_log2, dyadic_floor(v), Regularity("dyadic_of_lipschitz", lip=lip), seed)
 
-    if kind == "staircase_x":
-        # Reflecting +-1 random walks quantized to steps of size lip/N: the
-        # adjacent difference is exactly one step, so the Lipschitz constant
-        # is met with margin while the number of distinct values stays small.
-        lip = float(params.get("lip_constant", 1.0))
-        v_min = float(params.get("v_min", 0.5))
-        levels = int(params.get("levels", max(8, n // 2)))
-        step = 0.9 * lip / n
+    # staircase_x: reflecting +-1 random walks quantized to steps of size
+    # lip/N.  The adjacent difference is exactly one step, so the Lipschitz
+    # constant is met with margin while the number of distinct values stays
+    # small.
+    lip = float(params.get("lip_constant", 1.0))
+    v_min = float(params.get("v_min", 0.5))
+    levels = int(params.get("levels", max(8, n // 2)))
+    step = 0.9 * lip / n
 
-        def walk(length: int) -> np.ndarray:
-            pos = np.empty(length, dtype=np.int64)
-            cur = int(rng.integers(0, levels))
-            for i in range(length):
-                pos[i] = cur
-                move = int(rng.integers(-1, 2))
-                cur = min(max(cur + move, 0), levels - 1)
-            return pos
+    def walk(length: int) -> np.ndarray:
+        pos = np.empty(length, dtype=np.int64)
+        cur = int(rng.integers(0, levels))
+        for i in range(length):
+            pos[i] = cur
+            move = int(rng.integers(-1, 2))
+            cur = min(max(cur + move, 0), levels - 1)
+        return pos
 
-        v = v_min + step * (walk(n)[:, None] + walk(n)[None, :])
-        return LinearizerField(n_log2, v, Regularity("staircase_x", lip=lip, floor=v_min), seed)
-
-    raise ValueError(f"unknown linearizer kind {kind!r}")
+    v = v_min + step * (walk(n)[:, None] + walk(n)[None, :])
+    return LinearizerField(n_log2, v, Regularity("staircase_x", lip=lip, floor=v_min), seed)
 
 
 @dataclass(frozen=True)
@@ -497,67 +513,32 @@ def apply_linearized_bucketed(
     return linearized_operator(V, m, beta).apply(f)
 
 
-def maximal_over_scales(
-    f: SampledField,
-    m: MultiplierProfile,
-    beta: float,
-    t_min: float,
-    t_max: float,
-    refine: int = 1,
-) -> SampledField:
-    """Pointwise sup of |T_t f| over a geometric scale grid in [t_min, t_max].
-
-    Scales step by factor 2 (refine=1) or 2**(1/refine); the discretized sup
-    dominates every sampled member by construction.
-    """
-    if not (0 < t_min <= t_max):
-        raise ValueError("need 0 < t_min <= t_max")
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
-    spec = forward_transform(f)
-    n2 = f.n * f.n
-    out = np.zeros((f.n, f.n), dtype=np.float64)
-    t = t_min
-    factor = 2.0 ** (1.0 / refine)
-    while t <= t_max * (1 + 1e-12):
-        sym = hyperbolic_symbol(t, beta, m, f.n_log2)
-        piece = np.fft.ifft2(spec.coeffs * sym.values) * n2
-        out = np.maximum(out, np.abs(piece))
-        t *= factor
-    return SampledField(f.n_log2, out)
-
-
-def kernel_majorant_mass(m: MultiplierProfile, lam: float, n_log2: int) -> float:
-    """Mass of the dyadic-window majorant of the one-dimensional kernel of
-    the multiplier xi -> m(lam |xi|).
+def domination_constant(m: MultiplierProfile, V: LinearizerField) -> float:
+    """Max over the distinct values lam of V of the mass of the dyadic-window
+    majorant of the one-dimensional kernel of the multiplier xi -> m(lam |xi|).
 
     Writing k for the inverse transform of the symbol row and Phi for its
     radially non-increasing majorant on the torus, the returned constant C
-    satisfies |k * g| <= C * M1 g pointwise for every g, where M1 is the
-    centered dyadic-window maximal operator of :mod:`decomposition`.
+    satisfies |k * g| <= C * M1 g pointwise for every g and every lam, where
+    M1 is the centered dyadic-window maximal operator of :mod:`decomposition`.
+    The values lam go through in chunks of N, one (chunk, N) array each, so
+    memory stays O(N^2).
     """
-    n = 1 << n_log2
-    freqs = frequencies(n_log2)
-    sym = m(lam * np.abs(freqs).astype(np.float64))
-    kernel = np.abs(np.fft.ifft(sym) * n)
+    n = V.n
+    abs_freq = np.abs(frequencies(V.n_log2)).astype(np.float64)
     dist = np.minimum(np.arange(n), n - np.arange(n))  # torus distance in cells
-    half_widths = [1 << q for q in range(n_log2)]
-    # a_q = sup of |kernel| outside the previous window
-    a = [float(kernel.max())]
-    for h_prev in half_widths[:-1]:
-        outside = kernel[dist > h_prev]
-        a.append(float(outside.max()) if outside.size else 0.0)
-    c = 0.0
-    for q, h in enumerate(half_widths):
-        b_q = a[q] - (a[q + 1] if q + 1 < len(a) else 0.0)
-        c += b_q * min(2 * h + 1, n) / n
-    return c
-
-
-def domination_constant(m: MultiplierProfile, V: LinearizerField) -> float:
-    """max over the distinct values of V of the kernel majorant mass."""
-    labels = np.unique(V.values)
-    return max(kernel_majorant_mass(m, max(lab, 1e-300), V.n_log2) for lab in labels)
+    half_widths = [1 << q for q in range(V.n_log2)]
+    lams = np.maximum(np.unique(V.values), 1e-300)
+    best = 0.0
+    for start in range(0, lams.size, n):
+        kernel = np.abs(np.fft.ifft(m(lams[start : start + n, None] * abs_freq), axis=1) * n)
+        # a_q = per-row sup of |kernel| outside the previous window
+        a = [kernel.max(axis=1)] + [kernel[:, dist > h].max(axis=1) for h in half_widths[:-1]] + [0.0]
+        c = 0.0
+        for q, h in enumerate(half_widths):
+            c = c + (a[q] - a[q + 1]) * min(2 * h + 1, n) / n
+        best = max(best, float(np.max(c)))
+    return best
 
 
 def write_linearizer(path_prefix: str, V: LinearizerField, params: dict | None = None) -> None:

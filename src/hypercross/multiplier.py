@@ -62,49 +62,18 @@ def smoothstep_d2(u):
     return np.where((u <= 0.0) | (u >= 1.0), 0.0, out)
 
 
-def smoothstep_antiderivative(u):
-    """Integral of :func:`smoothstep` from 0 to u (u >= 0)."""
-    u = np.asarray(u, dtype=np.float64)
-
-    def anti_lower(x):
-        acc = np.zeros_like(x)
-        for k, c in reversed(list(enumerate(_SMOOTHSTEP_POLY))):
-            p = k + 6
-            acc = acc * x + c / (p + 1)
-        return x**7 * acc
-
-    x = np.clip(u, 0.0, 1.0)
-    low = anti_lower(np.minimum(x, 0.5))
-    # int_0^x S = x - 1/2 + int_0^{1-x} S for x >= 1/2
-    high = x - 0.5 + anti_lower(np.minimum(1.0 - x, 0.5))
-    inside = np.where(x <= 0.5, low, high)
-    return np.where(u >= 1.0, u - 0.5, np.where(u <= 0.0, 0.0, inside))
-
-
-def smooth_ramp(s):
-    """C^6 version of max(s, 0): equals 0 for s <= -1 and s for s >= 1."""
-    return 2.0 * smoothstep_antiderivative((np.asarray(s, dtype=np.float64) + 1.0) / 2.0)
-
-
-def soft_knot_max(u, knot: float, half_width: float):
-    """C^6 version of max(u, knot), exact outside (knot - w, knot + w)."""
-    return knot + half_width * smooth_ramp((np.asarray(u, dtype=np.float64) - knot) / half_width)
-
-
 @dataclass(frozen=True)
 class MultiplierProfile:
     """Compactly supported even profile with vectorized evaluation.
 
     ``evaluate`` accepts scalars or numpy arrays; values vanish for
-    ``|t| > support_radius``.  ``epsilon`` is set for bump profiles and for
-    derived layers that remember their transition scale.
+    ``|t| > support_radius``.  ``epsilon`` is set for bump profiles.
     """
 
     kind: str
     support_radius: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     epsilon: float | None = None
-    meta: tuple = ()
 
     def __call__(self, t):
         return self.evaluate(t)
@@ -175,55 +144,6 @@ def smoothness_constant(m: MultiplierProfile) -> float:
     return total
 
 
-def layer_decomposition(m: MultiplierProfile, depth: int) -> list[MultiplierProfile]:
-    """Split m into layers m_i capped at the running values m(2**-i).
-
-    The i-th partial sum equals a mollified min(m, m(2**-i)); the hard cap is
-    replaced by a C^5 soft maximum of the argument over a window of total
-    width 2**(-i-4) around the knot 2**-i, so each layer stays C^3-smooth and
-    the layers still telescope exactly.  Knot and window are recorded in each
-    layer's ``meta``.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    scan = np.linspace(0.0, 2.0 * m.support_radius, 4097)
-    vals = m(scan)
-    if np.any(np.diff(vals) > 1e-9):
-        worst = float(np.diff(vals).max())
-        raise ValueError(f"profile is not non-increasing on [0, inf): max rise {worst:.3e}")
-
-    def partial_sum(i: int):
-        knot = math.ldexp(1.0, -i)
-        w = math.ldexp(1.0, -i - 5)  # half-width; total window 2**(-i-4)
-
-        def p(t, _knot=knot, _w=w, _m=m):
-            a = np.abs(np.asarray(t, dtype=np.float64))
-            return _m(soft_knot_max(a, _knot, _w))
-
-        return p, knot, 2.0 * w
-
-    layers: list[MultiplierProfile] = []
-    prev: Callable | None = None
-    for i in range(1, depth + 1):
-        cur, knot, window = partial_sum(i)
-
-        def layer_eval(t, _cur=cur, _prev=prev):
-            hi = _cur(t)
-            return hi if _prev is None else hi - _prev(t)
-
-        layers.append(
-            MultiplierProfile(
-                kind="layer",
-                support_radius=m.support_radius,
-                evaluate=layer_eval,
-                epsilon=math.ldexp(1.0, -i),
-                meta=(("knot", knot), ("window", window)),
-            )
-        )
-        prev = cur
-    return layers
-
-
 @dataclass(frozen=True)
 class SymbolGrid:
     """Real multiplier values over the integer frequency grid (FFT order)."""
@@ -292,13 +212,6 @@ def pi_beta_mask(beta: float, n_log2: int) -> SymbolGrid:
     else:
         keep = a >= 1
     return SymbolGrid(n_log2, keep.astype(np.float64))
-
-
-def write_symbol_hxf1(path, sym: SymbolGrid) -> None:
-    """Export a symbol grid in the field binary format (real part only)."""
-    from .grid import write_hxf1
-
-    write_hxf1(path, sym.n_log2, sym.values.astype(np.complex128))
 
 
 def flat_radius(m: MultiplierProfile) -> float:

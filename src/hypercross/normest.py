@@ -1,5 +1,5 @@
-"""Operator-norm estimation: L2 power iteration, Lp ascent, parameter sweeps,
-and a derivative-free adversarial search over scale-field families.
+"""Operator-norm estimation: L2 power iteration, Lp ascent, the bump-width
+sweep, and a dense SVD oracle for small grids.
 
 Estimates are certified lower bounds: every reported value is re-derivable as
 lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  Convergence flags
@@ -9,21 +9,13 @@ are heuristic and never upgrade a bound to an exact norm.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import SampledField, apply_fixed_multiplier, lp_norm
-from .linearized import (
-    LinearizerField,
-    LinearOperatorHandle,
-    Regularity,
-    _adjacent_max_diff,
-    generate_linearizer,
-    linearized_operator,
-)
+from .linearized import LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
@@ -232,179 +224,3 @@ def write_sweep_csv(path, result: SweepResult) -> None:
             writer.writerow(
                 [repr(r.p), repr(r.beta), repr(r.epsilon), r.n, r.seed, repr(r.smoothness), repr(r.estimate), r.iterations, r.converged]
             )
-
-
-@dataclass(frozen=True)
-class ResolutionStabilityReport:
-    """Soft diagnostic: spread of norm estimates across grid resolutions.
-
-    ``within_factor`` is reported, never asserted; the ascent is heuristic and
-    occasional spread beyond the factor is logged rather than failed.
-    """
-
-    p: float
-    estimates: tuple  # (n_log2, estimate) pairs
-    spread: float
-    within_factor: bool
-
-
-def resolution_stability(p: float, v_spec: dict, n_log2_list, seed: int) -> ResolutionStabilityReport:
-    """Estimate the norm of the same operator family (bump profile with
-    epsilon 1/2) at several resolutions and report the max/min spread;
-    ``within_factor`` holds when the spread is at most 2.  For p != 2 the
-    ascent runs 6 restarts of 40 steps."""
-    m = make_bump_profile(0.5)
-    v_kind = v_spec.get("kind", "staircase_x")
-    v_params = {k: v for k, v in v_spec.items() if k != "kind"}
-    estimates = []
-    for n_log2 in n_log2_list:
-        V = generate_linearizer(v_kind, v_params, seed, n_log2)
-        op = linearized_operator(V, m, v_spec.get("beta", 1.0))
-        if p == 2.0:
-            est = l2_norm_power_iteration(op, seed=seed)
-        else:
-            est = lp_norm_ascent(op, p, restarts=6, iters=40, seed=seed)
-        estimates.append((n_log2, est.value))
-    values = [v for _, v in estimates]
-    spread = max(values) / min(values) if min(values) > 0 else math.inf
-    return ResolutionStabilityReport(p, tuple(estimates), spread, spread <= 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Adversarial search over scale-field families.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchReport:
-    best_value: float
-    best_params: tuple
-    best_field: LinearizerField
-    measured_lipschitz: float
-    evaluations: int
-    constrained: bool
-    history: tuple
-
-
-def _stripe_field(boundaries: np.ndarray, exponents: np.ndarray, n_log2: int) -> LinearizerField:
-    """Vertical stripes of power-of-two values with free boundaries."""
-    n = 1 << n_log2
-    x = np.arange(n) / n
-    levels = np.zeros(n, dtype=np.int64)
-    for b in np.sort(boundaries):
-        levels += x >= b
-    vals = np.exp2(exponents[np.clip(levels, 0, exponents.size - 1)])
-    return LinearizerField(n_log2, np.repeat(vals[:, None], n, axis=1), Regularity("none"), None)
-
-
-def adversarial_linearizer_search(
-    p: float,
-    beta: float,
-    family_spec: dict,
-    constraint: str,
-    budget: int,
-    seed: int,
-    log_path=None,
-    initial_params=None,
-) -> SearchReport:
-    """(1+1)-style evolutionary search maximizing the norm estimate over a
-    parametric family of scale fields.
-
-    Exploratory by design: the report carries the best-found value, field and
-    measured Lipschitz constant, with no acceptance threshold attached.
-    constraint='lipschitz' rejects candidates whose measured first-variable
-    constant exceeds family_spec['lip_bound'].
-    """
-    if constraint not in ("lipschitz", "none"):
-        raise ValueError(f"constraint must be 'lipschitz' or 'none', got {constraint!r}")
-    n_log2 = int(family_spec.get("n_log2", 5))
-    kind = family_spec.get("kind", "lacunary_stripes")
-    eps = float(family_spec.get("epsilon", 1.0))
-    m = make_bump_profile(eps)
-    lip_bound = float(family_spec.get("lip_bound", 1.0))
-    rng = np.random.default_rng(seed)
-    events = []
-
-    if kind == "constant":
-        lo = float(family_spec.get("value_min", 2.0 ** (-n_log2)))
-        hi = float(family_spec.get("value_max", 4.0))
-
-        def propose(params):
-            if params is None:
-                return (float(rng.uniform(lo, hi)),)
-            (c,) = params
-            c = float(np.clip(c * 2.0 ** rng.normal(0, 0.5), lo, hi))
-            return (c,)
-
-        def realize(params):
-            return generate_linearizer("constant", {"value": params[0]}, 0, n_log2)
-
-    elif kind == "lacunary_stripes":
-        n_stripes = int(family_spec.get("stripes", 6))
-        exp_lo = int(family_spec.get("exp_min", -n_log2))
-        exp_hi = int(family_spec.get("exp_max", 0))
-
-        def propose(params):
-            if params is None:
-                bounds = np.sort(rng.uniform(0, 1, size=n_stripes - 1))
-                exps = rng.integers(exp_lo, exp_hi + 1, size=n_stripes)
-                return (tuple(bounds), tuple(int(e) for e in exps))
-            bounds = np.array(params[0])
-            exps = np.array(params[1])
-            if rng.random() < 0.5 and bounds.size:
-                i = rng.integers(bounds.size)
-                bounds[i] = np.clip(bounds[i] + rng.normal(0, 0.05), 0.0, 1.0)
-            else:
-                i = rng.integers(exps.size)
-                exps[i] = int(np.clip(exps[i] + rng.integers(-1, 2), exp_lo, exp_hi))
-            return (tuple(np.sort(bounds)), tuple(int(e) for e in exps))
-
-        def realize(params):
-            return _stripe_field(np.array(params[0]), np.array(params[1], dtype=np.int64), n_log2)
-
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-
-    def objective(field: LinearizerField) -> float:
-        op = linearized_operator(field, m, beta)
-        if p == 2.0:
-            return l2_norm_power_iteration(op, max_iter=60, seed=seed).value
-        return lp_norm_ascent(op, p, restarts=4, iters=30, seed=seed).value
-
-    best_params = None
-    best_val = -math.inf
-    best_field = None
-    evals = 0
-    cur_params = None
-    pending = [initial_params] if initial_params is not None else []
-    while evals < budget:
-        cand = pending.pop(0) if pending else propose(cur_params)
-        field = realize(cand)
-        feasible = True
-        measured = _adjacent_max_diff(field.values, axis=0) * field.n
-        if constraint == "lipschitz" and measured > lip_bound:
-            feasible = False
-        if feasible:
-            val = objective(field)
-            evals += 1
-            events.append((evals, val, measured))
-            if val > best_val:
-                best_val, best_params, best_field = val, cand, field
-                cur_params = cand
-        else:
-            evals += 1
-            events.append((evals, float("nan"), measured))
-        if rng.random() < 0.15:
-            cur_params = None  # occasional restart
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            for ev in events:
-                fh.write(json.dumps({"eval": ev[0], "value": ev[1], "lipschitz": ev[2]}) + "\n")
-    return SearchReport(
-        best_value=best_val,
-        best_params=best_params,
-        best_field=best_field,
-        measured_lipschitz=_adjacent_max_diff(best_field.values, axis=0) * best_field.n if best_field is not None else float("nan"),
-        evaluations=evals,
-        constrained=constraint == "lipschitz",
-        history=tuple(events),
-    )

@@ -195,6 +195,15 @@ _BAD_CONFIGS = {
     "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0\nmethod = power", "p = 3.0\nrestarts = 0")),
     "dyadic_zero_count": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=0)),
     "dyadic_negative_depth": ("dyadic", _DYADIC_CONFIG.format(depth=-1, count=3)),
+    # keys the chosen kind never reads: lip_2d floors at lip**2, bump has no flat_radius
+    "lip_2d_v_min": (
+        "verify",
+        "[run]\ngrid_n_log2 = 4\n\n[linearizer]\nkind = lip_2d\nlip_constant = 0.5\nv_min = 0.3\n",
+    ),
+    "bump_flat_radius": (
+        "verify",
+        "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = bump\nflat_radius = 0.9\n\n[linearizer]\nkind = constant\nvalue = 0.5\n",
+    ),
 }
 
 

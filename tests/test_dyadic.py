@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -83,54 +81,6 @@ def test_haar_transform_depth_limit():
     f = g.random_field(4, 1)
     with pytest.raises(ValueError):
         dy.haar_transform(f, 4)  # finest half-intervals would be sub-cell
-
-
-def test_dyadic_metric_examples():
-    floor = 1.0 / 64
-    assert dy.dyadic_metric(0.5, 0.5, floor) == floor
-    assert dy.dyadic_metric(0.3, 0.6, floor) == 1.0
-    assert dy.dyadic_metric(0.1, 0.2, floor) == 0.25
-    with pytest.raises(ValueError):
-        dy.dyadic_metric(0.0, 0.5, floor)
-    with pytest.raises(ValueError):
-        dy.dyadic_metric(0.5, 1.2, floor)
-
-
-def test_dyadic_metric_matches_ancestor_enumeration():
-    # oracle: enumerate dyadic intervals explicitly and take the shortest hit
-    rng = np.random.default_rng(4)
-    floor = 2.0**-10
-    for _ in range(200):
-        x, y = rng.uniform(2.0**-9, 1.0, size=2)
-        best = 1.0
-        for j in range(0, 11):
-            length = 2.0**-j
-            if math.ceil(x / length) == math.ceil(y / length):
-                best = min(best, length)
-        assert dy.dyadic_metric(x, y, floor) == max(best, floor)
-
-
-def test_dyadic_metric_ultrametric():
-    rng = np.random.default_rng(7)
-    floor = 2.0**-8
-    pts = rng.uniform(floor, 1.0, size=(500, 3))
-    for x, y, z in pts:
-        dxz = dy.dyadic_metric(x, z, floor)
-        dxy = dy.dyadic_metric(x, y, floor)
-        dyz = dy.dyadic_metric(y, z, floor)
-        assert dxz <= max(dxy, dyz) + 1e-15
-
-
-def test_dyadic_metric_cells_matches_real_version():
-    n_log2 = 6
-    n = 1 << n_log2
-    mid = _cells_mid(n)
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        i, j = rng.integers(0, n, size=2)
-        d_real = dy.dyadic_metric(mid[i], mid[j], 1.0 / n)
-        d_cells = float(dy.dyadic_metric_cells(i, j, n_log2))
-        assert d_real == d_cells
 
 
 def test_model_operator_full_sum_is_projection():
@@ -232,18 +182,6 @@ def test_selection_stability_catches_constructed_violation():
     assert rep.violations >= 1
     x_true, x_false, y, k_i, k_j = rep.witnesses[0]
     assert x_true != x_false
-
-
-def test_collection_j_contiguous_and_telescoping():
-    V = lin.LinearizerField(5, np.full((32, 32), 2.0**-3), lin.Regularity("none"))
-    I = dy.DyadicInterval(-3, 2)
-    js = dy.collection_J(I, 5, V)
-    scales = sorted(-J.k for J in js)
-    assert scales == list(range(scales[0], scales[-1] + 1))
-    assert dy.telescoping_check(V, depth=4)
-
-    Vgen = dy.generate_dyadic_metric_2d(2.0**-3, 5, 3)
-    assert dy.telescoping_check(Vgen, depth=4)
 
 
 def test_martingale_and_maximal_constant_field():

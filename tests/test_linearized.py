@@ -314,38 +314,6 @@ def test_bucketed_apply_runs_one_inverse_fft_per_masked_h(monkeypatch):
     assert 0 < len(calls) <= 17
 
 
-def test_maximal_over_scales_single_mode():
-    m = mu.make_bump_profile(1.0)
-    n = 16
-    x = np.arange(n) / n
-    f = g.SampledField(4, np.exp(2j * np.pi * (2 * x[:, None] + 3 * x[None, :])))
-    out = lin.maximal_over_scales(f, m, 1.0, 2.0**-6, 2.0**2, refine=4)
-    # eigenfunction: the sup is the max of m(t * 6) over sampled scales
-    best = 0.0
-    t = 2.0**-6
-    while t <= 4.0 * (1 + 1e-12):
-        best = max(best, float(m(t * 6.0)))
-        t *= 2.0 ** (1.0 / 4.0)
-    assert np.abs(out.samples.real - best).max() < 1e-10
-
-
-def test_maximal_over_scales_dominates_members_and_zero():
-    m = mu.make_bump_profile(0.5)
-    f = g.random_field(4, 12)
-    out = lin.maximal_over_scales(f, m, 1.0, 0.25, 4.0)
-    t = 0.25
-    while t <= 4.0:
-        sym = mu.hyperbolic_symbol(t, 1.0, m, 4)
-        member = g.apply_fixed_multiplier(f, sym)
-        assert np.all(out.samples.real >= np.abs(member.samples) - 1e-12)
-        t *= 2.0
-    zero = g.SampledField(4, np.zeros((16, 16)))
-    assert np.abs(lin.maximal_over_scales(zero, m, 1.0, 0.5, 2.0).samples).max() == 0.0
-
-    with pytest.raises(ValueError):
-        lin.maximal_over_scales(f, m, 1.0, 2.0, 1.0)
-
-
 def test_beta_zero_domination_by_first_variable_maximal():
     m = mu.make_bump_profile(0.5)
     for seed in range(5):

@@ -69,54 +69,6 @@ def test_smoothness_constant_reflection_invariance():
     )
 
 
-def test_layer_reconstruction_bump_one():
-    m = mu.make_bump_profile(1.0)
-    layers = mu.layer_decomposition(m, 4)
-    t = np.linspace(-2.5, 2.5, 20_001)
-    recon = sum(layer(t) for layer in layers)
-    assert np.abs(recon - m(t)).max() <= 1e-10
-
-
-def test_layer_reconstruction_small_bump():
-    m = mu.make_bump_profile(2.0**-3)
-    layers = mu.layer_decomposition(m, 6)
-    t = np.linspace(-1.0, 1.0, 20_001)
-    recon = sum(layer(t) for layer in layers)
-    assert np.abs(recon - m(t)).max() <= 1e-10
-
-
-def test_first_layer_equals_profile_on_flat_region():
-    # non-increasing profile with m(1/2) = 1: the first cap does not bite
-    m = mu.make_plateau_profile(0.6, 1.2)
-    layers = mu.layer_decomposition(m, 3)
-    t = np.linspace(0.0, 0.5, 2001)
-    assert np.abs(layers[0](t) - m(t)).max() == 0.0
-
-
-def test_layer_sups_bounded_by_profile_at_knots():
-    # the capping construction forces sup|m_i| <= m(2**-i); verified by scan
-    for eps in (1.0, 0.5, 2.0**-3):
-        m = mu.make_bump_profile(eps)
-        t = np.linspace(-2.5, 2.5, 40_001)
-        for i, layer in enumerate(mu.layer_decomposition(m, 6), start=1):
-            sup = np.abs(layer(t)).max()
-            assert sup <= float(m(2.0**-i)) + 1e-12
-
-
-def test_layer_knot_metadata():
-    layers = mu.layer_decomposition(mu.make_bump_profile(1.0), 3)
-    for i, layer in enumerate(layers, start=1):
-        meta = dict(layer.meta)
-        assert meta["knot"] == 2.0**-i
-        assert meta["window"] == 2.0 ** (-i - 4)
-
-
-def test_layer_rejects_increasing_profile():
-    rising = mu.make_custom_profile(lambda t: np.clip(np.abs(t), 0, 1), support_radius=2.0)
-    with pytest.raises(ValueError):
-        mu.layer_decomposition(rising, 3)
-
-
 def test_hyperbolic_symbol_compact_support_far_out():
     m = mu.make_bump_profile(1.0)
     sym = mu.hyperbolic_symbol(16.0, 1.0, m, 4)  # 16 |xi eta| > 2 off the axes
@@ -176,15 +128,3 @@ def test_flat_radius():
     assert mu.flat_radius(mu.make_bump_profile(0.25)) == 0.25
     wide = mu.make_custom_profile(lambda t: np.where(np.abs(t) <= 3.0, 1.0, 0.0), 3.0)
     assert mu.flat_radius(wide) == 3.0
-
-
-def test_symbol_export_real_part(tmp_path):
-    from hypercross.grid import read_hxf1
-
-    sym = mu.hyperbolic_symbol(0.5, 1.0, mu.make_bump_profile(1.0), 4)
-    path = tmp_path / "sym.hxf1"
-    mu.write_symbol_hxf1(path, sym)
-    n_log2, arr = read_hxf1(path)
-    assert n_log2 == 4
-    assert np.array_equal(arr.real, sym.values)
-    assert np.abs(arr.imag).max() == 0.0

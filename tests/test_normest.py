@@ -125,53 +125,3 @@ def test_sweep_reproducible_and_shape(tmp_path):
     ne.write_sweep_csv(path, a)
     header = path.read_text().splitlines()[0]
     assert header == "p,beta,epsilon,N,seed,A,estimate,iterations,converged"
-
-
-def test_adversarial_search_constant_family_matches_diagonal_oracle():
-    rep = ne.adversarial_linearizer_search(
-        2.0, 1.0, {"kind": "constant", "n_log2": 4, "epsilon": 1.0}, "none", 25, 9
-    )
-    m = mu.make_bump_profile(1.0)
-    best_c = rep.best_params[0]
-    masked = mu.hyperbolic_symbol(best_c, 1.0, m, 4).values * mu.pi_beta_mask(1.0, 4).values
-    assert rep.best_value == pytest.approx(np.abs(masked).max(), abs=1e-6)
-
-
-def test_adversarial_search_reproducible():
-    spec = {"kind": "lacunary_stripes", "n_log2": 4, "stripes": 4, "epsilon": 1.0, "lip_bound": 1.0}
-    a = ne.adversarial_linearizer_search(2.0, 1.0, spec, "none", 30, 7)
-    b = ne.adversarial_linearizer_search(2.0, 1.0, spec, "none", 30, 7)
-    assert a.best_value == b.best_value
-    assert a.best_params == b.best_params
-
-
-def test_constrained_search_never_beats_unconstrained():
-    spec = {"kind": "lacunary_stripes", "n_log2": 4, "stripes": 5, "epsilon": 1.0, "lip_bound": 1.0}
-    constrained = ne.adversarial_linearizer_search(2.0, 1.0, spec, "lipschitz", 60, 7)
-    assert constrained.best_field is not None
-    unconstrained = ne.adversarial_linearizer_search(
-        2.0, 1.0, spec, "none", 60, 7, initial_params=constrained.best_params
-    )
-    assert constrained.best_value <= unconstrained.best_value + 1e-12
-    assert constrained.measured_lipschitz <= 1.0
-
-
-def test_resolution_stability_reports_spread():
-    spec = {"kind": "staircase_x", "lip_constant": 1.0, "v_min": 0.125, "levels": 8}
-    rep = ne.resolution_stability(2.0, spec, [4, 5], seed=3)
-    assert len(rep.estimates) == 2
-    assert rep.spread >= 1.0
-    # soft criterion: the report carries the verdict; a tame spec stays within
-    assert rep.within_factor
-
-
-def test_search_log_jsonl(tmp_path):
-    import json
-
-    spec = {"kind": "constant", "n_log2": 3, "epsilon": 1.0}
-    path = tmp_path / "events.jsonl"
-    ne.adversarial_linearizer_search(2.0, 1.0, spec, "none", 10, 1, log_path=path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 10
-    rec = json.loads(lines[0])
-    assert set(rec) == {"eval", "value", "lipschitz"}
