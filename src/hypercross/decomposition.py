@@ -152,14 +152,13 @@ def psi2_hat(omega):
 class LPFamily:
     """Dyadic ladders and their per-scale one-axis symbol tables.
 
-    Scales are 2**(idx / substeps); phi1 acts on the xi axis, phi2/psi2 (of
+    Scales are 2**idx; phi1 acts on the xi axis, phi2/psi2 (of
     support radius PSI2_SUPPORT_RADIUS) on the eta axis.  Tables are keyed by
     the integer ladder index and aligned with FFT frequency order.
     """
 
     beta: float
     n_log2: int
-    substeps: int
     k_indices: tuple
     l_indices: tuple
     phi1_tab: dict
@@ -169,13 +168,13 @@ class LPFamily:
     notes: tuple = ()
 
     def s_of(self, k_idx: int) -> float:
-        return 2.0 ** (k_idx / self.substeps)
+        return 2.0**k_idx
 
     def t_of(self, l_idx: int) -> float:
-        return 2.0 ** (l_idx / self.substeps)
+        return 2.0**l_idx
 
 
-def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
+def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     """Build the scale family for exponent beta on an N = 2**n_log2 grid.
 
     The xi-axis annulus has log-radius 1/|beta|; beta = 0 falls back to the
@@ -198,8 +197,8 @@ def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
 
     k_lo = -int(math.ceil(a)) - 1
     k_hi = (n_log2 - 1) + int(math.ceil(a)) + 1
-    k_indices = tuple(range(k_lo * substeps, k_hi * substeps + 1))
-    l_indices = tuple(range(-substeps, (n_log2 - 1) * substeps + 1))
+    k_indices = tuple(range(k_lo, k_hi + 1))
+    l_indices = tuple(range(-1, n_log2))
 
     log_freq = np.zeros_like(abs_freq)
     np.log2(abs_freq, out=log_freq, where=abs_freq > 0)
@@ -207,13 +206,13 @@ def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
     phi1_tab = {}
     if beta == 0.0:
         for k in k_indices:
-            vals = _octave_product(abs_freq / 2.0 ** (k / substeps)) / substeps
+            vals = _octave_product(abs_freq / 2.0**k)
             vals[abs_freq == 0] = 0.0
             phi1_tab[k] = vals
     else:
         w, exact = _phi1_log_profile(a)
         for k in k_indices:
-            vals = w(log_freq - k / substeps) / substeps
+            vals = w(log_freq - k)
             vals[abs_freq == 0] = 0.0
             phi1_tab[k] = vals
         if not exact:
@@ -232,8 +231,8 @@ def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
     phi2_tab = {}
     p2p3_tab = {}
     for el in l_indices:
-        t = 2.0 ** (el / substeps)
-        product = _octave_product(abs_freq / t) / substeps
+        t = 2.0**el
+        product = _octave_product(abs_freq / t)
         product[abs_freq == 0] = 0.0
         psi_vals = psi2_hat(freqs.astype(np.float64) / t)
         phi_vals = np.zeros(n)
@@ -247,7 +246,6 @@ def make_lp_family(beta: float, n_log2: int, substeps: int = 1) -> LPFamily:
     return LPFamily(
         beta=beta,
         n_log2=n_log2,
-        substeps=substeps,
         k_indices=k_indices,
         l_indices=l_indices,
         phi1_tab=phi1_tab,
@@ -457,15 +455,6 @@ class RatioCheckReport:
     violations: int
     worst_ratio: float
     witnesses: tuple = ()
-
-    def record(self) -> dict:
-        return {
-            "variant": self.variant,
-            "samples_checked": self.samples_checked,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "witnesses": [list(w) for w in self.witnesses[:8]],
-        }
 
 
 def lipschitz_ratio_check(

@@ -45,9 +45,6 @@ class DyadicInterval:
     def right(self) -> float:
         return (self.n + 1) * self.length
 
-    def contains(self, x: float) -> bool:
-        return self.left < x <= self.right
-
 
 def haar_eval(I: DyadicInterval, x) -> np.ndarray:
     """L2-normalized Haar function: +|I|**-1/2 on the left half of I,
@@ -89,9 +86,6 @@ class HaarCoefficients:
     row_block: dict
     col_block: dict
     mean: complex
-
-    def tensor_energy(self) -> float:
-        return float(sum(np.sum(np.abs(c) ** 2) for c in self.coeffs.values()))
 
 
 def haar_transform(f: SampledField, depth: int) -> HaarCoefficients:

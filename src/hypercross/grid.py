@@ -78,13 +78,6 @@ class SpectralField:
     def n(self) -> int:
         return 1 << self.n_log2
 
-    def coeff_at(self, xi: int, eta: int) -> complex:
-        """Coefficient at integer frequency (xi, eta)."""
-        n = self.n
-        if not (-n // 2 <= xi < n // 2 and -n // 2 <= eta < n // 2):
-            raise ValueError(f"frequency ({xi}, {eta}) outside grid band")
-        return complex(self.coeffs[xi % n, eta % n])
-
 
 def frequencies(n_log2: int) -> np.ndarray:
     """Integer frequencies along one axis, in FFT storage order."""

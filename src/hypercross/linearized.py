@@ -496,20 +496,8 @@ def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -
     return LinearOperatorHandle(V.n_log2, apply, adjoint)
 
 
-def apply_linearized_bucketed(
-    f: SampledField,
-    V: LinearizerField,
-    m: MultiplierProfile,
-    beta: float,
-    quantize: str = "exact",
-) -> SampledField:
-    """Fast path: one application of :func:`linearized_operator`.
-    quantize='dyadic' first replaces V by 2**floor(log2 V) (an
-    approximation, reported by the caller)."""
-    if quantize == "dyadic":
-        V = LinearizerField(V.n_log2, dyadic_floor(V.values))
-    elif quantize != "exact":
-        raise ValueError(f"quantize must be 'exact' or 'dyadic', got {quantize!r}")
+def apply_linearized_bucketed(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
+    """Fast path: one application of :func:`linearized_operator`."""
     return linearized_operator(V, m, beta).apply(f)
 
 

@@ -118,13 +118,16 @@ def test_dyadic_command(tmp_path, capsys):
     assert "PASS dyadic.selection_stability" in capsys.readouterr().out
 
 
+_DECOMPOSE_CONFIG = (
+    "[run]\ngrid_n_log2 = 5\nseed = 2\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
+    "[linearizer]\n{linearizer}\n\n[decompose]\nbeta = 1.0\n"
+)
+
+
 def test_decompose_command(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "de.ini",
-        "[run]\ngrid_n_log2 = 5\nseed = 2\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
-        "[linearizer]\nkind = constant\nvalue = 0.05\n\n[decompose]\nbeta = 1.0\n",
-    )
+    # criterion 6's lip_y field: the ratio check has triples in its regime
+    linearizer = "kind = lip_y\nlip_constant = 1.0\nv_min = 0.03125\namplitude = 0.3"
+    cfg = _write(tmp_path, "de.ini", _DECOMPOSE_CONFIG.format(linearizer=linearizer))
     rc = cli.main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
     out = capsys.readouterr().out
     assert rc == 0, out
@@ -132,9 +135,17 @@ def test_decompose_command(tmp_path, capsys):
         assert f"PASS decompose.{check}" in out
 
 
+def test_decompose_ratio_check_fails_when_nothing_is_in_regime(tmp_path, capsys):
+    # a constant V rounds to one scale, so no sampled triple reaches the regime
+    cfg = _write(tmp_path, "de.ini", _DECOMPOSE_CONFIG.format(linearizer="kind = constant\nvalue = 0.05"))
+    rc = cli.main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_ASSERTION
+    assert "FAIL decompose.lipschitz_ratio: 0 checked" in capsys.readouterr().out
+
+
 NORMEST_CONFIG = (
     "[run]\ngrid_n_log2 = 3\nseed = 4\n\n[profile]\nkind = bump\nepsilon = 1.0\n\n"
-    "[linearizer]\nkind = constant\nvalue = 0.5\n\n[normest]\np = 2.0\nmethod = power\n"
+    "[linearizer]\nkind = constant\nvalue = 0.5\n\n[normest]\np = 2.0\n"
 )
 
 
@@ -192,9 +203,13 @@ _BAD_CONFIGS = {
     "epsilon_not_dyadic": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.3, kind="constant")),
     "unknown_linearizer_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.5, kind="lipx")),
     "grid_too_small": ("verify", "[run]\ngrid_n_log2 = 2\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant")),
-    "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0\nmethod = power", "p = 3.0\nrestarts = 0")),
+    "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nrestarts = 0")),
     "dyadic_zero_count": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=0)),
     "dyadic_negative_depth": ("dyadic", _DYADIC_CONFIG.format(depth=-1, count=3)),
+    # keys the run never reads: p picks the estimator, thm_4_1 has no beta
+    "normest_p3_max_iter": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nmax_iter = 1")),
+    "normest_p2_restarts": ("normest", NORMEST_CONFIG + "restarts = 1\n"),
+    "dyadic_thm_4_1_beta": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3) + "beta = 7.5\n"),
     # keys the chosen kind never reads: lip_2d floors at lip**2, bump has no flat_radius
     "lip_2d_v_min": (
         "verify",
@@ -207,6 +222,10 @@ _BAD_CONFIGS = {
 }
 
 
+# values that only the computation rejects, after the output directory exists
+_REJECTED_WHILE_RUNNING = {"grid_too_small", "zero_restarts"}
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
 def test_bad_config_exits_config_error(tmp_path, capsys, case):
     command, text = _BAD_CONFIGS[case]
@@ -214,6 +233,8 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    if case not in _REJECTED_WHILE_RUNNING:
+        assert not (tmp_path / "o").exists()
 
 
 def test_section_not_used_by_command_rejected(tmp_path, capsys):

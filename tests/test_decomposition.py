@@ -353,14 +353,3 @@ def test_hl_maximal_dominates_and_fixes_constants():
     assert np.all(m1.samples.real >= mags - 1e-14)
     const = g.SampledField(5, np.full((32, 32), 1.5))
     assert np.abs(de.hl_maximal_m1(const).samples - 1.5).max() == 0.0
-
-
-def test_finer_ladder_partition():
-    fam4 = de.make_lp_family(1.0, 5, substeps=4)
-    w1, g2 = de._axis_sums(fam4)
-    freqs = g.frequencies(5)
-    nz = freqs != 0
-    assert np.abs(w1[nz] - 1.0).max() < 1e-12
-    assert np.abs(g2[nz] - 1.0).max() < 1e-12
-    f = mean_zero_band_limited(5, 17)
-    assert de.calderon_residual(f, fam4) <= 1e-10

@@ -17,7 +17,7 @@ def test_single_mode_transform():
     x = np.arange(n) / n
     f = g.SampledField(4, np.exp(2j * np.pi * (3 * x[:, None] + 5 * x[None, :])))
     F = g.forward_transform(f)
-    assert abs(F.coeff_at(3, 5) - 1.0) < 1e-12
+    assert abs(F.coeffs[3, 5] - 1.0) < 1e-12
     others = F.coeffs.copy()
     others[3, 5] = 0.0
     assert np.abs(others).max() < 1e-12

@@ -189,15 +189,6 @@ def test_oracle_equivalence_random_cases():
             assert _rel_l2(brute.samples, fast.samples) <= 1e-10
 
 
-def test_bucketed_dyadic_mode_fixed_point():
-    m = mu.make_bump_profile(0.5)
-    V = lin.generate_linearizer("dyadic_of_lipschitz", {"lip_constant": 1.0, "v_min": 0.2}, 4, 4)
-    f = g.random_field(4, 8)
-    exact = lin.apply_linearized_bucketed(f, V, m, 1.0, quantize="exact")
-    dyadic = lin.apply_linearized_bucketed(f, V, m, 1.0, quantize="dyadic")
-    assert np.array_equal(exact.samples, dyadic.samples)
-
-
 def test_grid_mismatch_raises():
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("constant", {"value": 1.0}, 0, 5)
