@@ -135,6 +135,7 @@ class RunContext:
         }
         self._log_records: list[dict] = []
         self.failures = 0
+        self._created: list[Path] = []
 
     def take(self, section: str, key: str, default):
         """The value of section.key, or the default when the file omits it."""
@@ -152,7 +153,16 @@ class RunContext:
         if self._unread:
             unread = ", ".join(f"{section}.{key}" for section, key in sorted(self._unread))
             raise ConfigError(f"command {self.command!r} does not read {unread}")
+        self._created = [d for d in (self.out, *self.out.parents) if not d.exists()]
         self.out.mkdir(parents=True, exist_ok=True)
+
+    def discard(self) -> None:
+        """Remove the directories :meth:`start` created that are still empty,
+        innermost first; a directory that existed before is never touched."""
+        for d in self._created:
+            if any(d.iterdir()):
+                return
+            d.rmdir()
 
     def log(self, **record) -> None:
         self._log_records.append({**self.provenance, **record})
@@ -377,11 +387,14 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override [run] seed")
         sp.add_argument("--reproducible", action="store_true", help="accepted for compatibility; every run is byte-stable")
     args = parser.parse_args(argv)
+    ctx = None
     try:
         ctx = RunContext(args, args.command)
         _COMMANDS[args.command](ctx)
     except ValueError as exc:  # ConfigError, or a config value rejected by the package
         print(f"config error: {exc}", file=sys.stderr)
+        if ctx is not None:
+            ctx.discard()  # a value rejected after start() leaves no empty --out behind
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

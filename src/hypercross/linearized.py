@@ -11,14 +11,22 @@ exactly up to floating-point reassociation.  The operator handle with its
 exact adjoint, :func:`linearized_operator`, lives here too.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
-orders.  On the V side it runs one FFT per bucket, each evaluated at the
-bucket's points.  A :class:`ScaledSymbol` weight * m(V h), with h the
+orders.  On the V side it takes one transform per bucket, each evaluated at
+the bucket's points.  A :class:`ScaledSymbol` weight * m(V h), with h the
 argument grid (|xi| |eta|**beta), may instead be summed on the frequency
-side: one FFT per distinct value of h on the support of the spectrum, each
-multiplied by m(V(x) h) at every point.  The kernel takes the frequency
+side: one transform per distinct value of h on the support of the spectrum,
+each multiplied by m(V(x) h) at every point.  The kernel takes the frequency
 side when it has fewer groups than the V side.  A continuous V has a
 distinct value at nearly every point, while h takes 17 values on the
-Pi_beta support at N = 32 and beta = 1.  Either order keeps memory O(N^2).
+Pi_beta support at N = 32 and beta = 1.
+
+Either side takes its groups in stacks of max(1, 2**13 // N^2): one FFT call
+over the last two axes and one factor call (one profile call on the
+frequency side) per stack, because at the grid sizes of the battery a call
+costs more than its arithmetic.  Each group is still picked or added on its
+own, in group order, so the result does not depend on the stack size.  A
+stack holds at most max(N^2, 2**13) entries, so memory stays O(N^2): no
+(buckets, N, N) array is formed.
 """
 
 from __future__ import annotations
@@ -375,58 +383,89 @@ class ScaledSymbol:
         return self.weight * self.m(key * self.hyper)
 
 
-def _pick(transform, arr: np.ndarray, groups, factor_of) -> np.ndarray:
-    """out[idx] = transform(arr * factor_of(key))[idx] for each (key, idx)."""
+# Entries per stack of groups in _pick and _spread (128 KiB of complex128).
+_STACK = 1 << 13
+
+
+def _stacks(groups, size: int):
+    """Consecutive runs of at most max(1, _STACK // size) of the (key, idx)
+    groups, each as (array of keys, list of index arrays)."""
+    groups = list(groups)
+    step = max(1, _STACK // size)
+    for start in range(0, len(groups), step):
+        run = groups[start : start + step]
+        yield np.array([key for key, _ in run]), [idx for _, idx in run]
+
+
+def _pick(transform, arr: np.ndarray, groups, factors) -> np.ndarray:
+    """out[idx] = transform(arr * factor)[idx] for each (key, idx), where
+    factors(keys) stacks the factors of a stack of keys."""
     out = np.zeros(arr.size, dtype=np.complex128)
-    for key, idx in groups:
-        out[idx] = transform(arr * factor_of(key)).ravel()[idx]
+    for keys, members in _stacks(groups, arr.size):
+        picked = transform(arr * factors(keys)).reshape(keys.size, -1)
+        for row, idx in zip(picked, members):
+            out[idx] = row[idx]
     return out.reshape(arr.shape)
 
 
-def _spread(transform, arr: np.ndarray, groups, factor_of) -> np.ndarray:
-    """Sum over (key, idx) of transform(arr restricted to idx) * factor_of(key)."""
+def _spread(transform, arr: np.ndarray, groups, factors) -> np.ndarray:
+    """Sum over (key, idx) of transform(arr restricted to idx) * factor, with
+    factors as in :func:`_pick`; the terms are added in the order of groups."""
     flat = np.asarray(arr, dtype=np.complex128).ravel()
     out = np.zeros(np.shape(arr), dtype=np.complex128)
-    for key, idx in groups:
-        restricted = np.zeros_like(flat)
-        restricted[idx] = flat[idx]
-        out += transform(restricted.reshape(out.shape)) * factor_of(key)
+    for keys, members in _stacks(groups, flat.size):
+        restricted = np.zeros((keys.size, flat.size), dtype=np.complex128)
+        for row, idx in zip(restricted, members):
+            row[idx] = flat[idx]
+        for term in transform(restricted.reshape((keys.size,) + out.shape)) * factors(keys):
+            out += term
     return out
 
 
 def _synthesis(spec: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(spec) * spec.size
+    """N^2 ifft2 over the last two axes."""
+    return np.fft.ifft2(spec) * (spec.shape[-2] * spec.shape[-1])
+
+
+def _by_key(symbol_of):
+    """The factors of the V side: the symbols of the keys, stacked."""
+    return lambda keys: np.stack([symbol_of(key) for key in keys])
 
 
 def _frequency_side(buckets: BucketDecomposition, symbol: ScaledSymbol, support: np.ndarray):
     """The groups (h, flat frequency indices) of the distinct hyper values on
-    the support, and the factor h -> m(key(x) * h) on the grid, when those
-    values are fewer than the buckets; None otherwise."""
+    the support, and the factors h -> m(key(x) * h) on the grid of a stack
+    of them, when those values are fewer than the buckets; None otherwise."""
     idx = np.flatnonzero(support)
     h_values, labels = np.unique(np.ravel(symbol.hyper)[idx], return_inverse=True)
     if h_values.size >= buckets.distinct_values.size:
         return None
     keys = buckets.distinct_values[buckets.labels]
     members = [idx[pos] for pos in _positions(labels, h_values.size)]
-    return zip(h_values, members), lambda h: symbol.m(keys * h)
+    return zip(h_values, members), lambda hs: symbol.m(keys * hs[:, None, None])
 
 
 def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
     """Variable-symbol synthesis: out[x] = N^2 ifft2(spec * symbol_of(k))[x]
     for each point x of the bucket with key k.
 
-    The V side runs one inverse FFT per bucket.  A :class:`ScaledSymbol`
-    with fewer distinct hyper values on the support of spec * weight than
-    there are buckets takes the frequency side instead: one inverse FFT of
-    spec * weight restricted to each such value h, times m(key(x) * h) at
-    every point.  Both orders give the same sum."""
+    The V side takes one inverse transform per bucket.  A
+    :class:`ScaledSymbol` with fewer distinct hyper values on the support of
+    spec * weight than there are buckets takes the frequency side instead:
+    one inverse transform of spec * weight restricted to each such value h,
+    times m(key(x) * h) at every point.  Both orders give the same sum.
+
+    Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call, with the
+    symbols of a stack's keys stacked, or one profile call for a stack of h;
+    each group is then picked or added in turn, in key or h order.  A stack
+    holds at most max(N^2, 2**13) entries."""
     buckets.check_grid(spec)
     if isinstance(symbol_of, ScaledSymbol):
         weighted = spec * symbol_of.weight
         side = _frequency_side(buckets, symbol_of, weighted != 0)
         if side:
             return _spread(_synthesis, weighted, *side)
-    return _pick(_synthesis, spec, zip(buckets.distinct_values, buckets.members), symbol_of)
+    return _pick(_synthesis, spec, zip(buckets.distinct_values, buckets.members), _by_key(symbol_of))
 
 
 def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
@@ -436,14 +475,15 @@ def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarra
     A :class:`ScaledSymbol` takes the frequency side under the rule of
     :func:`gather`, counting hyper values on the support of the weight:
     for each such value h, fft2(g * m(key * h)) on the frequencies of h,
-    times the weight."""
+    times the weight.  Groups are stacked as in :func:`gather`, with the
+    same bound of max(N^2, 2**13) entries per stack."""
     buckets.check_grid(g)
     if isinstance(symbol_of, ScaledSymbol):
         weight = np.broadcast_to(symbol_of.weight, g.shape)
         side = _frequency_side(buckets, symbol_of, weight != 0)
         if side:
             return _pick(np.fft.fft2, g, *side) * weight
-    return _spread(np.fft.fft2, g, zip(buckets.distinct_values, buckets.members), symbol_of)
+    return _spread(np.fft.fft2, g, zip(buckets.distinct_values, buckets.members), _by_key(symbol_of))
 
 
 def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:

@@ -39,9 +39,8 @@ def smoothstep(u):
     """Monotone C^5 ramp from 0 at u<=0 to 1 at u>=1."""
     u = np.asarray(u, dtype=np.float64)
     x = np.clip(u, 0.0, 1.0)
-    low = _smoothstep_lower(np.minimum(x, 0.5))
-    high = 1.0 - _smoothstep_lower(np.minimum(1.0 - x, 0.5))
-    return np.where(x <= 0.5, low, high)
+    near = _smoothstep_lower(np.minimum(x, 1.0 - x))  # x up to 1/2, 1 - x above (exact there)
+    return np.where(x <= 0.5, near, 1.0 - near)
 
 
 def smoothstep_d2(u):
@@ -86,28 +85,38 @@ def _is_dyadic_in_unit(eps: float) -> bool:
     return mantissa == 0.5
 
 
+def _flat_then_ramp(flat: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> 1 on |t| <= flat, else 1 - smoothstep((|t| - flat) / width).
+
+    The polynomial runs only on the transition band flat < |t| < stop and on
+    NaN, which it maps to NaN.  From stop = nextafter(flat + width, inf) up,
+    (|t| - flat) / width >= 1 under any rounding, so the value there is
+    exactly 0, as the closed form gives."""
+    stop = float(np.nextafter(flat + width, math.inf))
+
+    def evaluate(t):
+        a = np.abs(np.asarray(t, dtype=np.float64))
+        flat_part = a <= flat
+        out = np.asarray(flat_part, dtype=np.float64)
+        band = ~flat_part & ~(a >= stop)
+        out[band] = 1.0 - smoothstep((a[band] - flat) / width)
+        return out
+
+    return evaluate
+
+
 def make_bump_profile(eps: float) -> MultiplierProfile:
     """Even C^5 profile with 1 on [-eps, eps], 0 outside (-2 eps, 2 eps)."""
     if not _is_dyadic_in_unit(eps):
         raise ValueError(f"eps must be 2**-i for integer i >= 0, got {eps}")
-
-    def evaluate(t, _eps=eps):
-        a = np.abs(np.asarray(t, dtype=np.float64))
-        return np.where(a <= _eps, 1.0, 1.0 - smoothstep((a - _eps) / _eps))
-
-    return MultiplierProfile(kind="bump", support_radius=2.0 * eps, evaluate=evaluate, epsilon=eps)
+    return MultiplierProfile(kind="bump", support_radius=2.0 * eps, evaluate=_flat_then_ramp(eps, eps), epsilon=eps)
 
 
 def make_plateau_profile(flat_radius: float, support_radius: float) -> MultiplierProfile:
     """Even C^5 profile: 1 on [-flat_radius, flat_radius], 0 outside support."""
     if not (0.0 < flat_radius < support_radius):
         raise ValueError("need 0 < flat_radius < support_radius")
-    width = support_radius - flat_radius
-
-    def evaluate(t, _a=flat_radius, _w=width):
-        a = np.abs(np.asarray(t, dtype=np.float64))
-        return np.where(a <= _a, 1.0, 1.0 - smoothstep((a - _a) / _w))
-
+    evaluate = _flat_then_ramp(flat_radius, support_radius - flat_radius)
     return MultiplierProfile(kind="plateau", support_radius=support_radius, evaluate=evaluate, epsilon=flat_radius)
 
 

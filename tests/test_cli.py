@@ -222,10 +222,6 @@ _BAD_CONFIGS = {
 }
 
 
-# values that only the computation rejects, after the output directory exists
-_REJECTED_WHILE_RUNNING = {"grid_too_small", "zero_restarts"}
-
-
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
 def test_bad_config_exits_config_error(tmp_path, capsys, case):
     command, text = _BAD_CONFIGS[case]
@@ -233,8 +229,19 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
-    if case not in _REJECTED_WHILE_RUNNING:
-        assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_error_after_start_removes_only_the_directories_it_created(tmp_path):
+    # restarts = 0 is rejected by the estimator, after start() made --out
+    cfg = _write(tmp_path, "bad.ini", _BAD_CONFIGS["zero_restarts"][1])
+    rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "new" / "deeper")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "kept").mkdir()
+    rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "kept")])
+    assert rc == cli.EXIT_CONFIG
+    assert (tmp_path / "kept").is_dir()
 
 
 def test_section_not_used_by_command_rejected(tmp_path, capsys):

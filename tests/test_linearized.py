@@ -293,16 +293,61 @@ def test_bucketed_apply_and_adjoint_on_both_sides(beta, kind):
 
 def test_bucketed_apply_runs_one_inverse_fft_per_masked_h(monkeypatch):
     # lip_x at N = 32 has about 1000 distinct values; at beta = 1 the Pi_beta
-    # mask keeps |eta| <= 1, where h = |xi| |eta| takes the 17 values 0..16
+    # mask keeps |eta| <= 1, where h = |xi| |eta| takes the 17 values 0..16.
+    # The 17 transforms go in stacks of 2**13 // 32**2 = 8, and neither a
+    # transform nor a profile call sees more than max(N^2, _STACK) entries.
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("lip_x", _LIP_X, 0, 5)
     assert np.unique(V.values).size > 17
     f = g.random_field(5, 1)
-    calls = []
-    ifft2 = np.fft.ifft2
-    monkeypatch.setattr(np.fft, "ifft2", lambda *a, **k: calls.append(1) or ifft2(*a, **k))
+    stacks, profile_sizes = [], []
+    ifft2, profile = np.fft.ifft2, mu.MultiplierProfile.__call__
+
+    def counted_ifft2(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return ifft2(a, *args, **kwargs)
+
+    def sized_profile(self, t):
+        profile_sizes.append(np.size(t))
+        return profile(self, t)
+
+    monkeypatch.setattr(np.fft, "ifft2", counted_ifft2)
+    monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
     lin.apply_linearized_bucketed(f, V, m, 1.0)
-    assert 0 < len(calls) <= 17
+    assert all(shape[-2:] == (32, 32) for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == 17
+    assert len(stacks) <= -(-17 // (lin._STACK // 32**2)) == 3
+    bound = max(32**2, lin._STACK)
+    assert max(np.prod(shape) for shape in stacks) <= bound
+    assert 0 < max(profile_sizes) <= bound
+
+
+_STACK_INVARIANT_OUTPUTS = {
+    "apply": lambda f, V, fam, m, beta: ne.linearized_operator(V, m, beta).apply(f),
+    "adjoint": lambda f, V, fam, m, beta: ne.linearized_operator(V, m, beta).adjoint(f),
+    "lemma": lambda f, V, fam, m, beta: de.lemma_operator(f, V, m, beta),
+    "principal": lambda f, V, fam, m, beta: de.principal_term(f, V, fam, m),
+    "error": lambda f, V, fam, m, beta: de.error_term(f, V, fam, m),
+    "small_variation": lambda f, V, fam, m, beta: de.small_variation_error(f, V, fam, m),
+}
+
+
+@pytest.mark.parametrize("kind", ["lip_x", "dyadic_of_lipschitz"])
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0])
+def test_outputs_do_not_depend_on_the_stack_size(monkeypatch, beta, kind):
+    # one group per stack is the unstacked loop; 2**20 puts every group of an
+    # N = 16 grid in one stack.  Groups are summed in the same order either
+    # way, so the outputs agree byte for byte.
+    m = mu.make_bump_profile(0.5)
+    params = _LIP_X if kind == "lip_x" else {"lip_constant": 1.0, "v_min": 0.3}
+    V = lin.generate_linearizer(kind, params, 3, 4)
+    fam = de.make_lp_family(beta, 4)
+    f = g.random_field(4, 12)
+    outputs = []
+    for stack in (1, lin._STACK, 1 << 20):
+        monkeypatch.setattr(lin, "_STACK", stack)
+        outputs.append({name: run(f, V, fam, m, beta).samples.tobytes() for name, run in _STACK_INVARIANT_OUTPUTS.items()})
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_beta_zero_domination_by_first_variable_maximal():

@@ -128,3 +128,41 @@ def test_flat_radius():
     assert mu.flat_radius(mu.make_bump_profile(0.25)) == 0.25
     wide = mu.make_custom_profile(lambda t: np.where(np.abs(t) <= 3.0, 1.0, 0.0), 3.0)
     assert mu.flat_radius(wide) == 3.0
+
+
+def _closed_form(t, flat, width):
+    """The profile as a whole-array formula, with smoothstep's two evaluations
+    of the lower polynomial: the reference the band evaluation must match."""
+    a = np.abs(np.asarray(t, dtype=np.float64))
+    x = np.clip((a - flat) / width, 0.0, 1.0)
+    low = mu._smoothstep_lower(np.minimum(x, 0.5))
+    high = 1.0 - mu._smoothstep_lower(np.minimum(1.0 - x, 0.5))
+    return np.where(a <= flat, 1.0, 1.0 - np.where(x <= 0.5, low, high))
+
+
+@pytest.mark.parametrize(
+    "make, flat, width",
+    [
+        (lambda: mu.make_bump_profile(1.0), 1.0, 1.0),
+        (lambda: mu.make_bump_profile(0.5), 0.5, 0.5),
+        (lambda: mu.make_bump_profile(2.0**-6), 2.0**-6, 2.0**-6),
+        (lambda: mu.make_plateau_profile(0.3, 1.1), 0.3, 1.1 - 0.3),
+    ],
+)
+def test_profile_matches_closed_form_bit_for_bit(make, flat, width):
+    m = make()
+    knots = np.array([flat, flat + width, 0.5 * (2 * flat + width)])
+    edges = np.concatenate([knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf)])
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+    scan = np.concatenate([np.linspace(-3 * (flat + width), 3 * (flat + width), 40_001), edges, -edges, special])
+    scan = np.concatenate([scan, np.zeros(-scan.size % 8)])
+    for t in (scan, scan.reshape(8, -1).T, np.asarray(flat + 0.25 * width)):
+        out = m(t)
+        ref = _closed_form(t, flat, width)
+        assert out.shape == np.shape(t)
+        assert out.tobytes() == ref.tobytes()
+    assert np.isnan(m(np.nan)) and np.isnan(m(np.array([np.nan]))).all()
+    for scalar in (flat + 0.5 * width, 0.0, float(np.nextafter(flat, np.inf))):
+        out = m(scalar)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out.tobytes() == _closed_form(scalar, flat, width).tobytes()

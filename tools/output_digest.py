@@ -1,0 +1,131 @@
+"""Print one sha256 per hypercross output over a fixed grid of inputs.
+
+A change that claims to leave results unchanged is checked by running this
+script in the parent tree and in the changed tree and diffing the two
+outputs; any differing line names the output that moved.
+
+    python3 tools/output_digest.py > after.txt
+    git archive <parent> | tar -x -C ../parent     # add this script if it lacks it
+    python3 ../parent/tools/output_digest.py > before.txt
+    diff before.txt after.txt
+
+The package is imported from ``src/`` of the tree the script sits in.  The
+grid: N = 8, 16, 32; lip_x, lip_2d, staircase_x and dyadic_of_lipschitz
+fields; bump eps 1/2 and 1; beta 1, 0, -1 and 0.5.  Each point digests the
+operator apply and adjoint, the lemma operator, the principal, error and
+small-variation terms.  A plateau apply per field and beta,
+``domination_constant`` (as ``float.hex``) per field and eps, and the CLI
+artifacts of one small config per subcommand are digested too.  A run
+takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from hypercross import cli  # noqa: E402
+from hypercross import decomposition as de  # noqa: E402
+from hypercross import grid as gr  # noqa: E402
+from hypercross import linearized as lin  # noqa: E402
+from hypercross import multiplier as mu  # noqa: E402
+
+N_LOG2S = (3, 4, 5)
+FIELDS = {
+    "lip_x": {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0},
+    "lip_2d": {"lip_constant": 0.5},
+    "staircase_x": {"lip_constant": 1.0, "v_min": 0.125, "levels": 8},
+    "dyadic_of_lipschitz": {"lip_constant": 1.0, "v_min": 0.3},
+}
+EPSILONS = (0.5, 1.0)
+BETAS = (1.0, 0.0, -1.0, 0.5)
+
+CLI_CONFIGS = {
+    "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
+    "[linearizer]\nkind = lip_x\nlip_constant = 1.0\nv_min = 0.1\namplitude = 0.5\n\n"
+    "[apply]\nbeta = 1.0\ncompare_oracle = true\n",
+    "decompose": "[run]\ngrid_n_log2 = 5\nseed = 2\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
+    "[linearizer]\nkind = lip_y\nlip_constant = 1.0\nv_min = 0.03125\namplitude = 0.3\n\n[decompose]\nbeta = 1.0\n",
+    "normest": "[run]\ngrid_n_log2 = 3\nseed = 4\n\n[profile]\nkind = bump\nepsilon = 1.0\n\n"
+    "[linearizer]\nkind = lip_x\nlip_constant = 1.0\nv_min = 0.5\n\n[normest]\np = 3.0\nrestarts = 2\n",
+    "sweep": "[run]\ngrid_n_log2 = 4\nseed = 5\n\n[linearizer]\nkind = staircase_x\n"
+    "lip_constant = 1.0\nv_min = 0.125\nlevels = 8\n\n[sweep]\np = 2.0\nbeta = 1.0\neps_list = 1.0, 0.5, 0.25\n",
+    "verify": "[run]\ngrid_n_log2 = 4\nseed = 3\n\n[profile]\nkind = plateau\nflat_radius = 0.75\n"
+    "support_radius = 1.5\n\n[linearizer]\nkind = lip_2d\nlip_constant = 0.5\n",
+    "dyadic": "[run]\ngrid_n_log2 = 5\nseed = 1\n\n[dyadic]\nvariant = thm_4_2\nlip_constant = 0.125\n"
+    "depth = 5\ncount = 2\nbeta = 1.0\n",
+}
+
+
+def _digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    elif isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def library_digests():
+    """(name, sha256) for every library output on the grid."""
+    plateau = mu.make_plateau_profile(0.75, 1.5)
+    for n_log2 in N_LOG2S:
+        n = 1 << n_log2
+        f = gr.random_field(n_log2, 50 + n_log2)
+        rng = np.random.default_rng(n_log2)
+        g = gr.SampledField(n_log2, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for kind, params in FIELDS.items():
+            V = lin.generate_linearizer(kind, params, 11, n_log2)
+            for beta in BETAS:
+                family = de.make_lp_family(beta, n_log2)
+                yield f"N={n} {kind} plateau beta={beta} apply", _digest(lin.apply_linearized_bucketed(f, V, plateau, beta).samples)
+                for eps in EPSILONS:
+                    m = mu.make_bump_profile(eps)
+                    op = lin.linearized_operator(V, m, beta)
+                    outputs = {
+                        "apply": op.apply(f),
+                        "adjoint": op.adjoint(g),
+                        "lemma": de.lemma_operator(f, V, m, beta),
+                        "principal": de.principal_term(f, V, family, m),
+                        "error": de.error_term(f, V, family, m),
+                        "small_variation": de.small_variation_error(f, V, family, m),
+                    }
+                    for name, out in outputs.items():
+                        yield f"N={n} {kind} eps={eps} beta={beta} {name}", _digest(out.samples)
+            for eps in EPSILONS:
+                constant = lin.domination_constant(mu.make_bump_profile(eps), V)
+                yield f"N={n} {kind} eps={eps} domination_constant", _digest(constant.hex())
+
+
+def cli_digests():
+    """(name, sha256) for the exit status, standard output and every artifact
+    of one run of each subcommand."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, text in CLI_CONFIGS.items():
+            cfg = Path(tmp) / f"{command}.ini"
+            cfg.write_text(text)
+            out = Path(tmp) / command
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+            yield f"cli {command} exit+stdout", _digest(f"{rc}\n{printed.getvalue()}")
+            for path in sorted(out.iterdir()):
+                yield f"cli {command} {path.name}", _digest(path.read_bytes())
+
+
+def main() -> int:
+    for name, digest in (*library_digests(), *cli_digests()):
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
