@@ -20,8 +20,9 @@ exact compact space support (the property the ratio check needs) and phi2
 absorbs the per-frequency correction; this is reported in the family record.
 
 The variable-scale terms (lemma, principal, error, small variation) are
-calls of the bucketed kernel :func:`hypercross.linearized.gather` with their
-own key array (V, its dyadic rounding or its dyadic floor) and symbol per key.
+calls of the bucketed kernel :func:`hypercross.linearized.gather` over a
+BucketDecomposition of their own key array (V, its dyadic rounding or its
+dyadic floor), with a symbol per key.
 The lemma and error symbols are :class:`hypercross.linearized.ScaledSymbol`
 values, which the kernel may group by frequency instead of by V; the error
 part runs one gather per dyadic rounding of V, weighted by that rounding's
@@ -29,7 +30,7 @@ ladder pairs above the principal cutoff.
 Every ladder-pair sum (the principal cutoff, the frozen large-variation
 windows) is one :func:`_pair_sum` over a selection of t * s**beta.  The
 small-variation piece takes d/dtau on the symbol, which commutes with the
-inverse FFT: one gather per tau node over the dyadic level sets of V.
+inverse FFT: one gather per tau node, keyed by the dyadic floor of V.
 """
 
 from __future__ import annotations
@@ -44,15 +45,16 @@ from .linearized import (
     BucketDecomposition,
     LinearizerField,
     ScaledSymbol,
+    dyadic_floor,
     dyadic_round_up,
     gather,
-    level_sets,
 )
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
     flat_radius,
     hyperbolic_argument,
+    make_bump_profile,
     smoothstep,
     smoothstep_d2,
 )
@@ -97,25 +99,19 @@ def _octave_product(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plateau_bump(u: np.ndarray) -> np.ndarray:
-    """Even C^5 bump: 1 on |u| <= 1/2, 0 at |u| >= 1."""
-    a = np.abs(np.asarray(u, dtype=np.float64))
-    return np.where(a <= 0.5, 1.0, 1.0 - smoothstep(2.0 * a - 1.0))
-
-
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _COS_NODES = 0.5 + 0.25 * (_GAUSS_NODES + 1.0)  # [1/2, 1], where the bump varies
 _FLAT_NODES = 0.25 * (_GAUSS_NODES + 1.0)  # [0, 1/2], where the bump is 1
+_COS_WEIGHTS = _GAUSS_WEIGHTS * make_bump_profile(0.5)(_COS_NODES)
 
 
 def _bump_cosine_transform(theta):
-    """2 * integral_0^1 B(u) cos(2 pi theta u) du for the plateau bump B."""
+    """2 * integral_0^1 B(u) cos(2 pi theta u) du for the C^5 bump
+    B = make_bump_profile(1/2): 1 on |u| <= 1/2, 0 at |u| >= 1."""
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     args = 2.0 * np.pi * theta[:, None]
     flat = np.sum(_GAUSS_WEIGHTS * np.cos(args * _FLAT_NODES), axis=1) * 0.25
-    curved = np.sum(
-        _GAUSS_WEIGHTS * _plateau_bump(_COS_NODES) * np.cos(args * _COS_NODES), axis=1
-    ) * 0.25
+    curved = np.sum(_COS_WEIGHTS * np.cos(args * _COS_NODES), axis=1) * 0.25
     return 2.0 * (flat + curved)
 
 
@@ -332,10 +328,10 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
     if f.n_log2 != family.n_log2:
         raise LadderError("field and family grids differ")
     flat = flat_radius(m)
-    buckets = BucketDecomposition.of(dyadic_round_up(V.values))
-    if not np.isfinite(buckets.distinct_values).all():
+    rounded = dyadic_round_up(V.values)
+    if not np.isfinite(rounded).all():
         raise ValueError("non-finite rounded scales")
-    out = gather(forward_transform(f).coeffs, buckets, lambda vt: _below_symbol(family, flat / vt))
+    out = gather(forward_transform(f).coeffs, BucketDecomposition(rounded), lambda vt: _below_symbol(family, flat / vt))
     return SampledField(f.n_log2, out)
 
 
@@ -355,8 +351,8 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
         # one gather per rounded scale c, its symbol weighted by the ladder
         # pairs above c's cutoff; points of other classes go to a zero bucket
         in_class = vt == c
-        keys = BucketDecomposition.of(np.where(in_class, V.values, 0.0))
-        piece = gather(spec, keys, ScaledSymbol(m, hyper, full - _below_symbol(family, flat / c)))
+        buckets = BucketDecomposition(np.where(in_class, V.values, 0.0))
+        piece = gather(spec, buckets, ScaledSymbol(m, hyper, full - _below_symbol(family, flat / c)))
         out[in_class] = piece[in_class]
     return SampledField(f.n_log2, out)
 
@@ -366,7 +362,7 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise."""
     _check_positive(V)
     symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, 1.0)
-    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, level_sets(V, "exact"), symbol))
+    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, BucketDecomposition(V.values), symbol))
 
 
 def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> SymbolGrid:
@@ -394,23 +390,24 @@ def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily,
     up to V(x,y): the trapezoid rule on the 9 nodes tau = 2**(i/8) * base,
     i = 0..8, interpolated linearly at V.
 
-    Node r * base is one gather over the dyadic level sets of V with the
+    Node r * base is one gather keyed by the dyadic floor of V with the
     symbol above(base) * d/dtau m(tau |xi|**beta |eta|) (d/dtau commutes with
     the inverse FFT).  Exactly zero wherever V equals its dyadic base, hence
     identically zero for fields taking values in {2**j}.
     """
     _check_positive(V)
-    buckets = level_sets(V, "dyadic")
+    base = dyadic_floor(V.values)
+    buckets = BucketDecomposition(base)
     flat = flat_radius(m)
     hyper = _hyper_args(family)
     full = _full_symbol(family)
     # the rounded scale, hence the ladder pairs above it, is constant across an octave
-    above = {b: full - _below_symbol(family, flat / dyadic_round_up(b)) for b in buckets.distinct_values}
+    above = {b: full - _below_symbol(family, flat / dyadic_round_up(b)) for b in np.unique(base)}
     spec = forward_transform(f).coeffs
     integrand = np.abs(
         [gather(spec, buckets, lambda b: above[b] * _tau_derivative(m, hyper, b * r)) for r in _SMALL_VARIATION_RATIOS]
     )
-    taus = _SMALL_VARIATION_RATIOS[:, None, None] * buckets.distinct_values[buckets.labels]
+    taus = _SMALL_VARIATION_RATIOS[:, None, None] * base
     trapezoids = 0.5 * np.diff(taus, axis=0) * (integrand[:-1] + integrand[1:])
     cum = np.concatenate([np.zeros((1,) + taus.shape[1:]), np.cumsum(trapezoids, axis=0)])
     v = V.values

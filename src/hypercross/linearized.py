@@ -5,10 +5,10 @@ together with the regularity class it was generated for.  The linearized
 operator gathers, at each output point, the fixed-multiplier result for the
 local scale V(x, y).  Every variable-scale operator in the package is one
 call of the kernel pair :func:`gather` / :func:`scatter` over a
-BucketDecomposition (distinct keys of V, or of a rounding of V, plus one
-integer label per point); it reproduces the O(N^4) brute-force oracle
-exactly up to floating-point reassociation.  The operator handle with its
-exact adjoint, :func:`linearized_operator`, lives here too.
+BucketDecomposition of a key array (V, or a rounding of V); it reproduces
+the O(N^4) brute-force oracle exactly up to floating-point reassociation.
+The operator handle with its exact adjoint, :func:`linearized_operator`,
+lives here too.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
 orders.  On the V side it takes one transform per bucket, each evaluated at
@@ -20,13 +20,17 @@ side when it has fewer groups than the V side.  A continuous V has a
 distinct value at nearly every point, while h takes 17 values on the
 Pi_beta support at N = 32 and beta = 1.
 
-Either side takes its groups in stacks of max(1, 2**13 // N^2): one FFT call
-over the last two axes and one factor call (one profile call on the
-frequency side) per stack, because at the grid sizes of the battery a call
-costs more than its arithmetic.  Each group is still picked or added on its
-own, in group order, so the result does not depend on the stack size.  A
-stack holds at most max(N^2, 2**13) entries, so memory stays O(N^2): no
-(buckets, N, N) array is formed.
+Both sides group flat positions in one private format, :class:`_Groups`,
+from one np.unique and one stable argsort; the frequency side counts the
+distinct h before it sorts, so a call that falls back to the V side sorts
+nothing.  Either side takes its groups in stacks of max(1, 2**13 // N^2),
+each a contiguous slice of the grouping: one FFT call over the last two axes
+and one factor call (one profile call on the frequency side) per stack,
+because at the grid sizes of the battery a call costs more than its
+arithmetic.  Each group is still picked or added on its own, in group order,
+so the result does not depend on the stack size.  A stack holds at most
+max(N^2, 2**13) entries, so memory stays O(N^2): no (buckets, N, N) array is
+formed.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -320,52 +325,42 @@ def dyadic_floor(values) -> np.ndarray:
     return np.where(arr > 0, np.ldexp(1.0, exp - 1), 0.0)
 
 
-def _positions(labels: np.ndarray, count: int) -> list:
-    """For each label 0..count-1, its positions in the flat label array, in
-    increasing order."""
+class _Groups(NamedTuple):
+    """Flat positions on a grid of S points grouped by equal value: the
+    distinct values (sorted), the positions in group order (increasing
+    within a group), and the flat index group * S + position of each of
+    them in a stack of whole grids (increasing)."""
+
+    values: np.ndarray
+    positions: np.ndarray
+    flat: np.ndarray
+
+
+def _grouped(values: np.ndarray, labels: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
+    """positions on a grid of size points grouped by values[labels], labels
+    as np.unique returns them."""
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    positions = positions[order]
+    return _Groups(values, positions, labels[order] * size + positions)
 
 
 @dataclass(frozen=True)
 class BucketDecomposition:
-    """Partition of the grid into buckets of equal key: point x lies in bucket
-    labels[x] with key distinct_values[labels[x]] (sorted; 0.0 marks the zero
-    bucket), and members[b] holds bucket b's flat indices in increasing order."""
+    """The grid grouped by equal key: the (N, N) key array and its groups,
+    built once (a key 0.0 is the first group)."""
 
-    distinct_values: np.ndarray
-    labels: np.ndarray  # (N, N) integer bucket index per grid point
-    members: tuple = field(init=False, repr=False, compare=False)
+    keys: np.ndarray
+    groups: _Groups = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        keys = _frozen_array(self.distinct_values, np.float64)
-        labels = _frozen_array(self.labels, np.intp)
-        flat = labels.ravel()
-        if flat.size and (flat.min() < 0 or flat.max() >= keys.size):
-            raise ValueError(f"labels must index the {keys.size} distinct values")
-        object.__setattr__(self, "distinct_values", keys)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "members", tuple(_positions(flat, keys.size)))
-
-    @classmethod
-    def of(cls, keys) -> "BucketDecomposition":
-        """One bucket per distinct value of the key array."""
-        distinct, labels = np.unique(keys, return_inverse=True)
-        return cls(distinct, labels.reshape(np.shape(keys)))
-
-    def check_grid(self, arr: np.ndarray) -> None:
-        """Raise GridMismatchError unless arr lives on this partition's grid."""
-        if np.shape(arr) != self.labels.shape:
-            raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {self.labels.shape}")
+        distinct, labels = np.unique(self.keys, return_inverse=True)
+        object.__setattr__(self, "groups", _grouped(distinct, labels.ravel(), np.arange(labels.size), labels.size))
 
 
-def level_sets(V: LinearizerField, mode: str = "dyadic") -> BucketDecomposition:
-    """Bucket the grid by V: dyadic level sets 2**j <= V < 2**(j+1) (keyed
-    by 2**j), or one bucket per distinct value ('exact').  Points with V = 0
-    go to a reserved zero bucket in both modes."""
-    if mode not in ("exact", "dyadic"):
-        raise ValueError(f"mode must be 'exact' or 'dyadic', got {mode!r}")
-    return BucketDecomposition.of(V.values if mode == "exact" else dyadic_floor(V.values))
+def _check_grid(buckets: BucketDecomposition, arr: np.ndarray) -> None:
+    """Raise GridMismatchError unless arr lives on the grid of buckets."""
+    if np.shape(arr) != np.shape(buckets.keys):
+        raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {np.shape(buckets.keys)}")
 
 
 @dataclass(frozen=True)
@@ -387,37 +382,37 @@ class ScaledSymbol:
 _STACK = 1 << 13
 
 
-def _stacks(groups, size: int):
-    """Consecutive runs of at most max(1, _STACK // size) of the (key, idx)
-    groups, each as (array of keys, list of index arrays)."""
-    groups = list(groups)
+def _stacks(groups: _Groups, size: int):
+    """Consecutive runs of at most max(1, _STACK // size) groups, each as
+    (its values, its slice of the grouping, the flat index of its start)."""
     step = max(1, _STACK // size)
-    for start in range(0, len(groups), step):
-        run = groups[start : start + step]
-        yield np.array([key for key, _ in run]), [idx for _, idx in run]
+    lo = 0
+    for first in range(0, groups.values.size, step):
+        hi = int(groups.flat.searchsorted((first + step) * size))
+        yield groups.values[first : first + step], slice(lo, hi), first * size
+        lo = hi
 
 
-def _pick(transform, arr: np.ndarray, groups, factors) -> np.ndarray:
-    """out[idx] = transform(arr * factor)[idx] for each (key, idx), where
-    factors(keys) stacks the factors of a stack of keys."""
+def _pick(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
+    """out[x] = transform(arr * factor(v))[x] for each position x of the
+    group of value v, where factors(values) stacks the factors of a stack of
+    values."""
     out = np.zeros(arr.size, dtype=np.complex128)
-    for keys, members in _stacks(groups, arr.size):
-        picked = transform(arr * factors(keys)).reshape(keys.size, -1)
-        for row, idx in zip(picked, members):
-            out[idx] = row[idx]
+    for values, part, start in _stacks(groups, arr.size):
+        picked = transform(arr * factors(values)).reshape(-1)
+        out[groups.positions[part]] = picked[groups.flat[part] - start]
     return out.reshape(arr.shape)
 
 
-def _spread(transform, arr: np.ndarray, groups, factors) -> np.ndarray:
-    """Sum over (key, idx) of transform(arr restricted to idx) * factor, with
-    factors as in :func:`_pick`; the terms are added in the order of groups."""
+def _spread(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
+    """Sum over the groups of transform(arr restricted to the group) * factor,
+    with factors as in :func:`_pick`; the terms are added in group order."""
     flat = np.asarray(arr, dtype=np.complex128).ravel()
     out = np.zeros(np.shape(arr), dtype=np.complex128)
-    for keys, members in _stacks(groups, flat.size):
-        restricted = np.zeros((keys.size, flat.size), dtype=np.complex128)
-        for row, idx in zip(restricted, members):
-            row[idx] = flat[idx]
-        for term in transform(restricted.reshape((keys.size,) + out.shape)) * factors(keys):
+    for values, part, start in _stacks(groups, flat.size):
+        restricted = np.zeros(values.size * flat.size, dtype=np.complex128)
+        restricted[groups.flat[part] - start] = flat[groups.positions[part]]
+        for term in transform(restricted.reshape((values.size,) + out.shape)) * factors(values):
             out += term
     return out
 
@@ -433,16 +428,14 @@ def _by_key(symbol_of):
 
 
 def _frequency_side(buckets: BucketDecomposition, symbol: ScaledSymbol, support: np.ndarray):
-    """The groups (h, flat frequency indices) of the distinct hyper values on
-    the support, and the factors h -> m(key(x) * h) on the grid of a stack
-    of them, when those values are fewer than the buckets; None otherwise."""
+    """The flat frequency indices on the support grouped by their hyper
+    value h, and the factors h -> m(key(x) * h) on the grid of a stack of
+    them, when those values are fewer than the buckets; None otherwise."""
     idx = np.flatnonzero(support)
     h_values, labels = np.unique(np.ravel(symbol.hyper)[idx], return_inverse=True)
-    if h_values.size >= buckets.distinct_values.size:
+    if h_values.size >= buckets.groups.values.size:
         return None
-    keys = buckets.distinct_values[buckets.labels]
-    members = [idx[pos] for pos in _positions(labels, h_values.size)]
-    return zip(h_values, members), lambda hs: symbol.m(keys * hs[:, None, None])
+    return _grouped(h_values, labels, idx, support.size), lambda hs: symbol.m(buckets.keys * hs[:, None, None])
 
 
 def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
@@ -459,13 +452,13 @@ def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndar
     symbols of a stack's keys stacked, or one profile call for a stack of h;
     each group is then picked or added in turn, in key or h order.  A stack
     holds at most max(N^2, 2**13) entries."""
-    buckets.check_grid(spec)
+    _check_grid(buckets, spec)
     if isinstance(symbol_of, ScaledSymbol):
         weighted = spec * symbol_of.weight
         side = _frequency_side(buckets, symbol_of, weighted != 0)
-        if side:
+        if side is not None:
             return _spread(_synthesis, weighted, *side)
-    return _pick(_synthesis, spec, zip(buckets.distinct_values, buckets.members), _by_key(symbol_of))
+    return _pick(_synthesis, spec, buckets.groups, _by_key(symbol_of))
 
 
 def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
@@ -477,13 +470,13 @@ def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarra
     for each such value h, fft2(g * m(key * h)) on the frequencies of h,
     times the weight.  Groups are stacked as in :func:`gather`, with the
     same bound of max(N^2, 2**13) entries per stack."""
-    buckets.check_grid(g)
+    _check_grid(buckets, g)
     if isinstance(symbol_of, ScaledSymbol):
         weight = np.broadcast_to(symbol_of.weight, g.shape)
         side = _frequency_side(buckets, symbol_of, weight != 0)
-        if side:
+        if side is not None:
             return _pick(np.fft.fft2, g, *side) * weight
-    return _spread(np.fft.fft2, g, zip(buckets.distinct_values, buckets.members), _by_key(symbol_of))
+    return _spread(np.fft.fft2, g, buckets.groups, _by_key(symbol_of))
 
 
 def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
@@ -520,11 +513,11 @@ class LinearOperatorHandle:
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
-    """The variable-scale operator as a gather of the spectrum over the level
-    sets of V, bucketed once per handle, with the symbol m(V h) weighted by
-    the Pi_beta mask; the adjoint is the matching scatter.  Key 0 gives the
-    m(0) symbol."""
-    buckets = level_sets(V, "exact")
+    """The variable-scale operator as a gather of the spectrum over the
+    BucketDecomposition of V, built once per handle, with the symbol m(V h)
+    weighted by the Pi_beta mask; the adjoint is the matching scatter.  Key 0
+    gives the m(0) symbol."""
+    buckets = BucketDecomposition(V.values)
     symbol = ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values)
 
     def apply(f: SampledField) -> SampledField:

@@ -66,7 +66,10 @@ class MultiplierProfile:
     """Compactly supported even profile with vectorized evaluation.
 
     ``evaluate`` accepts scalars or numpy arrays; values vanish for
-    ``|t| > support_radius``.  ``epsilon`` is set for bump profiles.
+    ``|t| > support_radius``.  ``epsilon`` is the flat radius where the
+    constructor knows it: eps for bump profiles and flat_radius for plateau
+    profiles.  :func:`flat_radius` returns it, and ``hypercross normest``
+    writes it to the epsilon column.
     """
 
     kind: str

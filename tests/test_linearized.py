@@ -126,33 +126,36 @@ def test_dyadic_round_up_rejects_nonpositive():
             lin.dyadic_round_up(lam)
 
 
-def test_level_sets_constant():
-    V = lin.generate_linearizer("constant", {"value": 5.0}, 0, 4)
-    buckets = lin.level_sets(V, "dyadic")
-    assert list(buckets.distinct_values) == [4.0]  # 4 <= 5 < 8
-    assert np.all(buckets.labels == 0)
+def test_bucket_groups_of_a_constant_key():
+    groups = lin.BucketDecomposition(np.full((16, 16), 5.0)).groups
+    assert list(groups.values) == [5.0]
+    assert np.array_equal(groups.positions, np.arange(16 * 16))
+    assert np.array_equal(groups.flat, groups.positions)
 
 
-def test_level_sets_partition_and_exact_counts():
-    vals = np.full((16, 16), 2.0)
-    vals[3:7, 2:9] = 8.0
-    V = lin.LinearizerField(4, vals, lin.Regularity("none"))
-    buckets = lin.level_sets(V, "exact")
-    assert list(buckets.distinct_values) == [2.0, 8.0]
-    assert np.sum(buckets.labels == 0) == 16 * 16 - 4 * 7
-    assert np.sum(buckets.labels == 1) == 4 * 7
-    assert np.array_equal(buckets.distinct_values[buckets.labels], vals)
-    members = np.sort(np.concatenate(buckets.members))
-    assert np.array_equal(members, np.arange(16 * 16))
+def test_bucket_groups_partition_the_grid():
+    # sorted keys; every point in exactly one group, with its own key; the
+    # groups in key order and the positions increasing within a group, so
+    # the flat index group * N^2 + position increases
+    vals = np.full((16, 16), 8.0)
+    vals[3:7, 2:9] = 2.0
+    vals[10:12, :] = 0.5
+    groups = lin.BucketDecomposition(vals).groups
+    labels, positions = np.divmod(groups.flat, 16 * 16)
+    assert list(groups.values) == [0.5, 2.0, 8.0]
+    assert list(np.bincount(labels)) == [2 * 16, 4 * 7, 16 * 16 - 2 * 16 - 4 * 7]
+    assert np.array_equal(positions, groups.positions)
+    assert np.array_equal(np.sort(groups.positions), np.arange(16 * 16))
+    assert np.array_equal(groups.values[labels], vals.ravel()[groups.positions])
+    assert np.all(np.diff(groups.flat) > 0)
 
 
-def test_level_sets_zero_bucket():
+def test_bucket_groups_put_key_zero_in_its_own_first_group():
     vals = np.full((16, 16), 1.0)
-    vals[0, 0] = 0.0
-    V = lin.LinearizerField(4, vals, lin.Regularity("none"))
-    buckets = lin.level_sets(V, "dyadic")
-    assert buckets.distinct_values[0] == 0.0
-    assert np.sum(buckets.labels == 0) == 1
+    vals[0, 5] = 0.0
+    groups = lin.BucketDecomposition(vals).groups
+    assert list(groups.values) == [0.0, 1.0]
+    assert list(groups.positions[groups.flat < 16 * 16]) == [5]
 
 
 def test_constant_v_collapses_to_fixed_multiplier():
@@ -239,10 +242,10 @@ def test_gather_and_scatter_groupings_agree(beta):
     # callable the V side; the weight is the Pi_beta mask times a random factor
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("lip_x", _LIP_X, 2, 5)
-    buckets = lin.level_sets(V, "exact")
+    buckets = lin.BucketDecomposition(V.values)
     hyper = mu.hyperbolic_argument(5, beta)
     weight = mu.pi_beta_mask(beta, 5).values * np.random.default_rng(5).uniform(0.5, 1.5, (32, 32))
-    assert np.unique(hyper[weight != 0]).size < buckets.distinct_values.size
+    assert np.unique(hyper[weight != 0]).size < np.unique(V.values).size
     scaled = lin.ScaledSymbol(m, hyper, weight)
     plain = lambda key: weight * m(key * hyper)
     spec = g.forward_transform(g.random_field(5, 3)).coeffs
@@ -253,9 +256,9 @@ def test_gather_and_scatter_groupings_agree(beta):
         assert np.linalg.norm(by_h - by_v) <= 1e-12 * np.linalg.norm(by_v)
 
 
-def _three_valued(n_log2):
+def _three_valued(n_log2, low=0.1):
     n = 1 << n_log2
-    return np.repeat([0.1, 0.4, 0.9], [n // 4, n // 2, n - 3 * n // 4])[:, None] * np.ones((1, n))
+    return np.repeat([low, 0.4, 0.9], [n // 4, n // 2, n - 3 * n // 4])[:, None] * np.ones((1, n))
 
 
 def _zero_block(n_log2):
@@ -269,14 +272,16 @@ _V_KINDS = {
     "three_valued": _three_valued,
     "continuous": lambda n_log2: lin.generate_linearizer("lip_x", _LIP_X, 1, n_log2).values,
     "zero_block": _zero_block,
+    "zero_band": lambda n_log2: _three_valued(n_log2, low=0.0),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_V_KINDS))
 @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0])
 def test_bucketed_apply_and_adjoint_on_both_sides(beta, kind):
-    # constant and 3-valued V take the V side, continuous V (with or without a
-    # zero block) the frequency side
+    # constant and 3-valued V (with or without a zero band) take the V side,
+    # continuous V (with or without a zero block) the frequency side; a zero
+    # band or block is the group of key 0, whose symbol is m(0)
     m = mu.make_bump_profile(0.5)
     V = lin.LinearizerField(4, _V_KINDS[kind](4), lin.Regularity("none"))
     op = lin.linearized_operator(V, m, beta)

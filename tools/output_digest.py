@@ -13,7 +13,9 @@ The package is imported from ``src/`` of the tree the script sits in.  The
 grid: N = 8, 16, 32; lip_x, lip_2d, staircase_x and dyadic_of_lipschitz
 fields; bump eps 1/2 and 1; beta 1, 0, -1 and 0.5.  Each point digests the
 operator apply and adjoint, the lemma operator, the principal, error and
-small-variation terms.  A plateau apply per field and beta,
+small-variation terms.  A three-valued V with a zero band (the group of key
+0) digests the apply and adjoint only, since the decomposition terms need
+V > 0.  A plateau apply per field and beta,
 ``domination_constant`` (as ``float.hex``) per field and eps, and the CLI
 artifacts of one small config per subcommand are digested too.  A run
 takes a few seconds.
@@ -47,6 +49,7 @@ FIELDS = {
     "dyadic_of_lipschitz": {"lip_constant": 1.0, "v_min": 0.3},
 }
 EPSILONS = (0.5, 1.0)
+ZERO_BAND_LEVELS = (0.0, 0.4, 0.9)  # rows in quarters: 1/4, 1/2, 1/4
 BETAS = (1.0, 0.0, -1.0, 0.5)
 
 CLI_CONFIGS = {
@@ -103,6 +106,13 @@ def library_digests():
             for eps in EPSILONS:
                 constant = lin.domination_constant(mu.make_bump_profile(eps), V)
                 yield f"N={n} {kind} eps={eps} domination_constant", _digest(constant.hex())
+        rows = np.repeat(ZERO_BAND_LEVELS, [n // 4, n // 2, n - 3 * n // 4])
+        V = lin.LinearizerField(n_log2, rows[:, None] * np.ones((1, n)))
+        for beta in BETAS:
+            for eps in EPSILONS:
+                op = lin.linearized_operator(V, mu.make_bump_profile(eps), beta)
+                yield f"N={n} zero_band eps={eps} beta={beta} apply", _digest(op.apply(f).samples)
+                yield f"N={n} zero_band eps={eps} beta={beta} adjoint", _digest(op.adjoint(g).samples)
 
 
 def cli_digests():
