@@ -330,6 +330,8 @@ def cmd_sweep(ctx: RunContext) -> None:
     eps_list = ctx.take("sweep", "eps_list", [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
     v_spec = ctx.take_all("linearizer")
     v_spec.setdefault("kind", "staircase_x")
+    if not eps_list:
+        raise ConfigError("sweep.eps_list is empty")
     ctx.start()
     result = ne.epsilon_sweep(p, beta, v_spec, eps_list, ctx.n_log2, ctx.seed)
     ne.write_sweep_csv(ctx.out / "sweep.csv", result)

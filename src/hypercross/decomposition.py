@@ -317,6 +317,12 @@ def _check_positive(V: LinearizerField) -> None:
         raise ValueError("decomposition requires V > 0 on the grid")
 
 
+def _check_terms(f: SampledField, V: LinearizerField, family: LPFamily) -> None:
+    _check_positive(V)
+    if f.n_log2 != family.n_log2:
+        raise LadderError("field and family grids differ")
+
+
 def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
     """Scale-truncated part: ladder pairs with t < flat(m) / (vtilde s**beta),
     summed without the profile weight (the weight is identically 1 there).
@@ -324,9 +330,7 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
     vtilde is the pointwise dyadic rounding of V; on those pairs the profile
     argument stays strictly inside the flat region of m.
     """
-    _check_positive(V)
-    if f.n_log2 != family.n_log2:
-        raise LadderError("field and family grids differ")
+    _check_terms(f, V, family)
     flat = flat_radius(m)
     rounded = dyadic_round_up(V.values)
     if not np.isfinite(rounded).all():
@@ -338,9 +342,7 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
 def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
     """Profile-weighted complement of :func:`principal_term`: for each point,
     the remaining ladder pairs filtered through m(V(x,y) |xi|**beta |eta|)."""
-    _check_positive(V)
-    if f.n_log2 != family.n_log2:
-        raise LadderError("field and family grids differ")
+    _check_terms(f, V, family)
     flat = flat_radius(m)
     full = _full_symbol(family)
     hyper = _hyper_args(family)
@@ -395,7 +397,7 @@ def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily,
     the inverse FFT).  Exactly zero wherever V equals its dyadic base, hence
     identically zero for fields taking values in {2**j}.
     """
-    _check_positive(V)
+    _check_terms(f, V, family)
     base = dyadic_floor(V.values)
     buckets = BucketDecomposition(base)
     flat = flat_radius(m)

@@ -14,23 +14,21 @@ The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
 orders.  On the V side it takes one transform per bucket, each evaluated at
 the bucket's points.  A :class:`ScaledSymbol` weight * m(V h), with h the
 argument grid (|xi| |eta|**beta), may instead be summed on the frequency
-side: one transform per distinct value of h on the support of the spectrum,
-each multiplied by m(V(x) h) at every point.  The kernel takes the frequency
-side when it has fewer groups than the V side.  A continuous V has a
-distinct value at nearly every point, while h takes 17 values on the
-Pi_beta support at N = 32 and beta = 1.
+side: one transform per distinct value of h where the weight is nonzero,
+each multiplied by m(V(x) h) at every point.  The kernel takes the
+frequency side when the symbol has fewer h groups than the partition has
+key groups.  A continuous V has a distinct value at nearly every point,
+while h takes 17 values on the Pi_beta support at N = 32 and beta = 1.
 
 Both sides group flat positions in one private format, :class:`_Groups`,
-from one np.unique and one stable argsort; the frequency side counts the
-distinct h before it sorts, so a call that falls back to the V side sorts
-nothing.  Either side takes its groups in stacks of max(1, 2**13 // N^2),
-each a contiguous slice of the grouping: one FFT call over the last two axes
-and one factor call (one profile call on the frequency side) per stack,
-because at the grid sizes of the battery a call costs more than its
-arithmetic.  Each group is still picked or added on its own, in group order,
-so the result does not depend on the stack size.  A stack holds at most
-max(N^2, 2**13) entries, so memory stays O(N^2): no (buckets, N, N) array is
-formed.
+built once by one np.unique and one stable argsort: the partition groups
+its keys, the symbol its h.  Either side takes its groups in stacks of
+max(1, 2**13 // N^2), each a contiguous slice of the grouping, with one FFT
+call over the last two axes and one factor call per stack, because at the
+grid sizes of the battery a call costs more than its arithmetic.  Each
+group is still picked or added on its own, in group order, so the result
+does not depend on the stack size.  A stack holds at most max(N^2, 2**13)
+entries, so memory stays O(N^2): no (buckets, N, N) array is formed.
 """
 
 from __future__ import annotations
@@ -162,12 +160,15 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         w = _band_limited_noise(n_log2, rng, band=int(params.get("band", 3)))
         axis = 0 if kind == "lip_x" else 1
         measured = _adjacent_max_diff(w, axis=axis) * n
-        scale = 0.95 * lip / measured
         amplitude = params.get("amplitude")
-        if amplitude is not None:
-            span = np.ptp(w) * scale
-            if span > 0:
-                scale = min(scale, scale * float(amplitude) / span)
+        if measured > 0:
+            scale = 0.95 * lip / measured
+            if amplitude is not None:
+                scale = min(scale, scale * float(amplitude) / (np.ptp(w) * scale))
+        elif amplitude is not None:  # no variation along the axis, so no Lipschitz limit on the scale
+            scale = float(amplitude) / np.ptp(w)
+        else:
+            raise ValueError(f"{kind} noise for seed {seed} does not vary along its axis; give an amplitude")
         v = v_min + scale * (w - w.min())
         return LinearizerField(n_log2, v, Regularity(kind, lip=lip, floor=v_min), seed)
 
@@ -326,22 +327,21 @@ def dyadic_floor(values) -> np.ndarray:
 
 
 class _Groups(NamedTuple):
-    """Flat positions on a grid of S points grouped by equal value: the
-    distinct values (sorted), the positions in group order (increasing
-    within a group), and the flat index group * S + position of each of
-    them in a stack of whole grids (increasing)."""
+    """Positions on a grid of S points grouped by value: the sorted distinct
+    values, the positions in group order (increasing within a group), and
+    their flat indices group * S + position in a stack of grids (increasing)."""
 
     values: np.ndarray
     positions: np.ndarray
     flat: np.ndarray
 
 
-def _grouped(values: np.ndarray, labels: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
-    """positions on a grid of size points grouped by values[labels], labels
-    as np.unique returns them."""
+def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
+    """positions on a grid of size points grouped by their values."""
+    distinct, labels = np.unique(values, return_inverse=True)
     order = np.argsort(labels, kind="stable")
     positions = positions[order]
-    return _Groups(values, positions, labels[order] * size + positions)
+    return _Groups(distinct, positions, labels[order] * size + positions)
 
 
 @dataclass(frozen=True)
@@ -353,8 +353,7 @@ class BucketDecomposition:
     groups: _Groups = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        distinct, labels = np.unique(self.keys, return_inverse=True)
-        object.__setattr__(self, "groups", _grouped(distinct, labels.ravel(), np.arange(labels.size), labels.size))
+        object.__setattr__(self, "groups", _grouped(self.keys.ravel(), np.arange(self.keys.size), self.keys.size))
 
 
 def _check_grid(buckets: BucketDecomposition, arr: np.ndarray) -> None:
@@ -366,13 +365,18 @@ def _check_grid(buckets: BucketDecomposition, arr: np.ndarray) -> None:
 @dataclass(frozen=True)
 class ScaledSymbol:
     """The symbol weight * m(key * hyper) at scale key: a profile m, an
-    argument grid hyper and a weight on the frequency grid (an array or a
-    scalar).  :func:`gather` and :func:`scatter` may group its sum by the
-    distinct values of hyper instead of the distinct keys."""
+    argument grid hyper and a weight (an array or a scalar).  It groups the
+    frequencies where the weight is nonzero by their h = hyper once, at
+    construction; :func:`gather` and :func:`scatter` may sum by h instead."""
 
     m: MultiplierProfile
     hyper: np.ndarray
     weight: np.ndarray | float
+    groups: _Groups = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        support = np.flatnonzero(np.broadcast_to(self.weight, np.shape(self.hyper)))
+        object.__setattr__(self, "groups", _grouped(np.ravel(self.hyper)[support], support, np.size(self.hyper)))
 
     def __call__(self, key):
         return self.weight * self.m(key * self.hyper)
@@ -427,15 +431,13 @@ def _by_key(symbol_of):
     return lambda keys: np.stack([symbol_of(key) for key in keys])
 
 
-def _frequency_side(buckets: BucketDecomposition, symbol: ScaledSymbol, support: np.ndarray):
-    """The flat frequency indices on the support grouped by their hyper
-    value h, and the factors h -> m(key(x) * h) on the grid of a stack of
-    them, when those values are fewer than the buckets; None otherwise."""
-    idx = np.flatnonzero(support)
-    h_values, labels = np.unique(np.ravel(symbol.hyper)[idx], return_inverse=True)
-    if h_values.size >= buckets.groups.values.size:
-        return None
-    return _grouped(h_values, labels, idx, support.size), lambda hs: symbol.m(buckets.keys * hs[:, None, None])
+def _by_h(buckets: BucketDecomposition, symbol_of):
+    """The kernel's one rule: a :class:`ScaledSymbol` with fewer h groups
+    than buckets has key groups is summed by h, with the factors
+    h -> m(key * h) on the grid, stacked; None means the V side."""
+    if isinstance(symbol_of, ScaledSymbol) and symbol_of.groups.values.size < buckets.groups.values.size:
+        return lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
+    return None
 
 
 def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
@@ -443,21 +445,18 @@ def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndar
     for each point x of the bucket with key k.
 
     The V side takes one inverse transform per bucket.  A
-    :class:`ScaledSymbol` with fewer distinct hyper values on the support of
-    spec * weight than there are buckets takes the frequency side instead:
-    one inverse transform of spec * weight restricted to each such value h,
-    times m(key(x) * h) at every point.  Both orders give the same sum.
+    :class:`ScaledSymbol` with fewer h groups than buckets takes the
+    frequency side instead: one inverse transform of spec * weight on each
+    h group, times m(key(x) * h) at every point.
 
-    Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call, with the
-    symbols of a stack's keys stacked, or one profile call for a stack of h;
-    each group is then picked or added in turn, in key or h order.  A stack
-    holds at most max(N^2, 2**13) entries."""
+    Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call, with one
+    factor call per stack (the keys' symbols, or m on a stack of h); each
+    group is then picked or added in turn, in key or h order.  A stack holds
+    at most max(N^2, 2**13) entries."""
     _check_grid(buckets, spec)
-    if isinstance(symbol_of, ScaledSymbol):
-        weighted = spec * symbol_of.weight
-        side = _frequency_side(buckets, symbol_of, weighted != 0)
-        if side is not None:
-            return _spread(_synthesis, weighted, *side)
+    by_h = _by_h(buckets, symbol_of)
+    if by_h is not None:
+        return _spread(_synthesis, spec * symbol_of.weight, symbol_of.groups, by_h)
     return _pick(_synthesis, spec, buckets.groups, _by_key(symbol_of))
 
 
@@ -465,17 +464,13 @@ def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarra
     """Exact adjoint of :func:`gather` for real symbols, in the unweighted
     inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b).
 
-    A :class:`ScaledSymbol` takes the frequency side under the rule of
-    :func:`gather`, counting hyper values on the support of the weight:
-    for each such value h, fft2(g * m(key * h)) on the frequencies of h,
-    times the weight.  Groups are stacked as in :func:`gather`, with the
-    same bound of max(N^2, 2**13) entries per stack."""
+    The side and the stacks follow :func:`gather`; on the frequency side
+    each h group takes fft2(g * m(key * h)) on its frequencies, times the
+    weight."""
     _check_grid(buckets, g)
-    if isinstance(symbol_of, ScaledSymbol):
-        weight = np.broadcast_to(symbol_of.weight, g.shape)
-        side = _frequency_side(buckets, symbol_of, weight != 0)
-        if side is not None:
-            return _pick(np.fft.fft2, g, *side) * weight
+    by_h = _by_h(buckets, symbol_of)
+    if by_h is not None:
+        return _pick(np.fft.fft2, g, symbol_of.groups, by_h) * symbol_of.weight
     return _spread(np.fft.fft2, g, buckets.groups, _by_key(symbol_of))
 
 
@@ -514,9 +509,9 @@ class LinearOperatorHandle:
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
     """The variable-scale operator as a gather of the spectrum over the
-    BucketDecomposition of V, built once per handle, with the symbol m(V h)
-    weighted by the Pi_beta mask; the adjoint is the matching scatter.  Key 0
-    gives the m(0) symbol."""
+    BucketDecomposition of V, with the symbol m(V h) weighted by the Pi_beta
+    mask, both grouped once per handle; the adjoint is the matching scatter.
+    Key 0 gives the m(0) symbol."""
     buckets = BucketDecomposition(V.values)
     symbol = ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values)
 

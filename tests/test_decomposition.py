@@ -203,6 +203,15 @@ def test_all_terms_vanish_on_zero_field(fam):
     assert np.abs(de.small_variation_error(zero, V, fam, m).samples).max() == 0.0
 
 
+@pytest.mark.parametrize("term", ["principal_term", "error_term", "small_variation_error"])
+def test_terms_reject_a_family_on_another_grid(term):
+    family = de.make_lp_family(1.0, 4)
+    f = g.random_field(5, 0)
+    V = lin.generate_linearizer("constant", {"value": 0.3}, 0, 5)
+    with pytest.raises(de.LadderError, match="field and family grids differ"):
+        getattr(de, term)(f, V, family, mu.make_bump_profile(0.5))
+
+
 def test_error_symbol_support_band(fam):
     m = mu.make_bump_profile(1.0)
     hyper = de._hyper_args(fam)

@@ -88,6 +88,18 @@ def test_generator_rejects_bad_params():
         lin.generate_linearizer("nope", {}, 0, 4)
 
 
+def test_lip_y_draw_without_variation_along_its_axis():
+    # this draw's noise is constant along y, so only the amplitude bounds
+    # the scale; without an amplitude nothing does
+    params = {"lip_constant": 1.0, "v_min": 2**-5, "amplitude": 0.3}
+    V = lin.generate_linearizer("lip_y", params, 2096991651, 6)
+    assert lin.verify_lipschitz(V, V.regularity).passed
+    assert np.ptp(V.values) == pytest.approx(0.3, rel=1e-12)
+    del params["amplitude"]
+    with pytest.raises(ValueError, match="lip_y.*2096991651"):
+        lin.generate_linearizer("lip_y", params, 2096991651, 6)
+
+
 def test_generator_deterministic_per_seed():
     a = lin.generate_linearizer("lip_x", {"lip_constant": 1.0}, 11, 4)
     b = lin.generate_linearizer("lip_x", {"lip_constant": 1.0}, 11, 4)
@@ -228,11 +240,16 @@ _LIP_X = {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}
 
 
 def _mean_zero(f):
-    """f without its energy on the frequency axes: the spectrum has zero lines."""
-    coeffs = g.forward_transform(f).coeffs.copy()
-    coeffs[0, :] = 0
-    coeffs[:, 0] = 0
-    return g.inverse_transform(g.SpectralField(f.n_log2, coeffs))
+    """f with each odd row, then each odd column, replaced by the negated even
+    one before it: the fast transform gives a spectrum exactly zero on the
+    lines xi = 0 and eta = 0 (zeroing them and transforming back leaves
+    rounding there, not zeros)."""
+    samples = f.samples.copy()
+    samples[1::2] = -samples[0::2]
+    samples[:, 1::2] = -samples[:, 0::2]
+    spec = g.forward_transform(g.SampledField(f.n_log2, samples)).coeffs
+    assert not spec[0].any() and not spec[:, 0].any() and spec[1:, 1:].all()
+    return g.SampledField(f.n_log2, samples)
 
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0])
@@ -325,6 +342,32 @@ def test_bucketed_apply_runs_one_inverse_fft_per_masked_h(monkeypatch):
     bound = max(32**2, lin._STACK)
     assert max(np.prod(shape) for shape in stacks) <= bound
     assert 0 < max(profile_sizes) <= bound
+
+
+def test_handle_groups_frequencies_once(monkeypatch):
+    # a lip_x V at N = 16 takes the frequency side; the symbol grouped its h
+    # when the handle was built, so no apply or adjoint sorts or regroups
+    V = lin.generate_linearizer("lip_x", _LIP_X, 0, 4)
+    assert np.unique(V.values).size > 9  # h = |xi| takes 9 values on the mask
+    op = lin.linearized_operator(V, mu.make_bump_profile(0.5), 1.0)
+    calls = []
+    unique, argsort = np.unique, np.argsort
+
+    def counted_unique(*args, **kwargs):
+        calls.append("unique")
+        return unique(*args, **kwargs)
+
+    def counted_argsort(*args, **kwargs):
+        calls.append("argsort")
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    f, b = g.random_field(4, 1), g.random_field(4, 2)
+    for _ in range(3):
+        op.apply(f)
+        op.adjoint(b)
+    assert calls == []
 
 
 _STACK_INVARIANT_OUTPUTS = {

@@ -13,12 +13,17 @@ The package is imported from ``src/`` of the tree the script sits in.  The
 grid: N = 8, 16, 32; lip_x, lip_2d, staircase_x and dyadic_of_lipschitz
 fields; bump eps 1/2 and 1; beta 1, 0, -1 and 0.5.  Each point digests the
 operator apply and adjoint, the lemma operator, the principal, error and
-small-variation terms.  A three-valued V with a zero band (the group of key
-0) digests the apply and adjoint only, since the decomposition terms need
-V > 0.  A plateau apply per field and beta,
-``domination_constant`` (as ``float.hex``) per field and eps, and the CLI
-artifacts of one small config per subcommand are digested too.  A run
-takes a few seconds.
+small-variation terms.  A mean-zero field digests the apply, adjoint,
+lemma, principal and error terms at every point too: each odd row of it is
+the negated even row before it, and each odd column likewise, so the fast
+transform gives a spectrum exactly zero on the lines xi = 0 and eta = 0 and
+nonzero elsewhere.  There a kernel rule that counts frequencies on the
+spectrum's support and one that counts them on the symbol's weight differ.
+A three-valued V with a zero band (the group of key 0) digests the apply
+and adjoint only, since the decomposition terms need V > 0.  A plateau
+apply per field and beta, ``domination_constant`` (as ``float.hex``) per
+field and eps, and the CLI artifacts of one small config per subcommand are
+digested too.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -77,6 +82,15 @@ def _digest(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _mean_zero(f: gr.SampledField) -> gr.SampledField:
+    """f with each odd row and then each odd column replaced by the negated
+    even one before it."""
+    samples = f.samples.copy()
+    samples[1::2] = -samples[0::2]
+    samples[:, 1::2] = -samples[:, 0::2]
+    return gr.SampledField(f.n_log2, samples)
+
+
 def library_digests():
     """(name, sha256) for every library output on the grid."""
     plateau = mu.make_plateau_profile(0.75, 1.5)
@@ -85,6 +99,9 @@ def library_digests():
         f = gr.random_field(n_log2, 50 + n_log2)
         rng = np.random.default_rng(n_log2)
         g = gr.SampledField(n_log2, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        f0, g0 = _mean_zero(f), _mean_zero(g)
+        spec = gr.forward_transform(f0).coeffs
+        assert not spec[0].any() and not spec[:, 0].any() and spec[1:, 1:].all()
         for kind, params in FIELDS.items():
             V = lin.generate_linearizer(kind, params, 11, n_log2)
             for beta in BETAS:
@@ -103,6 +120,15 @@ def library_digests():
                     }
                     for name, out in outputs.items():
                         yield f"N={n} {kind} eps={eps} beta={beta} {name}", _digest(out.samples)
+                    mean_zero = {
+                        "apply": op.apply(f0),
+                        "adjoint": op.adjoint(g0),
+                        "lemma": de.lemma_operator(f0, V, m, beta),
+                        "principal": de.principal_term(f0, V, family, m),
+                        "error": de.error_term(f0, V, family, m),
+                    }
+                    for name, out in mean_zero.items():
+                        yield f"N={n} {kind} eps={eps} beta={beta} mean-zero {name}", _digest(out.samples)
             for eps in EPSILONS:
                 constant = lin.domination_constant(mu.make_bump_profile(eps), V)
                 yield f"N={n} {kind} eps={eps} domination_constant", _digest(constant.hex())
