@@ -303,7 +303,7 @@ def cmd_decompose(ctx: RunContext) -> None:
 def cmd_normest(ctx: RunContext) -> None:
     p = ctx.take("normest", "p", 2.0)
     beta = ctx.take("normest", "beta", 1.0)
-    # p picks the estimator: power iteration at p = 2, the Lp ascent otherwise
+    # p picks the estimator: Golub-Kahan-Lanczos at p = 2, the Lp ascent otherwise
     if p == 2.0:
         estimate = functools.partial(ne.l2_norm_power_iteration, max_iter=ctx.take("normest", "max_iter", 200), seed=ctx.seed)
     else:

@@ -204,6 +204,7 @@ _BAD_CONFIGS = {
     "unknown_linearizer_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.5, kind="lipx")),
     "grid_too_small": ("verify", "[run]\ngrid_n_log2 = 2\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant")),
     "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nrestarts = 0")),
+    "zero_max_iter": ("normest", NORMEST_CONFIG + "max_iter = 0\n"),
     "dyadic_zero_count": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=0)),
     "dyadic_negative_depth": ("dyadic", _DYADIC_CONFIG.format(depth=-1, count=3)),
     "sweep_empty_eps_list": ("sweep", "[run]\ngrid_n_log2 = 4\n\n[sweep]\neps_list =\n"),

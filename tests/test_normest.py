@@ -12,6 +12,7 @@ def test_identity_operator_norms():
     est = ne.l2_norm_power_iteration(op, seed=1)
     assert est.value == pytest.approx(1.0, abs=1e-10)
     assert est.converged
+    assert est.iterations == 1
     for p in (1.5, 3.0):
         est_p = ne.lp_norm_ascent(op, p, restarts=3, seed=1)
         assert est_p.value == pytest.approx(1.0, abs=1e-10)
@@ -24,6 +25,51 @@ def test_fixed_multiplier_matches_max_symbol():
         op = ne.fixed_multiplier_operator(sym)
         est = ne.l2_norm_power_iteration(op, max_iter=300, seed=2)
         assert est.value == pytest.approx(np.abs(sym.values).max(), abs=1e-10)
+        assert est.iterations <= 64  # the bases span the whole 8 x 8 grid by then
+
+
+def _criterion_7_operator(seed):
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, seed, 3)
+    return ne.linearized_operator(V, mu.make_bump_profile(1.0), 1.0)
+
+
+def _rederived(op, est):
+    return g.lp_norm(op.apply(est.witness), est.p) / g.lp_norm(est.witness, est.p)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_l2_estimate_matches_dense_svd_on_criterion_7_fields(seed):
+    # catches a bidiagonal with the betas on the wrong side, which reads up to 0.19 low
+    op = _criterion_7_operator(seed)
+    est = ne.l2_norm_power_iteration(op, seed=seed)
+    assert est.value == pytest.approx(ne.dense_operator_norm(op), abs=1e-10)
+    assert est.converged
+    assert est.value == pytest.approx(_rederived(op, est), abs=1e-12)
+
+
+def test_l2_estimate_cut_short_is_not_converged():
+    # seed 6 needs 9 steps
+    op = _criterion_7_operator(6)
+    est = ne.l2_norm_power_iteration(op, max_iter=2, seed=6)
+    assert not est.converged
+    assert est.iterations == 2
+    assert est.value <= ne.dense_operator_norm(op) + 1e-8
+    assert est.value == pytest.approx(_rederived(op, est), abs=1e-12)
+
+
+def test_l2_estimate_of_zero_operator():
+    def zero(f):
+        return g.SampledField(f.n_log2, 0 * f.samples)
+
+    est = ne.l2_norm_power_iteration(lin.LinearOperatorHandle(3, zero, zero), seed=1)
+    assert est.value == 0.0
+    assert est.converged
+    assert np.all(np.isfinite(est.witness.samples))
+
+
+def test_l2_estimate_rejects_zero_max_iter():
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        ne.l2_norm_power_iteration(ne.identity_operator(3), max_iter=0)
 
 
 def test_power_iteration_vs_ascent_cross_method():
