@@ -113,8 +113,8 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     n = 1 << op.n_log2
-    start = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).ravel()
-    v = start / np.linalg.norm(start)
+    v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).ravel()
+    v /= np.linalg.norm(v)
     right = np.empty((0, n * n), dtype=np.complex128)
     left = np.empty((0, n * n), dtype=np.complex128)
     alphas: list[float] = []

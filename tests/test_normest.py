@@ -124,12 +124,8 @@ def test_adjoint_pairing(beta):
 
 
 def test_lower_bound_soundness_against_dense_oracle():
-    m = mu.make_bump_profile(1.0)
     for seed in range(3):
-        V = lin.generate_linearizer(
-            "lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, seed, 3
-        )
-        op = ne.linearized_operator(V, m, 1.0)
+        op = _criterion_7_operator(seed)
         exact = ne.dense_operator_norm(op)
         pi = ne.l2_norm_power_iteration(op, seed=seed)
         asc = ne.lp_norm_ascent(op, 2.0, restarts=4, iters=30, seed=seed)
