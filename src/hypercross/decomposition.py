@@ -27,10 +27,13 @@ The lemma and error symbols are :class:`hypercross.linearized.ScaledSymbol`
 values, which the kernel may group by frequency instead of by V; the error
 part runs one gather per dyadic rounding of V, weighted by that rounding's
 ladder pairs above the principal cutoff.
-Every ladder-pair sum (the principal cutoff, the frozen large-variation
-windows) is one :func:`_pair_sum` over a selection of t * s**beta.  The
-small-variation piece takes d/dtau on the symbol, which commutes with the
-inverse FFT: one gather per tau node, keyed by the dyadic floor of V.
+The family (:class:`LPFamily`) is two arrays of ladder exponents and
+three tables with one row per ladder scale.  Every ladder-pair sum (the
+principal cutoff, the frozen large-variation windows) is one
+:func:`_pair_sum`, which selects the pairs by one boolean mask over the
+(K, L) grid of t * s**beta.  The small-variation piece takes d/dtau on
+the symbol, which commutes with the inverse FFT: one gather per tau node,
+keyed by the dyadic floor of V.
 """
 
 from __future__ import annotations
@@ -148,41 +151,36 @@ def psi2_hat(omega):
 class LPFamily:
     """Dyadic ladders and their per-scale one-axis symbol tables.
 
-    Scales are 2**idx; phi1 acts on the xi axis, phi2/psi2 (of
-    support radius PSI2_SUPPORT_RADIUS) on the eta axis.  Tables are keyed by
-    the integer ladder index and aligned with FFT frequency order.
+    Row k of ``phi1`` (K, N) is the xi-axis window at scale s = 2**ks[k];
+    row l of ``phi2`` and ``psi2`` (L, N) is the eta-axis pair at scale
+    t = 2**ls[l], psi2 of support radius PSI2_SUPPORT_RADIUS.  Columns follow
+    FFT frequency order.
     """
 
     beta: float
     n_log2: int
-    k_indices: tuple
-    l_indices: tuple
-    phi1_tab: dict
-    phi2_tab: dict
-    psi2_tab: dict
-    p2p3_tab: dict
+    ks: np.ndarray
+    ls: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    psi2: np.ndarray
     notes: tuple = ()
-
-    def s_of(self, k_idx: int) -> float:
-        return 2.0**k_idx
-
-    def t_of(self, l_idx: int) -> float:
-        return 2.0**l_idx
 
 
 def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     """Build the scale family for exponent beta on an N = 2**n_log2 grid.
 
     The xi-axis annulus has log-radius 1/|beta|; beta = 0 falls back to the
-    one-octave window on both axes (recorded in ``notes``).  Raises
+    one-octave window on both axes (recorded in ``notes``).  The tables are
+    row-aligned with the exponent arrays ``ks`` and ``ls``.  Raises
     LadderError when the annulus is too narrow to cover the dyadic ladder
-    (|beta| > 2) or the grid cannot host it.
+    (|beta| >= 2) or the grid cannot host it.
     """
     if n_log2 < 3:
         raise LadderError("grid too small to host the annuli")
-    n = 1 << n_log2
-    freqs = frequencies(n_log2)
-    abs_freq = np.abs(freqs).astype(np.float64)
+    freqs = frequencies(n_log2).astype(np.float64)
+    abs_freq = np.abs(freqs)
+    resolved = abs_freq > 0
     notes = []
 
     a = 1.0 / abs(beta) if beta != 0.0 else 1.0
@@ -191,76 +189,36 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     if a < 0.5 - 1e-12:
         raise LadderError(f"annulus log-radius {a} < 1/2: dyadic ladder cannot cover (|beta| > 2)")
 
-    k_lo = -int(math.ceil(a)) - 1
-    k_hi = (n_log2 - 1) + int(math.ceil(a)) + 1
-    k_indices = tuple(range(k_lo, k_hi + 1))
-    l_indices = tuple(range(-1, n_log2))
+    ks = np.arange(-math.ceil(a) - 1, n_log2 + math.ceil(a) + 1)
+    ls = np.arange(-1, n_log2)
 
-    log_freq = np.zeros_like(abs_freq)
-    np.log2(abs_freq, out=log_freq, where=abs_freq > 0)
-
-    phi1_tab = {}
+    w, exact = _phi1_log_profile(a)
     if beta == 0.0:
-        for k in k_indices:
-            vals = _octave_product(abs_freq / 2.0**k)
-            vals[abs_freq == 0] = 0.0
-            phi1_tab[k] = vals
+        phi1 = _octave_product(abs_freq / 2.0 ** ks[:, None])
     else:
-        w, exact = _phi1_log_profile(a)
-        for k in k_indices:
-            vals = w(log_freq - k)
-            vals[abs_freq == 0] = 0.0
-            phi1_tab[k] = vals
-        if not exact:
-            total = np.zeros(n)
-            for k in k_indices:
-                total += phi1_tab[k]
-            resolved = abs_freq > 0
-            if np.any(total[resolved] <= 1e-9):
-                raise LadderError("xi annulus leaves gaps on the dyadic ladder; cannot normalize")
-            scale = np.ones(n)
-            scale[resolved] = 1.0 / total[resolved]
-            phi1_tab = {k: v * scale for k, v in phi1_tab.items()}
-            notes.append("phi1 renormalized per frequency (2/|beta| not an integer)")
+        log_freq = np.zeros_like(abs_freq)
+        np.log2(abs_freq, out=log_freq, where=resolved)
+        phi1 = w(log_freq - ks[:, None])
+    phi1[:, ~resolved] = 0.0
+    if not exact:
+        total = phi1.sum(axis=0)
+        if np.any(total[resolved] <= 1e-9):
+            raise LadderError("xi annulus leaves gaps on the dyadic ladder; cannot normalize")
+        phi1[:, resolved] *= 1.0 / total[resolved]
+        notes.append("phi1 renormalized per frequency (2/|beta| not an integer)")
 
-    psi2_tab = {}
-    phi2_tab = {}
-    p2p3_tab = {}
-    for el in l_indices:
-        t = 2.0**el
-        product = _octave_product(abs_freq / t)
-        product[abs_freq == 0] = 0.0
-        psi_vals = psi2_hat(freqs.astype(np.float64) / t)
-        phi_vals = np.zeros(n)
-        nz = product != 0
-        phi_vals[nz] = product[nz] / psi_vals[nz]
-        psi2_tab[el] = psi_vals
-        phi2_tab[el] = phi_vals
-        p2p3_tab[el] = product
+    ts = 2.0 ** ls[:, None]
+    product = _octave_product(abs_freq / ts)
+    product[:, ~resolved] = 0.0
+    psi2 = psi2_hat(freqs / ts)
+    phi2 = np.divide(product, psi2, out=np.zeros_like(product), where=product != 0)
     notes.append("phi2 absorbs the per-frequency product normalization (sharp octave)")
 
-    return LPFamily(
-        beta=beta,
-        n_log2=n_log2,
-        k_indices=k_indices,
-        l_indices=l_indices,
-        phi1_tab=phi1_tab,
-        phi2_tab=phi2_tab,
-        psi2_tab=psi2_tab,
-        p2p3_tab=p2p3_tab,
-        notes=tuple(notes),
-    )
+    return LPFamily(beta, n_log2, ks, ls, phi1, phi2, psi2, tuple(notes))
 
 
 def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
-    n = 1 << family.n_log2
-    w1 = np.zeros(n)
-    for k in family.k_indices:
-        w1 += family.phi1_tab[k]
-    g2 = np.zeros(n)
-    for el in family.l_indices:
-        g2 += family.phi2_tab[el] * family.psi2_tab[el]
-    return w1, g2
+    return family.phi1.sum(axis=0), (family.phi2 * family.psi2).sum(axis=0)
 
 
 def calderon_residual(f: SampledField, family: LPFamily) -> float:
@@ -286,19 +244,14 @@ def _hyper_args(family: LPFamily) -> np.ndarray:
 
 def _pair_sum(family: LPFamily, keep) -> np.ndarray:
     """Sum of the pair symbols phi1_k (x) phi2_l psi2_l over the ladder pairs
-    (k, l) whose t_l * s_k**beta satisfies ``keep``."""
+    (k, l) whose t_l * s_k**beta satisfies ``keep``, applied elementwise to
+    the (K, L) grid of those products."""
+    kept = keep(2.0 ** family.ls * (2.0 ** family.ks[:, None]) ** family.beta)
+    g2 = family.phi2 * family.psi2
     n = 1 << family.n_log2
     out = np.zeros((n, n))
-    for k in family.k_indices:
-        s_beta = family.s_of(k) ** family.beta
-        col = np.zeros(n)
-        hit = False
-        for el in family.l_indices:
-            if keep(family.t_of(el) * s_beta):
-                col += family.phi2_tab[el] * family.psi2_tab[el]
-                hit = True
-        if hit:
-            out += family.phi1_tab[k][:, None] * col[None, :]
+    for phi1_row, kept_row in zip(family.phi1, kept):
+        out += phi1_row[:, None] * np.where(kept_row[:, None], g2, 0.0).sum(axis=0)
     return out
 
 
@@ -361,9 +314,13 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
 
 def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
     """Direct variable-scale application in this module's axis convention:
-    output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise."""
+    output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise.
+
+    For beta < 0 the line xi = 0 gets symbol value 0, the limit as xi -> 0
+    (as in :func:`hypercross.multiplier.hyperbolic_symbol`, transposed)."""
     _check_positive(V)
-    symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, 1.0)
+    weight = np.where(frequencies(f.n_log2) == 0, 0.0, 1.0)[:, None] if beta < 0 else 1.0
+    symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, weight)
     return SampledField(f.n_log2, gather(forward_transform(f).coeffs, BucketDecomposition(V.values), symbol))
 
 
@@ -373,7 +330,7 @@ def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> Sy
     m(2**j |xi|**beta |eta|)."""
     lo = math.ldexp(1.0, -(j + 3))
     hi = math.ldexp(1.0, -(j - 2))
-    window = _pair_sum(family, lambda ts: lo <= ts <= hi)
+    window = _pair_sum(family, lambda ts: (lo <= ts) & (ts <= hi))
     return SymbolGrid(family.n_log2, window * m(math.ldexp(1.0, j) * _hyper_args(family)))
 
 
@@ -482,13 +439,13 @@ def lipschitz_ratio_check(
     n = V.n
     v = V.values
     vt = dyadic_round_up(v)
-    t_all = np.array(sorted({family.t_of(el) for el in family.l_indices}))
+    t_all = 2.0 ** family.ls
     # keep scales whose kernel support spans at least one grid step
     reach = np.floor(PSI2_SUPPORT_RADIUS / t_all * n - 1e-12).astype(np.int64)
     t_choices = t_all[reach >= 1]
     if t_choices.size == 0:
         t_choices = t_all[:1]
-    s_all = np.array(sorted({family.s_of(k) for k in family.k_indices}))
+    s_all = 2.0 ** family.ks
 
     xs = rng.integers(0, n, size=n_samples)
     ys = rng.integers(0, n, size=n_samples)

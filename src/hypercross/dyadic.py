@@ -136,7 +136,6 @@ def dyadic_model_operator(
     L: float,
     variant: str,
     depth: int | None = None,
-    method: str = "fast",
 ) -> SampledField:
     """Scale-selected Haar sum: at each point, the tensor details whose scale
     pair is admissible for V(x, y) are kept.
@@ -146,8 +145,6 @@ def dyadic_model_operator(
     """
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
-    if method not in ("fast", "direct"):
-        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
     if f.n_log2 != V.n_log2:
         raise GridMismatchError("field and linearizer grids differ")
     if not _all_dyadic(V.values) or np.any(V.values <= 0):
@@ -167,17 +164,8 @@ def dyadic_model_operator(
         admissible = _size_product(a, b, beta, variant) <= v
         if not admissible.any():
             continue
-        if method == "fast":
-            detail = (n * mats[a]).T @ c @ (n * mats[b])
-            out += np.where(admissible, detail, 0.0)
-        else:
-            for p in range(c.shape[0]):
-                hx = n * mats[a][p]
-                for q in range(c.shape[1]):
-                    if c[p, q] == 0:
-                        continue
-                    hy = n * mats[b][q]
-                    out += np.where(admissible, c[p, q] * np.outer(hx, hy), 0.0)
+        detail = (n * mats[a]).T @ c @ (n * mats[b])
+        out += np.where(admissible, detail, 0.0)
     return SampledField(f.n_log2, out)
 
 

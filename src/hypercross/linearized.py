@@ -119,6 +119,16 @@ def _adjacent_max_diff(values: np.ndarray, axis: int) -> float:
     return float(np.abs(np.roll(values, -1, axis=axis) - values).max())
 
 
+def _two_axis_lipschitz_noise(n_log2: int, rng: np.random.Generator, params: dict, lip: float, floor: float) -> np.ndarray:
+    """floor + band-limited noise scaled so each grid step along either axis
+    changes it by at most 0.95 lip / (N sqrt(2)): axis-step control implies
+    euclidean control up to sqrt(2) via l1 paths."""
+    w = _band_limited_noise(n_log2, rng, band=int(params.get("band", 3)))
+    measured = max(_adjacent_max_diff(w, axis=0), _adjacent_max_diff(w, axis=1)) * (1 << n_log2)
+    scale = 0.95 * lip / (measured * math.sqrt(2.0))
+    return floor + scale * (w - w.min())
+
+
 # the parameters each linearizer kind reads
 _LINEARIZER_KEYS = {
     "constant": {"value"},
@@ -177,11 +187,7 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         floor = float(params.get("floor", lip * lip))
         if floor < lip * lip:
             raise ValueError(f"floor {floor} below lip_constant**2 = {lip * lip}")
-        w = _band_limited_noise(n_log2, rng, band=int(params.get("band", 3)))
-        measured = max(_adjacent_max_diff(w, axis=0), _adjacent_max_diff(w, axis=1)) * n
-        # axis-step control implies euclidean control up to sqrt(2) via l1 paths
-        scale = 0.95 * lip / (measured * math.sqrt(2.0))
-        v = floor + scale * (w - w.min())
+        v = _two_axis_lipschitz_noise(n_log2, rng, params, lip, floor)
         return LinearizerField(n_log2, v, Regularity("lip_2d", lip=lip, floor=floor), seed)
 
     if kind == "dyadic_of_lipschitz":
@@ -189,10 +195,7 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         v_min = float(params.get("v_min", 0.5))
         if v_min <= 0:
             raise ValueError("dyadic_of_lipschitz needs v_min > 0")
-        w = _band_limited_noise(n_log2, rng, band=int(params.get("band", 3)))
-        measured = max(_adjacent_max_diff(w, axis=0), _adjacent_max_diff(w, axis=1)) * n
-        scale = 0.95 * lip / (measured * math.sqrt(2.0))
-        v = v_min + scale * (w - w.min())
+        v = _two_axis_lipschitz_noise(n_log2, rng, params, lip, v_min)
         return LinearizerField(n_log2, dyadic_floor(v), Regularity("dyadic_of_lipschitz", lip=lip), seed)
 
     # staircase_x: reflecting +-1 random walks quantized to steps of size

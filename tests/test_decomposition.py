@@ -36,11 +36,10 @@ def test_partition_of_unity_on_nonzero_frequencies(fam):
 def test_phi1_annulus_support(fam):
     # phi1 at scale s vanishes for |xi|/s outside [1/2, 2] (beta = 1)
     freqs = np.abs(g.frequencies(6)).astype(float)
-    for k in fam.k_indices:
-        s = fam.s_of(k)
-        ratio = freqs / s
+    for k, phi1 in zip(fam.ks, fam.phi1):
+        ratio = freqs / 2.0**k
         outside = (ratio < 0.5) | (ratio > 2.0)
-        assert np.abs(fam.phi1_tab[k][outside]).max() == 0.0
+        assert np.abs(phi1[outside]).max() == 0.0
 
 
 def test_phi1_pointwise_example_values():
@@ -53,14 +52,12 @@ def test_phi1_pointwise_example_values():
 
 def test_phi2_psi2_annulus_and_mean_zero(fam):
     freqs = np.abs(g.frequencies(6)).astype(float)
-    for el in fam.l_indices:
-        t = fam.t_of(el)
-        ratio = freqs / t
+    for el, phi2, psi2 in zip(fam.ls, fam.phi2, fam.psi2):
+        ratio = freqs / 2.0**el
         outside = (ratio < 1.0) | (ratio > 2.0)
-        product = fam.phi2_tab[el] * fam.psi2_tab[el]
-        assert np.abs(product[outside]).max() == 0.0
-        assert fam.phi2_tab[el][0] == 0.0
-        assert fam.psi2_tab[el][0] == 0.0
+        assert np.abs((phi2 * psi2)[outside]).max() == 0.0
+        assert phi2[0] == 0.0
+        assert psi2[0] == 0.0
     assert de.psi2_hat(0.0) == 0.0
 
 
@@ -98,18 +95,55 @@ def test_beta_zero_family_logged():
 def test_narrow_annulus_rejected():
     with pytest.raises(de.LadderError):
         de.make_lp_family(4.0, 6)  # log-radius 1/4 leaves ladder gaps
+    with pytest.raises(de.LadderError):
+        de.make_lp_family(2.0, 6)  # log-radius 1/2: the phi1 window vanishes
+
+
+@pytest.mark.parametrize("beta", [1.5, -0.75, 0.3])
+def test_renormalized_phi1_family(beta):
+    # 2/|beta| is not an integer, so phi1 is renormalized per frequency
+    family = de.make_lp_family(beta, 6)
+    assert any("phi1 renormalized" in note for note in family.notes)
+    w1, _ = de._axis_sums(family)
+    nz = g.frequencies(6) != 0
+    assert np.abs(w1[nz] - 1.0).max() <= 1e-15
+    f = mean_zero_band_limited(6, 9)
+    assert de.calderon_residual(f, family) <= 1e-10
+
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 2.0**-7, "amplitude": 0.1}, 12, 6)
+    T = de.lemma_operator(f, V, m, beta)
+    S = de.principal_term(f, V, family, m)
+    E = de.error_term(f, V, family, m)
+    fnorm = np.sqrt(np.mean(np.abs(f.samples) ** 2))
+    assert np.sqrt(np.mean(np.abs(T.samples - S.samples - E.samples) ** 2)) <= 1e-8 * fnorm
+    assert np.sqrt(np.mean(np.abs(S.samples) ** 2)) > 1e-3 * fnorm  # nontrivial
+    assert np.sqrt(np.mean(np.abs(E.samples) ** 2)) > 1e-3 * fnorm
+
+
+@pytest.mark.parametrize("n_log2", [3, 4, 5])
+def test_lemma_at_negative_beta_matches_fixed_multiplier(n_log2):
+    # constant V: the lemma is the fixed multiplier m(0.7 |xi|**-1 |eta|),
+    # which is 0 on the line xi = 0 (its limit as xi -> 0)
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("constant", {"value": 0.7}, 0, n_log2)
+    f = g.random_field(n_log2, 3)
+    symbol = mu.hyperbolic_symbol(0.7, -1.0, m, n_log2).values.T
+    expected = g.inverse_transform(g.SpectralField(n_log2, g.forward_transform(f).coeffs * symbol)).samples
+    lemma = de.lemma_operator(f, V, m, -1.0).samples
+    assert np.abs(lemma - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_projection_eigenfunction(fam):
     # the phi1 projection at scale 2 multiplies the mode at frequency 3 by w(log2(3/2))
     w, _ = de._phi1_log_profile(1.0)
     assert g.frequencies(6)[3] == 3
-    assert abs(fam.phi1_tab[1][3] - float(w(math.log2(3.0 / 2.0)))) < 1e-12
+    assert abs(fam.phi1[fam.ks == 1][0, 3] - float(w(math.log2(3.0 / 2.0)))) < 1e-12
 
 
 def test_ladder_reconstruction_of_mean_zero_field(fam):
-    # the p2p3 windows sum to 1 off eta = 0, so the ladder reconstructs mean-zero fields
-    total = sum(fam.p2p3_tab[el] for el in fam.l_indices)
+    # the phi2 psi2 windows sum to 1 off eta = 0, so the ladder reconstructs mean-zero fields
+    total = (fam.phi2 * fam.psi2).sum(axis=0)
     nz = g.frequencies(6) != 0
     assert np.abs(total[nz] - 1.0).max() < 1e-10
 
@@ -139,12 +173,11 @@ def test_vanishing_regime_exact(beta):
     lam = 1.7
     weight = m(lam * hyper)
     checked = 0
-    for k in fam_b.k_indices:
-        s_beta = fam_b.s_of(k) ** beta
-        for el in fam_b.l_indices:
-            t = fam_b.t_of(el)
-            if t > 4.0 / (lam * s_beta):
-                sym = fam_b.phi1_tab[k][:, None] * (fam_b.phi2_tab[el] * fam_b.psi2_tab[el])[None, :]
+    for k, phi1 in zip(fam_b.ks, fam_b.phi1):
+        s_beta = (2.0**k) ** beta
+        for el, phi2, psi2 in zip(fam_b.ls, fam_b.phi2, fam_b.psi2):
+            if 2.0**el > 4.0 / (lam * s_beta):
+                sym = phi1[:, None] * (phi2 * psi2)[None, :]
                 assert np.abs(sym * weight).max() == 0.0
                 checked += 1
     assert checked > 0
@@ -157,12 +190,11 @@ def test_profile_is_one_regime(fam):
     lam = 1.7
     weight = m(lam * hyper)
     checked = 0
-    for k in fam.k_indices:
-        s_beta = fam.s_of(k)
-        for el in fam.l_indices:
-            t = fam.t_of(el)
-            if 4.0 * s_beta * t <= 1.0 / lam:
-                sym = fam.phi1_tab[k][:, None] * (fam.phi2_tab[el] * fam.psi2_tab[el])[None, :]
+    for k, phi1 in zip(fam.ks, fam.phi1):
+        s_beta = 2.0**k
+        for el, phi2, psi2 in zip(fam.ls, fam.phi2, fam.psi2):
+            if 4.0 * s_beta * 2.0**el <= 1.0 / lam:
+                sym = phi1[:, None] * (phi2 * psi2)[None, :]
                 assert np.abs(sym * (weight - 1.0)).max() == 0.0
                 checked += 1
     assert checked > 0

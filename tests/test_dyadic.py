@@ -116,28 +116,44 @@ def test_model_operator_single_tensor_masking():
     assert np.abs(out.samples - expected).max() < 1e-12
 
 
+def _model_operator_per_coefficient(f, V, beta, L, variant, depth):
+    """Reference for dyadic_model_operator: each tensor Haar coefficient of f
+    times the outer product of haar_eval on the cell midpoints, kept at the
+    points where its scale pair (|I|, |J|) = (2**-a, 2**-b) is admissible."""
+    mid = _cells_mid(f.n)
+    out = np.zeros((f.n, f.n), dtype=complex)
+    for (a, b), c in dy.haar_transform(f, depth).coeffs.items():
+        if variant == "thm_4_2" and not 2.0 ** (-b * beta) >= L:
+            continue
+        size = 2.0**-a * (2.0**-b if variant == "thm_4_1" else 2.0 ** (-b * beta))
+        for p in range(1 << a):
+            hx = dy.haar_eval(dy.DyadicInterval(-a, p), mid)
+            for q in range(1 << b):
+                hy = dy.haar_eval(dy.DyadicInterval(-b, q), mid)
+                out += np.where(size <= V.values, c[p, q] * np.outer(hx, hy), 0.0)
+    return out
+
+
 def test_model_operator_fast_matches_direct():
     f = g.random_field(5, 33)
     V = dy.generate_dyadic_metric_x(2.0**-2, 5, 6)
-    fast = dy.dyadic_model_operator(f, V, 1.0, 2.0**-2, "thm_4_2", depth=4, method="fast")
-    direct = dy.dyadic_model_operator(f, V, 1.0, 2.0**-2, "thm_4_2", depth=4, method="direct")
-    rel = np.abs(fast.samples - direct.samples).max() / np.abs(direct.samples).max()
+    fast = dy.dyadic_model_operator(f, V, 1.0, 2.0**-2, "thm_4_2", depth=4)
+    direct = _model_operator_per_coefficient(f, V, 1.0, 2.0**-2, "thm_4_2", 4)
+    rel = np.abs(fast.samples - direct).max() / np.abs(direct).max()
     assert rel < 1e-10
 
     V2 = dy.generate_dyadic_metric_2d(2.0**-3, 5, 7)
-    fast2 = dy.dyadic_model_operator(f, V2, 1.0, 2.0**-3, "thm_4_1", depth=4, method="fast")
-    direct2 = dy.dyadic_model_operator(f, V2, 1.0, 2.0**-3, "thm_4_1", depth=4, method="direct")
-    rel2 = np.abs(fast2.samples - direct2.samples).max() / np.abs(direct2.samples).max()
+    fast2 = dy.dyadic_model_operator(f, V2, 1.0, 2.0**-3, "thm_4_1", depth=4)
+    direct2 = _model_operator_per_coefficient(f, V2, 1.0, 2.0**-3, "thm_4_1", 4)
+    rel2 = np.abs(fast2.samples - direct2).max() / np.abs(direct2).max()
     assert rel2 < 1e-10
 
 
-def test_model_operator_rejects_unknown_method_without_admissible_pairs():
+def test_model_operator_without_admissible_pairs_is_zero():
     # at L = 1e9 no scale pair passes |J|**beta >= L, so the loop body never runs
     f = g.random_field(5, 33)
     V = dy.generate_dyadic_metric_x(2.0**-2, 5, 6)
     assert np.all(dy.dyadic_model_operator(f, V, 1.0, 1e9, "thm_4_2").samples == 0.0)
-    with pytest.raises(ValueError, match="method"):
-        dy.dyadic_model_operator(f, V, 1.0, 1e9, "thm_4_2", method="bogus")
 
 
 def test_model_operator_hypothesis_errors():

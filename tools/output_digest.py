@@ -23,7 +23,16 @@ A three-valued V with a zero band (the group of key 0) digests the apply
 and adjoint only, since the decomposition terms need V > 0.  A plateau
 apply per field and beta, ``domination_constant`` (as ``float.hex``) per
 field and eps, and the CLI artifacts of one small config per subcommand are
-digested too.  A run takes a few seconds.
+digested too.
+
+The decomposition's ladder sums are digested where the scale family acts,
+at N = 8 to 128 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (the last two with a
+non-integer 2/|beta|, so phi1 is renormalized per frequency): the two axis
+sums, the principal cutoff symbol at three cutoffs, every frozen
+large-variation symbol over ``representable_j_range`` at bump eps 1/2 and
+1, and, at N = 64, the ratio check of a lip_y field ('lip'), a lip_2d field
+('floor') and a two-level field that violates it ('lip').  A run takes a
+few seconds.
 """
 
 from __future__ import annotations
@@ -56,6 +65,10 @@ FIELDS = {
 EPSILONS = (0.5, 1.0)
 ZERO_BAND_LEVELS = (0.0, 0.4, 0.9)  # rows in quarters: 1/4, 1/2, 1/4
 BETAS = (1.0, 0.0, -1.0, 0.5)
+LADDER_N_LOG2S = (3, 4, 5, 6, 7)
+LADDER_BETAS = (1.0, -1.0, 0.0, 0.5, 1.5, -0.75)
+BELOW_CUTOFFS = (0.3, 1.0, 12.0)
+RATIO_N_LOG2 = 6
 
 CLI_CONFIGS = {
     "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
@@ -141,6 +154,39 @@ def library_digests():
                 yield f"N={n} zero_band eps={eps} beta={beta} adjoint", _digest(op.adjoint(g).samples)
 
 
+def _ratio_cases() -> dict:
+    """(V, L, variant) for each ratio check case on the N = 2**RATIO_N_LOG2 grid."""
+    n = 1 << RATIO_N_LOG2
+    step = np.full((n, n), 0.07)
+    step[:, n // 2 :] = 0.24
+    return {
+        "lip_y": (lin.generate_linearizer("lip_y", {"lip_constant": 1.0, "v_min": 2.0**-5, "amplitude": 0.3}, 3, RATIO_N_LOG2), 1.0, "lip"),
+        "lip_2d": (lin.generate_linearizer("lip_2d", {"lip_constant": 0.35, "band": 1}, 3, RATIO_N_LOG2), 0.35, "floor"),
+        "step": (lin.LinearizerField(RATIO_N_LOG2, step), 1.0, "lip"),
+    }
+
+
+def ladder_digests():
+    """(name, sha256) for the ladder sums of the scale family on the grid."""
+    ratio_cases = _ratio_cases()
+    for n_log2 in LADDER_N_LOG2S:
+        n = 1 << n_log2
+        for beta in LADDER_BETAS:
+            family = de.make_lp_family(beta, n_log2)
+            w1, g2 = de._axis_sums(family)
+            yield f"N={n} beta={beta} axis_sums", _digest(np.concatenate([w1, g2]))
+            for cutoff in BELOW_CUTOFFS:
+                yield f"N={n} beta={beta} below cutoff={cutoff}", _digest(de._below_symbol(family, cutoff))
+            for eps in EPSILONS:
+                m = mu.make_bump_profile(eps)
+                for j in de.representable_j_range(family, m):
+                    yield f"N={n} beta={beta} eps={eps} large_variation j={j}", _digest(de.large_variation_symbol(j, family, m).values)
+            if n_log2 == RATIO_N_LOG2:
+                for name, (V, L, variant) in ratio_cases.items():
+                    rep = de.lipschitz_ratio_check(V, family, beta, L, variant, 10_000, 5)
+                    yield f"N={n} beta={beta} ratio {name}", _digest(repr(rep))
+
+
 def cli_digests():
     """(name, sha256) for the exit status, standard output and every artifact
     of one run of each subcommand."""
@@ -158,7 +204,7 @@ def cli_digests():
 
 
 def main() -> int:
-    for name, digest in (*library_digests(), *cli_digests()):
+    for name, digest in (*library_digests(), *ladder_digests(), *cli_digests()):
         print(f"{digest}  {name}")
     return 0
 
