@@ -186,8 +186,8 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     a = 1.0 / abs(beta) if beta != 0.0 else 1.0
     if beta == 0.0:
         notes.append("beta=0: xi axis uses the one-octave window")
-    if a < 0.5 - 1e-12:
-        raise LadderError(f"annulus log-radius {a} < 1/2: dyadic ladder cannot cover (|beta| > 2)")
+    if a <= 0.5:
+        raise LadderError(f"annulus log-radius {a} <= 1/2: dyadic ladder cannot cover (|beta| >= 2)")
 
     ks = np.arange(-math.ceil(a) - 1, n_log2 + math.ceil(a) + 1)
     ls = np.arange(-1, n_log2)

@@ -5,6 +5,11 @@ Dyadic intervals are 2**k ((0,1] + n), left-open right-closed; grid cell i is
 identified with ((i)/N, (i+1)/N].  Haar functions are L2-normalized with the
 left half positive.  Transforms resolve scales |I| >= 2**-depth and require
 depth <= n_log2 - 1 so every Haar half-interval contains at least one cell.
+
+The hypothesis-class generators take a Lipschitz constant 0 < L < inf.  Their
+two structural verifiers share one counter of steep dyadic blocks (squares,
+or x-intervals at one y).  A selection-stability check whose side condition
+leaves no scale pair raises ValueError instead of passing vacuously.
 """
 
 from __future__ import annotations
@@ -198,41 +203,39 @@ def check_selection_stability(
     For each scale pair (|I|, |J|) passing the variant's side condition and
     each (I, y), the admissibility mask must be constant in x over I; every
     non-constant block counts as one violation, and the first 8 are kept as
-    witnesses.  A negative depth, which would check no scale pair, raises
-    ValueError.
+    witnesses.  A negative depth, or a side condition that no scale pair
+    meets (thm_4_2 with L > 1, or beta inf or nan), would check nothing and
+    raises ValueError.
     """
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    n_log2 = V.n_log2
-    depth = min(depth, n_log2)
+    depth = min(depth, V.n_log2)
     n = V.n
     v = V.values
+    scales = range(depth + 1)
+    if variant == "thm_4_1":
+        pairs = [(a, b) for a in scales for b in scales if a >= b]  # |I| <= |J|
+    else:
+        pairs = [(a, b) for a in scales for b in scales if 2.0 ** (-b * beta) >= L]
+    if not pairs:
+        raise ValueError(f"no scale pair up to depth {depth} has |J|**beta >= L (L = {L}, beta = {beta})")
     violations = 0
     witnesses: list[tuple] = []
-    for a in range(depth + 1):
-        for b in range(depth + 1):
-            if variant == "thm_4_1" and not (a >= b):  # |I| <= |J|
-                continue
-            if variant == "thm_4_2" and not (2.0 ** (-b * beta) >= L):
-                continue
-            admissible = _size_product(a, b, beta, variant) <= v
-            block = n >> a  # cells per I
-            grouped = admissible.reshape(1 << a, block, n)
-            any_true = grouped.any(axis=1)
-            all_true = grouped.all(axis=1)
-            bad = any_true & ~all_true
-            count = int(bad.sum())
-            if count:
-                violations += count
-                for blk, y in zip(*np.nonzero(bad)):
-                    if len(witnesses) >= 8:
-                        break
-                    col = grouped[blk, :, y]
-                    x_true = int(blk) * block + int(np.argmax(col))
-                    x_false = int(blk) * block + int(np.argmin(col))
-                    witnesses.append((x_true, x_false, int(y), -a, -b))
+    for a, b in pairs:
+        admissible = _size_product(a, b, beta, variant) <= v
+        block = n >> a  # cells per I
+        grouped = admissible.reshape(1 << a, block, n)
+        bad = grouped.any(axis=1) & ~grouped.all(axis=1)
+        violations += int(bad.sum())
+        for blk, y in zip(*np.nonzero(bad)):
+            if len(witnesses) >= 8:
+                break
+            col = grouped[blk, :, y]
+            x_true = int(blk) * block + int(np.argmax(col))
+            x_false = int(blk) * block + int(np.argmin(col))
+            witnesses.append((x_true, x_false, int(y), -a, -b))
     return StabilityReport(variant, depth, violations, tuple(witnesses))
 
 
@@ -284,8 +287,8 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerFie
     sqrt(V) > L: a random quadtree (each splittable square splits with
     probability 0.7) whose leaf values are powers of two in
     (L**2, 2 L * leaf_side]."""
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
     v = np.empty((n, n))
@@ -314,18 +317,18 @@ def generate_dyadic_metric_x(L: float, n_log2: int, seed: int) -> LinearizerFiel
     """Dyadic-valued V that is L-Lipschitz in the first variable for the
     dyadic metric, with a factor-2 margin: a random binary tree in x (each
     interval of two or more cells splits with probability 0.7); each (x-leaf,
-    y-band), with 4 equal y-bands (fewer on grids under 4 cells), takes a
-    power of two at most L * leaf_length.
+    y-band), with 4 equal y-bands, takes a power of two at most
+    L * leaf_length.
 
     The margin matters: a field saturating the Lipschitz bound exactly can
     defeat selection stability at scale pairs with |J|**beta = L, where the
     contradiction argument degenerates to equality.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
-    bands = 1 << min(2, n_log2)
+    bands = 4
     band_cells = n // bands
     v = np.empty((n, n))
 
@@ -343,35 +346,28 @@ def generate_dyadic_metric_x(L: float, n_log2: int, seed: int) -> LinearizerFiel
     return LinearizerField(n_log2, v, Regularity("dyadic_metric_x", lip=L), seed)
 
 
-def verify_dyadic_metric_2d(V: LinearizerField, L: float) -> int:
-    """Count dyadic squares on which V is non-constant yet sup V > L * side
-    (zero iff V is L-Lipschitz for the 2D dyadic metric)."""
+def _steep_blocks(V: LinearizerField, L: float, square: bool) -> int:
+    """Count dyadic blocks of cells x cells (square) or of cells x 1 cells,
+    for cells = 2 .. N, on which V is non-constant yet sup V > L * cells / N."""
     n = V.n
-    v = V.values
     violations = 0
     for q in range(1, V.n_log2 + 1):
         cells = 1 << q
-        blocks = v.reshape(n // cells, cells, n // cells, cells)
+        rows = cells if square else 1
+        blocks = V.values.reshape(n // cells, cells, n // rows, rows)
         bmax = blocks.max(axis=(1, 3))
         bmin = blocks.min(axis=(1, 3))
-        nonconst = bmax > bmin
-        side = cells / n
-        violations += int(np.sum(nonconst & (bmax > L * side * (1 + 1e-12))))
+        violations += int(np.sum((bmax > bmin) & (bmax > L * (cells / n) * (1 + 1e-12))))
     return violations
+
+
+def verify_dyadic_metric_2d(V: LinearizerField, L: float) -> int:
+    """Count dyadic squares on which V is non-constant yet sup V > L * side
+    (zero iff V is L-Lipschitz for the 2D dyadic metric)."""
+    return _steep_blocks(V, L, square=True)
 
 
 def verify_dyadic_metric_x(V: LinearizerField, L: float) -> int:
     """Count (dyadic x-interval, y) pairs with V non-constant in x yet
     sup V > L * length."""
-    n = V.n
-    v = V.values
-    violations = 0
-    for q in range(1, V.n_log2 + 1):
-        cells = 1 << q
-        blocks = v.reshape(n // cells, cells, n)
-        bmax = blocks.max(axis=1)
-        bmin = blocks.min(axis=1)
-        nonconst = bmax > bmin
-        length = cells / n
-        violations += int(np.sum(nonconst & (bmax > L * length * (1 + 1e-12))))
-    return violations
+    return _steep_blocks(V, L, square=False)

@@ -4,6 +4,10 @@ Functions on the plane are modelled by band-limited periodic fields sampled on
 an N x N grid over [0,1)^2 with N = 2**n_log2.  The forward transform uses the
 e^{-2pi i (x xi + y eta)} sign convention and divides by N^2, so a constant
 field maps to a unit delta at frequency (0,0) and ``lp_norm`` is a mean.
+
+Every N x N array of the package (samples, coefficients, symbol values, scale
+fields, HXF1 payloads) passes one check, :func:`_grid_array`: n_log2 >= 3,
+shape (N, N) and every entry finite; the object keeps a read-only copy.
 """
 
 from __future__ import annotations
@@ -21,8 +25,18 @@ class GridMismatchError(ValueError):
     """Raised when two grid objects of different resolution are combined."""
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
+def _grid_array(n_log2: int, values, dtype) -> np.ndarray:
+    """The grid contract, checked once for every N x N array of the package:
+    n_log2 >= 3, shape (N, N) and every entry finite.  Returns a read-only
+    copy in the given dtype; anything else raises ValueError."""
+    if n_log2 < 3:
+        raise ValueError(f"grid must be at least 8x8 (n_log2 >= 3), got n_log2={n_log2}")
+    n = 1 << n_log2
     arr = np.array(values, dtype=dtype)
+    if arr.shape != (n, n):
+        raise ValueError(f"array shape {arr.shape} does not match N={n}")
+    if not np.isfinite(arr).all():
+        raise ValueError("grid array holds non-finite values")
     arr.setflags(write=False)
     return arr
 
@@ -39,15 +53,7 @@ class SampledField:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_log2 < 3:
-            raise ValueError(f"grid must be at least 8x8 (n_log2 >= 3), got n_log2={self.n_log2}")
-        n = 1 << self.n_log2
-        arr = np.asarray(self.samples)
-        if arr.shape != (n, n):
-            raise ValueError(f"samples shape {arr.shape} does not match N={n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples contain non-finite values")
-        object.__setattr__(self, "samples", _frozen_array(arr, np.complex128))
+        object.__setattr__(self, "samples", _grid_array(self.n_log2, self.samples, np.complex128))
 
     @property
     def n(self) -> int:
@@ -66,13 +72,7 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_log2 < 3:
-            raise ValueError(f"grid must be at least 8x8 (n_log2 >= 3), got n_log2={self.n_log2}")
-        n = 1 << self.n_log2
-        arr = np.asarray(self.coeffs)
-        if arr.shape != (n, n):
-            raise ValueError(f"coeffs shape {arr.shape} does not match N={n}")
-        object.__setattr__(self, "coeffs", _frozen_array(arr, np.complex128))
+        object.__setattr__(self, "coeffs", _grid_array(self.n_log2, self.coeffs, np.complex128))
 
     @property
     def n(self) -> int:
@@ -146,7 +146,8 @@ def write_hxf1(path, n_log2: int, values: np.ndarray) -> None:
 
 
 def read_hxf1(path) -> tuple[int, np.ndarray]:
-    """Read an HXF1 file; returns (n_log2, complex array)."""
+    """Read an HXF1 file; returns (n_log2, read-only complex array), the
+    array checked by :func:`_grid_array`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != HXF1_MAGIC:
@@ -159,10 +160,8 @@ def read_hxf1(path) -> tuple[int, np.ndarray]:
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != 2 * n * n:
         raise ValueError(f"payload has {raw.size} doubles, expected {2 * n * n}")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("HXF1 payload holds non-finite values")
     pairs = raw.reshape(n * n, 2)
-    return int(n_log2), (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
+    return int(n_log2), _grid_array(n_log2, (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n), np.complex128)
 
 
 def write_field_csv(path, field: SampledField) -> None:

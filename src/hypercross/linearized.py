@@ -1,14 +1,16 @@
 """Linearizing scale fields V and the variable-scale multiplier operator.
 
 A LinearizerField holds the nonnegative scale choice V(x, y) on the grid,
-together with the regularity class it was generated for.  The linearized
-operator gathers, at each output point, the fixed-multiplier result for the
-local scale V(x, y).  Every variable-scale operator in the package is one
-call of the kernel pair :func:`gather` / :func:`scatter` over a
-BucketDecomposition of a key array (V, or a rounding of V); it reproduces
-the O(N^4) brute-force oracle exactly up to floating-point reassociation.
-The operator handle with its exact adjoint, :func:`linearized_operator`,
-lives here too.
+together with the regularity class it was generated for; its values pass the
+grid contract of :mod:`grid`.  :func:`verify_lipschitz` checks a declared
+class by one pair rule: the class names its point pairs and a ratio, and the
+worst pair is the witness.  The linearized operator gathers, at each output
+point, the fixed-multiplier result for the local scale V(x, y).  Every
+variable-scale operator in the package is one call of the kernel pair
+:func:`gather` / :func:`scatter` over a BucketDecomposition of a key array
+(V, or a rounding of V); it reproduces the O(N^4) brute-force oracle exactly
+up to floating-point reassociation.  The operator handle with its exact
+adjoint, :func:`linearized_operator`, lives here too.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
 orders.  On the V side it takes one transform per bucket, each evaluated at
@@ -43,7 +45,7 @@ import numpy as np
 from .grid import (
     GridMismatchError,
     SampledField,
-    _frozen_array,
+    _grid_array,
     forward_transform,
     frequencies,
     write_hxf1,
@@ -73,18 +75,15 @@ class LinearizerField:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        n = 1 << self.n_log2
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (n, n):
-            raise ValueError(f"values shape {arr.shape} does not match N={n}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("linearizer values must be finite and >= 0")
+        arr = _grid_array(self.n_log2, self.values, np.float64)
+        if np.any(arr < 0):
+            raise ValueError("linearizer values must be >= 0")
         floor = self.regularity.floor
         if floor is not None and arr.min() < floor - 1e-12:
             raise ValueError(f"values fall below declared floor {floor}")
         if self.regularity.kind.startswith("dyadic") and not _all_dyadic(arr):
             raise ValueError("declared dyadic-valued field contains non powers of two")
-        object.__setattr__(self, "values", _frozen_array(arr, np.float64))
+        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -242,72 +241,57 @@ def _random_pairs(n: int, seed: int):
     return a, b, np.hypot(dx, dy)
 
 
-def verify_lipschitz(V: LinearizerField, mode: Regularity, seed: int = 0) -> LipschitzReport:
-    """Check a declared regularity class on the grid.
+def _neighbour_pairs(n: int, axis: int, wrap: bool):
+    """Every grid point a in C order with its neighbour b one step along the
+    axis, and their distance 1/N; without wrap, only the points whose
+    neighbour lies inside the grid (no step across the seam)."""
+    a = np.indices((n, n)).reshape(2, -1).T
+    if not wrap:
+        a = a[a[:, axis] < n - 1]
+    b = a.copy()
+    b[:, axis] = (b[:, axis] + 1) % n
+    return a, b, np.full(len(a), 1.0 / n)
 
-    'lip_x' / 'lip_y' scan non-wrapping adjacent pairs along the axis (the
+
+def _pair_rule(kind: str, n: int, lip: float, seed: int):
+    """The point pairs (a, b) of a regularity class, their distances, and the
+    ratio of (V(a), V(b), distance) that must stay <= 1 on every pair."""
+    if kind in ("lip_x", "lip_y", "staircase_x"):
+        pairs = _neighbour_pairs(n, 1 if kind == "lip_y" else 0, wrap=False)
+        return (*pairs, lambda va, vb, dist: np.abs(va - vb) / (lip * dist))
+    if kind == "lip_2d":
+        triples = (_neighbour_pairs(n, 0, wrap=True), _neighbour_pairs(n, 1, wrap=True), _random_pairs(n, seed))
+        pairs = [np.concatenate(parts) for parts in zip(*triples)]
+        return (*pairs, lambda va, vb, dist: np.abs(va - vb) / np.maximum(lip * lip, lip * dist))
+    if kind == "dyadic_of_lipschitz":
+        # necessary condition: V(z) < 2 V(z') + lip * dist
+        return (*_random_pairs(n, seed), lambda va, vb, dist: np.maximum(va, vb) / (2.0 * np.minimum(va, vb) + lip * dist))
+    raise ValueError(f"unsupported regularity kind {kind!r}")
+
+
+def verify_lipschitz(V: LinearizerField, mode: Regularity, seed: int = 0) -> LipschitzReport:
+    """Check a declared regularity class on the grid by one pair rule: each
+    class names its point pairs and a ratio that must stay <= 1 on each, and
+    the worst pair is the witness, as two (i, j) tuples of ints.
+
+    'lip_x' / 'lip_y' take the non-wrapping neighbours along the axis (the
     path metric of the sampled segment; this makes exact linear fields pass
-    with ratio 1); 'staircase_x' is checked with the 'lip_x' rule.  'lip_2d'
-    additionally draws 10,000 random long-range pairs and applies the
-    allowance max(lip**2, lip * torus distance).
+    with ratio 1) with allowance lip / N; 'staircase_x' is checked with the
+    'lip_x' rule.  'lip_2d' takes every torus neighbour and 10,000 random
+    pairs, with allowance max(lip**2, lip * torus distance).
+    'dyadic_of_lipschitz' takes the random pairs with the ratio
+    max / (2 min + lip * distance); a field that is not dyadic-valued fails
+    with ratio inf and no witness.
     """
-    v = V.values
-    n = V.n
     if mode.kind in ("constant", "none"):
         return LipschitzReport(True, 0.0, None)
-
-    if mode.kind in ("lip_x", "lip_y", "staircase_x"):
-        lip = mode.lip if mode.lip is not None else 1.0
-        axis = 1 if mode.kind == "lip_y" else 0
-        diffs = np.abs(np.diff(v, axis=axis))
-        ratios = diffs / (lip / n)
-        if ratios.size == 0:
-            return LipschitzReport(True, 0.0, None)
-        idx = np.unravel_index(np.argmax(ratios), ratios.shape)
-        worst = float(ratios[idx])
-        nxt = (idx[0] + 1, idx[1]) if axis == 0 else (idx[0], idx[1] + 1)
-        return LipschitzReport(worst <= 1.0 + 1e-9, worst, (idx, nxt))
-
-    if mode.kind == "lip_2d":
-        lip = mode.lip if mode.lip is not None else 1.0
-        allowance_floor = lip * lip
-        worst = 0.0
-        witness = None
-        for axis in (0, 1):
-            rolled = np.roll(v, -1, axis=axis)
-            diffs = np.abs(rolled - v)
-            allowed = max(allowance_floor, lip / n)
-            ratios = diffs / allowed
-            idx = np.unravel_index(np.argmax(ratios), ratios.shape)
-            if float(ratios[idx]) > worst:
-                worst = float(ratios[idx])
-                nxt = ((idx[0] + 1) % n, idx[1]) if axis == 0 else (idx[0], (idx[1] + 1) % n)
-                witness = (idx, nxt)
-        a, b, dist = _random_pairs(n, seed)
-        dv = np.abs(v[a[:, 0], a[:, 1]] - v[b[:, 0], b[:, 1]])
-        allowed = np.maximum(allowance_floor, lip * dist)
-        ratios = dv / allowed
-        k = int(np.argmax(ratios))
-        if float(ratios[k]) > worst:
-            worst = float(ratios[k])
-            witness = (tuple(int(t) for t in a[k]), tuple(int(t) for t in b[k]))
-        return LipschitzReport(worst <= 1.0 + 1e-9, worst, witness)
-
-    if mode.kind == "dyadic_of_lipschitz":
-        # necessary condition: V(z) < 2 V(z') + lip * dist for sampled pairs
-        if not _all_dyadic(v):
-            return LipschitzReport(False, math.inf, None)
-        lip = mode.lip if mode.lip is not None else 1.0
-        a, b, dist = _random_pairs(n, seed)
-        va = v[a[:, 0], a[:, 1]]
-        vb = v[b[:, 0], b[:, 1]]
-        ratios = np.maximum(va, vb) / (2.0 * np.minimum(va, vb) + lip * dist)
-        k = int(np.argmax(ratios))
-        worst = float(ratios[k])
-        witness = (tuple(int(t) for t in a[k]), tuple(int(t) for t in b[k]))
-        return LipschitzReport(worst <= 1.0 + 1e-9, worst, witness)
-
-    raise ValueError(f"unsupported regularity kind {mode.kind!r}")
+    if mode.kind == "dyadic_of_lipschitz" and not _all_dyadic(V.values):
+        return LipschitzReport(False, math.inf, None)
+    a, b, dist, ratio = _pair_rule(mode.kind, V.n, mode.lip if mode.lip is not None else 1.0, seed)
+    ratios = ratio(V.values[a[:, 0], a[:, 1]], V.values[b[:, 0], b[:, 1]], dist)
+    k = int(np.argmax(ratios))
+    worst = float(ratios[k])
+    return LipschitzReport(worst <= 1.0 + 1e-9, worst, (tuple(map(int, a[k])), tuple(map(int, b[k]))))
 
 
 def dyadic_round_up(lam):

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import _frozen_array, frequencies, frequency_grids
+from .grid import _grid_array, frequencies, frequency_grids
 
 # Degree-11 smoothstep: S(0)=0, S(1)=1, S', .., S^(5) vanish at both knots.
 # Evaluated as x**6 * poly(x) on [0, 1/2] and by the symmetry S = 1 - S(1-x)
@@ -72,7 +72,6 @@ class MultiplierProfile:
     writes it to the epsilon column.
     """
 
-    kind: str
     support_radius: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     epsilon: float | None = None
@@ -112,22 +111,23 @@ def make_bump_profile(eps: float) -> MultiplierProfile:
     """Even C^5 profile with 1 on [-eps, eps], 0 outside (-2 eps, 2 eps)."""
     if not _is_dyadic_in_unit(eps):
         raise ValueError(f"eps must be 2**-i for integer i >= 0, got {eps}")
-    return MultiplierProfile(kind="bump", support_radius=2.0 * eps, evaluate=_flat_then_ramp(eps, eps), epsilon=eps)
+    return MultiplierProfile(support_radius=2.0 * eps, evaluate=_flat_then_ramp(eps, eps), epsilon=eps)
 
 
 def make_plateau_profile(flat_radius: float, support_radius: float) -> MultiplierProfile:
-    """Even C^5 profile: 1 on [-flat_radius, flat_radius], 0 outside support."""
-    if not (0.0 < flat_radius < support_radius):
-        raise ValueError("need 0 < flat_radius < support_radius")
+    """Even C^5 profile: 1 on [-flat_radius, flat_radius], 0 outside support;
+    the support radius must be finite."""
+    if not (0.0 < flat_radius < support_radius < math.inf):
+        raise ValueError(f"need 0 < flat_radius < support_radius < inf, got {flat_radius}, {support_radius}")
     evaluate = _flat_then_ramp(flat_radius, support_radius - flat_radius)
-    return MultiplierProfile(kind="plateau", support_radius=support_radius, evaluate=evaluate, epsilon=flat_radius)
+    return MultiplierProfile(support_radius=support_radius, evaluate=evaluate, epsilon=flat_radius)
 
 
 def make_custom_profile(func: Callable, support_radius: float, epsilon: float | None = None) -> MultiplierProfile:
     def evaluate(t, _f=func):
         return np.asarray(_f(np.asarray(t, dtype=np.float64)), dtype=np.float64)
 
-    return MultiplierProfile(kind="custom", support_radius=support_radius, evaluate=evaluate, epsilon=epsilon)
+    return MultiplierProfile(support_radius=support_radius, evaluate=evaluate, epsilon=epsilon)
 
 
 def smoothness_constant(m: MultiplierProfile) -> float:
@@ -164,13 +164,7 @@ class SymbolGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        n = 1 << self.n_log2
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (n, n):
-            raise ValueError(f"values shape {arr.shape} does not match N={n}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("symbol grid contains non-finite values")
-        object.__setattr__(self, "values", _frozen_array(arr, np.float64))
+        object.__setattr__(self, "values", _grid_array(self.n_log2, self.values, np.float64))
 
 
 def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:

@@ -224,7 +224,6 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-    fitted_c: float
 
     def log_shape_ratio(self) -> float:
         """max over rows of estimate/(log2(1/eps)+1) divided by the min."""
@@ -240,10 +239,9 @@ def epsilon_sweep(
     n_log2: int,
     seed: int,
 ) -> SweepResult:
-    """Norm estimates across bump widths, with the least constant c such that
-    estimate <= c * A * (log2(1/eps) + 1) across the sweep."""
+    """Norm estimates of the operator of one generated V across bump widths,
+    one row per eps with the smoothness constant A of the bump."""
     rows = []
-    fitted = 0.0
     v_kind = v_spec.get("kind", "staircase_x")
     v_params = {k: v for k, v in v_spec.items() if k != "kind"}
     V = generate_linearizer(v_kind, v_params, seed, n_log2)
@@ -258,9 +256,7 @@ def epsilon_sweep(
         rows.append(
             SweepRow(p, beta, float(eps), 1 << n_log2, seed, a_const, est.value, est.iterations, est.converged)
         )
-        bound = a_const * (math.log2(1.0 / eps) + 1.0)
-        fitted = max(fitted, est.value / bound)
-    return SweepResult(tuple(rows), fitted)
+    return SweepResult(tuple(rows))
 
 
 SWEEP_CSV_COLUMNS = ["p", "beta", "epsilon", "N", "seed", "A", "estimate", "iterations", "converged"]

@@ -195,6 +195,7 @@ def test_verify_staircase_config_passes(tmp_path, capsys):
     assert (tmp_path / "o" / "report.jsonl").exists()
 
 
+_THM_4_2_CONFIG = _DYADIC_CONFIG.format(depth=5, count=3).replace("thm_4_1", "thm_4_2")
 _VERIFY_BODY = "[profile]\nkind = bump\nepsilon = {eps}\n\n[linearizer]\nkind = {kind}\nvalue = 0.5\n"
 _BAD_CONFIGS = {
     "no_section_header": ("verify", "grid_n_log2 = 4\n"),
@@ -207,6 +208,17 @@ _BAD_CONFIGS = {
     "zero_max_iter": ("normest", NORMEST_CONFIG + "max_iter = 0\n"),
     "dyadic_zero_count": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=0)),
     "dyadic_negative_depth": ("dyadic", _DYADIC_CONFIG.format(depth=-1, count=3)),
+    # values that leave a check with nothing to check, or crash it
+    "dyadic_grid_1x1": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3).replace("grid_n_log2 = 5", "grid_n_log2 = 0")),
+    "dyadic_thm_4_2_no_scale_pair": ("dyadic", _THM_4_2_CONFIG.replace("0.125", "2.0")),
+    "dyadic_thm_4_2_beta_inf": ("dyadic", _THM_4_2_CONFIG + "beta = inf\n"),
+    "dyadic_thm_4_2_beta_nan": ("dyadic", _THM_4_2_CONFIG + "beta = nan\n"),
+    "dyadic_lip_constant_inf": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3).replace("0.125", "inf")),
+    "plateau_infinite_support": (
+        "verify",
+        "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = plateau\nflat_radius = 0.75\nsupport_radius = inf\n\n"
+        "[linearizer]\nkind = constant\nvalue = 0.5\n",
+    ),
     "sweep_empty_eps_list": ("sweep", "[run]\ngrid_n_log2 = 4\n\n[sweep]\neps_list =\n"),
     # keys the run never reads: p picks the estimator, thm_4_1 has no beta
     "normest_p3_max_iter": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nmax_iter = 1")),

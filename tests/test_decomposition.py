@@ -95,8 +95,9 @@ def test_beta_zero_family_logged():
 def test_narrow_annulus_rejected():
     with pytest.raises(de.LadderError):
         de.make_lp_family(4.0, 6)  # log-radius 1/4 leaves ladder gaps
-    with pytest.raises(de.LadderError):
-        de.make_lp_family(2.0, 6)  # log-radius 1/2: the phi1 window vanishes
+    for beta in (2.0, -2.0):  # log-radius 1/2: the phi1 window vanishes
+        with pytest.raises(de.LadderError, match=r"\(\|beta\| >= 2\)"):
+            de.make_lp_family(beta, 6)
 
 
 @pytest.mark.parametrize("beta", [1.5, -0.75, 0.3])

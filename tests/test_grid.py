@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hypercross import grid as g
+from hypercross import linearized as lin
+from hypercross import multiplier as mu
 
 
 def test_constant_field_transforms_to_unit_delta():
@@ -134,6 +136,25 @@ def test_grid_size_validation():
         g.SampledField(2, np.ones((4, 4)))
     with pytest.raises(ValueError):
         g.SampledField(4, np.ones((8, 8)))
+
+
+def _with_entry(value):
+    arr = np.ones((8, 8))
+    arr[2, 5] = value
+    return arr
+
+
+@pytest.mark.parametrize(
+    "make", [g.SampledField, g.SpectralField, mu.SymbolGrid, lin.LinearizerField], ids=lambda c: c.__name__
+)
+@pytest.mark.parametrize(
+    "n_log2, values",
+    [(2, np.ones((4, 4))), (3, np.ones((8, 4))), (3, _with_entry(np.nan)), (3, _with_entry(np.inf))],
+    ids=["n_log2_2", "wrong_shape", "nan", "inf"],
+)
+def test_grid_objects_reject_what_breaks_the_grid_contract(make, n_log2, values):
+    with pytest.raises(ValueError):
+        make(n_log2, values)
 
 
 def test_hxf1_roundtrip(tmp_path):

@@ -55,6 +55,45 @@ def test_steep_linear_field_fails_with_adjacent_witness():
     assert abs(i2 - i) == 1 and j2 == j
 
 
+def _steep_lip_y_ramp():
+    n = 32
+    y = np.arange(n) / n
+    return lin.LinearizerField(5, np.repeat(3.0 * y[None, :], n, axis=0)), lin.Regularity("lip_y", lip=1.0), 0
+
+
+def _lip_2d_with_spike():
+    V = lin.generate_linearizer("lip_2d", {"lip_constant": 0.5}, 3, 5)
+    vals = V.values.copy()
+    vals[5, 7] += 0.3
+    return lin.LinearizerField(5, vals), V.regularity, 1
+
+
+def _dyadic_with_raised_half():
+    V = lin.generate_linearizer("dyadic_of_lipschitz", {"lip_constant": 1.0, "v_min": 0.3}, 5, 5)
+    vals = V.values.copy()
+    vals[:16] *= 8
+    return lin.LinearizerField(5, vals), V.regularity, 2
+
+
+@pytest.mark.parametrize(
+    "plant, ratio, on_witness",
+    [
+        (_steep_lip_y_ramp, 3.0, lambda a, b: a[0] == b[0] and abs(a[1] - b[1]) == 1),
+        (_lip_2d_with_spike, 1.2861417831321653, lambda a, b: (5, 7) in (a, b)),
+        (_dyadic_with_raised_half, 3.764705882352941, lambda a, b: (a[0] < 16) != (b[0] < 16)),
+    ],
+    ids=["lip_y", "lip_2d", "dyadic_of_lipschitz"],
+)
+def test_planted_violation_has_its_worst_pair_as_witness(plant, ratio, on_witness):
+    V, mode, seed = plant()
+    rep = lin.verify_lipschitz(V, mode, seed)
+    assert not rep.passed
+    assert rep.worst_ratio == pytest.approx(ratio, rel=1e-12)
+    a, b = rep.witness
+    assert len(a) == len(b) == 2 and all(type(t) is int for t in (*a, *b))
+    assert on_witness(a, b)
+
+
 def test_generated_staircase_x_passes_checker():
     # every x-step of the walk is exactly 0, or 0.9 * lip / N
     V = lin.generate_linearizer("staircase_x", {"lip_constant": 1.0, "v_min": 0.125, "levels": 8}, 3, 5)

@@ -157,8 +157,6 @@ def test_sweep_reproducible_and_shape(tmp_path):
     a = ne.epsilon_sweep(2.0, 1.0, spec, eps, 4, 42)
     b = ne.epsilon_sweep(2.0, 1.0, spec, eps, 4, 42)
     assert a.rows == b.rows
-    assert a.fitted_c == b.fitted_c
-    assert np.isfinite(a.fitted_c)
     # wide-support profile with bounded V: identity attained on low modes
     assert a.rows[0].epsilon == 1.0
     assert a.rows[0].estimate >= 1.0 - 1e-9

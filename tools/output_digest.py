@@ -31,8 +31,17 @@ non-integer 2/|beta|, so phi1 is renormalized per frequency): the two axis
 sums, the principal cutoff symbol at three cutoffs, every frozen
 large-variation symbol over ``representable_j_range`` at bump eps 1/2 and
 1, and, at N = 64, the ratio check of a lip_y field ('lip'), a lip_2d field
-('floor') and a two-level field that violates it ('lip').  A run takes a
-few seconds.
+('floor') and a two-level field that violates it ('lip').
+
+The hypothesis checks are digested on generated fields of every kind (the
+six of ``generate_linearizer`` and the two dyadic-metric generators) at
+seeds 0, 1 and 2: ``verify_lipschitz`` at N = 8 to 64 in the five classes
+lip_x, lip_y, lip_2d, dyadic_of_lipschitz and staircase_x (passed, the
+worst ratio as ``float.hex``, and the witness as ints when the worst ratio
+is positive), and at N = 16 to 64 the two dyadic-metric block counts and
+the ``check_selection_stability`` record, on the dyadic-metric fields and
+on copies scaled by 1/4 with one x-row raised to 1.  A run takes a few
+seconds.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +61,7 @@ import numpy as np  # noqa: E402
 
 from hypercross import cli  # noqa: E402
 from hypercross import decomposition as de  # noqa: E402
+from hypercross import dyadic as dy  # noqa: E402
 from hypercross import grid as gr  # noqa: E402
 from hypercross import linearized as lin  # noqa: E402
 from hypercross import multiplier as mu  # noqa: E402
@@ -69,6 +80,19 @@ LADDER_N_LOG2S = (3, 4, 5, 6, 7)
 LADDER_BETAS = (1.0, -1.0, 0.0, 0.5, 1.5, -0.75)
 BELOW_CUTOFFS = (0.3, 1.0, 12.0)
 RATIO_N_LOG2 = 6
+HYPOTHESIS_SEEDS = (0, 1, 2)
+LIPSCHITZ_N_LOG2S = (3, 4, 5, 6)
+LIPSCHITZ_FIELDS = {
+    **FIELDS,
+    "constant": {"value": 0.5},
+    "lip_y": {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0},
+}
+LIPSCHITZ_MODES = ("lip_x", "lip_y", "lip_2d", "dyadic_of_lipschitz", "staircase_x")
+DYADIC_N_LOG2S = (4, 5, 6)
+DYADIC_METRICS = {
+    "metric_2d": (dy.generate_dyadic_metric_2d, 2.0**-3, "thm_4_1"),
+    "metric_x": (dy.generate_dyadic_metric_x, 2.0**-2, "thm_4_2"),
+}
 
 CLI_CONFIGS = {
     "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
@@ -187,6 +211,41 @@ def ladder_digests():
                     yield f"N={n} beta={beta} ratio {name}", _digest(repr(rep))
 
 
+def _generated_fields(n_log2: int, seed: int):
+    """(kind, V) for every generated kind."""
+    for kind, params in LIPSCHITZ_FIELDS.items():
+        yield kind, lin.generate_linearizer(kind, params, seed, n_log2)
+    for name, (generate, L, _) in DYADIC_METRICS.items():
+        yield f"dyadic_{name}", generate(L, n_log2, seed)
+
+
+def hypothesis_digests():
+    """(name, sha256) for the regularity and dyadic-metric checks."""
+    for n_log2 in LIPSCHITZ_N_LOG2S:
+        for seed in HYPOTHESIS_SEEDS:
+            for kind, V in _generated_fields(n_log2, seed):
+                for mode in LIPSCHITZ_MODES:
+                    rep = lin.verify_lipschitz(V, lin.Regularity(mode, lip=V.regularity.lip), seed)
+                    witness = None
+                    if rep.witness is not None and rep.worst_ratio > 0:
+                        witness = [[int(t) for t in point] for point in rep.witness]
+                    text = f"{rep.passed} {rep.worst_ratio.hex()} {witness}"
+                    yield f"N={1 << n_log2} {kind} seed={seed} verify_lipschitz {mode}", _digest(text)
+    for n_log2 in DYADIC_N_LOG2S:
+        for seed in HYPOTHESIS_SEEDS:
+            for name, (generate, L, variant) in DYADIC_METRICS.items():
+                V = generate(L, n_log2, seed)
+                planted = V.values / 4.0
+                planted[(5 * seed + 3) % (1 << n_log2), :] = 1.0
+                fields = {name: V, f"planted_{name}": lin.LinearizerField(n_log2, planted)}
+                for label, field in fields.items():
+                    counts = (dy.verify_dyadic_metric_2d(field, L), dy.verify_dyadic_metric_x(field, L))
+                    record = dy.check_selection_stability(field, L, 1.0, variant).record()
+                    prefix = f"N={1 << n_log2} {label} seed={seed}"
+                    yield f"{prefix} dyadic_metric counts", _digest(repr(counts))
+                    yield f"{prefix} selection_stability", _digest(json.dumps(record, sort_keys=True))
+
+
 def cli_digests():
     """(name, sha256) for the exit status, standard output and every artifact
     of one run of each subcommand."""
@@ -204,7 +263,7 @@ def cli_digests():
 
 
 def main() -> int:
-    for name, digest in (*library_digests(), *ladder_digests(), *cli_digests()):
+    for name, digest in (*library_digests(), *ladder_digests(), *hypothesis_digests(), *cli_digests()):
         print(f"{digest}  {name}")
     return 0
 
