@@ -315,7 +315,7 @@ def cmd_normest(ctx: RunContext) -> None:
     est = estimate(op)
     gr.write_hxf1(ctx.out / "witness.hxf1", ctx.n_log2, est.witness.samples)
     a_const = mu.smoothness_constant(profile)
-    row = ne.SweepRow(p, beta, profile.epsilon or 0.0, 1 << ctx.n_log2, ctx.seed, a_const, est.value, est.iterations, est.converged)
+    row = ne.SweepRow(p, beta, profile.epsilon, 1 << ctx.n_log2, ctx.seed, a_const, est.value, est.iterations, est.converged)
     ne.write_sweep_csv(ctx.out / "estimate.csv", ne.SweepResult((row,)))
     ctx.log(estimate=est.value, iterations=est.iterations, converged=est.converged, p=p)
     rederived = gr.lp_norm(op.apply(est.witness), p) / gr.lp_norm(est.witness, p)

@@ -32,8 +32,8 @@ three tables with one row per ladder scale.  Every ladder-pair sum (the
 principal cutoff, the frozen large-variation windows) is one
 :func:`_pair_sum`, which selects the pairs by one boolean mask over the
 (K, L) grid of t * s**beta.  The small-variation piece takes d/dtau on
-the symbol, which commutes with the inverse FFT: one gather per tau node,
-keyed by the dyadic floor of V.
+the symbol, exactly, by the profile's derivative (d/dtau commutes with the
+inverse FFT): one gather per tau node, keyed by the dyadic floor of V.
 """
 
 from __future__ import annotations
@@ -55,11 +55,10 @@ from .linearized import (
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
-    flat_radius,
     hyperbolic_argument,
     make_bump_profile,
     smoothstep,
-    smoothstep_d2,
+    smoothstep_derivative,
 )
 
 PSI2_SUPPORT_RADIUS = 9.0 / 512.0  # < 2**-5 and < 2**-4/3; > one cell at N = 64
@@ -124,7 +123,7 @@ def psi2_space(y):
     y = np.asarray(y, dtype=np.float64)
     u = np.abs(y) / PSI2_SUPPORT_RADIUS
     vals = np.where(
-        (u > 0.5) & (u < 1.0), 4.0 * smoothstep_d2(2.0 * u - 1.0) / PSI2_SUPPORT_RADIUS**2, 0.0
+        (u > 0.5) & (u < 1.0), 4.0 * smoothstep_derivative(2.0 * u - 1.0, 2) / PSI2_SUPPORT_RADIUS**2, 0.0
     )
     return vals
 
@@ -277,18 +276,17 @@ def _check_terms(f: SampledField, V: LinearizerField, family: LPFamily) -> None:
 
 
 def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
-    """Scale-truncated part: ladder pairs with t < flat(m) / (vtilde s**beta),
+    """Scale-truncated part: ladder pairs with t < m.epsilon / (vtilde s**beta),
     summed without the profile weight (the weight is identically 1 there).
 
     vtilde is the pointwise dyadic rounding of V; on those pairs the profile
     argument stays strictly inside the flat region of m.
     """
     _check_terms(f, V, family)
-    flat = flat_radius(m)
     rounded = dyadic_round_up(V.values)
     if not np.isfinite(rounded).all():
         raise ValueError("non-finite rounded scales")
-    out = gather(forward_transform(f).coeffs, BucketDecomposition(rounded), lambda vt: _below_symbol(family, flat / vt))
+    out = gather(forward_transform(f).coeffs, BucketDecomposition(rounded), lambda vt: _below_symbol(family, m.epsilon / vt))
     return SampledField(f.n_log2, out)
 
 
@@ -296,7 +294,6 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
     """Profile-weighted complement of :func:`principal_term`: for each point,
     the remaining ladder pairs filtered through m(V(x,y) |xi|**beta |eta|)."""
     _check_terms(f, V, family)
-    flat = flat_radius(m)
     full = _full_symbol(family)
     hyper = _hyper_args(family)
     spec = forward_transform(f).coeffs
@@ -307,7 +304,7 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
         # pairs above c's cutoff; points of other classes go to a zero bucket
         in_class = vt == c
         buckets = BucketDecomposition(np.where(in_class, V.values, 0.0))
-        piece = gather(spec, buckets, ScaledSymbol(m, hyper, full - _below_symbol(family, flat / c)))
+        piece = gather(spec, buckets, ScaledSymbol(m, hyper, full - _below_symbol(family, m.epsilon / c)))
         out[in_class] = piece[in_class]
     return SampledField(f.n_log2, out)
 
@@ -334,37 +331,27 @@ def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> Sy
     return SymbolGrid(family.n_log2, window * m(math.ldexp(1.0, j) * _hyper_args(family)))
 
 
-def _tau_derivative(m: MultiplierProfile, hyper: np.ndarray, tau: float) -> np.ndarray:
-    """d/dtau m(tau * hyper) by central differences (step tau / 1000) with one
-    Richardson extrapolation step."""
-    def central(h):
-        return (m((tau + h) * hyper) - m((tau - h) * hyper)) / (2 * h)
-
-    h = tau * 1e-3
-    return (4.0 * central(h / 2) - central(h)) / 3.0
-
-
 def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
     """Pointwise integral of |d/dtau E_tau f| from the dyadic base of V(x,y)
     up to V(x,y): the trapezoid rule on the 9 nodes tau = 2**(i/8) * base,
     i = 0..8, interpolated linearly at V.
 
     Node r * base is one gather keyed by the dyadic floor of V with the
-    symbol above(base) * d/dtau m(tau |xi|**beta |eta|) (d/dtau commutes with
-    the inverse FFT).  Exactly zero wherever V equals its dyadic base, hence
+    symbol above(base) * d/dtau m(tau |xi|**beta |eta|), taken exactly as
+    |xi|**beta |eta| * m'(tau |xi|**beta |eta|) (d/dtau commutes with the
+    inverse FFT).  Exactly zero wherever V equals its dyadic base, hence
     identically zero for fields taking values in {2**j}.
     """
     _check_terms(f, V, family)
     base = dyadic_floor(V.values)
     buckets = BucketDecomposition(base)
-    flat = flat_radius(m)
     hyper = _hyper_args(family)
     full = _full_symbol(family)
     # the rounded scale, hence the ladder pairs above it, is constant across an octave
-    above = {b: full - _below_symbol(family, flat / dyadic_round_up(b)) for b in np.unique(base)}
+    above = {b: full - _below_symbol(family, m.epsilon / dyadic_round_up(b)) for b in np.unique(base)}
     spec = forward_transform(f).coeffs
     integrand = np.abs(
-        [gather(spec, buckets, lambda b: above[b] * _tau_derivative(m, hyper, b * r)) for r in _SMALL_VARIATION_RATIOS]
+        [gather(spec, buckets, lambda b: above[b] * hyper * m.derivative(b * r * hyper, 1)) for r in _SMALL_VARIATION_RATIOS]
     )
     taus = _SMALL_VARIATION_RATIOS[:, None, None] * base
     trapezoids = 0.5 * np.diff(taus, axis=0) * (integrand[:-1] + integrand[1:])

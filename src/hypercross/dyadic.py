@@ -8,8 +8,9 @@ depth <= n_log2 - 1 so every Haar half-interval contains at least one cell.
 
 The hypothesis-class generators take a Lipschitz constant 0 < L < inf.  Their
 two structural verifiers share one counter of steep dyadic blocks (squares,
-or x-intervals at one y).  A selection-stability check whose side condition
-leaves no scale pair raises ValueError instead of passing vacuously.
+or x-intervals at one y).  The selection-stability check and the model
+operator take their scale pairs from one rule, and raise ValueError when the
+side condition leaves no pair instead of passing or summing vacuously.
 """
 
 from __future__ import annotations
@@ -127,11 +128,32 @@ def haar_inverse(h: HaarCoefficients) -> SampledField:
     return SampledField(h.n_log2, out)
 
 
+def _scale_pairs(depth: int, beta: float, L: float, variant: str) -> list[tuple[int, int]]:
+    """(a, b) for the scale pairs |I| = 2**-a, |J| = 2**-b with a, b <= depth
+    that meet the variant's side condition: every pair for thm_4_1,
+    |J|**beta >= L for thm_4_2, compared as exponents (-b beta >= log2 L) so
+    no power overflows.  Raises ValueError when no pair meets it (thm_4_2
+    with L > 1, or beta inf or nan): a check or a sum over no pair is
+    vacuous."""
+    if variant not in ("thm_4_1", "thm_4_2"):
+        raise ValueError(f"unknown variant {variant!r}")
+    scales = range(depth + 1)
+    if variant == "thm_4_1":
+        pairs = [(a, b) for a in scales for b in scales]
+    else:
+        log_l = -math.inf if L <= 0 else math.log2(L)  # nan for L nan, so no pair
+        pairs = [(a, b) for a in scales for b in scales if -b * beta >= log_l]
+    if not pairs:
+        raise ValueError(f"no scale pair up to depth {depth} meets the {variant} side condition (L = {L}, beta = {beta})")
+    return pairs
+
+
 def _size_product(a: int, b: int, beta: float, variant: str) -> float:
-    """|I| |J|**beta for thm_4_2, plain |I| |J| for thm_4_1."""
+    """|I| |J|**beta for thm_4_2, plain |I| |J| for thm_4_1; inf where
+    |J|**beta exceeds the float range."""
     if variant == "thm_4_1":
         return math.ldexp(1.0, -a - b)
-    return math.ldexp(1.0, -a) * 2.0 ** (-b * beta)
+    return math.ldexp(1.0, -a) * 2.0 ** (-b * beta) if -b * beta < 1024 else math.inf
 
 
 def dyadic_model_operator(
@@ -146,10 +168,11 @@ def dyadic_model_operator(
     pair is admissible for V(x, y) are kept.
 
     thm_4_1 keeps |I||J| <= V(x,y) and requires sqrt(V) > L everywhere;
-    thm_4_2 keeps |I||J|**beta <= V(x,y) subject to |J|**beta >= L.
+    thm_4_2 keeps |I||J|**beta <= V(x,y) subject to |J|**beta >= L, and
+    raises ValueError when no scale pair meets that side condition.
     """
-    if variant not in ("thm_4_1", "thm_4_2"):
-        raise ValueError(f"unknown variant {variant!r}")
+    depth = f.n_log2 - 1 if depth is None else depth
+    pairs = _scale_pairs(depth, beta, L, variant)
     if f.n_log2 != V.n_log2:
         raise GridMismatchError("field and linearizer grids differ")
     if not _all_dyadic(V.values) or np.any(V.values <= 0):
@@ -157,19 +180,16 @@ def dyadic_model_operator(
     if variant == "thm_4_1" and not np.all(np.sqrt(V.values) > L):
         bad = int(np.sum(np.sqrt(V.values) <= L))
         raise HypothesisViolationError(f"sqrt(V) > L fails at {bad} grid points")
-    depth = f.n_log2 - 1 if depth is None else depth
     h = haar_transform(f, depth)
     n = f.n
     v = V.values
     out = np.zeros((n, n), dtype=np.complex128)
     mats = {a: _analysis_matrix(a, f.n_log2) for a in range(depth + 1)}
-    for (a, b), c in h.coeffs.items():
-        if variant == "thm_4_2" and not (2.0 ** (-b * beta) >= L):
-            continue
+    for a, b in pairs:
         admissible = _size_product(a, b, beta, variant) <= v
         if not admissible.any():
             continue
-        detail = (n * mats[a]).T @ c @ (n * mats[b])
+        detail = (n * mats[a]).T @ h.coeffs[(a, b)] @ (n * mats[b])
         out += np.where(admissible, detail, 0.0)
     return SampledField(f.n_log2, out)
 
@@ -207,20 +227,13 @@ def check_selection_stability(
     meets (thm_4_2 with L > 1, or beta inf or nan), would check nothing and
     raises ValueError.
     """
-    if variant not in ("thm_4_1", "thm_4_2"):
-        raise ValueError(f"unknown variant {variant!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     depth = min(depth, V.n_log2)
     n = V.n
     v = V.values
-    scales = range(depth + 1)
-    if variant == "thm_4_1":
-        pairs = [(a, b) for a in scales for b in scales if a >= b]  # |I| <= |J|
-    else:
-        pairs = [(a, b) for a in scales for b in scales if 2.0 ** (-b * beta) >= L]
-    if not pairs:
-        raise ValueError(f"no scale pair up to depth {depth} has |J|**beta >= L (L = {L}, beta = {beta})")
+    # thm_4_1 checks the pairs with |I| <= |J|
+    pairs = [(a, b) for a, b in _scale_pairs(depth, beta, L, variant) if variant == "thm_4_2" or a >= b]
     violations = 0
     witnesses: list[tuple] = []
     for a, b in pairs:

@@ -1,10 +1,15 @@
 """One-variable multiplier profiles and two-dimensional hyperbolic symbols.
 
-Profiles are compactly supported, even, C^3-or-better functions of one real
-variable.  Bump profiles squeeze between the indicators of (-eps, eps) and
-(-2 eps, 2 eps) using a degree-11 smoothstep transition whose first five
-derivatives vanish at the knots, so all smoothness-constant scans see a C^5
-function.  The two-dimensional symbol of a profile at dilation lam is
+A profile is the even ramp :class:`MultiplierProfile`: 1 on |t| <= eps, a
+degree-11 smoothstep transition whose first five derivatives vanish at the
+knots, and 0 from the support radius on.  It is C^5, and since the
+transition is a polynomial its derivatives are exact
+(:meth:`MultiplierProfile.derivative`), which the smoothness-constant scan
+and the small-variation term use.  Bump profiles squeeze between the
+indicators of (-eps, eps) and (-2 eps, 2 eps); plateau profiles take any
+finite support radius above the flat radius.
+
+The two-dimensional symbol of a profile at dilation lam is
 m(lam * |xi| * |eta|**beta); :func:`hyperbolic_argument` builds the argument
 grid |xi| * |eta|**beta for every symbol of the package.  This is the one
 argument convention: the scale-decomposition module, which puts the exponent
@@ -15,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,14 +29,16 @@ from .grid import _grid_array, frequencies, frequency_grids
 # Evaluated as x**6 * poly(x) on [0, 1/2] and by the symmetry S = 1 - S(1-x)
 # above 1/2, so values never leave [0, 1] through roundoff.
 _SMOOTHSTEP_POLY = (462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0)
+# row k: the coefficients of S^(k)(x) / x**(6-k), k = 0..6
+_SMOOTHSTEP_DERIVATIVE_POLYS = [[c * math.perm(j + 6, k) for j, c in enumerate(_SMOOTHSTEP_POLY)] for k in range(7)]
 
 
-def _smoothstep_lower(x):
-    """x**6 * poly(x); accurate and nonnegative on [0, 1/2]."""
+def _smoothstep_lower(x, k: int = 0):
+    """S^(k)(x) = x**(6-k) * poly_k(x); accurate on [0, 1/2], nonnegative for k = 0."""
     acc = np.zeros_like(x)
-    for c in reversed(_SMOOTHSTEP_POLY):
+    for c in reversed(_SMOOTHSTEP_DERIVATIVE_POLYS[k]):
         acc = acc * x + c
-    return x**6 * acc
+    return x ** (6 - k) * acc
 
 
 def smoothstep(u):
@@ -43,117 +49,85 @@ def smoothstep(u):
     return np.where(x <= 0.5, near, 1.0 - near)
 
 
-def smoothstep_d2(u):
-    """Second derivative of :func:`smoothstep` (zero outside (0, 1))."""
+def smoothstep_derivative(u, k: int):
+    """k-th derivative of :func:`smoothstep`, 1 <= k <= 6 (zero outside (0, 1)).
+
+    Evaluated like the ramp: x**(6-k) * poly_k(x) on [0, 1/2], and above 1/2
+    by the symmetry S^(k)(1 - x) = (-1)**(k+1) S^(k)(x)."""
+    if k not in range(1, 7):
+        raise ValueError(f"derivative order must be 1 .. 6, got {k}")
     u = np.asarray(u, dtype=np.float64)
-
-    def d2_lower(x):
-        acc = np.zeros_like(x)
-        for k, c in reversed(list(enumerate(_SMOOTHSTEP_POLY))):
-            p = k + 6
-            acc = acc * x + c * p * (p - 1)
-        return x**4 * acc
-
     x = np.clip(u, 0.0, 1.0)
-    low = d2_lower(np.minimum(x, 0.5))
-    high = -d2_lower(np.minimum(1.0 - x, 0.5))  # S'' is odd about 1/2
-    out = np.where(x <= 0.5, low, high)
+    near = _smoothstep_lower(np.minimum(x, 1.0 - x), k)  # x up to 1/2, 1 - x above (exact there)
+    out = np.where(x <= 0.5, near, (-1) ** (k + 1) * near)
     return np.where((u <= 0.0) | (u >= 1.0), 0.0, out)
 
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    """Compactly supported even profile with vectorized evaluation.
+    """Even C^5 profile: 1 on |t| <= epsilon, 1 - smoothstep((|t| - epsilon) / w)
+    on the transition band, w = support_radius - epsilon, and 0 from
+    support_radius on.
 
-    ``evaluate`` accepts scalars or numpy arrays; values vanish for
-    ``|t| > support_radius``.  ``epsilon`` is the flat radius where the
-    constructor knows it: eps for bump profiles and flat_radius for plateau
-    profiles.  :func:`flat_radius` returns it, and ``hypercross normest``
-    writes it to the epsilon column.
+    The smoothstep polynomial runs only on the band epsilon < |t| < stop and
+    on NaN, which it maps to NaN.  From stop = nextafter(epsilon + w, inf) up,
+    (|t| - epsilon) / w >= 1 under any rounding, so the value there is
+    exactly 0, as the closed form gives.
     """
 
+    epsilon: float
     support_radius: float
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    epsilon: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.epsilon < self.support_radius < math.inf):
+            raise ValueError(f"need 0 < epsilon < support_radius < inf, got {self.epsilon}, {self.support_radius}")
+        width = self.support_radius - self.epsilon
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_stop", float(np.nextafter(self.epsilon + width, math.inf)))
 
     def __call__(self, t):
-        return self.evaluate(t)
-
-
-def _is_dyadic_in_unit(eps: float) -> bool:
-    if not (0.0 < eps <= 1.0) or not math.isfinite(eps):
-        return False
-    mantissa, _ = math.frexp(eps)
-    return mantissa == 0.5
-
-
-def _flat_then_ramp(flat: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> 1 on |t| <= flat, else 1 - smoothstep((|t| - flat) / width).
-
-    The polynomial runs only on the transition band flat < |t| < stop and on
-    NaN, which it maps to NaN.  From stop = nextafter(flat + width, inf) up,
-    (|t| - flat) / width >= 1 under any rounding, so the value there is
-    exactly 0, as the closed form gives."""
-    stop = float(np.nextafter(flat + width, math.inf))
-
-    def evaluate(t):
         a = np.abs(np.asarray(t, dtype=np.float64))
-        flat_part = a <= flat
+        flat_part = a <= self.epsilon
         out = np.asarray(flat_part, dtype=np.float64)
-        band = ~flat_part & ~(a >= stop)
-        out[band] = 1.0 - smoothstep((a[band] - flat) / width)
+        band = ~flat_part & ~(a >= self._stop)
+        out[band] = 1.0 - smoothstep((a[band] - self.epsilon) / self._width)
         return out
 
-    return evaluate
+    def derivative(self, t, k: int):
+        """Exact k-th derivative, 1 <= k <= 6:
+        -sign(t)**k * S^(k)((|t| - epsilon) / w) / w**k on the transition
+        band, exactly 0 elsewhere."""
+        t = np.asarray(t, dtype=np.float64)
+        a = np.abs(t)
+        out = np.zeros_like(a)
+        band = ~(a <= self.epsilon) & ~(a >= self._stop)
+        out[band] = -np.sign(t[band]) ** k * smoothstep_derivative((a[band] - self.epsilon) / self._width, k) / self._width**k
+        return out
 
 
 def make_bump_profile(eps: float) -> MultiplierProfile:
     """Even C^5 profile with 1 on [-eps, eps], 0 outside (-2 eps, 2 eps)."""
-    if not _is_dyadic_in_unit(eps):
+    if not (0.0 < eps <= 1.0 and math.frexp(eps)[0] == 0.5):
         raise ValueError(f"eps must be 2**-i for integer i >= 0, got {eps}")
-    return MultiplierProfile(support_radius=2.0 * eps, evaluate=_flat_then_ramp(eps, eps), epsilon=eps)
+    return MultiplierProfile(eps, 2.0 * eps)
 
 
 def make_plateau_profile(flat_radius: float, support_radius: float) -> MultiplierProfile:
     """Even C^5 profile: 1 on [-flat_radius, flat_radius], 0 outside support;
     the support radius must be finite."""
-    if not (0.0 < flat_radius < support_radius < math.inf):
-        raise ValueError(f"need 0 < flat_radius < support_radius < inf, got {flat_radius}, {support_radius}")
-    evaluate = _flat_then_ramp(flat_radius, support_radius - flat_radius)
-    return MultiplierProfile(support_radius=support_radius, evaluate=evaluate, epsilon=flat_radius)
-
-
-def make_custom_profile(func: Callable, support_radius: float, epsilon: float | None = None) -> MultiplierProfile:
-    def evaluate(t, _f=func):
-        return np.asarray(_f(np.asarray(t, dtype=np.float64)), dtype=np.float64)
-
-    return MultiplierProfile(support_radius=support_radius, evaluate=evaluate, epsilon=epsilon)
+    return MultiplierProfile(flat_radius, support_radius)
 
 
 def smoothness_constant(m: MultiplierProfile) -> float:
-    """sum_{i<=3} sup_t |t^i m^(i)(t)| with central finite differences.
-
-    Derivatives use step h = 2**-16 * support_radius; the sup is taken over an
-    equispaced scan of 2**16 + 1 points on [-2R, 2R].
-    """
-    r = m.support_radius
-    h = math.ldexp(r, -16)
-    t = np.linspace(-2.0 * r, 2.0 * r, (1 << 16) + 1)
-    f0 = m(t)
-    fp = m(t + h)
-    fm = m(t - h)
-    fpp = m(t + 2 * h)
-    fmm = m(t - 2 * h)
-    d1 = (fp - fm) / (2 * h)
-    d2 = (fp - 2 * f0 + fm) / (h * h)
-    d3 = (fpp - 2 * fp + 2 * fm - fmm) / (2 * h**3)
-    total = 0.0
-    for i, d in enumerate((f0, d1, d2, d3)):
-        vals = np.abs(t**i * d)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("profile produced non-finite values during the derivative scan")
-        total += float(vals.max())
-    return total
+    """sum_{i<=3} sup_t |t^i m^(i)(t)| with exact derivatives, the sup taken
+    over an equispaced scan of 2**16 + 1 points on [-2R, 2R], R =
+    support_radius."""
+    t = np.linspace(-2.0 * m.support_radius, 2.0 * m.support_radius, (1 << 16) + 1)
+    terms = (m(t), t * m.derivative(t, 1), t * t * m.derivative(t, 2), t * t * t * m.derivative(t, 3))
+    sups = [float(np.abs(term).max()) for term in terms]
+    if not all(map(math.isfinite, sups)):
+        raise ValueError("profile produced non-finite values during the derivative scan")
+    return sum(sups)
 
 
 @dataclass(frozen=True)
@@ -219,16 +193,3 @@ def pi_beta_mask(beta: float, n_log2: int) -> SymbolGrid:
         keep = a >= 1
     return SymbolGrid(n_log2, keep.astype(np.float64))
 
-
-def flat_radius(m: MultiplierProfile) -> float:
-    """Largest r such that m >= 1 - 1e-9 on [0, r] (eps for bump profiles)."""
-    if m.epsilon is not None:
-        return float(m.epsilon)
-    scan = np.linspace(0.0, m.support_radius, 8193)
-    vals = m(scan)
-    below = np.nonzero(vals < 1.0 - 1e-9)[0]
-    if below.size == 0:
-        return float(m.support_radius)
-    if below[0] == 0:
-        raise ValueError("profile has no flat region around 0 (m(0) < 1)")
-    return float(scan[below[0] - 1])

@@ -246,6 +246,16 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
+def test_dyadic_thm_4_2_large_negative_beta_reaches_a_verdict(tmp_path, capsys):
+    # |J|**beta = 2**(2000 b) overflows a float: the side condition and the
+    # size product are taken without forming it
+    cfg = _write(tmp_path, "d.ini", _THM_4_2_CONFIG + "beta = -2000\n")
+    rc = cli.main(["dyadic", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc in (0, 1)
+    assert "dyadic.selection_stability" in capsys.readouterr().out
+    assert (tmp_path / "o" / "report.jsonl").stat().st_size > 0
+
+
 def test_config_error_after_start_removes_only_the_directories_it_created(tmp_path):
     # restarts = 0 is rejected by the estimator, after start() made --out
     cfg = _write(tmp_path, "bad.ini", _BAD_CONFIGS["zero_restarts"][1])

@@ -302,7 +302,7 @@ def _small_variation_field_side(f, V, family, m, nodes_per_octave=8):
     spec = g.forward_transform(f).coeffs
     hyper = de._hyper_args(family)
     full = de._full_symbol(family)
-    flat = mu.flat_radius(m)
+    flat = m.epsilon
     v = V.values
     base_of = lin.dyadic_floor(v)
     out = np.zeros((n, n))

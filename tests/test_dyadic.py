@@ -149,11 +149,13 @@ def test_model_operator_fast_matches_direct():
     assert rel2 < 1e-10
 
 
-def test_model_operator_without_admissible_pairs_is_zero():
-    # at L = 1e9 no scale pair passes |J|**beta >= L, so the loop body never runs
-    f = g.random_field(5, 33)
-    V = dy.generate_dyadic_metric_x(2.0**-2, 5, 6)
-    assert np.all(dy.dyadic_model_operator(f, V, 1.0, 1e9, "thm_4_2").samples == 0.0)
+def test_model_operator_without_admissible_pairs_raises():
+    # at L > 1 no scale pair passes |J|**beta >= L: the sum would be vacuously 0
+    cases = [(g.random_field(5, 33), dy.generate_dyadic_metric_x(2.0**-2, 5, 6), 1e9)]
+    cases.append((g.random_field(5, 0), dy.generate_dyadic_metric_x(0.25, 5, 1), 2.0))
+    for f, V, L in cases:
+        with pytest.raises(ValueError, match="no scale pair"):
+            dy.dyadic_model_operator(f, V, 1.0, L, "thm_4_2")
 
 
 def test_model_operator_hypothesis_errors():

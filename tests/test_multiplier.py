@@ -3,10 +3,11 @@ import pytest
 
 from hypercross import multiplier as mu
 
-# frozen finite-difference scan value for the bump transition shape; the scan
-# rechecks it against the pinned step h = 2**-16 * support_radius.
-# A symbolic-derivative scan of the same shape gives 409.6524.
-BUMP_SMOOTHNESS_BASELINE = 409.676
+# A of the bump transition shape, from exact derivatives on the 2**16 + 1
+# point scan
+BUMP_SMOOTHNESS_BASELINE = 409.65238641647505
+# the degree-11 smoothstep expanded on all of [0, 1], as Polynomial coefficients
+SMOOTHSTEP = np.polynomial.Polynomial([0.0] * 6 + [462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0])
 
 
 def test_bump_values_eps_1():
@@ -42,11 +43,6 @@ def test_bump_rejects_non_dyadic_eps():
             mu.make_bump_profile(eps)
 
 
-def test_smoothness_constant_zero_profile():
-    zero = mu.make_custom_profile(lambda t: np.zeros_like(t), support_radius=1.0)
-    assert mu.smoothness_constant(zero) == 0.0
-
-
 def test_smoothness_constant_order_zero_term_is_one():
     m = mu.make_bump_profile(0.25)
     scan = np.linspace(-1.0, 1.0, 100_001)
@@ -56,17 +52,9 @@ def test_smoothness_constant_order_zero_term_is_one():
 
 def test_smoothness_constant_regression_and_dilation_invariance():
     a_half = mu.smoothness_constant(mu.make_bump_profile(0.5))
-    assert a_half == pytest.approx(BUMP_SMOOTHNESS_BASELINE, rel=1e-3)
+    assert a_half == pytest.approx(BUMP_SMOOTHNESS_BASELINE, rel=1e-9)
     a_eighth = mu.smoothness_constant(mu.make_bump_profile(0.125))
-    assert a_eighth == pytest.approx(a_half, rel=1e-6)
-
-
-def test_smoothness_constant_reflection_invariance():
-    base = mu.make_bump_profile(0.5)
-    reflected = mu.make_custom_profile(lambda t: base(-t), support_radius=base.support_radius)
-    assert mu.smoothness_constant(reflected) == pytest.approx(
-        mu.smoothness_constant(base), rel=1e-9
-    )
+    assert a_eighth == pytest.approx(a_half, rel=1e-12)
 
 
 def test_hyperbolic_symbol_compact_support_far_out():
@@ -125,9 +113,33 @@ def test_pi_beta_masks():
 
 
 def test_flat_radius():
-    assert mu.flat_radius(mu.make_bump_profile(0.25)) == 0.25
-    wide = mu.make_custom_profile(lambda t: np.where(np.abs(t) <= 3.0, 1.0, 0.0), 3.0)
-    assert mu.flat_radius(wide) == 3.0
+    for m, flat in ((mu.make_bump_profile(0.25), 0.25), (mu.make_plateau_profile(0.3, 1.1), 0.3)):
+        assert m.epsilon == flat
+        assert np.all(m(np.linspace(-flat, flat, 1001)) == 1.0)
+        assert m(flat + 0.1 * (m.support_radius - flat)) < 1.0
+
+
+@pytest.mark.parametrize(
+    "m",
+    [mu.make_bump_profile(1.0), mu.make_bump_profile(0.5), mu.make_bump_profile(2.0**-6), mu.make_plateau_profile(0.3, 1.1)],
+    ids=["bump1", "bump0.5", "bump2**-6", "plateau0.3-1.1"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_profile_derivative_matches_expanded_polynomial(m, k):
+    flat, radius = m.epsilon, m.support_radius
+    width = radius - flat
+    knots = np.array([flat, radius])
+    scan = np.linspace(-3 * radius, 3 * radius, 40_001)
+    scan = np.concatenate([scan, knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf)])
+    scan = np.concatenate([scan, -scan])
+    band = (np.abs(scan) > flat) & (np.abs(scan) < radius)
+    u = (np.abs(scan[band]) - flat) / width
+    ref = np.zeros_like(scan)
+    ref[band] = -np.sign(scan[band]) ** k * SMOOTHSTEP.deriv(k)(u) / width**k
+    out = m.derivative(scan, k)
+    assert np.abs(out - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.all(out[~band] == 0.0)
+    assert np.array_equal(out, (-1) ** k * m.derivative(-scan, k))
 
 
 def _closed_form(t, flat, width):
@@ -166,3 +178,10 @@ def test_profile_matches_closed_form_bit_for_bit(make, flat, width):
         out = m(scalar)
         assert isinstance(out, np.ndarray) and out.shape == ()
         assert out.tobytes() == _closed_form(scalar, flat, width).tobytes()
+
+
+def test_profile_derivative_rejects_order_outside_1_to_6():
+    m = mu.make_bump_profile(0.5)
+    for k in (0, 7, -1):
+        with pytest.raises(ValueError, match="derivative order"):
+            m.derivative(0.75, k)

@@ -29,9 +29,7 @@ TEST_REFERENCES = {
     "haar_eval": "builds the Haar functions the haar_transform tests in test_dyadic.py compare against",
     "DyadicInterval": "the interval argument of haar_eval",
     "psi2_space": "space-side oracle for psi2_hat in test_decomposition.py",
-    "smoothstep_d2": "the second derivative psi2_space is built from",
     "identity_operator": "known-norm operator for the estimator tests in test_normest.py",
-    "make_custom_profile": "builds the zero, reflected and wide profiles of the smoothness_constant/flat_radius tests in test_multiplier.py",
 }
 
 

@@ -22,8 +22,9 @@ spectrum's support and one that counts them on the symbol's weight differ.
 A three-valued V with a zero band (the group of key 0) digests the apply
 and adjoint only, since the decomposition terms need V > 0.  A plateau
 apply per field and beta, ``domination_constant`` (as ``float.hex``) per
-field and eps, and the CLI artifacts of one small config per subcommand are
-digested too.
+field and eps, ``smoothness_constant`` (as ``float.hex``) of each bump eps
+and of the plateau profile (0.75, 1.5), and the CLI artifacts of one small
+config per subcommand are digested too.
 
 The decomposition's ladder sums are digested where the scale family acts,
 at N = 8 to 128 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (the last two with a
@@ -131,6 +132,9 @@ def _mean_zero(f: gr.SampledField) -> gr.SampledField:
 def library_digests():
     """(name, sha256) for every library output on the grid."""
     plateau = mu.make_plateau_profile(0.75, 1.5)
+    profiles = {**{f"eps={eps}": mu.make_bump_profile(eps) for eps in EPSILONS}, "plateau": plateau}
+    for label, m in profiles.items():
+        yield f"{label} smoothness_constant", _digest(mu.smoothness_constant(m).hex())
     for n_log2 in N_LOG2S:
         n = 1 << n_log2
         f = gr.random_field(n_log2, 50 + n_log2)
@@ -262,8 +266,14 @@ def cli_digests():
                 yield f"cli {command} {path.name}", _digest(path.read_bytes())
 
 
+def digests():
+    """(name, sha256) for every output the script covers, in print order."""
+    for generate in (library_digests, ladder_digests, hypothesis_digests, cli_digests):
+        yield from generate()
+
+
 def main() -> int:
-    for name, digest in (*library_digests(), *ladder_digests(), *hypothesis_digests(), *cli_digests()):
+    for name, digest in digests():
         print(f"{digest}  {name}")
     return 0
 
