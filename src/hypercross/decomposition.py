@@ -28,12 +28,12 @@ values, which the kernel may group by frequency instead of by V; the error
 part runs one gather per dyadic rounding of V, weighted by that rounding's
 ladder pairs above the principal cutoff.
 The family (:class:`LPFamily`) is two arrays of ladder exponents and
-three tables with one row per ladder scale.  Every ladder-pair sum (the
-principal cutoff, the frozen large-variation windows) is one
-:func:`_pair_sum`, which selects the pairs by one boolean mask over the
-(K, L) grid of t * s**beta.  The small-variation piece takes d/dtau on
-the symbol, exactly, by the profile's derivative (d/dtau commutes with the
-inverse FFT): one gather per tau node, keyed by the dyadic floor of V.
+three tables with one row per ladder scale; phi1 is normalized per
+frequency at every beta.  Every ladder-pair sum is one :func:`_pair_sum`,
+the product phi1.T @ (mask @ (phi2 psi2)), its mask over the (K, L) grid
+of t * s**beta.  The small-variation piece takes d/dtau on the symbol by
+the profile's exact derivative: one gather per tau node keyed by the dyadic
+floor of V, interpolated at V on the nine node ratios.
 """
 
 from __future__ import annotations
@@ -75,21 +75,17 @@ class LadderError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _phi1_log_profile(annulus_exp: float):
-    """Window w on the log2 axis supported in (-a, a) with unit dyadic sums.
-
-    For 2a an integer the construction telescopes exactly for every real
-    argument; otherwise the caller must renormalize per frequency.
-    """
+    """Window w on the log2 axis supported in (-a, a): the ramp
+    smoothstep(u + a) minus the ramp smoothstep(u - (a - 1)).  Its dyadic
+    sums are not normalized; :func:`make_lp_family` divides them out per
+    frequency."""
     a = annulus_exp
-    two_a = 2.0 * a
-    exact = abs(two_a - round(two_a)) < 1e-12 and round(two_a) >= 2
-    divisor = round(two_a) - 1 if exact else 1
 
     def w(u):
         u = np.asarray(u, dtype=np.float64)
-        return (smoothstep(u + a) - smoothstep(u - (a - 1.0))) / divisor
+        return smoothstep(u + a) - smoothstep(u - (a - 1.0))
 
-    return w, exact
+    return w
 
 
 def _octave_product(u: np.ndarray) -> np.ndarray:
@@ -170,10 +166,10 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     """Build the scale family for exponent beta on an N = 2**n_log2 grid.
 
     The xi-axis annulus has log-radius 1/|beta|; beta = 0 falls back to the
-    one-octave window on both axes (recorded in ``notes``).  The tables are
-    row-aligned with the exponent arrays ``ks`` and ``ls``.  Raises
-    LadderError when the annulus is too narrow to cover the dyadic ladder
-    (|beta| >= 2) or the grid cannot host it.
+    one-octave window on both axes (recorded in ``notes``).  phi1 is divided
+    by its per-frequency total at every beta (exactly 1 at beta = 0).  Tables
+    are row-aligned with ``ks`` and ``ls``.  Raises LadderError when the
+    annulus cannot cover the ladder (|beta| >= 2) or the grid cannot host it.
     """
     if n_log2 < 3:
         raise LadderError("grid too small to host the annuli")
@@ -191,7 +187,7 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     ks = np.arange(-math.ceil(a) - 1, n_log2 + math.ceil(a) + 1)
     ls = np.arange(-1, n_log2)
 
-    w, exact = _phi1_log_profile(a)
+    w = _phi1_log_profile(a)
     if beta == 0.0:
         phi1 = _octave_product(abs_freq / 2.0 ** ks[:, None])
     else:
@@ -199,12 +195,10 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
         np.log2(abs_freq, out=log_freq, where=resolved)
         phi1 = w(log_freq - ks[:, None])
     phi1[:, ~resolved] = 0.0
-    if not exact:
-        total = phi1.sum(axis=0)
-        if np.any(total[resolved] <= 1e-9):
-            raise LadderError("xi annulus leaves gaps on the dyadic ladder; cannot normalize")
-        phi1[:, resolved] *= 1.0 / total[resolved]
-        notes.append("phi1 renormalized per frequency (2/|beta| not an integer)")
+    total = phi1.sum(axis=0)
+    if np.any(total[resolved] <= 1e-9):
+        raise LadderError("xi annulus leaves gaps on the dyadic ladder; cannot normalize")
+    phi1[:, resolved] *= 1.0 / total[resolved]
 
     ts = 2.0 ** ls[:, None]
     product = _octave_product(abs_freq / ts)
@@ -244,14 +238,9 @@ def _hyper_args(family: LPFamily) -> np.ndarray:
 def _pair_sum(family: LPFamily, keep) -> np.ndarray:
     """Sum of the pair symbols phi1_k (x) phi2_l psi2_l over the ladder pairs
     (k, l) whose t_l * s_k**beta satisfies ``keep``, applied elementwise to
-    the (K, L) grid of those products."""
+    the (K, L) grid of those products: one bilinear product of the tables."""
     kept = keep(2.0 ** family.ls * (2.0 ** family.ks[:, None]) ** family.beta)
-    g2 = family.phi2 * family.psi2
-    n = 1 << family.n_log2
-    out = np.zeros((n, n))
-    for phi1_row, kept_row in zip(family.phi1, kept):
-        out += phi1_row[:, None] * np.where(kept_row[:, None], g2, 0.0).sum(axis=0)
-    return out
+    return family.phi1.T @ (kept @ (family.phi2 * family.psi2))
 
 
 def _below_symbol(family: LPFamily, cutoff: float) -> np.ndarray:
@@ -333,8 +322,8 @@ def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> Sy
 
 def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
     """Pointwise integral of |d/dtau E_tau f| from the dyadic base of V(x,y)
-    up to V(x,y): the trapezoid rule on the 9 nodes tau = 2**(i/8) * base,
-    i = 0..8, interpolated linearly at V.
+    up to V(x,y): the trapezoid rule on the 9 nodes tau = r * base, with the
+    ratios r = 2**(i/8), i = 0..8, interpolated linearly at u = V / base.
 
     Node r * base is one gather keyed by the dyadic floor of V with the
     symbol above(base) * d/dtau m(tau |xi|**beta |eta|), taken exactly as
@@ -350,20 +339,14 @@ def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily,
     # the rounded scale, hence the ladder pairs above it, is constant across an octave
     above = {b: full - _below_symbol(family, m.epsilon / dyadic_round_up(b)) for b in np.unique(base)}
     spec = forward_transform(f).coeffs
-    integrand = np.abs(
-        [gather(spec, buckets, lambda b: above[b] * hyper * m.derivative(b * r * hyper, 1)) for r in _SMALL_VARIATION_RATIOS]
-    )
-    taus = _SMALL_VARIATION_RATIOS[:, None, None] * base
-    trapezoids = 0.5 * np.diff(taus, axis=0) * (integrand[:-1] + integrand[1:])
-    cum = np.concatenate([np.zeros((1,) + taus.shape[1:]), np.cumsum(trapezoids, axis=0)])
-    v = V.values
-    pos = np.clip(np.sum(taus <= v, axis=0) - 1, 0, taus.shape[0] - 2)[None]
-
-    def at(arr, k):
-        return np.take_along_axis(arr, k, axis=0)[0]
-
-    frac = (v - at(taus, pos)) / (at(taus, pos + 1) - at(taus, pos))
-    return SampledField(f.n_log2, at(cum, pos) * (1 - frac) + at(cum, pos + 1) * frac)
+    r, dr = _SMALL_VARIATION_RATIOS, np.diff(_SMALL_VARIATION_RATIOS)
+    integrand = np.abs([gather(spec, buckets, lambda b: above[b] * hyper * m.derivative(b * ri * hyper, 1)) for ri in r])
+    trapezoids = 0.5 * (dr[:, None, None] * base) * (integrand[:-1] + integrand[1:])
+    cum = np.concatenate([np.zeros((1,) + base.shape), np.cumsum(trapezoids, axis=0)])
+    u = V.values / base  # exact: base is a power of two
+    pos = np.clip(np.searchsorted(r, u, side="right") - 1, 0, r.size - 2)
+    frac = (u - r[pos]) / dr[pos]
+    return SampledField(f.n_log2, np.choose(pos, cum) * (1 - frac) + np.choose(pos + 1, cum) * frac)
 
 
 def overlap_count(family: LPFamily, m: MultiplierProfile, j_range) -> int:

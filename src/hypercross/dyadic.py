@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridMismatchError, SampledField
-from .linearized import LinearizerField, Regularity, _all_dyadic
+from .linearized import LinearizerField, Regularity, _all_dyadic, dyadic_floor
 
 
 class HypothesisViolationError(ValueError):
@@ -305,7 +305,9 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerFie
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
     v = np.empty((n, n))
-    r_min = math.floor(math.log2(L * L)) + 1  # smallest power strictly above L**2
+    # exponents come from the exact dyadic floor: math.log2 rounds, and
+    # math.log2(nextafter(0.25, 0)) == -2.0
+    r_min = int(math.log2(dyadic_floor(L * L))) + 1  # smallest power strictly above L**2
 
     def fill(x0: int, y0: int, cells: int, constrained: bool) -> None:
         side = cells / n
@@ -316,7 +318,7 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerFie
                 for dy in (0, half):
                     fill(x0 + dx, y0 + dy, half, True)
             return
-        r_max = math.floor(math.log2(2.0 * L * side)) if constrained else 0
+        r_max = int(math.log2(dyadic_floor(2.0 * L * side))) if constrained else 0
         if r_min > r_max:
             raise ValueError(f"no admissible value for leaf of side {side} at L={L}")
         r = int(rng.integers(r_min, r_max + 1))
@@ -350,7 +352,7 @@ def generate_dyadic_metric_x(L: float, n_log2: int, seed: int) -> LinearizerFiel
             fill(x0, cells // 2, True)
             fill(x0 + cells // 2, cells // 2, True)
             return
-        r_hi = math.floor(math.log2(L * cells / n)) if constrained else 0
+        r_hi = int(math.log2(dyadic_floor(L * cells / n))) if constrained else 0
         for band in range(bands):
             r = int(rng.integers(r_hi - 3, r_hi + 1))
             v[x0 : x0 + cells, band * band_cells : (band + 1) * band_cells] = math.ldexp(1.0, r)

@@ -198,24 +198,25 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         return LinearizerField(n_log2, dyadic_floor(v), Regularity("dyadic_of_lipschitz", lip=lip), seed)
 
     # staircase_x: reflecting +-1 random walks quantized to steps of size
-    # lip/N.  The adjacent difference is exactly one step, so the Lipschitz
-    # constant is met with margin while the number of distinct values stays
-    # small.
+    # 0.9 lip/N, each a half-length walk followed by its mirror image, so it
+    # closes on the torus.  Every step, the seam included, is 0 or one step,
+    # so the Lipschitz constant is met with margin while the number of
+    # distinct values stays small.
     lip = float(params.get("lip_constant", 1.0))
     v_min = float(params.get("v_min", 0.5))
     levels = int(params.get("levels", max(8, n // 2)))
     step = 0.9 * lip / n
 
-    def walk(length: int) -> np.ndarray:
-        pos = np.empty(length, dtype=np.int64)
+    def walk() -> np.ndarray:
+        half = np.empty(n // 2, dtype=np.int64)
         cur = int(rng.integers(0, levels))
-        for i in range(length):
-            pos[i] = cur
+        for i in range(n // 2):
+            half[i] = cur
             move = int(rng.integers(-1, 2))
             cur = min(max(cur + move, 0), levels - 1)
-        return pos
+        return np.concatenate([half, half[::-1]])
 
-    v = v_min + step * (walk(n)[:, None] + walk(n)[None, :])
+    v = v_min + step * (walk()[:, None] + walk()[None, :])
     return LinearizerField(n_log2, v, Regularity("staircase_x", lip=lip, floor=v_min), seed)
 
 
@@ -299,8 +300,7 @@ def dyadic_round_up(lam):
     arr = np.asarray(lam, dtype=np.float64)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError("dyadic_round_up requires positive finite input")
-    _, exp = np.frexp(arr)  # lam = m * 2**exp with m in [0.5, 1), so 2**exp > lam
-    out = np.ldexp(1.0, exp + 2)
+    out = 8.0 * dyadic_floor(arr)  # exact: both factors are powers of two
     return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 
 

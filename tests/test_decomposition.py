@@ -43,8 +43,7 @@ def test_phi1_annulus_support(fam):
 
 
 def test_phi1_pointwise_example_values():
-    w, exact = de._phi1_log_profile(1.0)
-    assert exact
+    w = de._phi1_log_profile(1.0)
     assert w(math.log2(3.0)) == 0.0  # 3 outside [1/2, 2]
     assert w(math.log2(0.7)) > 0.0
     assert w(math.log2(0.7)) * w(math.log2(3.0)) == 0.0
@@ -100,11 +99,10 @@ def test_narrow_annulus_rejected():
             de.make_lp_family(beta, 6)
 
 
-@pytest.mark.parametrize("beta", [1.5, -0.75, 0.3])
+@pytest.mark.parametrize("beta", [1.5, -0.75, 0.3, 0.5, -0.5])
 def test_renormalized_phi1_family(beta):
-    # 2/|beta| is not an integer, so phi1 is renormalized per frequency
+    # phi1 is divided by its per-frequency total, for integer 2/|beta| too
     family = de.make_lp_family(beta, 6)
-    assert any("phi1 renormalized" in note for note in family.notes)
     w1, _ = de._axis_sums(family)
     nz = g.frequencies(6) != 0
     assert np.abs(w1[nz] - 1.0).max() <= 1e-15
@@ -137,7 +135,7 @@ def test_lemma_at_negative_beta_matches_fixed_multiplier(n_log2):
 
 def test_projection_eigenfunction(fam):
     # the phi1 projection at scale 2 multiplies the mode at frequency 3 by w(log2(3/2))
-    w, _ = de._phi1_log_profile(1.0)
+    w = de._phi1_log_profile(1.0)
     assert g.frequencies(6)[3] == 3
     assert abs(fam.phi1[fam.ks == 1][0, 3] - float(w(math.log2(3.0 / 2.0)))) < 1e-12
 
@@ -147,6 +145,21 @@ def test_ladder_reconstruction_of_mean_zero_field(fam):
     total = (fam.phi2 * fam.psi2).sum(axis=0)
     nz = g.frequencies(6) != 0
     assert np.abs(total[nz] - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 0.0, 0.5, 1.5, -0.75])
+def test_pair_sum_matches_double_loop_over_ladder_pairs(beta):
+    # oracle: phi1_k (x) phi2_l psi2_l added pair by pair over the kept (k, l)
+    family = de.make_lp_family(beta, 5)
+    keeps = (lambda ts: ts < 1.0, lambda ts: (0.25 <= ts) & (ts <= 4.0))
+    for keep in keeps:
+        expected = np.zeros((32, 32))
+        for k, phi1 in zip(family.ks, family.phi1):
+            for el, phi2, psi2 in zip(family.ls, family.phi2, family.psi2):
+                if keep(2.0**el * (2.0**k) ** beta):
+                    expected += np.outer(phi1, phi2 * psi2)
+        assert np.abs(expected).max() > 0.0
+        assert np.abs(de._pair_sum(family, keep) - expected).max() <= 1e-14
 
 
 def test_calderon_residual_cases(fam):

@@ -192,6 +192,22 @@ def test_selection_stability_generated_hypotheses():
         assert dy.check_selection_stability(V2, 2.0**-2, 1.0, "thm_4_2", depth=6).violations == 0
 
 
+def test_dyadic_metric_x_split_blocks_hold_half_the_bound_just_below_a_power_of_two():
+    # an x-block of c cells on which V varies was split, so every value on it
+    # is at most L * (c/2) / N; at L just below 1/4 a rounded log2 overshoots
+    L = float(np.nextafter(0.25, 0.0))
+    n_log2 = 6
+    n = 1 << n_log2
+    for seed in range(20):
+        V = dy.generate_dyadic_metric_x(L, n_log2, seed)
+        for q in range(1, n_log2 + 1):
+            cells = 1 << q
+            blocks = V.values.reshape(n // cells, cells, n)
+            bmax, bmin = blocks.max(axis=1), blocks.min(axis=1)
+            varies = bmax > bmin
+            assert np.all(bmax[varies] / (L * cells / n) <= 0.5), (seed, cells)
+
+
 def test_selection_stability_catches_constructed_violation():
     V = dy.generate_dyadic_metric_2d(2.0**-3, 6, 1)
     vals = V.values.copy()

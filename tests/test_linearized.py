@@ -102,6 +102,19 @@ def test_generated_staircase_x_passes_checker():
     assert rep.worst_ratio <= 0.9 + 1e-12
 
 
+@pytest.mark.parametrize("n_log2", [3, 4, 5, 6])
+def test_staircase_x_closes_on_the_torus(n_log2):
+    # every torus step on both axes, the seam included, is at most 0.9 lip / N
+    n = 1 << n_log2
+    params = {"lip_constant": 1.0, "v_min": 0.125, "levels": 48}
+    for seed in range(5):
+        v = lin.generate_linearizer("staircase_x", params, seed, n_log2).values
+        for axis in (0, 1):
+            steps = np.abs(v - np.roll(v, 1, axis=axis))
+            assert steps.max() * n <= 0.9 * (1 + 1e-12), (seed, axis)
+        assert v.min() >= 0.125 and v.max() <= 0.125 + 2 * 47 * 0.9 / n * (1 + 1e-12)
+
+
 def test_lip_2d_generator_and_floor():
     L = 0.5
     V = lin.generate_linearizer("lip_2d", {"lip_constant": L}, 3, 5)
@@ -154,7 +167,10 @@ def test_dyadic_round_up_examples():
 def test_dyadic_round_up_bracketing_bulk():
     rng = np.random.default_rng(0)
     lam = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=100_000))
+    # the ends of the float range: subnormals up to the largest input whose rounding is finite
+    lam = np.concatenate([lam, [5e-324, 3e-320, 2.0**-1022, np.nextafter(0.25, 0.0), np.nextafter(2.0**1021, 0.0)]])
     vt = lin.dyadic_round_up(lam)
+    assert np.all(np.frexp(vt)[0] == 0.5)
     assert np.all(vt / 8.0 <= lam)
     assert np.all(lam < vt / 4.0)
 

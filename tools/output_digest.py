@@ -27,8 +27,9 @@ and of the plateau profile (0.75, 1.5), and the CLI artifacts of one small
 config per subcommand are digested too.
 
 The decomposition's ladder sums are digested where the scale family acts,
-at N = 8 to 128 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (the last two with a
-non-integer 2/|beta|, so phi1 is renormalized per frequency): the two axis
+at N = 8 to 128 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (phi1 is divided by
+its per-frequency total at every beta; the last two have a non-integer
+2/|beta|, so no dyadic sum of the phi1 window is constant): the two axis
 sums, the principal cutoff symbol at three cutoffs, every frozen
 large-variation symbol over ``representable_j_range`` at bump eps 1/2 and
 1, and, at N = 64, the ratio check of a lip_y field ('lip'), a lip_2d field
@@ -41,8 +42,10 @@ lip_x, lip_y, lip_2d, dyadic_of_lipschitz and staircase_x (passed, the
 worst ratio as ``float.hex``, and the witness as ints when the worst ratio
 is positive), and at N = 16 to 64 the two dyadic-metric block counts and
 the ``check_selection_stability`` record, on the dyadic-metric fields and
-on copies scaled by 1/4 with one x-row raised to 1.  A run takes a few
-seconds.
+on copies scaled by 1/4 with one x-row raised to 1.  The values of the
+first-variable dyadic-metric field at N = 64, seeds 0, 1 and 2, are digested
+at L = nextafter(2**-2, 0) too, where a log2 that rounds would pick powers
+of two above the bound.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ DYADIC_METRICS = {
     "metric_2d": (dy.generate_dyadic_metric_2d, 2.0**-3, "thm_4_1"),
     "metric_x": (dy.generate_dyadic_metric_x, 2.0**-2, "thm_4_2"),
 }
+NEAR_POWER_L = float(np.nextafter(2.0**-2, 0.0))  # math.log2 rounds it to -2.0
+NEAR_POWER_N_LOG2 = 6
 
 CLI_CONFIGS = {
     "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
@@ -248,6 +253,9 @@ def hypothesis_digests():
                     prefix = f"N={1 << n_log2} {label} seed={seed}"
                     yield f"{prefix} dyadic_metric counts", _digest(repr(counts))
                     yield f"{prefix} selection_stability", _digest(json.dumps(record, sort_keys=True))
+    for seed in HYPOTHESIS_SEEDS:
+        V = dy.generate_dyadic_metric_x(NEAR_POWER_L, NEAR_POWER_N_LOG2, seed)
+        yield f"N={1 << NEAR_POWER_N_LOG2} metric_x L=nextafter(2**-2, 0) seed={seed} values", _digest(V.values)
 
 
 def cli_digests():
