@@ -185,7 +185,7 @@ def _build_profile(ctx: RunContext) -> mu.MultiplierProfile:
     if kind == "bump":
         return mu.make_bump_profile(ctx.take("profile", "epsilon", 1.0))
     if kind == "plateau":
-        return mu.make_plateau_profile(ctx.take("profile", "flat_radius", 1.0), ctx.take("profile", "support_radius", 2.0))
+        return mu.MultiplierProfile(ctx.take("profile", "flat_radius", 1.0), ctx.take("profile", "support_radius", 2.0))
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
@@ -261,12 +261,12 @@ def cmd_decompose(ctx: RunContext) -> None:
     ctx.start()
     family = de.make_lp_family(beta, ctx.n_log2)
 
-    f = gr.random_field(ctx.n_log2, ctx.seed + 2)
-    spec = gr.forward_transform(f)
-    coeffs = spec.coeffs.copy()
-    coeffs[0, :] = 0
-    coeffs[:, 0] = 0
-    f = gr.inverse_transform(gr.SpectralField(ctx.n_log2, coeffs))
+    # each odd row, then each odd column, the negated even one before it: the
+    # spectrum is exactly zero on the lines xi = 0 and eta = 0
+    samples = gr.random_field(ctx.n_log2, ctx.seed + 2).samples.copy()
+    samples[1::2] = -samples[0::2]
+    samples[:, 1::2] = -samples[:, 0::2]
+    f = gr.SampledField(ctx.n_log2, samples)
 
     residual = de.calderon_residual(f, family)
     ctx.check("calderon_residual", residual <= CALDERON_TOLERANCE, f"{residual:.3e}", beta=beta, epsilon=profile.epsilon, tolerance=CALDERON_TOLERANCE)
@@ -329,7 +329,6 @@ def cmd_sweep(ctx: RunContext) -> None:
     beta = ctx.take("sweep", "beta", 1.0)
     eps_list = ctx.take("sweep", "eps_list", [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
     v_spec = ctx.take_all("linearizer")
-    v_spec.setdefault("kind", "staircase_x")
     if not eps_list:
         raise ConfigError("sweep.eps_list is empty")
     ctx.start()

@@ -17,7 +17,7 @@ A one-octave window supported in [1,2] admits no smooth dyadic partition of
 unity, so the product window phi2_hat * psi2_hat takes the balanced sharp
 form: 1 strictly inside the octave and 1/2 at the two endpoints.  psi2 keeps
 exact compact space support (the property the ratio check needs) and phi2
-absorbs the per-frequency correction; this is reported in the family record.
+absorbs the per-frequency correction.
 
 The variable-scale terms (lemma, principal, error, small variation) are
 calls of the bucketed kernel :func:`hypercross.linearized.gather` over a
@@ -74,18 +74,13 @@ class LadderError(ValueError):
 # Profile pieces.
 # ---------------------------------------------------------------------------
 
-def _phi1_log_profile(annulus_exp: float):
-    """Window w on the log2 axis supported in (-a, a): the ramp
-    smoothstep(u + a) minus the ramp smoothstep(u - (a - 1)).  Its dyadic
-    sums are not normalized; :func:`make_lp_family` divides them out per
-    frequency."""
-    a = annulus_exp
-
-    def w(u):
-        u = np.asarray(u, dtype=np.float64)
-        return smoothstep(u + a) - smoothstep(u - (a - 1.0))
-
-    return w
+def _phi1_window(u, annulus_exp: float) -> np.ndarray:
+    """Window w on the log2 axis supported in (-a, a), a = annulus_exp: the
+    ramp smoothstep(u + a) minus the ramp smoothstep(u - (a - 1)).  Its
+    dyadic sums are not normalized; :func:`make_lp_family` divides them out
+    per frequency."""
+    u = np.asarray(u, dtype=np.float64)
+    return smoothstep(u + annulus_exp) - smoothstep(u - (annulus_exp - 1.0))
 
 
 def _octave_product(u: np.ndarray) -> np.ndarray:
@@ -159,41 +154,35 @@ class LPFamily:
     phi1: np.ndarray
     phi2: np.ndarray
     psi2: np.ndarray
-    notes: tuple = ()
 
 
 def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     """Build the scale family for exponent beta on an N = 2**n_log2 grid.
 
-    The xi-axis annulus has log-radius 1/|beta|; beta = 0 falls back to the
-    one-octave window on both axes (recorded in ``notes``).  phi1 is divided
-    by its per-frequency total at every beta (exactly 1 at beta = 0).  Tables
-    are row-aligned with ``ks`` and ``ls``.  Raises LadderError when the
-    annulus cannot cover the ladder (|beta| >= 2) or the grid cannot host it.
+    The xi-axis annulus has log-radius a = 1/|beta|, and beta = 0 takes
+    a = 1; phi1 is the one window :func:`_phi1_window` at every beta,
+    divided by its per-frequency total.  At beta = 0 every ladder-pair mask
+    depends on t alone, so phi1 enters only through that total, which is 1.
+    Tables are row-aligned with ``ks`` and ``ls``.  Raises LadderError when
+    the annulus cannot cover the ladder (|beta| >= 2) or the grid cannot
+    host it.
     """
     if n_log2 < 3:
         raise LadderError("grid too small to host the annuli")
     freqs = frequencies(n_log2).astype(np.float64)
     abs_freq = np.abs(freqs)
     resolved = abs_freq > 0
-    notes = []
 
     a = 1.0 / abs(beta) if beta != 0.0 else 1.0
-    if beta == 0.0:
-        notes.append("beta=0: xi axis uses the one-octave window")
     if a <= 0.5:
         raise LadderError(f"annulus log-radius {a} <= 1/2: dyadic ladder cannot cover (|beta| >= 2)")
 
     ks = np.arange(-math.ceil(a) - 1, n_log2 + math.ceil(a) + 1)
     ls = np.arange(-1, n_log2)
 
-    w = _phi1_log_profile(a)
-    if beta == 0.0:
-        phi1 = _octave_product(abs_freq / 2.0 ** ks[:, None])
-    else:
-        log_freq = np.zeros_like(abs_freq)
-        np.log2(abs_freq, out=log_freq, where=resolved)
-        phi1 = w(log_freq - ks[:, None])
+    log_freq = np.zeros_like(abs_freq)
+    np.log2(abs_freq, out=log_freq, where=resolved)
+    phi1 = _phi1_window(log_freq - ks[:, None], a)
     phi1[:, ~resolved] = 0.0
     total = phi1.sum(axis=0)
     if np.any(total[resolved] <= 1e-9):
@@ -205,9 +194,8 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     product[:, ~resolved] = 0.0
     psi2 = psi2_hat(freqs / ts)
     phi2 = np.divide(product, psi2, out=np.zeros_like(product), where=product != 0)
-    notes.append("phi2 absorbs the per-frequency product normalization (sharp octave)")
 
-    return LPFamily(beta, n_log2, ks, ls, phi1, phi2, psi2, tuple(notes))
+    return LPFamily(beta, n_log2, ks, ls, phi1, phi2, psi2)
 
 
 def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +205,7 @@ def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
 def calderon_residual(f: SampledField, family: LPFamily) -> float:
     """||f - sum_k sum_l P1 P2 P3 f||_2 / ||f||_2 over the dyadic ladders."""
     spec = forward_transform(f)
-    w1, g2 = _axis_sums(family)
-    diff = spec.coeffs * (1.0 - w1[:, None] * g2[None, :])
+    diff = spec.coeffs * (1.0 - _full_symbol(family))
     denom = math.sqrt(float(np.sum(np.abs(spec.coeffs) ** 2)))
     if denom == 0.0:
         return 0.0
@@ -428,7 +415,6 @@ def lipschitz_ratio_check(
     vz = vt[xs, zs]
     v_num = np.maximum(vy, vz)
     v_den = np.minimum(vy, vz)
-    differ = vy != vz
 
     # admissible ladder dilation per sample: the rounded-scale window
     # v_den * s**beta < 1/t <= v_num * s**beta, plus the variant regime
@@ -440,8 +426,8 @@ def lipschitz_ratio_check(
         window &= s_beta <= 2.0 / L + 1e-12
     else:
         window &= s_all[None, :] <= 4.0 * ts[:, None]
-    admissible = differ & window.any(axis=1)
-    s_pick = np.where(window.any(axis=1), s_all[np.argmax(window, axis=1)], np.nan)
+    admissible = window.any(axis=1)  # empty where the two rounded scales agree
+    s_pick = np.where(admissible, s_all[np.argmax(window, axis=1)], np.nan)
 
     idx = np.nonzero(admissible)[0]
     checked = int(idx.size)

@@ -162,16 +162,16 @@ def dyadic_model_operator(
     beta: float,
     L: float,
     variant: str,
-    depth: int | None = None,
 ) -> SampledField:
-    """Scale-selected Haar sum: at each point, the tensor details whose scale
-    pair is admissible for V(x, y) are kept.
+    """Scale-selected Haar sum over every resolved scale (depth n_log2 - 1):
+    at each point, the tensor details whose scale pair is admissible for
+    V(x, y) are kept.
 
     thm_4_1 keeps |I||J| <= V(x,y) and requires sqrt(V) > L everywhere;
     thm_4_2 keeps |I||J|**beta <= V(x,y) subject to |J|**beta >= L, and
     raises ValueError when no scale pair meets that side condition.
     """
-    depth = f.n_log2 - 1 if depth is None else depth
+    depth = f.n_log2 - 1
     pairs = _scale_pairs(depth, beta, L, variant)
     if f.n_log2 != V.n_log2:
         raise GridMismatchError("field and linearizer grids differ")
@@ -297,9 +297,10 @@ def dyadic_square_function(f: SampledField, axis: int) -> SampledField:
 
 def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerField:
     """Dyadic-valued V that is L-Lipschitz for the 2D dyadic metric with
-    sqrt(V) > L: a random quadtree (each splittable square splits with
-    probability 0.7) whose leaf values are powers of two in
-    (L**2, 2 L * leaf_side]."""
+    sqrt(V) > L: a random quadtree whose leaf values are powers of two in
+    (L**2, 2 L * leaf_side].  A square splits with probability 0.7 when its
+    children can hold such a value, that is when a power of two lies in
+    (L**2, L * side]."""
     if not 0.0 < L < math.inf:
         raise ValueError(f"L must be positive and finite, got {L}")
     rng = np.random.default_rng(seed)
@@ -311,7 +312,9 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerFie
 
     def fill(x0: int, y0: int, cells: int, constrained: bool) -> None:
         side = cells / n
-        can_split = side > L and cells >= 2
+        # children hold powers of two in (L**2, L * side]: L * side = m 2**e
+        # with m in [1/2, 1) reaches 2**r_min iff e > r_min
+        can_split = cells >= 2 and math.frexp(L * side)[1] > r_min
         if can_split and rng.random() < 0.7:
             half = cells // 2
             for dx in (0, half):

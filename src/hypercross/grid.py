@@ -85,12 +85,6 @@ def frequencies(n_log2: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
 
 
-def frequency_grids(n_log2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Meshgrid (xi, eta) of integer frequencies in FFT storage order."""
-    f = frequencies(n_log2)
-    return np.meshgrid(f, f, indexing="ij")
-
-
 def forward_transform(f: SampledField) -> SpectralField:
     """DFT with the e^{-2pi i(x xi + y eta)} convention, normalized by 1/N^2."""
     n2 = f.n * f.n

@@ -6,8 +6,9 @@ knots, and 0 from the support radius on.  It is C^5, and since the
 transition is a polynomial its derivatives are exact
 (:meth:`MultiplierProfile.derivative`), which the smoothness-constant scan
 and the small-variation term use.  Bump profiles squeeze between the
-indicators of (-eps, eps) and (-2 eps, 2 eps); plateau profiles take any
-finite support radius above the flat radius.
+indicators of (-eps, eps) and (-2 eps, 2 eps); a plateau profile is
+``MultiplierProfile(flat_radius, support_radius)`` itself, for any finite
+support radius above the flat radius.
 
 The two-dimensional symbol of a profile at dilation lam is
 m(lam * |xi| * |eta|**beta); :func:`hyperbolic_argument` builds the argument
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _grid_array, frequencies, frequency_grids
+from .grid import _grid_array, frequencies
 
 # Degree-11 smoothstep: S(0)=0, S(1)=1, S', .., S^(5) vanish at both knots.
 # Evaluated as x**6 * poly(x) on [0, 1/2] and by the symmetry S = 1 - S(1-x)
@@ -112,12 +113,6 @@ def make_bump_profile(eps: float) -> MultiplierProfile:
     return MultiplierProfile(eps, 2.0 * eps)
 
 
-def make_plateau_profile(flat_radius: float, support_radius: float) -> MultiplierProfile:
-    """Even C^5 profile: 1 on [-flat_radius, flat_radius], 0 outside support;
-    the support radius must be finite."""
-    return MultiplierProfile(flat_radius, support_radius)
-
-
 def smoothness_constant(m: MultiplierProfile) -> float:
     """sum_{i<=3} sup_t |t^i m^(i)(t)| with exact derivatives, the sup taken
     over an equispaced scan of 2**16 + 1 points on [-2R, 2R], R =
@@ -146,9 +141,7 @@ def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:
     beta > 0, 1 for beta = 0, and a 0 placeholder for beta < 0 (those entries
     are always masked away by the caller)."""
     a = np.abs(freq).astype(np.float64)
-    if beta == 0.0:
-        return np.ones_like(a)
-    if beta > 0.0:
+    if beta >= 0.0:
         return a**beta
     out = np.zeros_like(a)
     nz = a > 0
@@ -183,13 +176,12 @@ def pi_beta_mask(beta: float, n_log2: int) -> SymbolGrid:
     beta > 0 keeps |eta| <= 1 (the eta = 0 line included), beta < 0 keeps
     |eta| >= 1 (eta = 0 dropped), beta = 0 keeps everything.
     """
-    _, eta = frequency_grids(n_log2)
-    a = np.abs(eta)
+    a = np.abs(frequencies(n_log2))
     if beta == 0.0:
         keep = np.ones_like(a, dtype=bool)
     elif beta > 0.0:
         keep = a <= 1
     else:
         keep = a >= 1
-    return SymbolGrid(n_log2, keep.astype(np.float64))
+    return SymbolGrid(n_log2, np.broadcast_to(keep, (a.size, a.size)).astype(np.float64))
 

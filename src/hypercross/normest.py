@@ -69,11 +69,12 @@ class NormEstimate:
     converged: bool
 
 
-def _ratio(op: LinearOperatorHandle, w: SampledField, p: float) -> float:
+def _image_ratio(image: SampledField, w: SampledField, p: float) -> float:
+    """lp_norm(image, p) / lp_norm(w, p) for image = T w; 0 for w = 0."""
     denom = lp_norm(w, p)
     if denom == 0.0:
         return 0.0
-    return lp_norm(op.apply(w), p) / denom
+    return lp_norm(image, p) / denom
 
 
 def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -137,7 +138,7 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
         v = w / betas[-1]
     _, _, yh = np.linalg.svd(_bidiagonal(alphas, betas))
     witness = SampledField(op.n_log2, (yh[0] @ right).reshape(n, n))
-    return NormEstimate(2.0, _ratio(op, witness, 2.0), len(alphas), witness, converged)
+    return NormEstimate(2.0, _image_ratio(op.apply(witness), witness, 2.0), len(alphas), witness, converged)
 
 
 def _dual_direction(h: np.ndarray, p: float, norm: float) -> np.ndarray:
@@ -156,7 +157,10 @@ def lp_norm_ascent(
 ) -> NormEstimate:
     """Maximize lp_norm(T f, p) / lp_norm(f, p) by normalized gradient ascent
     with backtracking line search, over real witness fields, keeping the best
-    value across restarts (independent streams per restart)."""
+    value across restarts (independent streams per restart).
+
+    Each iterate is applied once: an accepted candidate's image T f gives the
+    next gradient, and the best value is returned as computed from it."""
     if not (np.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
     if restarts < 1:
@@ -170,12 +174,14 @@ def lp_norm_ascent(
         rng = np.random.default_rng([seed, r])
         f = rng.standard_normal((n, n))
         f /= np.sqrt(np.mean(f**2))
-        val = _ratio(op, SampledField(op.n_log2, f), p)
+        field = SampledField(op.n_log2, f)
+        image = op.apply(field)
+        val = _image_ratio(image, field, p)
         step = 1.0
         converged = False
         for _ in range(iters):
             total_iters += 1
-            g = op.apply(SampledField(op.n_log2, f)).samples.real
+            g = image.samples.real
             norm_g = float(np.mean(np.abs(g) ** p) ** (1 / p))
             norm_f = float(np.mean(np.abs(f) ** p) ** (1 / p))
             if norm_g == 0.0 or norm_f == 0.0:
@@ -190,9 +196,11 @@ def lp_norm_ascent(
             while step > 1e-8:
                 cand = f + step * grad / gnorm
                 cand /= np.sqrt(np.mean(cand**2))
-                cand_val = _ratio(op, SampledField(op.n_log2, cand), p)
+                cand_field = SampledField(op.n_log2, cand)
+                cand_image = op.apply(cand_field)
+                cand_val = _image_ratio(cand_image, cand_field, p)
                 if cand_val > val + 1e-14:
-                    f, val = cand, cand_val
+                    f, field, image, val = cand, cand_field, cand_image, cand_val
                     improved = True
                     step *= 1.5
                     break
@@ -202,10 +210,9 @@ def lp_norm_ascent(
                 break
         if val > best_val:
             best_val = val
-            best_w = SampledField(op.n_log2, f)
+            best_w = field
         any_converged = any_converged or converged
-    value = _ratio(op, best_w, p)
-    return NormEstimate(p, value, total_iters, best_w, any_converged)
+    return NormEstimate(p, best_val, total_iters, best_w, any_converged)
 
 
 @dataclass(frozen=True)

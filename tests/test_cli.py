@@ -5,6 +5,8 @@ import json
 import pytest
 
 from hypercross import cli
+from hypercross import decomposition as de
+from hypercross import grid as g
 from hypercross import normest as ne
 
 
@@ -133,6 +135,25 @@ def test_decompose_command(tmp_path, capsys):
     assert rc == 0, out
     for check in ("calderon_residual", "decomposition_identity", "error_symbol_support", "overlap_count", "lipschitz_ratio"):
         assert f"PASS decompose.{check}" in out
+
+
+def test_decompose_field_is_exactly_mean_zero_on_both_axes(tmp_path, monkeypatch, capsys):
+    fields = []
+    residual = de.calderon_residual
+
+    def spy(f, family):
+        fields.append(f)
+        return residual(f, family)
+
+    monkeypatch.setattr(de, "calderon_residual", spy)
+    linearizer = "kind = lip_y\nlip_constant = 1.0\nv_min = 0.03125\namplitude = 0.3"
+    cfg = _write(tmp_path, "de.ini", _DECOMPOSE_CONFIG.format(linearizer=linearizer))
+    assert cli.main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "PASS decompose.calderon_residual: 0.000e+00" in capsys.readouterr().out
+    (f,) = fields
+    spec = g.forward_transform(f).coeffs
+    assert not spec[0].any() and not spec[:, 0].any()
+    assert spec[1:, 1:].all()
 
 
 def test_decompose_ratio_check_fails_when_nothing_is_in_regime(tmp_path, capsys):

@@ -43,7 +43,9 @@ def test_phi1_annulus_support(fam):
 
 
 def test_phi1_pointwise_example_values():
-    w = de._phi1_log_profile(1.0)
+    def w(u):
+        return de._phi1_window(u, 1.0)
+
     assert w(math.log2(3.0)) == 0.0  # 3 outside [1/2, 2]
     assert w(math.log2(0.7)) > 0.0
     assert w(math.log2(0.7)) * w(math.log2(3.0)) == 0.0
@@ -86,9 +88,10 @@ def test_psi2_hat_matches_direct_quadrature_of_space_kernel():
         assert de.psi2_hat(omega) == pytest.approx(direct, rel=1e-6)
 
 
-def test_beta_zero_family_logged():
-    fam0 = de.make_lp_family(0.0, 5)
-    assert any("beta=0" in note for note in fam0.notes)
+def test_beta_zero_family_takes_the_unit_annulus():
+    fam0, fam1 = de.make_lp_family(0.0, 5), de.make_lp_family(1.0, 5)
+    assert np.array_equal(fam0.ks, fam1.ks)
+    assert np.array_equal(fam0.phi1, fam1.phi1)
 
 
 def test_narrow_annulus_rejected():
@@ -135,9 +138,8 @@ def test_lemma_at_negative_beta_matches_fixed_multiplier(n_log2):
 
 def test_projection_eigenfunction(fam):
     # the phi1 projection at scale 2 multiplies the mode at frequency 3 by w(log2(3/2))
-    w = de._phi1_log_profile(1.0)
     assert g.frequencies(6)[3] == 3
-    assert abs(fam.phi1[fam.ks == 1][0, 3] - float(w(math.log2(3.0 / 2.0)))) < 1e-12
+    assert abs(fam.phi1[fam.ks == 1][0, 3] - float(de._phi1_window(math.log2(3.0 / 2.0), 1.0))) < 1e-12
 
 
 def test_ladder_reconstruction_of_mean_zero_field(fam):
@@ -285,7 +287,7 @@ def test_overlap_count_bounds(fam):
     single = de.overlap_count(fam, m, [0])
     assert single <= 1
 
-    wide = mu.make_plateau_profile(1.0, 4.0)  # 2x wider support
+    wide = mu.MultiplierProfile(1.0, 4.0)  # 2x wider support
     count_wide = de.overlap_count(fam, wide, j_range)
     assert count_wide - count <= 2
 

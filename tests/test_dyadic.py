@@ -89,7 +89,7 @@ def test_model_operator_full_sum_is_projection():
     f = g.random_field(5, 31)
     n = 32
     V = lin.LinearizerField(5, np.full((n, n), 2.0**6), lin.Regularity("dyadic_metric_x", lip=1.0))
-    out = dy.dyadic_model_operator(f, V, 1.0, 2.0**-4, "thm_4_2", depth=4)
+    out = dy.dyadic_model_operator(f, V, 1.0, 2.0**-4, "thm_4_2")
     h = dy.haar_transform(f, 4)
     zeroed = dy.HaarCoefficients(
         h.n_log2, h.depth, h.coeffs,
@@ -110,7 +110,7 @@ def test_model_operator_single_tensor_masking():
     vals = np.full((n, n), 2.0**-8)
     vals[: n // 2, :] = 1.0  # admissible only where x lies in I = (0, 1/2]
     V = lin.LinearizerField(5, vals, lin.Regularity("none"))
-    out = dy.dyadic_model_operator(f, V, 1.0, 2.0**-9, "thm_4_2", depth=4)
+    out = dy.dyadic_model_operator(f, V, 1.0, 2.0**-9, "thm_4_2")
     admissible = vals >= 0.25  # |I||J| = 1/4
     expected = np.where(admissible, f.samples, 0.0)
     assert np.abs(out.samples - expected).max() < 1e-12
@@ -137,13 +137,13 @@ def _model_operator_per_coefficient(f, V, beta, L, variant, depth):
 def test_model_operator_fast_matches_direct():
     f = g.random_field(5, 33)
     V = dy.generate_dyadic_metric_x(2.0**-2, 5, 6)
-    fast = dy.dyadic_model_operator(f, V, 1.0, 2.0**-2, "thm_4_2", depth=4)
+    fast = dy.dyadic_model_operator(f, V, 1.0, 2.0**-2, "thm_4_2")
     direct = _model_operator_per_coefficient(f, V, 1.0, 2.0**-2, "thm_4_2", 4)
     rel = np.abs(fast.samples - direct).max() / np.abs(direct).max()
     assert rel < 1e-10
 
     V2 = dy.generate_dyadic_metric_2d(2.0**-3, 5, 7)
-    fast2 = dy.dyadic_model_operator(f, V2, 1.0, 2.0**-3, "thm_4_1", depth=4)
+    fast2 = dy.dyadic_model_operator(f, V2, 1.0, 2.0**-3, "thm_4_1")
     direct2 = _model_operator_per_coefficient(f, V2, 1.0, 2.0**-3, "thm_4_1", 4)
     rel2 = np.abs(fast2.samples - direct2).max() / np.abs(direct2).max()
     assert rel2 < 1e-10
@@ -206,6 +206,17 @@ def test_dyadic_metric_x_split_blocks_hold_half_the_bound_just_below_a_power_of_
             bmax, bmin = blocks.max(axis=1), blocks.min(axis=1)
             varies = bmax > bmin
             assert np.all(bmax[varies] / (L * cells / n) <= 0.5), (seed, cells)
+
+
+@pytest.mark.parametrize("L", [0.03, 0.1, float(np.nextafter(0.125, 0.0)), 0.2, 0.07, 0.125, 0.3, 0.5])
+def test_dyadic_metric_2d_holds_its_hypotheses_at_every_L(L):
+    # a square splits only where its children can hold a power of two in
+    # (L**2, L * side]; splitting anyway left leaves with no admissible value
+    for seed in range(20):
+        V = dy.generate_dyadic_metric_2d(L, 6, seed)
+        assert dy.verify_dyadic_metric_2d(V, L) == 0, seed
+        assert np.all(np.sqrt(V.values) > L), seed
+        assert dy.check_selection_stability(V, L, 1.0, "thm_4_1", depth=6).violations == 0, seed
 
 
 def test_selection_stability_catches_constructed_violation():

@@ -142,6 +142,26 @@ def test_ascent_best_never_decreases_with_restarts():
     assert more.value >= few.value - 1e-14
 
 
+def test_lp_ascent_applies_each_field_once():
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, 9, 3)
+    inner = ne.linearized_operator(V, m, 1.0)
+    applied = []
+
+    def apply(f):
+        applied.append(f.samples.tobytes())
+        return inner.apply(f)
+
+    op = lin.LinearOperatorHandle(3, apply, inner.adjoint)
+    for p in (1.5, 3.0):
+        applied.clear()
+        est = ne.lp_norm_ascent(op, p, restarts=2, iters=10, seed=4)
+        assert est.iterations > 2
+        assert len(applied) == len(set(applied)), p
+        rederived = g.lp_norm(inner.apply(est.witness), p) / g.lp_norm(est.witness, p)
+        assert rederived == est.value
+
+
 def test_lp_ascent_rejects_bad_p():
     op = ne.identity_operator(3)
     for p in (1.0, 0.3, float("inf")):

@@ -45,7 +45,13 @@ the ``check_selection_stability`` record, on the dyadic-metric fields and
 on copies scaled by 1/4 with one x-row raised to 1.  The values of the
 first-variable dyadic-metric field at N = 64, seeds 0, 1 and 2, are digested
 at L = nextafter(2**-2, 0) too, where a log2 that rounds would pick powers
-of two above the bound.  A run takes a few seconds.
+of two above the bound, and the values of the 2D dyadic-metric field at
+N = 64, seeds 0, 1 and 2, at L = 0.07, 1/8 and 0.3.
+
+The Lp ascent is digested at p = 1.5 and 3 (2 restarts, 10 iterations,
+bump eps 1/2, beta 1) on the lip_x and staircase_x fields at N = 8 and 16:
+its value as ``float.hex``, iteration count, converged flag and witness.
+A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from hypercross import dyadic as dy  # noqa: E402
 from hypercross import grid as gr  # noqa: E402
 from hypercross import linearized as lin  # noqa: E402
 from hypercross import multiplier as mu  # noqa: E402
+from hypercross import normest as ne  # noqa: E402
 
 N_LOG2S = (3, 4, 5)
 FIELDS = {
@@ -99,6 +106,10 @@ DYADIC_METRICS = {
 }
 NEAR_POWER_L = float(np.nextafter(2.0**-2, 0.0))  # math.log2 rounds it to -2.0
 NEAR_POWER_N_LOG2 = 6
+METRIC_2D_LS = (0.07, 2.0**-3, 0.3)  # the 2D generator raised at none of them before splits were checked
+ASCENT_N_LOG2S = (3, 4)
+ASCENT_FIELDS = ("lip_x", "staircase_x")
+ASCENT_PS = (1.5, 3.0)
 
 CLI_CONFIGS = {
     "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
@@ -136,7 +147,7 @@ def _mean_zero(f: gr.SampledField) -> gr.SampledField:
 
 def library_digests():
     """(name, sha256) for every library output on the grid."""
-    plateau = mu.make_plateau_profile(0.75, 1.5)
+    plateau = mu.MultiplierProfile(0.75, 1.5)
     profiles = {**{f"eps={eps}": mu.make_bump_profile(eps) for eps in EPSILONS}, "plateau": plateau}
     for label, m in profiles.items():
         yield f"{label} smoothness_constant", _digest(mu.smoothness_constant(m).hex())
@@ -256,6 +267,23 @@ def hypothesis_digests():
     for seed in HYPOTHESIS_SEEDS:
         V = dy.generate_dyadic_metric_x(NEAR_POWER_L, NEAR_POWER_N_LOG2, seed)
         yield f"N={1 << NEAR_POWER_N_LOG2} metric_x L=nextafter(2**-2, 0) seed={seed} values", _digest(V.values)
+    for L in METRIC_2D_LS:
+        for seed in HYPOTHESIS_SEEDS:
+            V = dy.generate_dyadic_metric_2d(L, NEAR_POWER_N_LOG2, seed)
+            yield f"N={1 << NEAR_POWER_N_LOG2} metric_2d L={L} seed={seed} values", _digest(V.values)
+
+
+def ascent_digests():
+    """(name, sha256) for the Lp ascent: value (as ``float.hex``), iteration
+    count, converged flag and witness of short runs."""
+    m = mu.make_bump_profile(0.5)
+    for n_log2 in ASCENT_N_LOG2S:
+        for kind in ASCENT_FIELDS:
+            op = lin.linearized_operator(lin.generate_linearizer(kind, FIELDS[kind], 11, n_log2), m, 1.0)
+            for p in ASCENT_PS:
+                est = ne.lp_norm_ascent(op, p, restarts=2, iters=10, seed=n_log2)
+                text = f"{est.value.hex()} {est.iterations} {est.converged} {_digest(est.witness.samples)}"
+                yield f"N={1 << n_log2} {kind} p={p} lp_norm_ascent", _digest(text)
 
 
 def cli_digests():
@@ -276,7 +304,7 @@ def cli_digests():
 
 def digests():
     """(name, sha256) for every output the script covers, in print order."""
-    for generate in (library_digests, ladder_digests, hypothesis_digests, cli_digests):
+    for generate in (library_digests, ladder_digests, hypothesis_digests, ascent_digests, cli_digests):
         yield from generate()
 
 
