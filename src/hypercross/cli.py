@@ -68,16 +68,7 @@ def _parse_float_list(s: str) -> list[float]:
 _SCHEMA = {
     "run": {"grid_n_log2": int, "seed": int},
     "profile": {"kind": str, "epsilon": float, "flat_radius": float, "support_radius": float},
-    "linearizer": {
-        "kind": str,
-        "lip_constant": float,
-        "v_min": float,
-        "amplitude": float,
-        "floor": float,
-        "value": float,
-        "levels": int,
-        "band": int,
-    },
+    "linearizer": {"kind": str, **{key: typ for keys in lin._LINEARIZER_KEYS.values() for key, typ in keys.items()}},
     "apply": {"beta": float, "method": str, "compare_oracle": _parse_bool},
     "dyadic": {"variant": str, "lip_constant": float, "depth": int, "count": int, "beta": float},
     "decompose": {"beta": float, "ratio_variant": str, "ratio_lip": float},

@@ -164,19 +164,22 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     divided by its per-frequency total.  At beta = 0 every ladder-pair mask
     depends on t alone, so phi1 enters only through that total, which is 1.
     Tables are row-aligned with ``ks`` and ``ls``.  Raises LadderError when
-    the annulus cannot cover the ladder (|beta| >= 2) or the grid cannot
-    host it.
+    the annulus cannot cover the ladder (|beta| >= 2), the grid cannot host
+    it, or phi1 would need more than 4N rows (n_log2 + 2 ceil(a) + 2 of
+    them: |beta| too small), so phi1 stays within 4 N^2 entries.
     """
     if n_log2 < 3:
         raise LadderError("grid too small to host the annuli")
-    freqs = frequencies(n_log2).astype(np.float64)
-    abs_freq = np.abs(freqs)
-    resolved = abs_freq > 0
-
     a = 1.0 / abs(beta) if beta != 0.0 else 1.0
     if a <= 0.5:
         raise LadderError(f"annulus log-radius {a} <= 1/2: dyadic ladder cannot cover (|beta| >= 2)")
+    rows = n_log2 + 2 * np.ceil(a) + 2  # a float, so an infinite a gives inf, not OverflowError
+    if not rows <= 4 << n_log2:
+        raise LadderError(f"beta = {beta} needs {rows:.0f} phi1 rows, above 4N = {4 << n_log2}")
 
+    freqs = frequencies(n_log2).astype(np.float64)
+    abs_freq = np.abs(freqs)
+    resolved = abs_freq > 0
     ks = np.arange(-math.ceil(a) - 1, n_log2 + math.ceil(a) + 1)
     ls = np.arange(-1, n_log2)
 
@@ -380,69 +383,63 @@ def lipschitz_ratio_check(
     seed: int = 0,
 ) -> RatioCheckReport:
     """Sample (x, y, z) triples with |y - z| inside the psi2 support at a
-    ladder scale t and verify 1 <= V(x, z*)/V(x, y*) <= 3/2 whenever the pair
+    ladder scale t and verify V(x, z*)/V(x, y*) <= 3/2 whenever the pair
     falls in the regime where the two rounded scales differ.
 
     variant 'lip' restricts s**beta <= 2/L (the frequency-band regime of the
     one-variable Lipschitz hypothesis); variant 'floor' instead restricts to
     the cone regime s <= 4t and expects V >= L**2 with the max(L**2, L |z-z'|)
-    modulus.  The larger-scale point goes in the numerator, so a conforming
-    field yields ratios in [1, 3/2].
+    modulus.  L enters only the 'lip' regime, and must be finite and > 0
+    (ValueError otherwise).  The larger-scale point goes in the numerator:
+    the rounding is monotone, so that point has the larger V and every
+    ratio exceeds 1.
     """
     _check_positive(V)
     if variant not in ("lip", "floor"):
         raise ValueError(f"variant must be 'lip' or 'floor', got {variant!r}")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"ratio check needs a finite L > 0, got {L}")
     rng = np.random.default_rng(seed)
     n = V.n
     v = V.values
     vt = dyadic_round_up(v)
     t_all = 2.0 ** family.ls
-    # keep scales whose kernel support spans at least one grid step
-    reach = np.floor(PSI2_SUPPORT_RADIUS / t_all * n - 1e-12).astype(np.int64)
-    t_choices = t_all[reach >= 1]
-    if t_choices.size == 0:
-        t_choices = t_all[:1]
+    reach = np.maximum(np.floor(PSI2_SUPPORT_RADIUS / t_all * n - 1e-12).astype(np.int64), 0)
     s_all = 2.0 ** family.ks
 
     xs = rng.integers(0, n, size=n_samples)
     ys = rng.integers(0, n, size=n_samples)
-    ts = t_choices[rng.integers(0, t_choices.size, size=n_samples)]
-    max_cells = np.maximum(np.floor(PSI2_SUPPORT_RADIUS / ts * n - 1e-12).astype(np.int64), 0)
-    deltas = rng.integers(-max_cells, max_cells + 1)
+    # the scales whose kernel support spans a grid step, a prefix of the
+    # ladder since reach falls as t grows; the first scale if none does
+    picks = rng.integers(0, max(int(np.count_nonzero(reach)), 1), size=n_samples)
+    ts = t_all[picks]
+    deltas = rng.integers(-reach[picks], reach[picks] + 1)
     zs = (ys + deltas) % n
 
     vy = vt[xs, ys]
     vz = vt[xs, zs]
-    v_num = np.maximum(vy, vz)
-    v_den = np.minimum(vy, vz)
 
     # admissible ladder dilation per sample: the rounded-scale window
     # v_den * s**beta < 1/t <= v_num * s**beta, plus the variant regime
     s_beta = s_all[None, :] ** beta
-    window = (ts[:, None] >= 1.0 / (v_num[:, None] * s_beta)) & (
-        ts[:, None] < 1.0 / (v_den[:, None] * s_beta)
+    window = (ts[:, None] >= 1.0 / (np.maximum(vy, vz)[:, None] * s_beta)) & (
+        ts[:, None] < 1.0 / (np.minimum(vy, vz)[:, None] * s_beta)
     )
     if variant == "lip":
         window &= s_beta <= 2.0 / L + 1e-12
     else:
         window &= s_all[None, :] <= 4.0 * ts[:, None]
-    admissible = window.any(axis=1)  # empty where the two rounded scales agree
-    s_pick = np.where(admissible, s_all[np.argmax(window, axis=1)], np.nan)
+    idx = np.flatnonzero(window.any(axis=1))  # empty where the two rounded scales agree
 
-    idx = np.nonzero(admissible)[0]
-    checked = int(idx.size)
-    num_is_z = vz[idx] >= vy[idx]
-    top = np.where(num_is_z, v[xs[idx], zs[idx]], v[xs[idx], ys[idx]])
-    bot = np.where(num_is_z, v[xs[idx], ys[idx]], v[xs[idx], zs[idx]])
-    ratios = top / bot
-    bad = (ratios < 1.0 - 1e-12) | (ratios > 1.5 + 1e-12)
-    violations = int(bad.sum())
+    va, vb = v[xs[idx], ys[idx]], v[xs[idx], zs[idx]]
+    ratios = np.maximum(va, vb) / np.minimum(va, vb)
+    bad = np.flatnonzero(ratios > 1.5 + 1e-12)
     worst = float(ratios.max()) if ratios.size else 1.0
     witnesses = tuple(
-        (int(xs[idx[b]]), int(ys[idx[b]]), int(zs[idx[b]]), float(s_pick[idx[b]]), float(ts[idx[b]]), float(ratios[b]))
-        for b in np.nonzero(bad)[0][:8]
+        (int(xs[i]), int(ys[i]), int(zs[i]), float(s_all[np.argmax(window[i])]), float(ts[i]), float(r))
+        for i, r in zip(idx[bad[:8]], ratios[bad[:8]])
     )
-    return RatioCheckReport(variant, checked, violations, worst, witnesses)
+    return RatioCheckReport(variant, int(idx.size), int(bad.size), worst, witnesses)
 
 
 def hl_maximal_m1(f: SampledField) -> SampledField:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridMismatchError, SampledField
-from .linearized import LinearizerField, Regularity, _all_dyadic, dyadic_floor
+from .linearized import LinearizerField, Regularity, _all_dyadic
 
 
 class HypothesisViolationError(ValueError):
@@ -264,10 +264,10 @@ def _axis_block_average(values: np.ndarray, cells: int, axis: int) -> np.ndarray
 def martingale_average(f: SampledField, scale: float, axis: int) -> SampledField:
     """Conditional expectation on dyadic intervals of the given length along
     one axis (axis 0 = x, axis 1 = y)."""
-    cells = int(round(scale * f.n))
-    if cells < 1 or cells & (cells - 1) or cells > f.n:
+    cells = scale * f.n
+    if not (1 <= cells <= f.n and math.frexp(cells)[0] == 0.5):  # a power of two cells, exactly
         raise ValueError(f"scale {scale} is not a resolvable dyadic length")
-    return SampledField(f.n_log2, _axis_block_average(f.samples, cells, axis))
+    return SampledField(f.n_log2, _axis_block_average(f.samples, int(cells), axis))
 
 
 def dyadic_maximal_m2(f: SampledField) -> SampledField:
@@ -306,9 +306,10 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerFie
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
     v = np.empty((n, n))
-    # exponents come from the exact dyadic floor: math.log2 rounds, and
+    # exponents come from math.frexp: x = m 2**e with m in [1/2, 1) has the
+    # dyadic floor 2**(e - 1) exactly, where math.log2 rounds, and
     # math.log2(nextafter(0.25, 0)) == -2.0
-    r_min = int(math.log2(dyadic_floor(L * L))) + 1  # smallest power strictly above L**2
+    r_min = math.frexp(L * L)[1]  # smallest power strictly above L**2
 
     def fill(x0: int, y0: int, cells: int, constrained: bool) -> None:
         side = cells / n
@@ -321,7 +322,7 @@ def generate_dyadic_metric_2d(L: float, n_log2: int, seed: int) -> LinearizerFie
                 for dy in (0, half):
                     fill(x0 + dx, y0 + dy, half, True)
             return
-        r_max = int(math.log2(dyadic_floor(2.0 * L * side))) if constrained else 0
+        r_max = math.frexp(2.0 * L * side)[1] - 1 if constrained else 0
         if r_min > r_max:
             raise ValueError(f"no admissible value for leaf of side {side} at L={L}")
         r = int(rng.integers(r_min, r_max + 1))
@@ -342,10 +343,10 @@ def generate_dyadic_metric_x(L: float, n_log2: int, seed: int) -> LinearizerFiel
     defeat selection stability at scale pairs with |J|**beta = L, where the
     contradiction argument degenerates to equality.
     """
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"L must be positive and finite, got {L}")
-    rng = np.random.default_rng(seed)
     n = 1 << n_log2
+    if not 0.0 < L / n < math.inf:  # so no leaf bound L * cells / N underflows to 0
+        raise ValueError(f"L must be positive and finite with L / N > 0, got L = {L} at N = {n}")
+    rng = np.random.default_rng(seed)
     bands = 4
     band_cells = n // bands
     v = np.empty((n, n))
@@ -355,7 +356,7 @@ def generate_dyadic_metric_x(L: float, n_log2: int, seed: int) -> LinearizerFiel
             fill(x0, cells // 2, True)
             fill(x0 + cells // 2, cells // 2, True)
             return
-        r_hi = int(math.log2(dyadic_floor(L * cells / n))) if constrained else 0
+        r_hi = math.frexp(L * cells / n)[1] - 1 if constrained else 0
         for band in range(bands):
             r = int(rng.integers(r_hi - 3, r_hi + 1))
             v[x0 : x0 + cells, band * band_cells : (band + 1) * band_cells] = math.ldexp(1.0, r)

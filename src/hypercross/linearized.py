@@ -122,20 +122,21 @@ def _two_axis_lipschitz_noise(n_log2: int, rng: np.random.Generator, params: dic
     """floor + band-limited noise scaled so each grid step along either axis
     changes it by at most 0.95 lip / (N sqrt(2)): axis-step control implies
     euclidean control up to sqrt(2) via l1 paths."""
-    w = _band_limited_noise(n_log2, rng, band=int(params.get("band", 3)))
+    w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
     measured = max(_adjacent_max_diff(w, axis=0), _adjacent_max_diff(w, axis=1)) * (1 << n_log2)
     scale = 0.95 * lip / (measured * math.sqrt(2.0))
     return floor + scale * (w - w.min())
 
 
-# the parameters each linearizer kind reads
+# the parameters each linearizer kind reads, with their types; a key has one
+# type across the kinds, and the CLI's [linearizer] section is their union
 _LINEARIZER_KEYS = {
-    "constant": {"value"},
-    "lip_x": {"lip_constant", "v_min", "band", "amplitude"},
-    "lip_y": {"lip_constant", "v_min", "band", "amplitude"},
-    "lip_2d": {"lip_constant", "floor", "band"},
-    "dyadic_of_lipschitz": {"lip_constant", "v_min", "band"},
-    "staircase_x": {"lip_constant", "v_min", "levels"},
+    "constant": {"value": float},
+    "lip_x": {"lip_constant": float, "v_min": float, "band": int, "amplitude": float},
+    "lip_y": {"lip_constant": float, "v_min": float, "band": int, "amplitude": float},
+    "lip_2d": {"lip_constant": float, "floor": float, "band": int},
+    "dyadic_of_lipschitz": {"lip_constant": float, "v_min": float, "band": int},
+    "staircase_x": {"lip_constant": float, "v_min": float, "levels": int},
 }
 
 
@@ -143,55 +144,59 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     """Deterministic pseudo-random field satisfying the declared regularity.
 
     Noise fields are band-limited trigonometric polynomials (hence periodic)
-    rescaled so the measured grid constants hold with >= 5% margin.  An
-    unknown kind, or a parameter the kind does not read, raises ValueError.
+    rescaled so the measured grid constants hold with >= 5% margin.  Every
+    kind but 'constant' takes lip_constant (default 1), finite and > 0; the
+    kinds with a v_min take it finite and >= 0 (default 1/2).  An unknown
+    kind, a parameter the kind does not read, or a value out of range
+    raises ValueError.
     """
     keys = _LINEARIZER_KEYS.get(kind)
     if keys is None:
         raise ValueError(f"unknown linearizer kind {kind!r}")
-    unread = sorted(set(params) - keys)
+    unread = sorted(set(params) - set(keys))
     if unread:
         raise ValueError(f"linearizer kind {kind!r} does not read {unread}")
+    params = {key: keys[key](value) for key, value in params.items()}
     rng = np.random.default_rng(seed)
     n = 1 << n_log2
 
     if kind == "constant":
-        c = float(params["value"])
+        c = params["value"]
         if c < 0:
             raise ValueError("constant linearizer must be >= 0")
         return LinearizerField(n_log2, np.full((n, n), c), Regularity("constant"), seed)
 
+    lip = params.get("lip_constant", 1.0)
+    if not 0.0 < lip < math.inf:
+        raise ValueError(f"linearizer kind {kind!r} needs a finite lip_constant > 0, got {lip}")
+    v_min = params.get("v_min", 0.5)  # lip_2d takes none, so it keeps the default there
+    if not 0.0 <= v_min < math.inf:
+        raise ValueError(f"linearizer kind {kind!r} needs a finite v_min >= 0, got {v_min}")
+
     if kind in ("lip_x", "lip_y"):
-        lip = float(params.get("lip_constant", 1.0))
-        v_min = float(params.get("v_min", 0.5))
-        if lip <= 0 or v_min < 0:
-            raise ValueError("lip_constant must be > 0 and v_min >= 0")
-        w = _band_limited_noise(n_log2, rng, band=int(params.get("band", 3)))
+        w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
         axis = 0 if kind == "lip_x" else 1
         measured = _adjacent_max_diff(w, axis=axis) * n
         amplitude = params.get("amplitude")
         if measured > 0:
             scale = 0.95 * lip / measured
             if amplitude is not None:
-                scale = min(scale, scale * float(amplitude) / (np.ptp(w) * scale))
+                scale = min(scale, scale * amplitude / (np.ptp(w) * scale))
         elif amplitude is not None:  # no variation along the axis, so no Lipschitz limit on the scale
-            scale = float(amplitude) / np.ptp(w)
+            scale = amplitude / np.ptp(w)
         else:
             raise ValueError(f"{kind} noise for seed {seed} does not vary along its axis; give an amplitude")
         v = v_min + scale * (w - w.min())
         return LinearizerField(n_log2, v, Regularity(kind, lip=lip, floor=v_min), seed)
 
     if kind == "lip_2d":
-        lip = float(params.get("lip_constant", 1.0))
-        floor = float(params.get("floor", lip * lip))
+        floor = params.get("floor", lip * lip)
         if floor < lip * lip:
             raise ValueError(f"floor {floor} below lip_constant**2 = {lip * lip}")
         v = _two_axis_lipschitz_noise(n_log2, rng, params, lip, floor)
         return LinearizerField(n_log2, v, Regularity("lip_2d", lip=lip, floor=floor), seed)
 
     if kind == "dyadic_of_lipschitz":
-        lip = float(params.get("lip_constant", 1.0))
-        v_min = float(params.get("v_min", 0.5))
         if v_min <= 0:
             raise ValueError("dyadic_of_lipschitz needs v_min > 0")
         v = _two_axis_lipschitz_noise(n_log2, rng, params, lip, v_min)
@@ -202,9 +207,7 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     # closes on the torus.  Every step, the seam included, is 0 or one step,
     # so the Lipschitz constant is met with margin while the number of
     # distinct values stays small.
-    lip = float(params.get("lip_constant", 1.0))
-    v_min = float(params.get("v_min", 0.5))
-    levels = int(params.get("levels", max(8, n // 2)))
+    levels = params.get("levels", max(8, n // 2))
     step = 0.9 * lip / n
 
     def walk() -> np.ndarray:

@@ -22,6 +22,7 @@ tracemalloc peak is 7.2 MiB at N = 64 and 15.8 MiB at N = 128 (7.2 and
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +38,7 @@ def identity_operator(n_log2: int) -> LinearOperatorHandle:
 
 
 def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
-    def apply(f: SampledField) -> SampledField:
-        return apply_fixed_multiplier(f, symbol)
-
+    apply = functools.partial(apply_fixed_multiplier, symbol=symbol)
     # real symbols are self-adjoint in the weighted inner product
     return LinearOperatorHandle(symbol.n_log2, apply, apply)
 
@@ -142,9 +141,8 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
 
 
 def _dual_direction(h: np.ndarray, p: float, norm: float) -> np.ndarray:
-    """Gradient of the weighted lp norm at h: sgn(h) (|h|/norm)**(p-1)."""
-    if norm == 0.0:
-        return np.zeros_like(h)
+    """Gradient of the weighted lp norm at h: sgn(h) (|h|/norm)**(p-1), for
+    norm > 0."""
     return np.sign(h) * (np.abs(h) / norm) ** (p - 1.0)
 
 
@@ -192,7 +190,6 @@ def lp_norm_ascent(
             if gnorm < 1e-14:
                 converged = True
                 break
-            improved = False
             while step > 1e-8:
                 cand = f + step * grad / gnorm
                 cand /= np.sqrt(np.mean(cand**2))
@@ -201,11 +198,10 @@ def lp_norm_ascent(
                 cand_val = _image_ratio(cand_image, cand_field, p)
                 if cand_val > val + 1e-14:
                     f, field, image, val = cand, cand_field, cand_image, cand_val
-                    improved = True
                     step *= 1.5
                     break
                 step *= 0.5
-            if not improved:
+            else:  # no step improved the value
                 converged = True
                 break
         if val > best_val:

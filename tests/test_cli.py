@@ -218,6 +218,8 @@ def test_verify_staircase_config_passes(tmp_path, capsys):
 
 _THM_4_2_CONFIG = _DYADIC_CONFIG.format(depth=5, count=3).replace("thm_4_1", "thm_4_2")
 _VERIFY_BODY = "[profile]\nkind = bump\nepsilon = {eps}\n\n[linearizer]\nkind = {kind}\nvalue = 0.5\n"
+# criterion 6's lip_y field, whose ratio check has triples in its regime at ratio_lip = 1
+_RATIO_CONFIG = _DECOMPOSE_CONFIG.format(linearizer="kind = lip_y\nlip_constant = 1.0\nv_min = 0.03125\namplitude = 0.3")
 _BAD_CONFIGS = {
     "no_section_header": ("verify", "grid_n_log2 = 4\n"),
     "duplicate_option": ("verify", "[run]\ngrid_n_log2 = 4\ngrid_n_log2 = 5\n"),
@@ -235,6 +237,8 @@ _BAD_CONFIGS = {
     "dyadic_thm_4_2_beta_inf": ("dyadic", _THM_4_2_CONFIG + "beta = inf\n"),
     "dyadic_thm_4_2_beta_nan": ("dyadic", _THM_4_2_CONFIG + "beta = nan\n"),
     "dyadic_lip_constant_inf": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3).replace("0.125", "inf")),
+    "decompose_ratio_lip_zero": ("decompose", _RATIO_CONFIG + "ratio_lip = 0\n"),
+    "decompose_ratio_lip_negative": ("decompose", _RATIO_CONFIG + "ratio_lip = -1\n"),
     "plateau_infinite_support": (
         "verify",
         "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = plateau\nflat_radius = 0.75\nsupport_radius = inf\n\n"

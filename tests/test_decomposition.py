@@ -102,6 +102,14 @@ def test_narrow_annulus_rejected():
             de.make_lp_family(beta, 6)
 
 
+@pytest.mark.parametrize("beta", [1e-3, 1e-4])
+def test_small_beta_ladder_is_bounded(beta):
+    # phi1 would need n_log2 + 2 ceil(1/|beta|) + 2 rows: 2008 and 20008 at N = 64
+    rows = 6 + 2 * math.ceil(1 / beta) + 2
+    with pytest.raises(de.LadderError, match=f"beta = {beta} needs {rows} phi1 rows, above 4N = 256"):
+        de.make_lp_family(beta, 6)
+
+
 @pytest.mark.parametrize("beta", [1.5, -0.75, 0.3, 0.5, -0.5])
 def test_renormalized_phi1_family(beta):
     # phi1 is divided by its per-frequency total, for integer 2/|beta| too

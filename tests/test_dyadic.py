@@ -240,6 +240,13 @@ def test_martingale_and_maximal_constant_field():
     assert np.abs(sq.samples).max() == 0.0
 
 
+@pytest.mark.parametrize("scale", [0.3, 0.2])
+def test_martingale_average_rejects_non_dyadic_scale(scale):
+    # scale * N rounds to 2 cells at N = 8, which is not the scale asked for
+    with pytest.raises(ValueError, match="not a resolvable dyadic length"):
+        dy.martingale_average(g.random_field(3, 0), scale, axis=0)
+
+
 def test_martingale_differences_telescope():
     f = g.random_field(4, 40)
     total = np.zeros((16, 16), dtype=complex)

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from hypercross import cli
 from hypercross import decomposition as de
 from hypercross import dyadic as dy
 from hypercross import grid as g
@@ -138,6 +140,23 @@ def test_generator_rejects_bad_params():
         lin.generate_linearizer("lip_2d", {"lip_constant": 1.0, "floor": 0.5}, 0, 4)
     with pytest.raises(ValueError):
         lin.generate_linearizer("nope", {}, 0, 4)
+
+
+@pytest.mark.parametrize("kind", ["lip_2d", "staircase_x", "dyadic_of_lipschitz"])
+@pytest.mark.parametrize("lip", [0.0, -1.0, math.inf, math.nan])
+def test_generator_rejects_lip_constant_out_of_range(kind, lip):
+    # at lip_constant = 0, lip_2d and staircase_x built fields that failed
+    # their own verify_lipschitz with worst ratio nan
+    with pytest.raises(ValueError, match=f"kind '{kind}' needs a finite lip_constant > 0"):
+        lin.generate_linearizer(kind, {"lip_constant": lip}, 0, 4)
+
+
+def test_cli_linearizer_section_is_the_union_of_the_kinds():
+    schema = dict(cli._SCHEMA["linearizer"])
+    assert schema.pop("kind") is str
+    for keys in lin._LINEARIZER_KEYS.values():
+        assert {key: schema[key] for key in keys} == keys  # one type per key across the kinds
+    assert set(schema) == set().union(*lin._LINEARIZER_KEYS.values())
 
 
 def test_lip_y_draw_without_variation_along_its_axis():

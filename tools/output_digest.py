@@ -51,7 +51,15 @@ N = 64, seeds 0, 1 and 2, at L = 0.07, 1/8 and 0.3.
 The Lp ascent is digested at p = 1.5 and 3 (2 restarts, 10 iterations,
 bump eps 1/2, beta 1) on the lip_x and staircase_x fields at N = 8 and 16:
 its value as ``float.hex``, iteration count, converged flag and witness.
-A run takes a few seconds.
+The L2 estimator is digested the same way on criterion 7's operators at
+N = 8: the lip_x fields at seeds 0 to 9 and the fixed multipliers at
+lambda 1/2, 1 and 2.
+
+The structural outputs are digested at N = 16 and 32 on a random field: the
+Haar expansion at full depth and its inverse, the thm_4_1 model operator on
+a 2D dyadic-metric field (L = 1/8), the martingale averages at every dyadic
+scale along both axes, the dyadic square functions, ``dyadic_maximal_m2``
+and ``hl_maximal_m1``.  A run takes a few seconds.
 """
 
 from __future__ import annotations
@@ -110,6 +118,9 @@ METRIC_2D_LS = (0.07, 2.0**-3, 0.3)  # the 2D generator raised at none of them b
 ASCENT_N_LOG2S = (3, 4)
 ASCENT_FIELDS = ("lip_x", "staircase_x")
 ASCENT_PS = (1.5, 3.0)
+STRUCTURAL_N_LOG2S = (4, 5)
+L2_SEEDS = range(10)  # criterion 7's lip_x fields at N = 8
+L2_LAMBDAS = (0.5, 1.0, 2.0)  # criterion 7's fixed multipliers
 
 CLI_CONFIGS = {
     "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
@@ -286,6 +297,55 @@ def ascent_digests():
                 yield f"N={1 << n_log2} {kind} p={p} lp_norm_ascent", _digest(text)
 
 
+def _haar_text(h: dy.HaarCoefficients) -> str:
+    """Every coefficient block of a Haar expansion, in key order."""
+    blocks = [h.coeffs[key] for key in sorted(h.coeffs)]
+    blocks += [h.row_block[a] for a in sorted(h.row_block)] + [h.col_block[b] for b in sorted(h.col_block)]
+    return " ".join(_digest(block) for block in blocks) + f" {h.mean!r}"
+
+
+def structural_digests():
+    """(name, sha256) for the Haar transform and its inverse, the thm_4_1
+    model operator on a 2D dyadic-metric field, the martingale averages at
+    every dyadic scale, the dyadic maximal and square functions and the
+    first-variable maximal function."""
+    generate, L, variant = DYADIC_METRICS["metric_2d"]
+    for n_log2 in STRUCTURAL_N_LOG2S:
+        n = 1 << n_log2
+        f = gr.random_field(n_log2, 70 + n_log2)
+        h = dy.haar_transform(f, n_log2 - 1)
+        outputs = {
+            "haar_inverse": dy.haar_inverse(h),
+            "model_operator thm_4_1": dy.dyadic_model_operator(f, generate(L, n_log2, 1), 1.0, L, variant),
+            "dyadic_maximal_m2": dy.dyadic_maximal_m2(f),
+            "hl_maximal_m1": de.hl_maximal_m1(f),
+        }
+        for axis in (0, 1):
+            outputs[f"dyadic_square_function axis={axis}"] = dy.dyadic_square_function(f, axis)
+            for q in range(n_log2 + 1):
+                outputs[f"martingale_average scale=2**-{q} axis={axis}"] = dy.martingale_average(f, 2.0**-q, axis)
+        yield f"N={n} haar_transform", _digest(_haar_text(h))
+        for name, out in outputs.items():
+            yield f"N={n} {name}", _digest(out.samples)
+
+
+def l2_digests():
+    """(name, sha256) for the L2 estimator on criterion 7's operators at
+    N = 8: value (as ``float.hex``), iteration count, converged flag and
+    witness."""
+    m = mu.make_bump_profile(1.0)
+    ops = {}  # name -> (operator, max_iter, seed), as criterion 7 runs them
+    for seed in L2_SEEDS:
+        V = lin.generate_linearizer("lip_x", FIELDS["lip_x"], seed, 3)
+        ops[f"lip_x seed={seed}"] = (lin.linearized_operator(V, m, 1.0), 200, seed)
+    for lam in L2_LAMBDAS:
+        ops[f"fixed_multiplier lambda={lam}"] = (ne.fixed_multiplier_operator(mu.hyperbolic_symbol(lam, 1.0, m, 3)), 300, 1)
+    for name, (op, max_iter, seed) in ops.items():
+        est = ne.l2_norm_power_iteration(op, max_iter=max_iter, seed=seed)
+        text = f"{est.value.hex()} {est.iterations} {est.converged} {_digest(est.witness.samples)}"
+        yield f"N=8 {name} l2_norm_power_iteration", _digest(text)
+
+
 def cli_digests():
     """(name, sha256) for the exit status, standard output and every artifact
     of one run of each subcommand."""
@@ -304,7 +364,7 @@ def cli_digests():
 
 def digests():
     """(name, sha256) for every output the script covers, in print order."""
-    for generate in (library_digests, ladder_digests, hypothesis_digests, ascent_digests, cli_digests):
+    for generate in (library_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, cli_digests):
         yield from generate()
 
 
