@@ -180,12 +180,19 @@ def _build_profile(ctx: RunContext) -> mu.MultiplierProfile:
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
+def _linearizer_spec(ctx: RunContext) -> dict:
+    """The [linearizer] section with its defaults: kind = constant, and
+    value = 1.0 for that kind."""
+    spec = {"kind": "constant", **ctx.take_all("linearizer")}
+    if spec["kind"] == "constant":
+        spec.setdefault("value", 1.0)
+    return spec
+
+
 def _build_linearizer(ctx: RunContext) -> tuple[lin.LinearizerField, dict]:
     """The [linearizer] field and the parameters it was generated from."""
-    params = ctx.take_all("linearizer")
-    kind = params.pop("kind", "constant")
-    if kind == "constant":
-        params.setdefault("value", 1.0)
+    params = _linearizer_spec(ctx)
+    kind = params.pop("kind")
     return lin.generate_linearizer(kind, params, ctx.seed, ctx.n_log2), params
 
 
@@ -199,7 +206,8 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
 def cmd_apply(ctx: RunContext) -> None:
     beta = ctx.take("apply", "beta", 1.0)
     method = ctx.take("apply", "method", "bucketed")
-    compare_oracle = ctx.take("apply", "compare_oracle", False)
+    # the oracle is the brute force, so only the bucketed method is compared
+    compare_oracle = ctx.take("apply", "compare_oracle", False) if method == "bucketed" else False
     apply = {"bruteforce": lin.apply_linearized_bruteforce, "bucketed": lin.apply_linearized_bucketed}.get(method)
     if apply is None:
         raise ConfigError(f"unknown apply method {method!r}")
@@ -246,11 +254,15 @@ def cmd_dyadic(ctx: RunContext) -> None:
 def cmd_decompose(ctx: RunContext) -> None:
     beta = ctx.take("decompose", "beta", 1.0)
     variant = ctx.take("decompose", "ratio_variant", "lip")
-    L = ctx.take("decompose", "ratio_lip", 1.0)
+    # the floor regime s <= 4t does not use L
+    L = 1.0 if variant == "floor" else ctx.take("decompose", "ratio_lip", 1.0)
     profile = _build_profile(ctx)
     V, _ = _build_linearizer(ctx)
     ctx.start()
     family = de.make_lp_family(beta, ctx.n_log2)
+    # run first, so a value it rejects is a config error before the terms run;
+    # its check is reported last
+    rep = de.lipschitz_ratio_check(V, family, beta, L, variant, RATIO_SAMPLES, ctx.seed)
 
     # each odd row, then each odd column, the negated even one before it: the
     # spectrum is exactly zero on the lines xi = 0 and eta = 0
@@ -280,7 +292,6 @@ def cmd_decompose(ctx: RunContext) -> None:
     count = de.overlap_count(family, profile, j_range)
     ctx.check("overlap_count", count <= OVERLAP_LIMIT, f"count {count}")
 
-    rep = de.lipschitz_ratio_check(V, family, beta, L, variant, RATIO_SAMPLES, ctx.seed)
     ctx.check(
         "lipschitz_ratio",
         rep.samples_checked > 0 and rep.violations == 0,  # a check of no triple passes nothing
@@ -319,7 +330,7 @@ def cmd_sweep(ctx: RunContext) -> None:
     p = ctx.take("sweep", "p", 2.0)
     beta = ctx.take("sweep", "beta", 1.0)
     eps_list = ctx.take("sweep", "eps_list", [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
-    v_spec = ctx.take_all("linearizer")
+    v_spec = _linearizer_spec(ctx)
     if not eps_list:
         raise ConfigError("sweep.eps_list is empty")
     ctx.start()

@@ -5,19 +5,19 @@ place in the package that puts the exponent on the first variable; its
 argument grid is the transpose of the package's |xi| |eta|**beta grid (see
 :func:`_hyper_args`).  The dyadic scale family acts on the first variable
 through an annulus of log-width 2/|beta| and on the second variable through
-one-octave bands that are realized as a product of a genuinely
-space-localized kernel (psi2) and a compensating frequency window (phi2).
-Continuous dt/t integrals are replaced by dyadic ladders that form exact
-partitions of unity on the grid, so the split of the operator into a
-principal part (scales where the profile is identically 1) and an error part
-(profile-weighted transition scales) is an exact finite identity rather than
-a quadrature approximation.
+one-octave bands.  Continuous dt/t integrals are replaced by dyadic ladders
+that form exact partitions of unity on the grid, so the split of the
+operator into a principal part (scales where the profile is identically 1)
+and an error part (profile-weighted transition scales) is an exact finite
+identity rather than a quadrature approximation.
 
 A one-octave window supported in [1,2] admits no smooth dyadic partition of
-unity, so the product window phi2_hat * psi2_hat takes the balanced sharp
-form: 1 strictly inside the octave and 1/2 at the two endpoints.  psi2 keeps
-exact compact space support (the property the ratio check needs) and phi2
-absorbs the per-frequency correction.
+unity, so the eta-axis window takes the balanced sharp form: 1 strictly
+inside the octave and 1/2 at the two endpoints.  In the paper it is the
+product phi2_hat * psi2_hat of a frequency window and a kernel psi2 with
+compact space support; only that product enters the sums, so the family
+stores it as one table, and :func:`psi2_space` keeps the kernel whose
+support radius the ratio check samples.
 
 The variable-scale terms (lemma, principal, error, small variation) are
 calls of the bucketed kernel :func:`hypercross.linearized.gather` over a
@@ -28,9 +28,9 @@ values, which the kernel may group by frequency instead of by V; the error
 part runs one gather per dyadic rounding of V, weighted by that rounding's
 ladder pairs above the principal cutoff.
 The family (:class:`LPFamily`) is two arrays of ladder exponents and
-three tables with one row per ladder scale; phi1 is normalized per
+two tables with one row per ladder scale; phi1 is normalized per
 frequency at every beta.  Every ladder-pair sum is one :func:`_pair_sum`,
-the product phi1.T @ (mask @ (phi2 psi2)), its mask over the (K, L) grid
+the product phi1.T @ (mask @ octave), its mask over the (K, L) grid
 of t * s**beta.  The small-variation piece takes d/dtau on the symbol by
 the profile's exact derivative: one gather per tau node keyed by the dyadic
 floor of V, interpolated at V on the nine node ratios.
@@ -56,7 +56,6 @@ from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
     hyperbolic_argument,
-    make_bump_profile,
     smoothstep,
     smoothstep_derivative,
 )
@@ -92,22 +91,6 @@ def _octave_product(u: np.ndarray) -> np.ndarray:
     return out
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_COS_NODES = 0.5 + 0.25 * (_GAUSS_NODES + 1.0)  # [1/2, 1], where the bump varies
-_FLAT_NODES = 0.25 * (_GAUSS_NODES + 1.0)  # [0, 1/2], where the bump is 1
-_COS_WEIGHTS = _GAUSS_WEIGHTS * make_bump_profile(0.5)(_COS_NODES)
-
-
-def _bump_cosine_transform(theta):
-    """2 * integral_0^1 B(u) cos(2 pi theta u) du for the C^5 bump
-    B = make_bump_profile(1/2): 1 on |u| <= 1/2, 0 at |u| >= 1."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    args = 2.0 * np.pi * theta[:, None]
-    flat = np.sum(_GAUSS_WEIGHTS * np.cos(args * _FLAT_NODES), axis=1) * 0.25
-    curved = np.sum(_COS_WEIGHTS * np.cos(args * _COS_NODES), axis=1) * 0.25
-    return 2.0 * (flat + curved)
-
-
 def psi2_space(y):
     """Space samples of psi2: a mean-zero C^3 kernel supported in
     (-R, R), R = PSI2_SUPPORT_RADIUS."""
@@ -119,20 +102,6 @@ def psi2_space(y):
     return vals
 
 
-def psi2_hat(omega):
-    """Frequency response of psi2: (2 pi omega)^2 R * B^(omega R), with
-    R = PSI2_SUPPORT_RADIUS.
-
-    Positive on 1 <= |omega| <= 2 (in fact on a much wider band) and zero at
-    omega = 0, as the product normalization requires.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    theta = omega * PSI2_SUPPORT_RADIUS
-    scalar = omega.ndim == 0
-    vals = (2.0 * np.pi * omega) ** 2 * PSI2_SUPPORT_RADIUS * _bump_cosine_transform(theta.ravel()).reshape(theta.shape)
-    return float(vals) if scalar else vals
-
-
 # ---------------------------------------------------------------------------
 # The Littlewood-Paley family.
 # ---------------------------------------------------------------------------
@@ -142,9 +111,9 @@ class LPFamily:
     """Dyadic ladders and their per-scale one-axis symbol tables.
 
     Row k of ``phi1`` (K, N) is the xi-axis window at scale s = 2**ks[k];
-    row l of ``phi2`` and ``psi2`` (L, N) is the eta-axis pair at scale
-    t = 2**ls[l], psi2 of support radius PSI2_SUPPORT_RADIUS.  Columns follow
-    FFT frequency order.
+    row l of ``octave`` (L, N) is the eta-axis window phi2_hat * psi2_hat at
+    scale t = 2**ls[l], :func:`_octave_product` of |eta| / t.  Columns
+    follow FFT frequency order.
     """
 
     beta: float
@@ -152,8 +121,7 @@ class LPFamily:
     ks: np.ndarray
     ls: np.ndarray
     phi1: np.ndarray
-    phi2: np.ndarray
-    psi2: np.ndarray
+    octave: np.ndarray
 
 
 def make_lp_family(beta: float, n_log2: int) -> LPFamily:
@@ -177,8 +145,7 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
     if not rows <= 4 << n_log2:
         raise LadderError(f"beta = {beta} needs {rows:.0f} phi1 rows, above 4N = {4 << n_log2}")
 
-    freqs = frequencies(n_log2).astype(np.float64)
-    abs_freq = np.abs(freqs)
+    abs_freq = np.abs(frequencies(n_log2)).astype(np.float64)
     resolved = abs_freq > 0
     ks = np.arange(-math.ceil(a) - 1, n_log2 + math.ceil(a) + 1)
     ls = np.arange(-1, n_log2)
@@ -192,17 +159,12 @@ def make_lp_family(beta: float, n_log2: int) -> LPFamily:
         raise LadderError("xi annulus leaves gaps on the dyadic ladder; cannot normalize")
     phi1[:, resolved] *= 1.0 / total[resolved]
 
-    ts = 2.0 ** ls[:, None]
-    product = _octave_product(abs_freq / ts)
-    product[:, ~resolved] = 0.0
-    psi2 = psi2_hat(freqs / ts)
-    phi2 = np.divide(product, psi2, out=np.zeros_like(product), where=product != 0)
-
-    return LPFamily(beta, n_log2, ks, ls, phi1, phi2, psi2)
+    octave = _octave_product(abs_freq / 2.0 ** ls[:, None])
+    return LPFamily(beta, n_log2, ks, ls, phi1, octave)
 
 
 def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
-    return family.phi1.sum(axis=0), (family.phi2 * family.psi2).sum(axis=0)
+    return family.phi1.sum(axis=0), family.octave.sum(axis=0)
 
 
 def calderon_residual(f: SampledField, family: LPFamily) -> float:
@@ -226,11 +188,11 @@ def _hyper_args(family: LPFamily) -> np.ndarray:
 
 
 def _pair_sum(family: LPFamily, keep) -> np.ndarray:
-    """Sum of the pair symbols phi1_k (x) phi2_l psi2_l over the ladder pairs
+    """Sum of the pair symbols phi1_k (x) octave_l over the ladder pairs
     (k, l) whose t_l * s_k**beta satisfies ``keep``, applied elementwise to
     the (K, L) grid of those products: one bilinear product of the tables."""
     kept = keep(2.0 ** family.ls * (2.0 ** family.ks[:, None]) ** family.beta)
-    return family.phi1.T @ (kept @ (family.phi2 * family.psi2))
+    return family.phi1.T @ (kept @ family.octave)
 
 
 def _below_symbol(family: LPFamily, cutoff: float) -> np.ndarray:
@@ -388,9 +350,8 @@ def lipschitz_ratio_check(
 
     variant 'lip' restricts s**beta <= 2/L (the frequency-band regime of the
     one-variable Lipschitz hypothesis); variant 'floor' instead restricts to
-    the cone regime s <= 4t and expects V >= L**2 with the max(L**2, L |z-z'|)
-    modulus.  L enters only the 'lip' regime, and must be finite and > 0
-    (ValueError otherwise).  The larger-scale point goes in the numerator:
+    the cone regime s <= 4t.  L enters only the 'lip' regime, and must be
+    finite and > 0 (ValueError otherwise).  The larger-scale point goes in the numerator:
     the rounding is monotone, so that point has the larger V and every
     ratio exceeds 1.
     """

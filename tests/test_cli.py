@@ -34,12 +34,11 @@ amplitude = 0.5
 [apply]
 beta = 1.0
 method = {method}
-compare_oracle = {compare}
 """
 
 
 def test_apply_bucketed_matches_oracle(tmp_path, capsys):
-    cfg = _write(tmp_path, "a.ini", APPLY_CONFIG.format(method="bucketed", compare="true"))
+    cfg = _write(tmp_path, "a.ini", APPLY_CONFIG.format(method="bucketed") + "compare_oracle = true\n")
     rc = cli.main(["apply", "--config", cfg, "--out", str(tmp_path / "out"), "--reproducible"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -51,7 +50,7 @@ def test_apply_bucketed_matches_oracle(tmp_path, capsys):
 
 
 def test_apply_bruteforce_reruns_byte_identical(tmp_path):
-    cfg = _write(tmp_path, "a.ini", APPLY_CONFIG.format(method="bruteforce", compare="false"))
+    cfg = _write(tmp_path, "a.ini", APPLY_CONFIG.format(method="bruteforce"))
     rc1 = cli.main(["apply", "--config", cfg, "--out", str(tmp_path / "o1"), "--reproducible"])
     rc2 = cli.main(["apply", "--config", cfg, "--out", str(tmp_path / "o2"), "--reproducible"])
     assert rc1 == rc2 == 0
@@ -105,6 +104,26 @@ def test_sweep_writes_csv(tmp_path):
     lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "p,beta,epsilon,N,seed,A,estimate,iterations,converged"
     assert len(lines) == 4
+
+
+_SWEEP_CONFIG = "[run]\ngrid_n_log2 = 3\nseed = 5\n\n[sweep]\neps_list = 1.0, 0.5\n"
+
+
+def _sweep_csv(tmp_path, name, text):
+    cfg = _write(tmp_path, f"{name}.ini", text)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / name)]) == 0, name
+    return (tmp_path / name / "sweep.csv").read_text()
+
+
+def test_sweep_fills_in_the_constant_value(tmp_path):
+    given = _sweep_csv(tmp_path, "given", _SWEEP_CONFIG + "\n[linearizer]\nkind = constant\nvalue = 1.0\n")
+    assert _sweep_csv(tmp_path, "default", _SWEEP_CONFIG + "\n[linearizer]\nkind = constant\n") == given
+
+
+def test_sweep_without_a_linearizer_section_takes_the_constant_kind(tmp_path):
+    # the default of apply, decompose, normest and verify
+    given = _sweep_csv(tmp_path, "given", _SWEEP_CONFIG + "\n[linearizer]\nkind = constant\nvalue = 1.0\n")
+    assert _sweep_csv(tmp_path, "default", _SWEEP_CONFIG) == given
 
 
 _DYADIC_CONFIG = (
@@ -249,6 +268,9 @@ _BAD_CONFIGS = {
     "normest_p3_max_iter": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nmax_iter = 1")),
     "normest_p2_restarts": ("normest", NORMEST_CONFIG + "restarts = 1\n"),
     "dyadic_thm_4_1_beta": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3) + "beta = 7.5\n"),
+    # the oracle is the brute force itself; the floor regime does not use L
+    "apply_bruteforce_compare_oracle": ("apply", APPLY_CONFIG.format(method="bruteforce") + "compare_oracle = true\n"),
+    "decompose_floor_ratio_lip": ("decompose", _RATIO_CONFIG + "ratio_variant = floor\nratio_lip = 1\n"),
     # keys the chosen kind never reads: lip_2d floors at lip**2, bump has no flat_radius
     "lip_2d_v_min": (
         "verify",
@@ -269,6 +291,20 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_decompose_rejects_ratio_lip_before_the_terms_run(tmp_path, monkeypatch):
+    calls = []
+    error_term = de.error_term
+
+    def counted(*args):
+        calls.append(1)
+        return error_term(*args)
+
+    monkeypatch.setattr(de, "error_term", counted)
+    cfg = _write(tmp_path, "de.ini", _RATIO_CONFIG + "ratio_lip = 0\n")
+    assert cli.main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert calls == []
 
 
 def test_dyadic_thm_4_2_large_negative_beta_reaches_a_verdict(tmp_path, capsys):

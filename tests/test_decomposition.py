@@ -52,14 +52,22 @@ def test_phi1_pointwise_example_values():
 
 
 def test_phi2_psi2_annulus_and_mean_zero(fam):
+    # each octave row is the product phi2_hat * psi2_hat at one scale
     freqs = np.abs(g.frequencies(6)).astype(float)
-    for el, phi2, psi2 in zip(fam.ls, fam.phi2, fam.psi2):
+    for el, octave in zip(fam.ls, fam.octave):
         ratio = freqs / 2.0**el
         outside = (ratio < 1.0) | (ratio > 2.0)
-        assert np.abs((phi2 * psi2)[outside]).max() == 0.0
-        assert phi2[0] == 0.0
-        assert psi2[0] == 0.0
-    assert de.psi2_hat(0.0) == 0.0
+        assert np.abs(octave[outside]).max() == 0.0
+        assert octave[0] == 0.0
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 0.5])
+def test_octave_partition_of_unity_is_exact(beta):
+    for n_log2 in range(3, 10):  # N = 8 to 512
+        total = de.make_lp_family(beta, n_log2).octave.sum(axis=0)
+        nz = g.frequencies(n_log2) != 0
+        assert np.all(total[nz] == 1.0), n_log2
+        assert total[~nz] == 0.0
 
 
 def test_psi2_space_support_on_grid():
@@ -72,20 +80,35 @@ def test_psi2_space_support_on_grid():
     assert np.abs(vals).max() > 0.0
 
 
+def _psi2_cosine_transform(omega, n_points):
+    # Riemann sum of the analytic space samples over the support of psi2
+    r = de.PSI2_SUPPORT_RADIUS
+    y = np.linspace(-r, r, n_points)
+    dy_step = y[1] - y[0]
+    return np.cos(2 * np.pi * np.multiply.outer(omega, y)) @ de.psi2_space(y) * dy_step
+
+
 def test_psi2_hat_positive_on_octave():
+    # the octave window is phi2_hat * psi2_hat: psi2 has mean zero, and its
+    # cosine transform has no zero on [1/2, 4], so phi2_hat = octave / psi2_hat exists
+    r = de.PSI2_SUPPORT_RADIUS
+    y = np.linspace(-r, r, 20_001)
+    scale = np.sum(np.abs(de.psi2_space(y))) * (y[1] - y[0])
+    assert abs(_psi2_cosine_transform(0.0, 20_001)) <= 1e-12 * scale
     omega = np.linspace(0.5, 4.0, 200)
-    assert np.all(de.psi2_hat(omega) > 0.0)
+    assert np.all(_psi2_cosine_transform(omega, 20_001) > 0.0)
 
 
 def test_psi2_hat_matches_direct_quadrature_of_space_kernel():
-    # independent oracle: Riemann sum of the analytic space samples
+    # psi2 = -b'' for the bump b(y) = 1 - smoothstep(2|y|/R - 1), so
+    # psi2_hat(omega) = (2 pi omega)**2 b_hat(omega): independent of psi2_space
     r = de.PSI2_SUPPORT_RADIUS
     y = np.linspace(-r, r, 200_001)
-    dy_step = y[1] - y[0]
-    kernel = de.psi2_space(y)
+    bump = 1.0 - mu.smoothstep(2.0 * np.abs(y) / r - 1.0)
     for omega in (0.7, 1.0, 1.6, 2.0, 3.5):
-        direct = np.sum(kernel * np.cos(2 * np.pi * omega * y)) * dy_step
-        assert de.psi2_hat(omega) == pytest.approx(direct, rel=1e-6)
+        bump_hat = np.sum(bump * np.cos(2 * np.pi * omega * y)) * (y[1] - y[0])
+        closed = (2 * np.pi * omega) ** 2 * bump_hat
+        assert closed == pytest.approx(_psi2_cosine_transform(omega, 200_001), rel=1e-6)
 
 
 def test_beta_zero_family_takes_the_unit_annulus():
@@ -151,23 +174,23 @@ def test_projection_eigenfunction(fam):
 
 
 def test_ladder_reconstruction_of_mean_zero_field(fam):
-    # the phi2 psi2 windows sum to 1 off eta = 0, so the ladder reconstructs mean-zero fields
-    total = (fam.phi2 * fam.psi2).sum(axis=0)
+    # the octave windows sum to 1 off eta = 0, so the ladder reconstructs mean-zero fields
+    total = fam.octave.sum(axis=0)
     nz = g.frequencies(6) != 0
     assert np.abs(total[nz] - 1.0).max() < 1e-10
 
 
 @pytest.mark.parametrize("beta", [1.0, -1.0, 0.0, 0.5, 1.5, -0.75])
 def test_pair_sum_matches_double_loop_over_ladder_pairs(beta):
-    # oracle: phi1_k (x) phi2_l psi2_l added pair by pair over the kept (k, l)
+    # oracle: phi1_k (x) octave_l added pair by pair over the kept (k, l)
     family = de.make_lp_family(beta, 5)
     keeps = (lambda ts: ts < 1.0, lambda ts: (0.25 <= ts) & (ts <= 4.0))
     for keep in keeps:
         expected = np.zeros((32, 32))
         for k, phi1 in zip(family.ks, family.phi1):
-            for el, phi2, psi2 in zip(family.ls, family.phi2, family.psi2):
+            for el, octave in zip(family.ls, family.octave):
                 if keep(2.0**el * (2.0**k) ** beta):
-                    expected += np.outer(phi1, phi2 * psi2)
+                    expected += np.outer(phi1, octave)
         assert np.abs(expected).max() > 0.0
         assert np.abs(de._pair_sum(family, keep) - expected).max() <= 1e-14
 
@@ -199,9 +222,9 @@ def test_vanishing_regime_exact(beta):
     checked = 0
     for k, phi1 in zip(fam_b.ks, fam_b.phi1):
         s_beta = (2.0**k) ** beta
-        for el, phi2, psi2 in zip(fam_b.ls, fam_b.phi2, fam_b.psi2):
+        for el, octave in zip(fam_b.ls, fam_b.octave):
             if 2.0**el > 4.0 / (lam * s_beta):
-                sym = phi1[:, None] * (phi2 * psi2)[None, :]
+                sym = phi1[:, None] * octave[None, :]
                 assert np.abs(sym * weight).max() == 0.0
                 checked += 1
     assert checked > 0
@@ -216,9 +239,9 @@ def test_profile_is_one_regime(fam):
     checked = 0
     for k, phi1 in zip(fam.ks, fam.phi1):
         s_beta = 2.0**k
-        for el, phi2, psi2 in zip(fam.ls, fam.phi2, fam.psi2):
+        for el, octave in zip(fam.ls, fam.octave):
             if 4.0 * s_beta * 2.0**el <= 1.0 / lam:
-                sym = phi1[:, None] * (phi2 * psi2)[None, :]
+                sym = phi1[:, None] * octave[None, :]
                 assert np.abs(sym * (weight - 1.0)).max() == 0.0
                 checked += 1
     assert checked > 0

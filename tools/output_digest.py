@@ -27,7 +27,7 @@ and of the plateau profile (0.75, 1.5), and the CLI artifacts of one small
 config per subcommand are digested too.
 
 The decomposition's ladder sums are digested where the scale family acts,
-at N = 8 to 128 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (phi1 is divided by
+at N = 8 to 256 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (phi1 is divided by
 its per-frequency total at every beta; the last two have a non-integer
 2/|beta|, so no dyadic sum of the phi1 window is constant): the two axis
 sums, the principal cutoff symbol at three cutoffs, every frozen
@@ -95,7 +95,7 @@ FIELDS = {
 EPSILONS = (0.5, 1.0)
 ZERO_BAND_LEVELS = (0.0, 0.4, 0.9)  # rows in quarters: 1/4, 1/2, 1/4
 BETAS = (1.0, 0.0, -1.0, 0.5)
-LADDER_N_LOG2S = (3, 4, 5, 6, 7)
+LADDER_N_LOG2S = (3, 4, 5, 6, 7, 8)
 LADDER_BETAS = (1.0, -1.0, 0.0, 0.5, 1.5, -0.75)
 BELOW_CUTOFFS = (0.3, 1.0, 12.0)
 RATIO_N_LOG2 = 6
