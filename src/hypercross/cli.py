@@ -181,12 +181,9 @@ def _build_profile(ctx: RunContext) -> mu.MultiplierProfile:
 
 
 def _linearizer_spec(ctx: RunContext) -> dict:
-    """The [linearizer] section with its defaults: kind = constant, and
-    value = 1.0 for that kind."""
-    spec = {"kind": "constant", **ctx.take_all("linearizer")}
-    if spec["kind"] == "constant":
-        spec.setdefault("value", 1.0)
-    return spec
+    """The [linearizer] section with kind = constant by default; the
+    generator holds the defaults of the parameters."""
+    return {"kind": "constant", **ctx.take_all("linearizer")}
 
 
 def _build_linearizer(ctx: RunContext) -> tuple[lin.LinearizerField, dict]:

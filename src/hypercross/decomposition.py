@@ -242,9 +242,11 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
     out = np.empty(spec.shape, dtype=np.complex128)
     for c in np.unique(vt):
         # one gather per rounded scale c, its symbol weighted by the ladder
-        # pairs above c's cutoff; points of other classes go to a zero bucket
+        # pairs above c's cutoff; points of other classes, whose outputs are
+        # discarded, take the class's smallest V, so the h groups dead on the
+        # class are dead on the whole grid
         in_class = vt == c
-        buckets = BucketDecomposition(np.where(in_class, V.values, 0.0))
+        buckets = BucketDecomposition(np.where(in_class, V.values, V.values[in_class].min()))
         piece = gather(spec, buckets, ScaledSymbol(m, hyper, full - _below_symbol(family, m.epsilon / c)))
         out[in_class] = piece[in_class]
     return SampledField(f.n_log2, out)

@@ -6,11 +6,12 @@ grid contract of :mod:`grid`.  :func:`verify_lipschitz` checks a declared
 class by one pair rule: the class names its point pairs and a ratio, and the
 worst pair is the witness.  The linearized operator gathers, at each output
 point, the fixed-multiplier result for the local scale V(x, y).  Every
-variable-scale operator in the package is one call of the kernel pair
-:func:`gather` / :func:`scatter` over a BucketDecomposition of a key array
-(V, or a rounding of V); it reproduces the O(N^4) brute-force oracle exactly
-up to floating-point reassociation.  The operator handle with its exact
-adjoint, :func:`linearized_operator`, lives here too.
+variable-scale operator in the package is one call of the kernel
+:func:`gather` over a BucketDecomposition of a key array (V, or a rounding
+of V); it reproduces the O(N^4) brute-force oracle exactly up to
+floating-point reassociation.  The operator handle with its exact adjoint,
+:func:`linearized_operator`, lives here too; it builds the kernel's plan
+once and runs :func:`gather` and its adjoint :func:`_scatter` on it.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
 orders.  On the V side it takes one transform per bucket, each evaluated at
@@ -22,9 +23,27 @@ frequency side when the symbol has fewer h groups than the partition has
 key groups.  A continuous V has a distinct value at nearly every point,
 while h takes 17 values on the Pi_beta support at N = 32 and beta = 1.
 
+Only the transition band eps < V(x) h < R of the profile depends on the
+point, so the frequency side splits the sorted h groups into three bands by
+the smallest and the largest key, once per partition and symbol:
+
+- dead, key_min * h >= R: m(V(x) h) is exactly 0 at every point, so these
+  groups take no transform and no profile call;
+- flat, key_max * h <= eps: m(V(x) h) is exactly 1 at every point, so these
+  groups are one merged group with one transform and factor 1;
+- transition, in between: one group each.
+
+The bands are exact.  m is exactly 0 from R on (at R, 1 - smoothstep(1) is
+0) and exactly 1 on |t| <= eps, keys and h are >= 0, and rounded
+multiplication is monotone, so key * h is on the same side of R or eps as
+key_min * h or key_max * h.  A key 0 leaves no dead group.  Merging the flat
+groups reassociates a sum of transforms in the synthesis and changes no bit
+in the analysis, where each of them was the transform of g * 1.
+
 Both sides group flat positions in one private format, :class:`_Groups`,
 built once by one np.unique and one stable argsort: the partition groups
-its keys, the symbol its h.  Either side takes its groups in stacks of
+its keys, the symbol its h, and the bands regroup the symbol's groups for a
+partition.  Either side takes its groups in stacks of
 max(1, 2**13 // N^2), each a contiguous slice of the grouping, with one FFT
 call over the last two axes and one factor call per stack, because at the
 grid sizes of the battery a call costs more than its arithmetic.  Each
@@ -144,11 +163,11 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     """Deterministic pseudo-random field satisfying the declared regularity.
 
     Noise fields are band-limited trigonometric polynomials (hence periodic)
-    rescaled so the measured grid constants hold with >= 5% margin.  Every
-    kind but 'constant' takes lip_constant (default 1), finite and > 0; the
-    kinds with a v_min take it finite and >= 0 (default 1/2).  An unknown
-    kind, a parameter the kind does not read, or a value out of range
-    raises ValueError.
+    rescaled so the measured grid constants hold with >= 5% margin.
+    'constant' takes value (default 1), >= 0.  Every other kind takes
+    lip_constant (default 1), finite and > 0; the kinds with a v_min take it
+    finite and >= 0 (default 1/2).  An unknown kind, a parameter the kind
+    does not read, or a value out of range raises ValueError.
     """
     keys = _LINEARIZER_KEYS.get(kind)
     if keys is None:
@@ -161,7 +180,7 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     n = 1 << n_log2
 
     if kind == "constant":
-        c = params["value"]
+        c = params.get("value", 1.0)
         if c < 0:
             raise ValueError("constant linearizer must be >= 0")
         return LinearizerField(n_log2, np.full((n, n), c), Regularity("constant"), seed)
@@ -336,13 +355,16 @@ def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
 
 @dataclass(frozen=True)
 class BucketDecomposition:
-    """The grid grouped by equal key: the (N, N) key array and its groups,
-    built once (a key 0.0 is the first group)."""
+    """The grid grouped by equal key: the (N, N) key array, >= 0 (scales;
+    ValueError otherwise), and its groups, built once (a key 0.0 is the
+    first group)."""
 
     keys: np.ndarray
     groups: _Groups = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not np.all(self.keys >= 0):
+            raise ValueError("bucket keys must be >= 0")
         object.__setattr__(self, "groups", _grouped(self.keys.ravel(), np.arange(self.keys.size), self.keys.size))
 
 
@@ -355,9 +377,10 @@ def _check_grid(buckets: BucketDecomposition, arr: np.ndarray) -> None:
 @dataclass(frozen=True)
 class ScaledSymbol:
     """The symbol weight * m(key * hyper) at scale key: a profile m, an
-    argument grid hyper and a weight (an array or a scalar).  It groups the
-    frequencies where the weight is nonzero by their h = hyper once, at
-    construction; :func:`gather` and :func:`scatter` may sum by h instead."""
+    argument grid hyper >= 0 (ValueError otherwise) and a weight (an array
+    or a scalar).  It groups the frequencies where the weight is nonzero by
+    their h = hyper once, at construction; :func:`gather` and
+    :func:`_scatter` may sum by h instead."""
 
     m: MultiplierProfile
     hyper: np.ndarray
@@ -365,6 +388,8 @@ class ScaledSymbol:
     groups: _Groups = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not np.all(self.hyper >= 0):
+            raise ValueError("symbol arguments must be >= 0")
         support = np.flatnonzero(np.broadcast_to(self.weight, np.shape(self.hyper)))
         object.__setattr__(self, "groups", _grouped(np.ravel(self.hyper)[support], support, np.size(self.hyper)))
 
@@ -416,18 +441,51 @@ def _synthesis(spec: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(spec) * (spec.shape[-2] * spec.shape[-1])
 
 
-def _by_key(symbol_of):
-    """The factors of the V side: the symbols of the keys, stacked."""
-    return lambda keys: np.stack([symbol_of(key) for key in keys])
+def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
+    """The symbol's h groups in the three bands of the module docstring, by
+    the smallest and the largest of the sorted keys; each band is a run of
+    the sorted h.  The dead suffix is dropped, the flat prefix is merged into
+    one group of value 0 (whose factor m(0) is 1), and the transition groups
+    stay as the symbol grouped them."""
+    groups, m, size = symbol.groups, symbol.m, np.size(symbol.hyper)
+    hs = groups.values
+    n_flat = int(np.count_nonzero(keys[-1] * hs <= m.epsilon))
+    n_live = int(np.count_nonzero(keys[0] * hs < m.support_radius))
+    lo, hi = groups.flat.searchsorted([n_flat * size, n_live * size])
+    merged = np.sort(groups.positions[:lo])  # the flat union, group 0 when not empty
+    return _Groups(
+        np.concatenate([np.zeros(min(n_flat, 1)), hs[n_flat:n_live]]),
+        np.concatenate([merged, groups.positions[lo:hi]]),
+        np.concatenate([merged, groups.flat[lo:hi] - max(n_flat - 1, 0) * size]),
+    )
 
 
-def _by_h(buckets: BucketDecomposition, symbol_of):
+class _Plan(NamedTuple):
+    """What :func:`gather` and :func:`_scatter` sum over: the groups, the
+    factors of a stack of group values, and on the frequency side the
+    symbol's weight (None on the V side)."""
+
+    groups: _Groups
+    factors: callable
+    weight: np.ndarray | float | None
+
+
+def _plan(buckets: BucketDecomposition, symbol_of) -> _Plan:
     """The kernel's one rule: a :class:`ScaledSymbol` with fewer h groups
-    than buckets has key groups is summed by h, with the factors
-    h -> m(key * h) on the grid, stacked; None means the V side."""
+    than buckets has key groups is summed over its :func:`_h_bands`, with
+    the factors h -> m(key * h) on the grid, stacked; any other symbol is
+    summed by key, with the symbols of the keys, stacked."""
     if isinstance(symbol_of, ScaledSymbol) and symbol_of.groups.values.size < buckets.groups.values.size:
-        return lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
-    return None
+        factors = lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
+        return _Plan(_h_bands(buckets.groups.values, symbol_of), factors, symbol_of.weight)
+    return _Plan(buckets.groups, lambda keys: np.stack([symbol_of(key) for key in keys]), None)
+
+
+def _gather(spec: np.ndarray, buckets: BucketDecomposition, plan: _Plan) -> np.ndarray:
+    _check_grid(buckets, spec)
+    if plan.weight is None:
+        return _pick(_synthesis, spec, plan.groups, plan.factors)
+    return _spread(_synthesis, spec * plan.weight, plan.groups, plan.factors)
 
 
 def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
@@ -436,32 +494,35 @@ def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndar
 
     The V side takes one inverse transform per bucket.  A
     :class:`ScaledSymbol` with fewer h groups than buckets takes the
-    frequency side instead: one inverse transform of spec * weight on each
-    h group, times m(key(x) * h) at every point.
+    frequency side instead, over three bands of h set by the smallest and
+    the largest key.  The dead h (key_min * h >= R, where m(key * h) is
+    exactly 0) take no transform.  The flat h (key_max * h <= eps, where it
+    is exactly 1) take one inverse transform of spec * weight on their
+    union.  Each transition h takes one on its frequencies, times
+    m(key(x) * h) at every point.  The module docstring shows why the bands
+    are exact; the merge only reassociates the flat terms' sum.
 
     Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call, with one
     factor call per stack (the keys' symbols, or m on a stack of h); each
     group is then picked or added in turn, in key or h order.  A stack holds
     at most max(N^2, 2**13) entries."""
-    _check_grid(buckets, spec)
-    by_h = _by_h(buckets, symbol_of)
-    if by_h is not None:
-        return _spread(_synthesis, spec * symbol_of.weight, symbol_of.groups, by_h)
-    return _pick(_synthesis, spec, buckets.groups, _by_key(symbol_of))
+    return _gather(spec, buckets, _plan(buckets, symbol_of))
 
 
-def scatter(g: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
+def _scatter(g: np.ndarray, buckets: BucketDecomposition, plan: _Plan) -> np.ndarray:
     """Exact adjoint of :func:`gather` for real symbols, in the unweighted
-    inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b).
+    inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b), with
+    the plan :func:`_plan` makes of the buckets and the symbol.
 
-    The side and the stacks follow :func:`gather`; on the frequency side
-    each h group takes fft2(g * m(key * h)) on its frequencies, times the
-    weight."""
+    The side, the bands and the stacks follow :func:`gather`.  On the
+    frequency side each transition h takes fft2(g * m(key * h)) on its
+    frequencies, the flat h take one fft2(g) on theirs (each of their own
+    transforms was fft2(g * 1), so the merge changes no bit), and the dead
+    h stay 0; the result is times the weight."""
     _check_grid(buckets, g)
-    by_h = _by_h(buckets, symbol_of)
-    if by_h is not None:
-        return _pick(np.fft.fft2, g, symbol_of.groups, by_h) * symbol_of.weight
-    return _spread(np.fft.fft2, g, buckets.groups, _by_key(symbol_of))
+    if plan.weight is None:
+        return _spread(np.fft.fft2, g, plan.groups, plan.factors)
+    return _pick(np.fft.fft2, g, plan.groups, plan.factors) * plan.weight
 
 
 def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
@@ -500,16 +561,17 @@ class LinearOperatorHandle:
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
     """The variable-scale operator as a gather of the spectrum over the
     BucketDecomposition of V, with the symbol m(V h) weighted by the Pi_beta
-    mask, both grouped once per handle; the adjoint is the matching scatter.
-    Key 0 gives the m(0) symbol."""
+    mask; the adjoint is the matching :func:`_scatter`.  The handle groups
+    V, groups and bands h, and picks the side once, at construction, so an
+    apply or adjoint sorts nothing.  Key 0 gives the m(0) symbol."""
     buckets = BucketDecomposition(V.values)
-    symbol = ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values)
+    plan = _plan(buckets, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
 
     def apply(f: SampledField) -> SampledField:
-        return SampledField(f.n_log2, gather(forward_transform(f).coeffs, buckets, symbol))
+        return SampledField(f.n_log2, _gather(forward_transform(f).coeffs, buckets, plan))
 
     def adjoint(g: SampledField) -> SampledField:
-        return SampledField(g.n_log2, np.fft.ifft2(scatter(g.samples, buckets, symbol)))
+        return SampledField(g.n_log2, np.fft.ifft2(_scatter(g.samples, buckets, plan)))
 
     return LinearOperatorHandle(V.n_log2, apply, adjoint)
 

@@ -243,11 +243,14 @@ def epsilon_sweep(
     seed: int,
 ) -> SweepResult:
     """Norm estimates of the operator of one generated V across bump widths,
-    one row per eps with the smoothness constant A of the bump."""
-    rows = []
-    v_kind = v_spec.get("kind", "staircase_x")
+    one row per eps with the smoothness constant A of the bump.  v_spec is
+    the generator's kind and parameters; a spec without a kind raises
+    ValueError."""
+    if "kind" not in v_spec:
+        raise ValueError("v_spec names no linearizer kind")
     v_params = {k: v for k, v in v_spec.items() if k != "kind"}
-    V = generate_linearizer(v_kind, v_params, seed, n_log2)
+    V = generate_linearizer(v_spec["kind"], v_params, seed, n_log2)
+    rows = []
     for eps in eps_list:
         m = make_bump_profile(eps)
         a_const = smoothness_constant(m)

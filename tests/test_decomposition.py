@@ -273,6 +273,44 @@ def test_decomposition_identity_constant_and_lipschitz(fam, eps):
     assert classes >= 3
 
 
+def _field_side(f, V, symbol_at):
+    """N^2 ifft2(spec * symbol_at(V(x)))[x] at each point x: one transform of
+    the whole symbol per point, with no grouping and no bands."""
+    n = f.n
+    spec = g.forward_transform(f).coeffs
+    out = np.empty((n, n), dtype=np.complex128)
+    for i, j in np.ndindex(n, n):
+        out[i, j] = np.fft.ifft2(spec * symbol_at(V.values[i, j]))[i, j] * (n * n)
+    return out
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0, 0.5, -1.0])
+def test_lemma_and_error_match_a_field_side_oracle(beta):
+    # the kernel drops the h where V_min h >= R and merges those where
+    # V_max h <= eps; a wrong cut made alike in the lemma and the error term
+    # cancels in T - S - E, so both are checked against this oracle.  The
+    # field has both bands and two dyadic roundings (error_term classes).
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.2, "amplitude": 1.0}, 1, 4)
+    family = de.make_lp_family(beta, 4)
+    hyper = de._hyper_args(family)
+    weight = np.broadcast_to(np.where(g.frequencies(4) == 0, 0.0, 1.0)[:, None] if beta < 0 else 1.0, hyper.shape)
+    hs = np.unique(hyper[weight != 0])
+    assert np.count_nonzero(V.values.max() * hs <= m.epsilon) >= 2
+    assert np.count_nonzero(V.values.min() * hs >= m.support_radius) >= 1
+    assert np.unique(V.values).size > hs.size  # the frequency side
+    assert np.unique(lin.dyadic_round_up(V.values)).size == 2
+    full = de._full_symbol(family)
+    f = g.random_field(4, 21)
+    lemma = _field_side(f, V, lambda v: weight * m(v * hyper))
+    error = _field_side(
+        f, V, lambda v: (full - de._below_symbol(family, m.epsilon / lin.dyadic_round_up(v))) * m(v * hyper)
+    )
+    for ref, out in ((lemma, de.lemma_operator(f, V, m, beta)), (error, de.error_term(f, V, family, m))):
+        assert np.abs(ref).max() > 0.0
+        assert np.abs(out.samples - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_all_terms_vanish_on_zero_field(fam):
     m = mu.make_bump_profile(0.5)
     zero = g.SampledField(6, np.zeros((64, 64)))

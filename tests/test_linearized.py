@@ -142,6 +142,12 @@ def test_generator_rejects_bad_params():
         lin.generate_linearizer("nope", {}, 0, 4)
 
 
+def test_constant_generator_defaults_to_value_one():
+    # the CLI's [linearizer] default; an empty spec raised KeyError: 'value'
+    V = lin.generate_linearizer("constant", {}, 0, 3)
+    assert np.array_equal(V.values, np.ones((8, 8)))
+
+
 @pytest.mark.parametrize("kind", ["lip_2d", "staircase_x", "dyadic_of_lipschitz"])
 @pytest.mark.parametrize("lip", [0.0, -1.0, math.inf, math.nan])
 def test_generator_rejects_lip_constant_out_of_range(kind, lip):
@@ -244,6 +250,17 @@ def test_bucket_groups_put_key_zero_in_its_own_first_group():
     assert list(groups.positions[groups.flat < 16 * 16]) == [5]
 
 
+def test_kernel_inputs_reject_negative_scales():
+    # the frequency-side bands take key * h monotone in key and h
+    for bad in (-0.5, math.nan):
+        keys = np.full((8, 8), 0.5)
+        keys[2, 3] = bad
+        with pytest.raises(ValueError, match="bucket keys must be >= 0"):
+            lin.BucketDecomposition(keys)
+    with pytest.raises(ValueError, match="symbol arguments must be >= 0"):
+        lin.ScaledSymbol(mu.make_bump_profile(0.5), -mu.hyperbolic_argument(3, 1.0), 1.0)
+
+
 def test_constant_v_collapses_to_fixed_multiplier():
     m = mu.make_bump_profile(0.5)
     f = g.random_field(4, 3)
@@ -341,9 +358,9 @@ def test_gather_and_scatter_groupings_agree(beta):
     plain = lambda key: weight * m(key * hyper)
     spec = g.forward_transform(g.random_field(5, 3)).coeffs
     samples = g.random_field(5, 4).samples
-    for kernel, arr in ((lin.gather, spec), (lin.scatter, samples)):
-        by_v = kernel(arr, buckets, plain)
-        by_h = kernel(arr, buckets, scaled)
+    for kernel, arr in ((lin._gather, spec), (lin._scatter, samples)):
+        by_v = kernel(arr, buckets, lin._plan(buckets, plain))
+        by_h = kernel(arr, buckets, lin._plan(buckets, scaled))
         assert np.linalg.norm(by_h - by_v) <= 1e-12 * np.linalg.norm(by_v)
 
 
@@ -387,15 +404,46 @@ def test_bucketed_apply_and_adjoint_on_both_sides(beta, kind):
         assert gap <= 1e-10 * np.linalg.norm(tf) * np.linalg.norm(b.samples)
 
 
-def test_bucketed_apply_runs_one_inverse_fft_per_masked_h(monkeypatch):
-    # lip_x at N = 32 has about 1000 distinct values; at beta = 1 the Pi_beta
-    # mask keeps |eta| <= 1, where h = |xi| |eta| takes the 17 values 0..16.
-    # The 17 transforms go in stacks of 2**13 // 32**2 = 8, and neither a
-    # transform nor a profile call sees more than max(N^2, _STACK) entries.
+# (V, the run, the symbol's argument grid and weight) per case: the handle's
+# apply at N = 32 on the digest's lip_x field, and the lemma at N = 64 on a
+# lip_2d field with floor 1/4, where both bands bite
+_BANDED_RUNS = {
+    "apply": (
+        lambda n_log2: lin.generate_linearizer("lip_x", _LIP_X, 0, n_log2),
+        lin.apply_linearized_bucketed,
+        lambda n_log2, beta: (mu.hyperbolic_argument(n_log2, beta), mu.pi_beta_mask(beta, n_log2).values),
+    ),
+    "lemma": (
+        lambda n_log2: lin.generate_linearizer("lip_2d", {"lip_constant": 0.5, "floor": 0.25}, 5, n_log2),
+        de.lemma_operator,
+        lambda n_log2, beta: (
+            mu.hyperbolic_argument(n_log2, beta).T,
+            np.where(g.frequencies(n_log2) == 0, 0.0, 1.0)[:, None] if beta < 0 else 1.0,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+@pytest.mark.parametrize("run, n_log2", [("apply", 5), ("lemma", 6)])
+def test_banded_gather_transforms_only_the_live_h(monkeypatch, run, n_log2, beta):
+    # the frequency side transforms the flat h (V_max h <= eps) as one group
+    # and each transition h once; the dead h (V_min h >= R) take no
+    # transform and no profile call.  The transforms go in stacks of
+    # 2**13 // N^2, and neither a transform nor a profile call sees more
+    # than max(N^2, _STACK) entries.
     m = mu.make_bump_profile(0.5)
-    V = lin.generate_linearizer("lip_x", _LIP_X, 0, 5)
-    assert np.unique(V.values).size > 17
-    f = g.random_field(5, 1)
+    make_v, apply, symbol_args = _BANDED_RUNS[run]
+    V = make_v(n_log2)
+    n = 1 << n_log2
+    hyper, weight = symbol_args(n_log2, beta)
+    hs = np.unique(hyper[np.broadcast_to(weight, hyper.shape) != 0])
+    assert np.unique(V.values).size > hs.size  # the frequency side
+    flat = V.values.max() * hs <= m.epsilon
+    dead = V.values.min() * hs >= m.support_radius
+    expected = int(flat.any()) + int(np.count_nonzero(~flat & ~dead))
+    assert expected < hs.size
+    f = g.random_field(n_log2, 1)
     stacks, profile_sizes = [], []
     ifft2, profile = np.fft.ifft2, mu.MultiplierProfile.__call__
 
@@ -409,34 +457,36 @@ def test_bucketed_apply_runs_one_inverse_fft_per_masked_h(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifft2", counted_ifft2)
     monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
-    lin.apply_linearized_bucketed(f, V, m, 1.0)
-    assert all(shape[-2:] == (32, 32) for shape in stacks)
-    assert sum(shape[0] for shape in stacks) == 17
-    assert len(stacks) <= -(-17 // (lin._STACK // 32**2)) == 3
-    bound = max(32**2, lin._STACK)
+    apply(f, V, m, beta)
+    assert all(shape[-2:] == (n, n) for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == expected
+    assert len(stacks) == -(-expected // max(1, lin._STACK // n**2))
+    assert sum(profile_sizes) == expected * n**2
+    bound = max(n**2, lin._STACK)
     assert max(np.prod(shape) for shape in stacks) <= bound
     assert 0 < max(profile_sizes) <= bound
 
 
 def test_handle_groups_frequencies_once(monkeypatch):
-    # a lip_x V at N = 16 takes the frequency side; the symbol grouped its h
-    # when the handle was built, so no apply or adjoint sorts or regroups
+    # a lip_x V at N = 16 takes the frequency side; the handle grouped and
+    # banded its h when it was built, so no apply or adjoint sorts, searches
+    # or regroups
     V = lin.generate_linearizer("lip_x", _LIP_X, 0, 4)
     assert np.unique(V.values).size > 9  # h = |xi| takes 9 values on the mask
     op = lin.linearized_operator(V, mu.make_bump_profile(0.5), 1.0)
     calls = []
-    unique, argsort = np.unique, np.argsort
 
-    def counted_unique(*args, **kwargs):
-        calls.append("unique")
-        return unique(*args, **kwargs)
+    def counted(name):
+        original = getattr(np, name)
 
-    def counted_argsort(*args, **kwargs):
-        calls.append("argsort")
-        return argsort(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counted_unique)
-    monkeypatch.setattr(np, "argsort", counted_argsort)
+        return wrapper
+
+    for name in ("unique", "argsort", "sort", "searchsorted"):
+        monkeypatch.setattr(np, name, counted(name))
     f, b = g.random_field(4, 1), g.random_field(4, 2)
     for _ in range(3):
         op.apply(f)

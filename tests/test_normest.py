@@ -185,3 +185,8 @@ def test_sweep_reproducible_and_shape(tmp_path):
     ne.write_sweep_csv(path, a)
     header = path.read_text().splitlines()[0]
     assert header == "p,beta,epsilon,N,seed,A,estimate,iterations,converged"
+
+
+def test_sweep_needs_a_linearizer_kind():
+    with pytest.raises(ValueError, match="names no linearizer kind"):
+        ne.epsilon_sweep(2.0, 1.0, {"lip_constant": 1.0, "v_min": 0.125}, [1.0], 3, 0)

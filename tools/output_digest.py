@@ -20,7 +20,10 @@ transform gives a spectrum exactly zero on the lines xi = 0 and eta = 0 and
 nonzero elsewhere.  There a kernel rule that counts frequencies on the
 spectrum's support and one that counts them on the symbol's weight differ.
 A three-valued V with a zero band (the group of key 0) digests the apply
-and adjoint only, since the decomposition terms need V > 0.  A plateau
+and adjoint only, since the decomposition terms need V > 0.  The lemma and
+error terms are digested at N = 64 too, on a lip_2d field with floor 1/4
+at beta 1 and -1 and bump eps 1/2 and 1: there the frequency side drops
+dead h groups (V_min h >= R) and merges flat ones (V_max h <= eps).  A plateau
 apply per field and beta, ``domination_constant`` (as ``float.hex``) per
 field and eps, ``smoothness_constant`` (as ``float.hex``) of each bump eps
 and of the plateau profile (0.75, 1.5), and the CLI artifacts of one small
@@ -94,6 +97,9 @@ FIELDS = {
 }
 EPSILONS = (0.5, 1.0)
 ZERO_BAND_LEVELS = (0.0, 0.4, 0.9)  # rows in quarters: 1/4, 1/2, 1/4
+BANDED_N_LOG2 = 6
+BANDED_FIELD = {"lip_constant": 0.5, "floor": 0.25}  # lip_2d: both bands bite at beta 1 and -1
+BANDED_BETAS = (1.0, -1.0)
 BETAS = (1.0, 0.0, -1.0, 0.5)
 LADDER_N_LOG2S = (3, 4, 5, 6, 7, 8)
 LADDER_BETAS = (1.0, -1.0, 0.0, 0.5, 1.5, -0.75)
@@ -207,6 +213,15 @@ def library_digests():
                 op = lin.linearized_operator(V, mu.make_bump_profile(eps), beta)
                 yield f"N={n} zero_band eps={eps} beta={beta} apply", _digest(op.apply(f).samples)
                 yield f"N={n} zero_band eps={eps} beta={beta} adjoint", _digest(op.adjoint(g).samples)
+    n = 1 << BANDED_N_LOG2
+    f = gr.random_field(BANDED_N_LOG2, 50 + BANDED_N_LOG2)
+    V = lin.generate_linearizer("lip_2d", BANDED_FIELD, 11, BANDED_N_LOG2)
+    for beta in BANDED_BETAS:
+        family = de.make_lp_family(beta, BANDED_N_LOG2)
+        for eps in EPSILONS:
+            m = mu.make_bump_profile(eps)
+            yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} lemma", _digest(de.lemma_operator(f, V, m, beta).samples)
+            yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} error", _digest(de.error_term(f, V, family, m).samples)
 
 
 def _ratio_cases() -> dict:
