@@ -55,6 +55,7 @@ from .linearized import (
 from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
+    _defined,
     hyperbolic_argument,
     smoothstep,
     smoothstep_derivative,
@@ -256,10 +257,11 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     """Direct variable-scale application in this module's axis convention:
     output spectrum m(V(x,y) |xi|**beta |eta|) * f_hat, gathered pointwise.
 
-    For beta < 0 the line xi = 0 gets symbol value 0, the limit as xi -> 0
-    (as in :func:`hypercross.multiplier.hyperbolic_symbol`, transposed)."""
+    The symbol is weighted by where |xi|**beta is defined, so for beta < 0
+    the line xi = 0 gets symbol value 0, the limit as xi -> 0 (as in
+    :func:`hypercross.multiplier.hyperbolic_symbol`, transposed)."""
     _check_positive(V)
-    weight = np.where(frequencies(f.n_log2) == 0, 0.0, 1.0)[:, None] if beta < 0 else 1.0
+    weight = _defined(frequencies(f.n_log2), beta)[:, None]
     symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, weight)
     return SampledField(f.n_log2, gather(forward_transform(f).coeffs, BucketDecomposition(V.values), symbol))
 

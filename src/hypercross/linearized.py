@@ -18,14 +18,15 @@ orders.  On the V side it takes one transform per bucket, each evaluated at
 the bucket's points.  A :class:`ScaledSymbol` weight * m(V h), with h the
 argument grid (|xi| |eta|**beta), may instead be summed on the frequency
 side: one transform per distinct value of h where the weight is nonzero,
-each multiplied by m(V(x) h) at every point.  The kernel takes the
-frequency side when the symbol has fewer h groups than the partition has
-key groups.  A continuous V has a distinct value at nearly every point,
-while h takes 17 values on the Pi_beta support at N = 32 and beta = 1.
+each multiplied by m(V(x) h) at every point.  A continuous V has a distinct
+value at nearly every point, while h takes 17 values on the Pi_beta support
+at N = 32 and beta = 1.
 
 Only the transition band eps < V(x) h < R of the profile depends on the
 point, so the frequency side splits the sorted h groups into three bands by
-the smallest and the largest key, once per partition and symbol:
+the smallest and the largest key, once per partition and symbol, and the
+kernel takes the frequency side when the banded groups are fewer than the
+partition's key groups; either side runs one transform per group it sums:
 
 - dead, key_min * h >= R: m(V(x) h) is exactly 0 at every point, so these
   groups take no transform and no profile call;
@@ -69,7 +70,7 @@ from .grid import (
     frequencies,
     write_hxf1,
 )
-from .multiplier import MultiplierProfile, _abs_power, hyperbolic_argument, pi_beta_mask
+from .multiplier import MultiplierProfile, hyperbolic_argument, pi_beta_mask
 
 
 @dataclass(frozen=True)
@@ -471,13 +472,15 @@ class _Plan(NamedTuple):
 
 
 def _plan(buckets: BucketDecomposition, symbol_of) -> _Plan:
-    """The kernel's one rule: a :class:`ScaledSymbol` with fewer h groups
-    than buckets has key groups is summed over its :func:`_h_bands`, with
-    the factors h -> m(key * h) on the grid, stacked; any other symbol is
-    summed by key, with the symbols of the keys, stacked."""
-    if isinstance(symbol_of, ScaledSymbol) and symbol_of.groups.values.size < buckets.groups.values.size:
-        factors = lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
-        return _Plan(_h_bands(buckets.groups.values, symbol_of), factors, symbol_of.weight)
+    """The kernel's one rule: a :class:`ScaledSymbol` whose :func:`_h_bands`
+    hold fewer groups than buckets has key groups is summed over the bands,
+    with the factors h -> m(key * h) on the grid, stacked; any other symbol
+    is summed by key, with the symbols of the keys, stacked."""
+    if isinstance(symbol_of, ScaledSymbol):
+        bands = _h_bands(buckets.groups.values, symbol_of)
+        if bands.values.size < buckets.groups.values.size:
+            factors = lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
+            return _Plan(bands, factors, symbol_of.weight)
     return _Plan(buckets.groups, lambda keys: np.stack([symbol_of(key) for key in keys]), None)
 
 
@@ -493,9 +496,9 @@ def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndar
     for each point x of the bucket with key k.
 
     The V side takes one inverse transform per bucket.  A
-    :class:`ScaledSymbol` with fewer h groups than buckets takes the
-    frequency side instead, over three bands of h set by the smallest and
-    the largest key.  The dead h (key_min * h >= R, where m(key * h) is
+    :class:`ScaledSymbol` takes the frequency side instead when its three
+    bands of h, set by the smallest and the largest key, hold fewer groups
+    than there are buckets.  The dead h (key_min * h >= R, where m(key * h) is
     exactly 0) take no transform.  The flat h (key_max * h <= eps, where it
     is exactly 1) take one inverse transform of spec * weight on their
     union.  Each transition h takes one on its frequencies, times
@@ -532,20 +535,12 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
         raise GridMismatchError("field and linearizer grids differ")
     n = f.n
     base = forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
-    freqs = frequencies(f.n_log2)
-    abs_xi = np.abs(freqs).astype(np.float64)[:, None]
-    eta_pow = _abs_power(freqs, beta)[None, :]
-    hyper = abs_xi * eta_pow  # |xi| * |eta|**beta over the frequency grid
-    pos = np.arange(n)
-    ex = np.exp(2j * np.pi * np.outer(pos, freqs) / n)
-    ey = ex  # same phase table for both axes
+    hyper = hyperbolic_argument(f.n_log2, beta)
+    phase = np.exp(2j * np.pi * np.outer(np.arange(n), frequencies(f.n_log2)) / n)  # both axes
     out = np.empty((n, n), dtype=np.complex128)
-    v = V.values
     for i in range(n):
-        exi = ex[i]
         for j in range(n):
-            weighted = m(v[i, j] * hyper) * base
-            out[i, j] = exi @ weighted @ ey[j]
+            out[i, j] = phase[i] @ (m(V.values[i, j] * hyper) * base) @ phase[j]
     return SampledField(f.n_log2, out)
 
 

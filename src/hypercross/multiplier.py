@@ -15,6 +15,10 @@ m(lam * |xi| * |eta|**beta); :func:`hyperbolic_argument` builds the argument
 grid |xi| * |eta|**beta for every symbol of the package.  This is the one
 argument convention: the scale-decomposition module, which puts the exponent
 on the first variable, works with the transpose of this grid.
+
+|k|**beta has a value unless k = 0 and beta < 0; the one predicate
+``_defined`` says so, and the power, the symbol and the Pi_beta mask are
+each written from it, 0 where it is false.
 """
 
 from __future__ import annotations
@@ -136,17 +140,17 @@ class SymbolGrid:
         object.__setattr__(self, "values", _grid_array(self.n_log2, self.values, np.float64))
 
 
+def _defined(freq: np.ndarray, beta: float) -> np.ndarray:
+    """Where |k|**beta has a value on integer frequencies: every k for
+    beta >= 0 (|0|**0 = 1), only k != 0 for beta < 0."""
+    return (freq != 0) | (beta >= 0.0)
+
+
 def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:
-    """|k|**beta on integer frequencies with the conventions |0|**beta = 0 for
-    beta > 0, 1 for beta = 0, and a 0 placeholder for beta < 0 (those entries
-    are always masked away by the caller)."""
+    """|k|**beta on integer frequencies where :func:`_defined`, and a 0
+    placeholder at k = 0 for beta < 0 (callers weight it away)."""
     a = np.abs(freq).astype(np.float64)
-    if beta >= 0.0:
-        return a**beta
-    out = np.zeros_like(a)
-    nz = a > 0
-    out[nz] = a[nz] ** beta
-    return out
+    return np.power(a, beta, out=np.zeros_like(a), where=_defined(freq, beta))
 
 
 def hyperbolic_argument(n_log2: int, beta: float) -> np.ndarray:
@@ -157,31 +161,21 @@ def hyperbolic_argument(n_log2: int, beta: float) -> np.ndarray:
 
 
 def hyperbolic_symbol(lam: float, beta: float, m: MultiplierProfile, n_log2: int) -> SymbolGrid:
-    """Symbol m(lam * |xi| * |eta|**beta) on the frequency grid.
-
-    For beta < 0 the line eta = 0 gets symbol value 0 (it always lies
-    outside the matching truncation mask).
-    """
+    """Symbol m(lam * |xi| * |eta|**beta) where |eta|**beta is :func:`_defined`,
+    and 0 on the rest: the line eta = 0 for beta < 0, which always lies
+    outside the matching truncation mask."""
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    values = m(lam * hyperbolic_argument(n_log2, beta))
-    if beta < 0:
-        values = np.where(frequencies(n_log2) == 0, 0.0, values)  # broadcasts over eta
-    return SymbolGrid(n_log2, values)
+    return SymbolGrid(n_log2, m(lam * hyperbolic_argument(n_log2, beta)) * _defined(frequencies(n_log2), beta))
 
 
 def pi_beta_mask(beta: float, n_log2: int) -> SymbolGrid:
-    """Indicator of {|eta|**beta <= 1} on the frequency grid.
+    """Indicator of Pi_beta = {|eta|**beta <= 1} on the frequency grid, the
+    eta where |eta|**beta is defined (:func:`_defined`) and at most 1.
 
     beta > 0 keeps |eta| <= 1 (the eta = 0 line included), beta < 0 keeps
     |eta| >= 1 (eta = 0 dropped), beta = 0 keeps everything.
     """
-    a = np.abs(frequencies(n_log2))
-    if beta == 0.0:
-        keep = np.ones_like(a, dtype=bool)
-    elif beta > 0.0:
-        keep = a <= 1
-    else:
-        keep = a >= 1
-    return SymbolGrid(n_log2, np.broadcast_to(keep, (a.size, a.size)).astype(np.float64))
-
+    eta = frequencies(n_log2)
+    keep = _defined(eta, beta) & (_abs_power(eta, beta) <= 1.0)
+    return SymbolGrid(n_log2, np.broadcast_to(keep, (eta.size, eta.size)).astype(np.float64))

@@ -10,13 +10,17 @@ from hypercross import multiplier as mu
 
 
 def mean_zero_band_limited(n_log2, seed):
-    """Random field with no energy on the frequency axes."""
-    f = g.random_field(n_log2, seed)
-    spec = g.forward_transform(f)
-    coeffs = spec.coeffs.copy()
-    coeffs[0, :] = 0
-    coeffs[:, 0] = 0
-    return g.inverse_transform(g.SpectralField(n_log2, coeffs))
+    """Random field with the second half of each row, then of each column,
+    replaced by the negated first half: the fast transform gives a spectrum
+    exactly zero on the lines xi = 0 and eta = 0 (and on every even
+    frequency), while the low odd frequencies keep their full weight."""
+    samples = g.random_field(n_log2, seed).samples.copy()
+    half = samples.shape[0] // 2
+    samples[:, half:] = -samples[:, :half]
+    samples[half:] = -samples[:half]
+    spec = g.forward_transform(g.SampledField(n_log2, samples)).coeffs
+    assert not spec[0].any() and not spec[:, 0].any()
+    return g.SampledField(n_log2, samples)
 
 
 @pytest.fixture(scope="module")

@@ -346,7 +346,8 @@ def _mean_zero(f):
 @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 1.0])
 def test_gather_and_scatter_groupings_agree(beta):
     # a continuous V has more distinct values than the masked spectrum has
-    # distinct h, so the ScaledSymbol takes the frequency side and the plain
+    # distinct h, hence than their bands have groups, so the ScaledSymbol
+    # takes the frequency side and the plain
     # callable the V side; the weight is the Pi_beta mask times a random factor
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("lip_x", _LIP_X, 2, 5)
@@ -465,6 +466,37 @@ def test_banded_gather_transforms_only_the_live_h(monkeypatch, run, n_log2, beta
     bound = max(n**2, lin._STACK)
     assert max(np.prod(shape) for shape in stacks) <= bound
     assert 0 < max(profile_sizes) <= bound
+
+
+def test_side_rule_counts_the_banded_groups(monkeypatch):
+    # a lip_x V at N = 32 rounded to multiples of 1/400 has 62 keys; at
+    # beta = -1 the mask keeps 161 distinct h, but their bands leave 33
+    # groups, so the frequency side runs 33 transforms where the V side
+    # would run 62
+    m = mu.make_bump_profile(0.5)
+    values = np.round(lin.generate_linearizer("lip_x", _LIP_X, 1, 5).values * 400.0) / 400.0
+    V = lin.LinearizerField(5, values)
+    assert np.unique(values).size == 62
+    assert np.unique(mu.hyperbolic_argument(5, -1.0)[mu.pi_beta_mask(-1.0, 5).values != 0]).size == 161
+    op = lin.linearized_operator(V, m, -1.0)
+    f = g.random_field(5, 1)
+    rng = np.random.default_rng(3)
+    b = g.SampledField(5, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    stacks = []
+    ifft2 = np.fft.ifft2
+
+    def counted_ifft2(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return ifft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft2", counted_ifft2)
+    tf = op.apply(f).samples
+    assert sum(shape[0] for shape in stacks) == 33
+    monkeypatch.undo()
+    assert _rel_l2(lin.apply_linearized_bruteforce(f, V, m, -1.0).samples, tf) <= 1e-10
+    tb = op.adjoint(b).samples
+    gap = abs(np.vdot(b.samples, tf) - np.vdot(tb, f.samples))
+    assert gap <= 1e-10 * np.linalg.norm(tf) * np.linalg.norm(b.samples)
 
 
 def test_handle_groups_frequencies_once(monkeypatch):

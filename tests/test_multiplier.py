@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,9 @@ def test_hyperbolic_symbol_direct_values():
 
 def test_hyperbolic_symbol_negative_beta_zero_row():
     m = mu.make_bump_profile(1.0)
-    sym = mu.hyperbolic_symbol(1.0, -1.0, m, 4)
-    assert np.abs(sym.values[:, 0]).max() == 0.0  # eta = 0 convention
+    for beta in (-1.0, -0.75):
+        sym = mu.hyperbolic_symbol(1.0, beta, m, 4)
+        assert np.abs(sym.values[:, 0]).max() == 0.0  # eta = 0 convention
 
 
 def test_hyperbolic_symbol_rejects_bad_lambda():
@@ -97,6 +100,9 @@ def test_hyperbolic_symbol_rejects_bad_lambda():
     for lam in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             mu.hyperbolic_symbol(lam, 1.0, m, 4)
+
+
+_GRID_BETAS = [-math.inf, -2.0, -1.0, -0.75, -0.5, 0.0, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0, math.inf]
 
 
 def test_pi_beta_masks():
@@ -110,6 +116,26 @@ def test_pi_beta_masks():
     assert neg.values[0, 0] == 0.0
     all_ones = mu.pi_beta_mask(0.0, 4)
     assert np.all(all_ones.values == 1.0)
+    # every entry against the definition, in Python floats: keep eta iff
+    # |eta|**beta is defined (eta != 0 or beta >= 0) and at most 1
+    for n_log2 in (3, 4, 6):
+        eta = frequencies(n_log2).tolist()
+        for beta in _GRID_BETAS:
+            keep = [float((k != 0 or beta >= 0) and float(abs(k)) ** beta <= 1.0) for k in eta]
+            assert mu.pi_beta_mask(beta, n_log2).values.tolist() == [keep] * len(eta)
+
+
+def test_abs_power_matches_its_definition():
+    # |k|**beta where it is defined (k != 0 or beta >= 0), 0 elsewhere; numpy's
+    # vectorized power may round a non-integer power one unit in the last
+    # place away from the C library's, so the match is to 2**-51 relative
+    from hypercross.grid import frequencies
+
+    for n_log2 in (3, 4, 6):
+        freqs = frequencies(n_log2)
+        for beta in _GRID_BETAS:
+            expected = [float(abs(k)) ** beta if k != 0 or beta >= 0 else 0.0 for k in freqs.tolist()]
+            assert mu._abs_power(freqs, beta).tolist() == pytest.approx(expected, rel=2.0**-51, abs=0.0)
 
 
 def test_flat_radius():

@@ -29,6 +29,13 @@ field and eps, ``smoothness_constant`` (as ``float.hex``) of each bump eps
 and of the plateau profile (0.75, 1.5), and the CLI artifacts of one small
 config per subcommand are digested too.
 
+The frequency grids the symbols are built on are digested at N = 8 to 256,
+at the ladder betas below and at -2, 2, inf and -inf: ``_abs_power`` of the
+frequencies, ``hyperbolic_argument``, ``pi_beta_mask`` and
+``hyperbolic_symbol`` at dilation 0.7 with bump eps 1/2 (the text of the
+ValueError where it raises, as at beta = inf, whose argument grid holds
+0 * inf).
+
 The decomposition's ladder sums are digested where the scale family acts,
 at N = 8 to 256 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (phi1 is divided by
 its per-frequency total at every beta; the last two have a non-integer
@@ -103,6 +110,7 @@ BANDED_BETAS = (1.0, -1.0)
 BETAS = (1.0, 0.0, -1.0, 0.5)
 LADDER_N_LOG2S = (3, 4, 5, 6, 7, 8)
 LADDER_BETAS = (1.0, -1.0, 0.0, 0.5, 1.5, -0.75)
+GRID_BETAS = LADDER_BETAS + (-2.0, 2.0, float("inf"), float("-inf"))
 BELOW_CUTOFFS = (0.3, 1.0, 12.0)
 RATIO_N_LOG2 = 6
 HYPOTHESIS_SEEDS = (0, 1, 2)
@@ -222,6 +230,24 @@ def library_digests():
             m = mu.make_bump_profile(eps)
             yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} lemma", _digest(de.lemma_operator(f, V, m, beta).samples)
             yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} error", _digest(de.error_term(f, V, family, m).samples)
+
+
+def grid_digests():
+    """(name, sha256) for the power, argument, mask and symbol grids."""
+    m = mu.make_bump_profile(0.5)
+    for n_log2 in LADDER_N_LOG2S:
+        for beta in GRID_BETAS:
+            prefix = f"N={1 << n_log2} beta={beta}"
+            with np.errstate(invalid="ignore"):  # beta = inf: |xi| = 0 times |eta|**inf = inf
+                argument = mu.hyperbolic_argument(n_log2, beta)
+                try:
+                    symbol = _digest(mu.hyperbolic_symbol(0.7, beta, m, n_log2).values)
+                except ValueError as exc:
+                    symbol = _digest(f"ValueError: {exc}")
+            yield f"{prefix} _abs_power", _digest(mu._abs_power(gr.frequencies(n_log2), beta))
+            yield f"{prefix} hyperbolic_argument", _digest(argument)
+            yield f"{prefix} pi_beta_mask", _digest(mu.pi_beta_mask(beta, n_log2).values)
+            yield f"{prefix} hyperbolic_symbol lambda=0.7", symbol
 
 
 def _ratio_cases() -> dict:
@@ -379,7 +405,7 @@ def cli_digests():
 
 def digests():
     """(name, sha256) for every output the script covers, in print order."""
-    for generate in (library_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, cli_digests):
+    for generate in (library_digests, grid_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, cli_digests):
         yield from generate()
 
 
