@@ -5,13 +5,15 @@ key outside the schema is rejected when the file is parsed.  Each command
 reads its keys through :meth:`RunContext.take`, and :meth:`RunContext.start`
 rejects every key it did not read (a section another command uses, a key of
 another profile kind, ``[normest] max_iter`` with p != 2) before anything is
-computed or the output directory is created.  Check thresholds are the
-acceptance battery's pinned tolerances, not keys.  Artifacts (HXF1 fields, CSV tables, JSON-lines
-logs) carry the config hash, seed and grid size.  There is no parallel mode:
-reruns with the same config and seed are byte-identical.
-Exit status: 0 when every check passes, 1 when a numeric check fails, 2 for a
-config error (a malformed file, a section or key the command does not read,
-or a value the package rejects), 3 for an I/O error.
+computed.  Every number in a config must be finite, and nothing is written,
+not even the output directory, until the command has its results.  Check
+thresholds are the acceptance battery's pinned tolerances, not keys.
+Artifacts (HXF1 fields, CSV tables, JSON-lines logs) carry the config hash,
+seed and grid size.  There is no parallel mode: reruns with the same config
+and seed are byte-identical.  Exit status: 0 when every check passes, 1 when
+a numeric check fails, 2 for a config error (a malformed file, a section or
+key the command does not read, a number that is not finite, or a value the
+package rejects; nothing is written), 3 for an I/O error.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ def load_config(path: str) -> dict:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                config[section][key] = known[key](raw)
+                config[section][key] = value = known[key](raw)
+                if known[key] in (float, _parse_float_list) and not np.isfinite(value).all():
+                    raise ValueError(f"{raw!r} is not finite")
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
     return config
@@ -108,8 +112,8 @@ def _config_hash(path: str) -> str:
 
 class RunContext:
     """One command's parsed config and its report.  The command reads every
-    key through :meth:`take` or :meth:`take_all`, then calls :meth:`start`
-    before it computes or writes anything."""
+    key through :meth:`take` or :meth:`take_all` and calls :meth:`start`
+    before it computes; with its results it writes to :meth:`path`."""
 
     def __init__(self, args, command: str):
         self.command = command
@@ -126,7 +130,6 @@ class RunContext:
         }
         self._log_records: list[dict] = []
         self.failures = 0
-        self._created: list[Path] = []
 
     def take(self, section: str, key: str, default):
         """The value of section.key, or the default when the file omits it."""
@@ -140,20 +143,15 @@ class RunContext:
         return values
 
     def start(self) -> None:
-        """Reject the keys no take has read, then create the output directory."""
+        """Reject the keys no take has read."""
         if self._unread:
             unread = ", ".join(f"{section}.{key}" for section, key in sorted(self._unread))
             raise ConfigError(f"command {self.command!r} does not read {unread}")
-        self._created = [d for d in (self.out, *self.out.parents) if not d.exists()]
-        self.out.mkdir(parents=True, exist_ok=True)
 
-    def discard(self) -> None:
-        """Remove the directories :meth:`start` created that are still empty,
-        innermost first; a directory that existed before is never touched."""
-        for d in self._created:
-            if any(d.iterdir()):
-                return
-            d.rmdir()
+    def path(self, name: str) -> Path:
+        """out / name, creating the output directory out if it is missing."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
     def log(self, **record) -> None:
         self._log_records.append({**self.provenance, **record})
@@ -166,7 +164,7 @@ class RunContext:
             self.failures += 1
 
     def flush(self) -> None:
-        with open(self.out / "report.jsonl", "w") as fh:
+        with open(self.path("report.jsonl"), "w") as fh:
             for rec in self._log_records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -213,16 +211,15 @@ def cmd_apply(ctx: RunContext) -> None:
     ctx.start()
     f = gr.random_field(ctx.n_log2, ctx.seed + 1)
     out = apply(f, V, profile, beta)
-    gr.write_hxf1(ctx.out / "input.hxf1", ctx.n_log2, f.samples)
-    gr.write_hxf1(ctx.out / "output.hxf1", ctx.n_log2, out.samples)
-    lin.write_linearizer(str(ctx.out / "linearizer"), V, params)
+    oracle = lin.apply_linearized_bruteforce(f, V, profile, beta) if compare_oracle else None
+    gr.write_hxf1(ctx.path("input.hxf1"), ctx.n_log2, f.samples)
+    gr.write_hxf1(ctx.path("output.hxf1"), ctx.n_log2, out.samples)
+    lin.write_linearizer(str(ctx.path("linearizer")), V, params)
     ctx.log(artifact="output.hxf1", method=method, beta=beta)
     if compare_oracle:
-        oracle = lin.apply_linearized_bruteforce(f, V, profile, beta)
-        gr.write_hxf1(ctx.out / "oracle.hxf1", ctx.n_log2, oracle.samples)
+        gr.write_hxf1(ctx.path("oracle.hxf1"), ctx.n_log2, oracle.samples)
         err = _rel_l2(oracle.samples, out.samples)
         ctx.check("oracle_equivalence", err <= ORACLE_TOLERANCE, f"rel l2 err {err:.3e}")
-    ctx.flush()
 
 
 def cmd_dyadic(ctx: RunContext) -> None:
@@ -232,8 +229,8 @@ def cmd_dyadic(ctx: RunContext) -> None:
     count = ctx.take("dyadic", "count", 5)
     # only thm_4_2 weighs |J| by beta; thm_4_1 compares the plain |I| |J|
     beta = 1.0 if variant == "thm_4_1" else ctx.take("dyadic", "beta", 1.0)
-    if count < 1 or depth < 0:
-        raise ConfigError(f"[dyadic] needs count >= 1 and depth >= 0, got count = {count}, depth = {depth}")
+    if count < 1:
+        raise ConfigError(f"[dyadic] needs count >= 1, got {count}")
     ctx.start()
     total_viol = 0
     for i in range(count):
@@ -245,7 +242,6 @@ def cmd_dyadic(ctx: RunContext) -> None:
         total_viol += rep.violations
         ctx.log(**rep.record(), case=i)
     ctx.check("selection_stability", total_viol == 0, f"{total_viol} violations over {count} fields")
-    ctx.flush()
 
 
 def cmd_decompose(ctx: RunContext) -> None:
@@ -296,7 +292,6 @@ def cmd_decompose(ctx: RunContext) -> None:
         beta=beta,
         witness=[list(w) for w in rep.witnesses[:2]],
     )
-    ctx.flush()
 
 
 def cmd_normest(ctx: RunContext) -> None:
@@ -312,15 +307,14 @@ def cmd_normest(ctx: RunContext) -> None:
     ctx.start()
     op = ne.linearized_operator(V, profile, beta)
     est = estimate(op)
-    gr.write_hxf1(ctx.out / "witness.hxf1", ctx.n_log2, est.witness.samples)
     a_const = mu.smoothness_constant(profile)
-    row = ne.SweepRow(p, beta, profile.epsilon, 1 << ctx.n_log2, ctx.seed, a_const, est.value, est.iterations, est.converged)
-    ne.write_sweep_csv(ctx.out / "estimate.csv", ne.SweepResult((row,)))
-    ctx.log(estimate=est.value, iterations=est.iterations, converged=est.converged, p=p)
     rederived = gr.lp_norm(op.apply(est.witness), p) / gr.lp_norm(est.witness, p)
     consistent = abs(rederived - est.value) <= 1e-12 * abs(est.value)
+    gr.write_hxf1(ctx.path("witness.hxf1"), ctx.n_log2, est.witness.samples)
+    row = ne.SweepRow(p, beta, profile.epsilon, 1 << ctx.n_log2, ctx.seed, a_const, est.value, est.iterations, est.converged)
+    ne.write_sweep_csv(ctx.path("estimate.csv"), ne.SweepResult((row,)))
+    ctx.log(estimate=est.value, iterations=est.iterations, converged=est.converged, p=p)
     ctx.check("witness_consistency", consistent, f"estimate {est.value:.6f}, re-derived {rederived:.6f}")
-    ctx.flush()
 
 
 def cmd_sweep(ctx: RunContext) -> None:
@@ -332,12 +326,11 @@ def cmd_sweep(ctx: RunContext) -> None:
         raise ConfigError("sweep.eps_list is empty")
     ctx.start()
     result = ne.epsilon_sweep(p, beta, v_spec, eps_list, ctx.n_log2, ctx.seed)
-    ne.write_sweep_csv(ctx.out / "sweep.csv", result)
+    ne.write_sweep_csv(ctx.path("sweep.csv"), result)
     for row in result.rows:
         ctx.log(epsilon=row.epsilon, estimate=row.estimate, smoothness=row.smoothness)
     ratio = result.log_shape_ratio()
     ctx.check("log_shape_ratio", ratio <= SHAPE_RATIO_LIMIT, f"ratio {ratio:.3f} (limit {SHAPE_RATIO_LIMIT})")
-    ctx.flush()
 
 
 def cmd_verify(ctx: RunContext) -> None:
@@ -364,7 +357,6 @@ def cmd_verify(ctx: RunContext) -> None:
     v, low = V.values, lin.dyadic_floor(V.values)
     in_level = np.where(v > 0, (low <= v) & (v < 2.0 * low), low == 0.0)
     ctx.check("level_set_partition", bool(np.all(in_level)))
-    ctx.flush()
 
 
 _COMMANDS = {
@@ -387,14 +379,12 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override [run] seed")
         sp.add_argument("--reproducible", action="store_true", help="accepted for compatibility; every run is byte-stable")
     args = parser.parse_args(argv)
-    ctx = None
     try:
         ctx = RunContext(args, args.command)
         _COMMANDS[args.command](ctx)
+        ctx.flush()
     except ValueError as exc:  # ConfigError, or a config value rejected by the package
         print(f"config error: {exc}", file=sys.stderr)
-        if ctx is not None:
-            ctx.discard()  # a value rejected after start() leaves no empty --out behind
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -225,10 +225,8 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
     argument stays strictly inside the flat region of m.
     """
     _check_terms(f, V, family)
-    rounded = dyadic_round_up(V.values)
-    if not np.isfinite(rounded).all():
-        raise ValueError("non-finite rounded scales")
-    out = gather(forward_transform(f).coeffs, BucketDecomposition(rounded), lambda vt: _below_symbol(family, m.epsilon / vt))
+    buckets = BucketDecomposition(dyadic_round_up(V.values))
+    out = gather(forward_transform(f).coeffs, buckets, lambda vt: _below_symbol(family, m.epsilon / vt))
     return SampledField(f.n_log2, out)
 
 

@@ -9,8 +9,9 @@ depth <= n_log2 - 1 so every Haar half-interval contains at least one cell.
 The hypothesis-class generators take a Lipschitz constant 0 < L < inf.  Their
 two structural verifiers share one counter of steep dyadic blocks (squares,
 or x-intervals at one y).  The selection-stability check and the model
-operator take their scale pairs from one rule, and raise ValueError when the
-side condition leaves no pair instead of passing or summing vacuously.
+operator take their scale pairs from one rule, and raise ValueError when beta
+is not finite or the side condition leaves no pair, instead of passing or
+summing vacuously.
 """
 
 from __future__ import annotations
@@ -132,11 +133,14 @@ def _scale_pairs(depth: int, beta: float, L: float, variant: str) -> list[tuple[
     """(a, b) for the scale pairs |I| = 2**-a, |J| = 2**-b with a, b <= depth
     that meet the variant's side condition: every pair for thm_4_1,
     |J|**beta >= L for thm_4_2, compared as exponents (-b beta >= log2 L) so
-    no power overflows.  Raises ValueError when no pair meets it (thm_4_2
-    with L > 1, or beta inf or nan): a check or a sum over no pair is
-    vacuous."""
+    no power overflows.  Raises ValueError for a beta that is not finite (at
+    -inf every pair with |J| < 1 meets it and none is admissible), and when
+    no pair meets the condition (thm_4_2 with L > 1 or L nan): a check or a
+    sum over no pair is vacuous."""
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     scales = range(depth + 1)
     if variant == "thm_4_1":
         pairs = [(a, b) for a in scales for b in scales]
@@ -168,8 +172,9 @@ def dyadic_model_operator(
     V(x, y) are kept.
 
     thm_4_1 keeps |I||J| <= V(x,y) and requires sqrt(V) > L everywhere;
-    thm_4_2 keeps |I||J|**beta <= V(x,y) subject to |J|**beta >= L, and
-    raises ValueError when no scale pair meets that side condition.
+    thm_4_2 keeps |I||J|**beta <= V(x,y) subject to |J|**beta >= L.  Raises
+    ValueError for a beta that is not finite, and when no scale pair meets
+    the side condition.
     """
     depth = f.n_log2 - 1
     pairs = _scale_pairs(depth, beta, L, variant)
@@ -223,9 +228,9 @@ def check_selection_stability(
     For each scale pair (|I|, |J|) passing the variant's side condition and
     each (I, y), the admissibility mask must be constant in x over I; every
     non-constant block counts as one violation, and the first 8 are kept as
-    witnesses.  A negative depth, or a side condition that no scale pair
-    meets (thm_4_2 with L > 1, or beta inf or nan), would check nothing and
-    raises ValueError.
+    witnesses.  A negative depth, a beta that is not finite, or a side
+    condition that no scale pair meets (thm_4_2 with L > 1) would check
+    nothing and raises ValueError.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")

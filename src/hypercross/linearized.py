@@ -319,10 +319,11 @@ def verify_lipschitz(V: LinearizerField, mode: Regularity, seed: int = 0) -> Lip
 
 
 def dyadic_round_up(lam):
-    """min{2**(j+2) : 2**j > lam}; brackets lam via result/8 <= lam < result/4."""
+    """min{2**(j+2) : 2**j > lam}; brackets lam via result/8 <= lam < result/4.
+    Needs 0 < lam < 2**1021, where the result is finite."""
     arr = np.asarray(lam, dtype=np.float64)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError("dyadic_round_up requires positive finite input")
+    if not np.all((arr > 0) & (arr < 2.0**1021)):
+        raise ValueError("dyadic_round_up requires 0 < input < 2**1021")
     out = 8.0 * dyadic_floor(arr)  # exact: both factors are powers of two
     return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 

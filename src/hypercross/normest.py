@@ -80,7 +80,8 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """x minus its projection on the orthonormal rows of basis, taken twice
     (classical Gram-Schmidt is exact to rounding after two passes)."""
     for _ in range(2):
-        x = x - basis.T @ (basis.conj() @ x)
+        # conj(basis) @ x, formed without a conjugated copy of the basis
+        x = x - basis.T @ (basis @ x.conj()).conj()
     return x
 
 

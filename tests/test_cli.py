@@ -253,16 +253,8 @@ _BAD_CONFIGS = {
     # values that leave a check with nothing to check, or crash it
     "dyadic_grid_1x1": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3).replace("grid_n_log2 = 5", "grid_n_log2 = 0")),
     "dyadic_thm_4_2_no_scale_pair": ("dyadic", _THM_4_2_CONFIG.replace("0.125", "2.0")),
-    "dyadic_thm_4_2_beta_inf": ("dyadic", _THM_4_2_CONFIG + "beta = inf\n"),
-    "dyadic_thm_4_2_beta_nan": ("dyadic", _THM_4_2_CONFIG + "beta = nan\n"),
-    "dyadic_lip_constant_inf": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=3).replace("0.125", "inf")),
     "decompose_ratio_lip_zero": ("decompose", _RATIO_CONFIG + "ratio_lip = 0\n"),
     "decompose_ratio_lip_negative": ("decompose", _RATIO_CONFIG + "ratio_lip = -1\n"),
-    "plateau_infinite_support": (
-        "verify",
-        "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = plateau\nflat_radius = 0.75\nsupport_radius = inf\n\n"
-        "[linearizer]\nkind = constant\nvalue = 0.5\n",
-    ),
     "sweep_empty_eps_list": ("sweep", "[run]\ngrid_n_log2 = 4\n\n[sweep]\neps_list =\n"),
     # keys the run never reads: p picks the estimator, thm_4_1 has no beta
     "normest_p3_max_iter": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nmax_iter = 1")),
@@ -280,7 +272,38 @@ _BAD_CONFIGS = {
         "verify",
         "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = bump\nflat_radius = 0.9\n\n[linearizer]\nkind = constant\nvalue = 0.5\n",
     ),
+    # values that fail to parse, and kinds and methods outside the package
+    "grid_n_log2_not_an_int": ("verify", "[run]\ngrid_n_log2 = four\n"),
+    "compare_oracle_maybe": ("apply", APPLY_CONFIG.format(method="bucketed") + "compare_oracle = maybe\n"),
+    "unknown_profile_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = gauss\n"),
+    "unknown_apply_method": ("apply", APPLY_CONFIG.format(method="fft")),
 }
+# every number in a config must be finite: (command, the key the error names, text)
+_NON_FINITE = {
+    f"{case}_beta_{label}": (command, f"{command}.beta", text.replace("beta = 1.0", f"beta = {value}"))
+    for case, command, text in [
+        ("apply", "apply", APPLY_CONFIG.format(method="bucketed")),
+        ("normest", "normest", NORMEST_CONFIG + "beta = 1.0\n"),
+        ("sweep", "sweep", _SWEEP_CONFIG + "beta = 1.0\n"),
+        ("decompose", "decompose", _RATIO_CONFIG),
+        ("dyadic_thm_4_2", "dyadic", _THM_4_2_CONFIG + "beta = 1.0\n"),
+    ]
+    for value, label in [("inf", "inf"), ("-inf", "minus_inf"), ("nan", "nan")]
+}
+_NON_FINITE.update(
+    {
+        "amplitude_inf": ("apply", "linearizer.amplitude", APPLY_CONFIG.format(method="bucketed").replace("amplitude = 0.5", "amplitude = inf")),
+        "sweep_eps_list_inf": ("sweep", "sweep.eps_list", _SWEEP_CONFIG.replace("1.0, 0.5", "1.0, inf")),
+        "dyadic_lip_constant_inf": ("dyadic", "dyadic.lip_constant", _DYADIC_CONFIG.format(depth=5, count=3).replace("0.125", "inf")),
+        "plateau_infinite_support": (
+            "verify",
+            "profile.support_radius",
+            "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = plateau\nflat_radius = 0.75\nsupport_radius = inf\n\n"
+            "[linearizer]\nkind = constant\nvalue = 0.5\n",
+        ),
+    }
+)
+_BAD_CONFIGS.update({case: (command, text) for case, (command, _, text) in _NON_FINITE.items()})
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
@@ -291,6 +314,18 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
     assert rc == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_number_is_rejected_where_the_config_is_parsed(tmp_path, case):
+    _, key, text = _NON_FINITE[case]
+    with pytest.raises(cli.ConfigError, match=rf"^bad value for {key}: '.*' is not finite$"):
+        cli.load_config(_write(tmp_path, "bad.ini", text))
+
+
+def test_boolean_spellings(tmp_path):
+    for raw, value in [("true", True), ("On", True), ("false", False), ("0", False)]:
+        assert cli.load_config(_write(tmp_path, "b.ini", f"[apply]\ncompare_oracle = {raw}\n")) == {"apply": {"compare_oracle": value}}
 
 
 def test_decompose_rejects_ratio_lip_before_the_terms_run(tmp_path, monkeypatch):
@@ -317,16 +352,16 @@ def test_dyadic_thm_4_2_large_negative_beta_reaches_a_verdict(tmp_path, capsys):
     assert (tmp_path / "o" / "report.jsonl").stat().st_size > 0
 
 
-def test_config_error_after_start_removes_only_the_directories_it_created(tmp_path):
-    # restarts = 0 is rejected by the estimator, after start() made --out
-    cfg = _write(tmp_path, "bad.ini", _BAD_CONFIGS["zero_restarts"][1])
-    rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "new" / "deeper")])
-    assert rc == cli.EXIT_CONFIG
-    assert not (tmp_path / "new").exists()
+def test_config_error_from_the_computation_creates_no_directory(tmp_path):
+    # the package rejects restarts = 0 and a 4 x 4 grid after start()
     (tmp_path / "kept").mkdir()
-    rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "kept")])
-    assert rc == cli.EXIT_CONFIG
-    assert (tmp_path / "kept").is_dir()
+    for case in ("zero_restarts", "grid_too_small"):
+        command, text = _BAD_CONFIGS[case]
+        cfg = _write(tmp_path, f"{case}.ini", text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "new" / "deeper")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "new").exists()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "kept")]) == cli.EXIT_CONFIG
+        assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
 
 
 def test_section_not_used_by_command_rejected(tmp_path, capsys):

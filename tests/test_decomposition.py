@@ -124,6 +124,11 @@ def test_beta_zero_family_takes_the_unit_annulus():
 def test_narrow_annulus_rejected():
     with pytest.raises(de.LadderError):
         de.make_lp_family(4.0, 6)  # log-radius 1/4 leaves ladder gaps
+    with pytest.raises(de.LadderError, match="grid too small to host the annuli"):
+        de.make_lp_family(1.0, 2)
+    # log-radius just above 1/2: the phi1 windows leave frequencies uncovered
+    with pytest.raises(de.LadderError, match="leaves gaps on the dyadic ladder"):
+        de.make_lp_family(1.99, 8)
     for beta in (2.0, -2.0):  # log-radius 1/2: the phi1 window vanishes
         with pytest.raises(de.LadderError, match=r"\(\|beta\| >= 2\)"):
             de.make_lp_family(beta, 6)
@@ -333,6 +338,36 @@ def test_terms_reject_a_family_on_another_grid(term):
         getattr(de, term)(f, V, family, mu.make_bump_profile(0.5))
 
 
+# the terms that round V up to a power of two, then the lemma, which needs V > 0 too
+_ROUNDING_TERMS = {
+    "principal_term": de.principal_term,
+    "error_term": de.error_term,
+    "small_variation_error": de.small_variation_error,
+    "lipschitz_ratio_check": lambda f, V, family, m: de.lipschitz_ratio_check(V, family, 1.0, 1.0),
+}
+_V_TERMS = {**_ROUNDING_TERMS, "lemma_operator": lambda f, V, family, m: de.lemma_operator(f, V, m, 1.0)}
+
+
+def _half_at(value):
+    vals = np.full((16, 16), 0.5)
+    vals[:8] = value
+    return lin.LinearizerField(4, vals)
+
+
+@pytest.mark.parametrize("term", sorted(_V_TERMS))
+def test_terms_reject_a_zero_in_V(term):
+    with pytest.raises(ValueError, match="requires V > 0"):
+        _V_TERMS[term](g.random_field(4, 0), _half_at(0.0), de.make_lp_family(1.0, 4), mu.make_bump_profile(0.5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("term", sorted(_ROUNDING_TERMS))
+def test_terms_reject_V_whose_rounding_overflows(term):
+    # 8 * 2**1022 is past the float range: the rounded class would be inf
+    with pytest.raises(ValueError, match=r"0 < input < 2\*\*1021"):
+        _ROUNDING_TERMS[term](g.random_field(4, 0), _half_at(2.0**1022), de.make_lp_family(1.0, 4), mu.make_bump_profile(0.5))
+
+
 def test_error_symbol_support_band(fam):
     m = mu.make_bump_profile(1.0)
     hyper = de._hyper_args(fam)
@@ -443,6 +478,12 @@ def test_ratio_check_constant_field(fam):
     rep = de.lipschitz_ratio_check(V, fam, 1.0, 1.0, "lip", 10_000, 1)
     assert rep.violations == 0
     assert rep.worst_ratio == 1.0
+
+
+def test_ratio_check_rejects_an_unknown_variant(fam):
+    V = lin.generate_linearizer("constant", {"value": 0.1}, 0, 6)
+    with pytest.raises(ValueError, match="variant must be 'lip' or 'floor', got 'cone'"):
+        de.lipschitz_ratio_check(V, fam, 1.0, 1.0, "cone")
 
 
 def test_ratio_check_generated_hypotheses(fam):

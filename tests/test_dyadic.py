@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ def test_haar_eval_unit_interval():
     assert dy.haar_eval(unit, 0.25) == 1.0
     assert dy.haar_eval(unit, 0.75) == -1.0
     assert dy.haar_eval(unit, 1.5) == 0.0
+    with pytest.raises(ValueError, match="position n must be >= 0"):
+        dy.DyadicInterval(0, -1)
 
 
 def test_haar_mean_zero_grid_quadrature():
@@ -82,6 +87,9 @@ def test_haar_transform_depth_limit():
     f = g.random_field(4, 1)
     with pytest.raises(ValueError):
         dy.haar_transform(f, 4)  # finest half-intervals would be sub-cell
+    too_deep = dataclasses.replace(dy.haar_transform(f, 3), depth=4)
+    with pytest.raises(ValueError, match="scale 2\\*\\*-4 unresolved on an N=16 grid"):
+        dy.haar_inverse(too_deep)
 
 
 def test_model_operator_full_sum_is_projection():
@@ -158,6 +166,28 @@ def test_model_operator_without_admissible_pairs_raises():
             dy.dyadic_model_operator(f, V, 1.0, L, "thm_4_2")
 
 
+@pytest.mark.parametrize(
+    "beta, variant, message",
+    [
+        (-math.inf, "thm_4_2", "beta must be finite"),
+        (math.inf, "thm_4_2", "beta must be finite"),
+        (math.nan, "thm_4_2", "beta must be finite"),
+        (-math.inf, "thm_4_1", "beta must be finite"),
+        (1.0, "thm_4_3", "unknown variant 'thm_4_3'"),
+    ],
+    ids=["beta_minus_inf", "beta_inf", "beta_nan", "thm_4_1_beta_minus_inf", "unknown_variant"],
+)
+def test_scale_pair_rule_rejects_what_would_check_nothing(beta, variant, message):
+    # at beta = -inf every pair with |J| < 1 met |J|**beta >= L with an
+    # infinite size product: the check found 0 violations and the model
+    # operator summed to zeros
+    V = dy.generate_dyadic_metric_x(1 / 8, 5, 1)
+    with pytest.raises(ValueError, match=message):
+        dy.check_selection_stability(V, 1 / 8, beta, variant)
+    with pytest.raises(ValueError, match=message):
+        dy.dyadic_model_operator(g.random_field(5, 0), V, beta, 1 / 8, variant)
+
+
 def test_model_operator_hypothesis_errors():
     f = g.random_field(4, 0)
     not_dyadic = lin.LinearizerField(4, np.full((16, 16), 0.3), lin.Regularity("none"))
@@ -173,6 +203,17 @@ def test_selection_stability_rejects_negative_depth():
     assert dy.check_selection_stability(V, 2.0**-3, 1.0, "thm_4_1", depth=0).violations == 0
     with pytest.raises(ValueError, match="depth"):
         dy.check_selection_stability(V, 2.0**-3, 1.0, "thm_4_1", depth=-1)
+
+
+def test_dyadic_metric_generators_reject_a_bound_no_field_meets():
+    with pytest.raises(ValueError, match="L must be positive and finite, got inf"):
+        dy.generate_dyadic_metric_2d(math.inf, 4, 0)
+    # L = 1: no power of two lies in (L**2, L * side] for the whole square
+    with pytest.raises(ValueError, match="no admissible value for leaf of side 1.0 at L=1.0"):
+        dy.generate_dyadic_metric_2d(1.0, 4, 0)
+    # L / N underflows to 0, so every leaf bound L * cells / N would too
+    with pytest.raises(ValueError, match="L / N > 0"):
+        dy.generate_dyadic_metric_x(5e-324, 5, 0)
 
 
 def test_selection_stability_constant_field():

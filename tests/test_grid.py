@@ -191,8 +191,9 @@ def test_hxf1_rejects_short_header(tmp_path):
         lambda lines: lines[:1] + ["-1,0,1.0,0.0"] + lines[2:],  # negative index
         lambda lines: lines[:1] + ["0,16,1.0,0.0"] + lines[2:],  # index past the grid
         lambda lines: lines + [lines[5]],  # a sample repeated
+        lambda lines: ["x,y,re,im"] + lines[1:],  # a header of other columns
     ],
-    ids=["truncated", "negative_index", "index_out_of_range", "duplicate"],
+    ids=["truncated", "negative_index", "index_out_of_range", "duplicate", "bad_header"],
 )
 def test_csv_rejects_malformed_file(tmp_path, corrupt):
     path = tmp_path / "field.csv"
@@ -200,6 +201,20 @@ def test_csv_rejects_malformed_file(tmp_path, corrupt):
     path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError):
         g.read_field_csv(path, 4)
+
+
+def test_hxf1_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "short.hxf1"
+    g.write_hxf1(path, 3, g.random_field(3, 11).samples)
+    path.write_bytes(path.read_bytes()[:-16])  # one complex sample short
+    with pytest.raises(ValueError, match="payload has 126 doubles, expected 128"):
+        g.read_hxf1(path)
+
+
+def test_hxf1_write_rejects_the_wrong_shape(tmp_path):
+    with pytest.raises(ValueError, match=r"array shape \(8, 8\) does not match n_log2=4"):
+        g.write_hxf1(tmp_path / "f.hxf1", 4, np.ones((8, 8)))
+    assert not (tmp_path / "f.hxf1").exists()
 
 
 def test_hxf1_rejects_non_finite_payload(tmp_path):

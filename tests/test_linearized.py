@@ -140,6 +140,35 @@ def test_generator_rejects_bad_params():
         lin.generate_linearizer("lip_2d", {"lip_constant": 1.0, "floor": 0.5}, 0, 4)
     with pytest.raises(ValueError):
         lin.generate_linearizer("nope", {}, 0, 4)
+    with pytest.raises(ValueError, match="constant linearizer must be >= 0"):
+        lin.generate_linearizer("constant", {"value": -0.5}, 0, 4)
+    with pytest.raises(ValueError, match="needs a finite v_min >= 0, got -0.1"):
+        lin.generate_linearizer("lip_x", {"v_min": -0.1}, 0, 4)
+    with pytest.raises(ValueError, match="dyadic_of_lipschitz needs v_min > 0"):
+        lin.generate_linearizer("dyadic_of_lipschitz", {"v_min": 0.0}, 0, 4)
+
+
+@pytest.mark.parametrize(
+    "value, regularity, message",
+    [
+        (-1.0, lin.Regularity("none"), "must be >= 0"),
+        (0.25, lin.Regularity("lip_x", lip=1.0, floor=0.5), "below declared floor 0.5"),
+        (0.75, lin.Regularity("dyadic_of_lipschitz", lip=1.0), "non powers of two"),
+    ],
+    ids=["negative", "below_floor", "not_dyadic"],
+)
+def test_linearizer_field_rejects_values_outside_its_class(value, regularity, message):
+    values = np.ones((8, 8))
+    values[3, 4] = value
+    with pytest.raises(ValueError, match=message):
+        lin.LinearizerField(3, values, regularity)
+
+
+def test_verify_lipschitz_has_no_pair_rule_for_the_dyadic_metric_classes():
+    # dyadic.verify_dyadic_metric_2d checks that class block by block
+    V = lin.generate_linearizer("constant", {"value": 0.5}, 0, 3)
+    with pytest.raises(ValueError, match="unsupported regularity kind 'dyadic_metric_2d'"):
+        lin.verify_lipschitz(V, lin.Regularity("dyadic_metric_2d"))
 
 
 def test_constant_generator_defaults_to_value_one():
@@ -198,6 +227,9 @@ def test_dyadic_round_up_bracketing_bulk():
     assert np.all(np.frexp(vt)[0] == 0.5)
     assert np.all(vt / 8.0 <= lam)
     assert np.all(lam < vt / 4.0)
+    for past_the_range in (2.0**1021, np.inf):
+        with pytest.raises(ValueError, match=r"0 < input < 2\*\*1021"):
+            lin.dyadic_round_up([1.0, past_the_range])
 
 
 def test_dyadic_floor_examples_and_bracketing():

@@ -39,6 +39,12 @@ def test_bump_sandwich_scan(i):
     assert np.abs(vals - m(-t)).max() == 0.0  # even
 
 
+def test_profile_rejects_radii_out_of_order():
+    for flat, support in ((0.75, float("inf")), (1.0, 1.0), (0.0, 2.0)):
+        with pytest.raises(ValueError, match="need 0 < epsilon < support_radius < inf"):
+            mu.MultiplierProfile(flat, support)
+
+
 def test_bump_rejects_non_dyadic_eps():
     for eps in (0.3, 1.5, -0.5, 0.0, float("nan")):
         with pytest.raises(ValueError):

@@ -57,13 +57,21 @@ def test_l2_estimate_cut_short_is_not_converged():
     assert est.value == pytest.approx(_rederived(op, est), abs=1e-12)
 
 
-def test_l2_estimate_of_zero_operator():
-    def zero(f):
-        return g.SampledField(f.n_log2, 0 * f.samples)
+def _zero(f):
+    return g.SampledField(f.n_log2, 0 * f.samples)
 
-    est = ne.l2_norm_power_iteration(lin.LinearOperatorHandle(3, zero, zero), seed=1)
+
+def test_l2_estimate_of_zero_operator():
+    est = ne.l2_norm_power_iteration(lin.LinearOperatorHandle(3, _zero, _zero), seed=1)
     assert est.value == 0.0
     assert est.converged
+    assert np.all(np.isfinite(est.witness.samples))
+
+
+def test_lp_ascent_of_zero_operator():
+    # the image has no lp norm to ascend on, so each restart stops at once
+    est = ne.lp_norm_ascent(lin.LinearOperatorHandle(3, _zero, _zero), 3.0, restarts=2, seed=1)
+    assert (est.value, est.iterations) == (0.0, 2)
     assert np.all(np.isfinite(est.witness.samples))
 
 
@@ -185,6 +193,21 @@ def test_sweep_reproducible_and_shape(tmp_path):
     ne.write_sweep_csv(path, a)
     header = path.read_text().splitlines()[0]
     assert header == "p,beta,epsilon,N,seed,A,estimate,iterations,converged"
+
+
+def test_sweep_away_from_p_2_runs_the_lp_ascent(monkeypatch):
+    estimates = []
+    ascent = ne.lp_norm_ascent
+
+    def recorded(op, p, **kwargs):
+        estimates.append(ascent(op, p, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(ne, "lp_norm_ascent", recorded)
+    spec = {"kind": "staircase_x", "lip_constant": 1.0, "v_min": 0.125, "levels": 16}
+    (row,) = ne.epsilon_sweep(3.0, 1.0, spec, [1.0], 3, 42).rows
+    (est,) = estimates
+    assert (row.p, row.estimate, row.iterations, row.converged) == (3.0, est.value, est.iterations, est.converged)
 
 
 def test_sweep_needs_a_linearizer_kind():
