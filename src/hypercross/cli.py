@@ -1,7 +1,8 @@
 """Batch experiment runner: subcommands wiring config files to the package.
 
 Config files are flat INI text with one section per concern; a section or
-key outside the schema is rejected when the file is parsed.  Each command
+key outside the schema is rejected when the file is parsed.  The file is
+read once: its bytes are parsed and give the provenance's config hash.  Each command
 reads its keys through :meth:`RunContext.take`, and :meth:`RunContext.start`
 rejects every key it did not read (a section another command uses, a key of
 another profile kind, ``[normest] max_iter`` with p != 2) before anything is
@@ -80,14 +81,13 @@ _SCHEMA = {
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(text: str, path: str = "<string>") -> dict:
+    """Parse config text; path names it in configparser's messages."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    if not read:
-        raise OSError(f"cannot read config {path}")
     config: dict = {}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -106,10 +106,6 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _config_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 class RunContext:
     """One command's parsed config and its report.  The command reads every
     key through :meth:`take` or :meth:`take_all` and calls :meth:`start`
@@ -117,14 +113,15 @@ class RunContext:
 
     def __init__(self, args, command: str):
         self.command = command
-        self.config = load_config(args.config)
+        data = Path(args.config).read_bytes()
+        self.config = load_config(data.decode(), args.config)
         self._unread = {(section, key) for section, keys in self.config.items() for key in keys}
         self.out = Path(args.out)
         self.n_log2 = self.take("run", "grid_n_log2", 4)
         seed = self.take("run", "seed", 0)
         self.seed = args.seed if args.seed is not None else seed
         self.provenance = {
-            "config_sha256": _config_hash(args.config),
+            "config_sha256": hashlib.sha256(data).hexdigest()[:16],
             "seed": self.seed,
             "grid": 1 << self.n_log2,
         }

@@ -8,6 +8,11 @@ field maps to a unit delta at frequency (0,0) and ``lp_norm`` is a mean.
 Every N x N array of the package (samples, coefficients, symbol values, scale
 fields, HXF1 payloads) passes one check, :func:`_grid_array`: n_log2 >= 3,
 shape (N, N) and every entry finite; the object keeps a read-only copy.
+
+Each field file is read once and decoded by its format: an HXF1 payload is
+one row-major little-endian complex128 array, checked against the n_log2 of
+its header, and a CSV sample is complex(re, im).  Both round trips are
+bit-exact, signed zeros included.
 """
 
 from __future__ import annotations
@@ -124,38 +129,36 @@ def apply_fixed_multiplier(f: SampledField, symbol) -> SampledField:
 # ---------------------------------------------------------------------------
 
 def write_hxf1(path, n_log2: int, values: np.ndarray) -> None:
-    """Write a complex N x N array: magic 'HXF1', u32-LE n_log2, row-major
-    complex values as little-endian float64 (re, im) pairs."""
+    """Write a complex N x N array: magic 'HXF1', u32-LE n_log2, then the
+    row-major payload as little-endian complex128, the bytes of (re, im)
+    float64 pairs."""
     n = 1 << n_log2
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
+    arr = np.asarray(values, dtype="<c16")
     if arr.shape != (n, n):
         raise ValueError(f"array shape {arr.shape} does not match n_log2={n_log2}")
-    flat = np.empty((n * n, 2), dtype="<f8")
-    flat[:, 0] = arr.real.ravel()
-    flat[:, 1] = arr.imag.ravel()
     with open(path, "wb") as fh:
-        fh.write(HXF1_MAGIC)
-        fh.write(struct.pack("<I", n_log2))
-        fh.write(flat.tobytes())
+        fh.write(HXF1_MAGIC + struct.pack("<I", n_log2) + arr.tobytes())
 
 
 def read_hxf1(path) -> tuple[int, np.ndarray]:
     """Read an HXF1 file; returns (n_log2, read-only complex array), the
-    array checked by :func:`_grid_array`."""
+    array checked by :func:`_grid_array`.  A header with n_log2 above 31
+    (no file holds 16 * 4**32 bytes) or one that disagrees with the payload
+    length raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != HXF1_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {HXF1_MAGIC!r}")
-        raw_n = fh.read(4)
-        if len(raw_n) != 4:
-            raise ValueError(f"truncated HXF1 header: {len(magic) + len(raw_n)} of 8 bytes")
-        (n_log2,) = struct.unpack("<I", raw_n)
-        n = 1 << n_log2
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * n * n:
-        raise ValueError(f"payload has {raw.size} doubles, expected {2 * n * n}")
-    pairs = raw.reshape(n * n, 2)
-    return int(n_log2), _grid_array(n_log2, (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n), np.complex128)
+        header, payload = fh.read(8), fh.read()
+    if len(header) != 8:
+        raise ValueError(f"truncated HXF1 header: {len(header)} of 8 bytes")
+    if header[:4] != HXF1_MAGIC:
+        raise ValueError(f"bad magic {header[:4]!r} in the HXF1 header, expected {HXF1_MAGIC!r}")
+    (n_log2,) = struct.unpack("<I", header[4:])
+    if n_log2 > 31:
+        raise ValueError(f"HXF1 header claims n_log2={n_log2}, above 31")
+    size = 16 << (2 * n_log2)
+    if len(payload) != size:
+        raise ValueError(f"payload has {len(payload) // 8} doubles, expected {size // 8} ({len(payload)} of {size} bytes)")
+    n = 1 << n_log2
+    return n_log2, _grid_array(n_log2, np.frombuffer(payload, "<c16").reshape(n, n), np.complex128)
 
 
 def write_field_csv(path, field: SampledField) -> None:
@@ -180,12 +183,15 @@ def read_field_csv(path, n_log2: int) -> SampledField:
         header = next(reader, None)
         if header != ["i", "j", "re", "im"]:
             raise ValueError(f"unexpected CSV header {header}")
-        for i_s, j_s, re_s, im_s in reader:
+        for row in reader:
+            if len(row) != 4:
+                raise ValueError(f"line {reader.line_num}: {len(row)} fields, expected i, j, re, im")
+            i_s, j_s, re_s, im_s = row
             i, j = int(i_s), int(j_s)
             if not (0 <= i < n and 0 <= j < n) or seen[i, j]:
                 raise ValueError(f"line {reader.line_num}: sample ({i}, {j}) out of range or repeated on the {n}x{n} grid")
             seen[i, j] = True
-            samples[i, j] = float(re_s) + 1j * float(im_s)
+            samples[i, j] = complex(float(re_s), float(im_s))
     if not seen.all():
         raise ValueError(f"CSV holds {int(seen.sum())} of {n * n} samples")
     return SampledField(n_log2, samples)

@@ -317,15 +317,15 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", sorted(_NON_FINITE))
-def test_non_finite_number_is_rejected_where_the_config_is_parsed(tmp_path, case):
+def test_non_finite_number_is_rejected_where_the_config_is_parsed(case):
     _, key, text = _NON_FINITE[case]
     with pytest.raises(cli.ConfigError, match=rf"^bad value for {key}: '.*' is not finite$"):
-        cli.load_config(_write(tmp_path, "bad.ini", text))
+        cli.load_config(text)
 
 
-def test_boolean_spellings(tmp_path):
+def test_boolean_spellings():
     for raw, value in [("true", True), ("On", True), ("false", False), ("0", False)]:
-        assert cli.load_config(_write(tmp_path, "b.ini", f"[apply]\ncompare_oracle = {raw}\n")) == {"apply": {"compare_oracle": value}}
+        assert cli.load_config(f"[apply]\ncompare_oracle = {raw}\n") == {"apply": {"compare_oracle": value}}
 
 
 def test_decompose_rejects_ratio_lip_before_the_terms_run(tmp_path, monkeypatch):

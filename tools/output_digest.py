@@ -1,13 +1,16 @@
 """Print one sha256 per hypercross output over a fixed grid of inputs.
 
-A change that claims to leave results unchanged is checked by running this
-script in the parent tree and in the changed tree and diffing the two
-outputs; any differing line names the output that moved.
+A change that claims to leave results unchanged is checked against its
+parent with one command:
 
-    python3 tools/output_digest.py > after.txt
-    git archive <parent> | tar -x -C ../parent     # add this script if it lacks it
-    python3 ../parent/tools/output_digest.py > before.txt
-    diff before.txt after.txt
+    python3 tools/output_digest.py --against <parent>
+
+It extracts ``git archive <parent>`` into a temporary directory (copying
+this script in if that tree lacks it), runs the script there with the same
+interpreter, and prints ``k of M lines identical`` followed by the name of
+every output whose line differs or is on one side only; the exit status is
+1 when any line differs.  Without ``--against`` the script prints the
+``sha256  name`` lines of its own tree.
 
 The package is imported from ``src/`` of the tree the script sits in.  The
 grid: N = 8, 16, 32; lip_x, lip_2d, staircase_x and dyadic_of_lipschitz
@@ -74,11 +77,15 @@ and ``hl_maximal_m1``.  A run takes a few seconds.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -409,7 +416,34 @@ def digests():
         yield from generate()
 
 
+def compare(rev: str) -> int:
+    """Print how many digest lines of ``git archive rev`` this tree matches,
+    then the name of each line that differs; 1 when any differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        script = Path(tmp) / "tools" / Path(__file__).name
+        if not script.exists():
+            script.parent.mkdir(exist_ok=True)
+            shutil.copy(__file__, script)
+        printed = subprocess.run([sys.executable, str(script)], check=True, stdout=subprocess.PIPE, text=True).stdout
+    before = {name: digest for digest, name in (line.split("  ", 1) for line in printed.splitlines())}
+    after = dict(digests())
+    names = list(after) + [name for name in before if name not in after]
+    moved = [name for name in names if before.get(name) != after.get(name)]
+    print(f"{len(names) - len(moved)} of {len(names)} lines identical")
+    for name in moved:
+        print(name)
+    return 1 if moved else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Print one sha256 per hypercross output, or compare them with a git revision.")
+    parser.add_argument("--against", metavar="REV", help="compare with the digests of git archive REV")
+    args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.against)
     for name, digest in digests():
         print(f"{digest}  {name}")
     return 0
