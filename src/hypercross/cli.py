@@ -118,6 +118,10 @@ class RunContext:
         self._unread = {(section, key) for section, keys in self.config.items() for key in keys}
         self.out = Path(args.out)
         self.n_log2 = self.take("run", "grid_n_log2", 4)
+        try:
+            gr._check_n_log2(self.n_log2)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for run.grid_n_log2: {exc}") from exc
         seed = self.take("run", "seed", 0)
         self.seed = args.seed if args.seed is not None else seed
         self.provenance = {

@@ -291,10 +291,10 @@ def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily,
     hyper = _hyper_args(family)
     full = _full_symbol(family)
     # the rounded scale, hence the ladder pairs above it, is constant across an octave
-    above = {b: full - _below_symbol(family, m.epsilon / dyadic_round_up(b)) for b in np.unique(base)}
+    above = lambda b: full - _below_symbol(family, m.epsilon / dyadic_round_up(b))
     spec = forward_transform(f).coeffs
     r, dr = _SMALL_VARIATION_RATIOS, np.diff(_SMALL_VARIATION_RATIOS)
-    integrand = np.abs([gather(spec, buckets, lambda b: above[b] * hyper * m.derivative(b * ri * hyper, 1)) for ri in r])
+    integrand = np.abs([gather(spec, buckets, lambda b: above(b) * hyper * m.derivative(b * ri * hyper, 1)) for ri in r])
     trapezoids = 0.5 * (dr[:, None, None] * base) * (integrand[:-1] + integrand[1:])
     cum = np.concatenate([np.zeros((1,) + base.shape), np.cumsum(trapezoids, axis=0)])
     u = V.values / base  # exact: base is a power of two

@@ -17,6 +17,7 @@ bit-exact, signed zeros included.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import struct
 from dataclasses import dataclass
@@ -30,12 +31,17 @@ class GridMismatchError(ValueError):
     """Raised when two grid objects of different resolution are combined."""
 
 
+def _check_n_log2(n_log2: int) -> None:
+    """The grid contract's size bound: ValueError unless n_log2 >= 3."""
+    if n_log2 < 3:
+        raise ValueError(f"grid must be at least 8x8 (n_log2 >= 3), got n_log2={n_log2}")
+
+
 def _grid_array(n_log2: int, values, dtype) -> np.ndarray:
     """The grid contract, checked once for every N x N array of the package:
     n_log2 >= 3, shape (N, N) and every entry finite.  Returns a read-only
     copy in the given dtype; anything else raises ValueError."""
-    if n_log2 < 3:
-        raise ValueError(f"grid must be at least 8x8 (n_log2 >= 3), got n_log2={n_log2}")
+    _check_n_log2(n_log2)
     n = 1 << n_log2
     arr = np.array(values, dtype=dtype)
     if arr.shape != (n, n):
@@ -174,7 +180,8 @@ def write_field_csv(path, field: SampledField) -> None:
 
 def read_field_csv(path, n_log2: int) -> SampledField:
     """Read the CSV interchange format; every (i, j) of the grid must appear
-    exactly once."""
+    exactly once, with finite re and im.  A malformed row raises ValueError
+    naming its line."""
     n = 1 << n_log2
     samples = np.zeros((n, n), dtype=np.complex128)
     seen = np.zeros((n, n), dtype=bool)
@@ -184,14 +191,20 @@ def read_field_csv(path, n_log2: int) -> SampledField:
         if header != ["i", "j", "re", "im"]:
             raise ValueError(f"unexpected CSV header {header}")
         for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"line {reader.line_num}: {len(row)} fields, expected i, j, re, im")
-            i_s, j_s, re_s, im_s = row
-            i, j = int(i_s), int(j_s)
-            if not (0 <= i < n and 0 <= j < n) or seen[i, j]:
-                raise ValueError(f"line {reader.line_num}: sample ({i}, {j}) out of range or repeated on the {n}x{n} grid")
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"{len(row)} fields, expected i, j, re, im")
+                i_s, j_s, re_s, im_s = row
+                i, j = int(i_s), int(j_s)
+                if not (0 <= i < n and 0 <= j < n) or seen[i, j]:
+                    raise ValueError(f"sample ({i}, {j}) out of range or repeated on the {n}x{n} grid")
+                value = complex(float(re_s), float(im_s))
+                if not cmath.isfinite(value):
+                    raise ValueError(f"non-finite sample ({i}, {j})")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
             seen[i, j] = True
-            samples[i, j] = complex(float(re_s), float(im_s))
+            samples[i, j] = value
     if not seen.all():
         raise ValueError(f"CSV holds {int(seen.sum())} of {n * n} samples")
     return SampledField(n_log2, samples)

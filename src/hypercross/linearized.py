@@ -23,7 +23,7 @@ value at nearly every point, while h takes 17 values on the Pi_beta support
 at N = 32 and beta = 1.
 
 Only the transition band eps < V(x) h < R of the profile depends on the
-point, so the frequency side splits the sorted h groups into three bands by
+point, so the frequency side sorts each frequency into one of three bands by
 the smallest and the largest key, once per partition and symbol, and the
 kernel takes the frequency side when the banded groups are fewer than the
 partition's key groups; either side runs one transform per group it sums:
@@ -42,12 +42,13 @@ groups reassociates a sum of transforms in the synthesis and changes no bit
 in the analysis, where each of them was the transform of g * 1.
 
 Both sides group flat positions in one private format, :class:`_Groups`,
-built once by one np.unique and one stable argsort: the partition groups
-its keys, the symbol its h, and the bands regroup the symbol's groups for a
-partition.  Either side takes its groups in stacks of
-max(1, 2**13 // N^2), each a contiguous slice of the grouping, with one FFT
-call over the last two axes and one factor call per stack, because at the
-grid sizes of the battery a call costs more than its arithmetic.  Each
+built by one np.unique and one stable argsort: the partition groups its
+keys once, and the bands group the live frequencies of the symbol's support
+by h, with every flat h as the value 0, once per partition and symbol.
+Either side takes its groups in stacks of max(1, 2**13 // N^2), each a
+contiguous slice of the grouping, with one FFT call over the last two axes
+and one factor call per stack, because at the grid sizes of the battery a
+call costs more than its arithmetic.  Each
 group is still picked or added on its own, in group order, so the result
 does not depend on the stack size.  A stack holds at most max(N^2, 2**13)
 entries, so memory stays O(N^2): no (buckets, N, N) array is formed.
@@ -167,8 +168,9 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     rescaled so the measured grid constants hold with >= 5% margin.
     'constant' takes value (default 1), >= 0.  Every other kind takes
     lip_constant (default 1), finite and > 0; the kinds with a v_min take it
-    finite and >= 0 (default 1/2).  An unknown kind, a parameter the kind
-    does not read, or a value out of range raises ValueError.
+    finite and >= 0 (default 1/2), and those with a band or levels take it
+    >= 1 (default 3, and max(8, N/2)).  An unknown kind, a parameter the
+    kind does not read, or a value out of range raises ValueError.
     """
     keys = _LINEARIZER_KEYS.get(kind)
     if keys is None:
@@ -192,6 +194,9 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     v_min = params.get("v_min", 0.5)  # lip_2d takes none, so it keeps the default there
     if not 0.0 <= v_min < math.inf:
         raise ValueError(f"linearizer kind {kind!r} needs a finite v_min >= 0, got {v_min}")
+    for key in ("band", "levels"):
+        if params.get(key, 1) < 1:
+            raise ValueError(f"linearizer kind {kind!r} needs {key} >= 1, got {params[key]}")
 
     if kind in ("lip_x", "lip_y"):
         w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
@@ -380,20 +385,16 @@ def _check_grid(buckets: BucketDecomposition, arr: np.ndarray) -> None:
 class ScaledSymbol:
     """The symbol weight * m(key * hyper) at scale key: a profile m, an
     argument grid hyper >= 0 (ValueError otherwise) and a weight (an array
-    or a scalar).  It groups the frequencies where the weight is nonzero by
-    their h = hyper once, at construction; :func:`gather` and
-    :func:`_scatter` may sum by h instead."""
+    or a scalar); :func:`gather` and :func:`_scatter` may sum it by h =
+    hyper instead of by key."""
 
     m: MultiplierProfile
     hyper: np.ndarray
     weight: np.ndarray | float
-    groups: _Groups = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not np.all(self.hyper >= 0):
             raise ValueError("symbol arguments must be >= 0")
-        support = np.flatnonzero(np.broadcast_to(self.weight, np.shape(self.hyper)))
-        object.__setattr__(self, "groups", _grouped(np.ravel(self.hyper)[support], support, np.size(self.hyper)))
 
     def __call__(self, key):
         return self.weight * self.m(key * self.hyper)
@@ -444,22 +445,19 @@ def _synthesis(spec: np.ndarray) -> np.ndarray:
 
 
 def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
-    """The symbol's h groups in the three bands of the module docstring, by
-    the smallest and the largest of the sorted keys; each band is a run of
-    the sorted h.  The dead suffix is dropped, the flat prefix is merged into
-    one group of value 0 (whose factor m(0) is 1), and the transition groups
-    stay as the symbol grouped them."""
-    groups, m, size = symbol.groups, symbol.m, np.size(symbol.hyper)
-    hs = groups.values
-    n_flat = int(np.count_nonzero(keys[-1] * hs <= m.epsilon))
-    n_live = int(np.count_nonzero(keys[0] * hs < m.support_radius))
-    lo, hi = groups.flat.searchsorted([n_flat * size, n_live * size])
-    merged = np.sort(groups.positions[:lo])  # the flat union, group 0 when not empty
-    return _Groups(
-        np.concatenate([np.zeros(min(n_flat, 1)), hs[n_flat:n_live]]),
-        np.concatenate([merged, groups.positions[lo:hi]]),
-        np.concatenate([merged, groups.flat[lo:hi] - max(n_flat - 1, 0) * size]),
-    )
+    """The frequencies where the symbol's weight is nonzero, grouped by h in
+    the three bands of the module docstring, set by the smallest and the
+    largest of the sorted keys: the dead h are dropped, the flat h take the
+    value 0 (whose factor m(0) is 1) and so form one group, and each
+    transition h keeps its own group.  A flat h is live (key_min h <=
+    key_max h <= eps < R), and a transition h is > 0, so the flat group,
+    when there is one, comes first."""
+    m, hyper = symbol.m, symbol.hyper
+    support = np.flatnonzero(np.broadcast_to(symbol.weight, np.shape(hyper)))
+    hs = np.ravel(hyper)[support]
+    live = keys[0] * hs < m.support_radius
+    flat = keys[-1] * hs <= m.epsilon
+    return _grouped(np.where(flat, 0.0, hs)[live], support[live], np.size(hyper))
 
 
 class _Plan(NamedTuple):
@@ -475,14 +473,15 @@ class _Plan(NamedTuple):
 def _plan(buckets: BucketDecomposition, symbol_of) -> _Plan:
     """The kernel's one rule: a :class:`ScaledSymbol` whose :func:`_h_bands`
     hold fewer groups than buckets has key groups is summed over the bands,
-    with the factors h -> m(key * h) on the grid, stacked; any other symbol
-    is summed by key, with the symbols of the keys, stacked."""
+    with the factors h -> m(key * h) on the grid for a stack of h; any other
+    symbol is summed by key, with symbol_of on the stack's keys as a
+    (g, 1, 1) array (the contract of :func:`gather`)."""
     if isinstance(symbol_of, ScaledSymbol):
         bands = _h_bands(buckets.groups.values, symbol_of)
         if bands.values.size < buckets.groups.values.size:
             factors = lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
             return _Plan(bands, factors, symbol_of.weight)
-    return _Plan(buckets.groups, lambda keys: np.stack([symbol_of(key) for key in keys]), None)
+    return _Plan(buckets.groups, lambda keys: symbol_of(keys[:, None, None]), None)
 
 
 def _gather(spec: np.ndarray, buckets: BucketDecomposition, plan: _Plan) -> np.ndarray:
@@ -507,9 +506,13 @@ def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndar
     are exact; the merge only reassociates the flat terms' sum.
 
     Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call, with one
-    factor call per stack (the keys' symbols, or m on a stack of h); each
-    group is then picked or added in turn, in key or h order.  A stack holds
-    at most max(N^2, 2**13) entries."""
+    factor call per stack (symbol_of on the stack's keys, or m on a stack of
+    h); each group is then picked or added in turn, in key or h order.  A
+    stack holds at most max(N^2, 2**13) entries.  So symbol_of is called with
+    the keys of a stack as a (g, 1, 1) array and returns the (g, N, N)
+    symbols, one per key; numpy broadcasting gives this to any symbol built
+    from key by elementwise arithmetic on (N, N) grids, a
+    :class:`ScaledSymbol` among them."""
     return _gather(spec, buckets, _plan(buckets, symbol_of))
 
 
@@ -558,8 +561,8 @@ def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -
     """The variable-scale operator as a gather of the spectrum over the
     BucketDecomposition of V, with the symbol m(V h) weighted by the Pi_beta
     mask; the adjoint is the matching :func:`_scatter`.  The handle groups
-    V, groups and bands h, and picks the side once, at construction, so an
-    apply or adjoint sorts nothing.  Key 0 gives the m(0) symbol."""
+    V, bands h, and picks the side once, at construction, so an apply or
+    adjoint sorts nothing.  Key 0 gives the m(0) symbol."""
     buckets = BucketDecomposition(V.values)
     plan = _plan(buckets, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
 

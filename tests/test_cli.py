@@ -49,6 +49,21 @@ def test_apply_bucketed_matches_oracle(tmp_path, capsys):
     assert all("config_sha256" in r and "seed" in r and "grid" in r for r in records)
 
 
+def test_seed_option_overrides_the_config_seed(tmp_path):
+    # --seed 9 over [run] seed = 7 writes what [run] seed = 9 writes; only
+    # the config hash of the report differs, since the two files differ
+    text = APPLY_CONFIG.format(method="bucketed")
+    flag = _write(tmp_path, "flag.ini", text)
+    given = _write(tmp_path, "given.ini", text.replace("seed = 7", "seed = 9"))
+    assert cli.main(["apply", "--config", flag, "--out", str(tmp_path / "flag"), "--seed", "9"]) == 0
+    assert cli.main(["apply", "--config", given, "--out", str(tmp_path / "given")]) == 0
+    for name in ("input.hxf1", "output.hxf1", "linearizer.hxf1", "linearizer.json"):
+        assert filecmp.cmp(tmp_path / "flag" / name, tmp_path / "given" / name, shallow=False), name
+    reports = [[json.loads(line) for line in (tmp_path / run / "report.jsonl").read_text().splitlines()] for run in ("flag", "given")]
+    assert all(reports) and all(r["seed"] == 9 for records in reports for r in records)
+    assert {r["config_sha256"] for r in reports[0]}.isdisjoint(r["config_sha256"] for r in reports[1])
+
+
 def test_apply_bruteforce_reruns_byte_identical(tmp_path):
     cfg = _write(tmp_path, "a.ini", APPLY_CONFIG.format(method="bruteforce"))
     rc1 = cli.main(["apply", "--config", cfg, "--out", str(tmp_path / "o1"), "--reproducible"])
@@ -246,6 +261,7 @@ _BAD_CONFIGS = {
     "epsilon_not_dyadic": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.3, kind="constant")),
     "unknown_linearizer_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n" + _VERIFY_BODY.format(eps=0.5, kind="lipx")),
     "grid_too_small": ("verify", "[run]\ngrid_n_log2 = 2\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant")),
+    "grid_n_log2_negative": ("verify", "[run]\ngrid_n_log2 = -1\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant")),
     "zero_restarts": ("normest", NORMEST_CONFIG.replace("p = 2.0", "p = 3.0\nrestarts = 0")),
     "zero_max_iter": ("normest", NORMEST_CONFIG + "max_iter = 0\n"),
     "dyadic_zero_count": ("dyadic", _DYADIC_CONFIG.format(depth=5, count=0)),
@@ -353,7 +369,8 @@ def test_dyadic_thm_4_2_large_negative_beta_reaches_a_verdict(tmp_path, capsys):
 
 
 def test_config_error_from_the_computation_creates_no_directory(tmp_path):
-    # the package rejects restarts = 0 and a 4 x 4 grid after start()
+    # the package rejects restarts = 0 after start(), and a 4 x 4 grid where
+    # the run's context is built
     (tmp_path / "kept").mkdir()
     for case in ("zero_restarts", "grid_too_small"):
         command, text = _BAD_CONFIGS[case]
@@ -362,6 +379,14 @@ def test_config_error_from_the_computation_creates_no_directory(tmp_path):
         assert not (tmp_path / "new").exists()
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "kept")]) == cli.EXIT_CONFIG
         assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
+
+
+@pytest.mark.parametrize("n_log2", [-1, 0, 2])
+def test_grid_n_log2_below_3_names_the_key(tmp_path, capsys, n_log2):
+    cfg = _write(tmp_path, "g.ini", f"[run]\ngrid_n_log2 = {n_log2}\n\n" + _VERIFY_BODY.format(eps=0.5, kind="constant"))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"bad value for run.grid_n_log2: grid must be at least 8x8 (n_log2 >= 3), got n_log2={n_log2}" in err
 
 
 def test_section_not_used_by_command_rejected(tmp_path, capsys):

@@ -186,6 +186,18 @@ def test_generator_rejects_lip_constant_out_of_range(kind, lip):
         lin.generate_linearizer(kind, {"lip_constant": lip}, 0, 4)
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [(kind, "band", band) for kind in ("lip_x", "lip_y", "lip_2d", "dyadic_of_lipschitz") for band in (0, -2)]
+    + [("staircase_x", "levels", levels) for levels in (0, -3)],
+)
+def test_generator_rejects_band_and_levels_below_one(kind, key, value):
+    # band <= 0 drew no mode, so every seed fell back to the same cos(2 pi x)
+    # field; levels <= 0 failed inside numpy's integers with 'high <= 0'
+    with pytest.raises(ValueError, match=f"^linearizer kind '{kind}' needs {key} >= 1, got {value}$"):
+        lin.generate_linearizer(kind, {key: value}, 1, 4)
+
+
 def test_cli_linearizer_section_is_the_union_of_the_kinds():
     schema = dict(cli._SCHEMA["linearizer"])
     assert schema.pop("kind") is str

@@ -1,10 +1,13 @@
-"""Property tests over the file codecs and the kernel oracles.
+"""Property tests over the file codecs, the kernel oracles and the CLI's
+config checks.
 
 Hypothesis draws the inputs; every run is derandomized and keeps no example
 database, so tier-1 stays reproducible, and each property is bounded by
 ``max_examples``.
 """
 
+import contextlib
+import io
 import struct
 
 import numpy as np
@@ -13,9 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hypercross import cli
 from hypercross import grid as g
 from hypercross import linearized as lin
 from hypercross import multiplier as mu
+from hypercross import normest as ne
 
 _CODEC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 _KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -112,6 +117,30 @@ def test_csv_row_without_four_fields_names_its_line(fresh, line, fields):
         g.read_field_csv(path, 3)
 
 
+# (field, text, the error after the line prefix): an index, a value and a
+# sample that does not parse or is not finite
+_MALFORMED_CSV_FIELDS = [
+    (0, "x", "invalid literal for int"),
+    (2, "abc", "could not convert string to float: 'abc'"),
+    (3, "inf", r"non-finite sample \(\d+, \d+\)"),
+]
+
+
+@_CODEC
+@given(line=st.integers(2, 65), case=st.sampled_from(_MALFORMED_CSV_FIELDS))
+def test_csv_row_with_a_malformed_field_names_its_line(fresh, line, case):
+    column, text, message = case
+    path = fresh("field.csv")
+    g.write_field_csv(path, g.random_field(3, 13))
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {line}: {message}"):
+        g.read_field_csv(path, 3)
+
+
 _N_LOG2S = st.sampled_from([3, 4])
 _BETAS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
 _PROFILES = st.integers(0, 3).map(lambda i: mu.make_bump_profile(2.0**-i))
@@ -148,3 +177,111 @@ def test_kernel_sides_agree_on_any_keys(keys, beta, m, seed):
     for kernel, arr in ((lin._gather, spec), (lin._scatter, samples)):
         want = kernel(arr, buckets, by_key)
         assert np.linalg.norm(kernel(arr, buckets, by_h) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# the output digest's three-valued V with a zero band (the group of key 0):
+# rows in quarters at 0, 0.4 and 0.9
+_ZERO_BAND = lin.LinearizerField(3, np.repeat([0.0, 0.4, 0.9], [2, 4, 2])[:, None] * np.ones((1, 8)))
+_DENSE_FIELDS = st.builds(lambda kind, seed: lin.generate_linearizer(kind, {}, seed, 3), _KINDS, _SEEDS) | st.just(_ZERO_BAND)
+
+
+@settings(_KERNEL, max_examples=15)
+@given(V=_DENSE_FIELDS, beta=_BETAS, m=_PROFILES)
+@example(V=_ZERO_BAND, beta=-1.0, m=mu.make_bump_profile(0.5))
+def test_dense_matrices_match_the_bruteforce_and_the_adjoint(V, beta, m):
+    # column by column on all 64 basis fields, so the adjoint's _scatter is
+    # checked on every field and not only on random pairs
+    op = lin.linearized_operator(V, m, beta)
+    dense = ne.dense_matrix(op)
+    brute = ne.dense_matrix(lin.LinearOperatorHandle(3, lambda f: lin.apply_linearized_bruteforce(f, V, m, beta), None))
+    assert np.linalg.norm(dense - brute) <= 1e-10 * np.linalg.norm(brute)
+    adjoint = ne.dense_matrix(lin.LinearOperatorHandle(op.n_log2, op.adjoint, op.apply))
+    assert np.linalg.norm(adjoint - dense.conj().T) <= 1e-10 * np.linalg.norm(dense)
+
+
+# one valid config per command at N = 8, as {section: {key: text}}
+_PROFILE = {"kind": "bump", "epsilon": "0.5"}
+_LIP_X = {"kind": "lip_x", "lip_constant": "1.0", "v_min": "0.1", "amplitude": "0.5", "band": "3"}
+_CLI_CONFIGS = {
+    "apply": {"run": {"grid_n_log2": "3", "seed": "1"}, "profile": _PROFILE, "linearizer": _LIP_X, "apply": {"beta": "1.0"}},
+    "verify": {"run": {"grid_n_log2": "3", "seed": "1"}, "profile": _PROFILE, "linearizer": _LIP_X},
+    "decompose": {
+        "run": {"grid_n_log2": "3", "seed": "1"},
+        "profile": _PROFILE,
+        "linearizer": _LIP_X,
+        "decompose": {"beta": "1.0", "ratio_lip": "1.0"},
+    },
+    "normest": {"run": {"grid_n_log2": "3", "seed": "1"}, "profile": _PROFILE, "linearizer": _LIP_X, "normest": {"p": "2.0", "max_iter": "20"}},
+    "sweep": {"run": {"grid_n_log2": "3", "seed": "1"}, "linearizer": _LIP_X, "sweep": {"p": "2.0", "beta": "1.0", "eps_list": "1.0, 0.5"}},
+    "dyadic": {"run": {"grid_n_log2": "3", "seed": "1"}, "dyadic": {"variant": "thm_4_1", "lip_constant": "0.125", "depth": "2", "count": "2"}},
+}
+
+
+def _config_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n" for name, keys in sections.items())
+
+
+# values that fail to parse or are not finite, by the key's type
+_UNPARSABLE = {float: ("inf", "-inf", "nan"), int: ("two",)}
+
+
+def _bad_cases():
+    """(command, changes to its config, the key out of range, whether the
+    message must name it): one value out of range per case.  The CLI names
+    the key where it parses a value, where it finds a key unread, and for
+    grid_n_log2 and count, and the generator for band and levels; the
+    package's own messages (eps must be 2**-i, ...) stay as they are."""
+    for command, sections in _CLI_CONFIGS.items():
+        for section, keys in sections.items():
+            for key in keys:
+                for value in _UNPARSABLE.get(cli._SCHEMA[section][key], ()):
+                    yield command, {section: {key: value}}, key, True
+        for value in ("-1", "0", "2"):
+            yield command, {"run": {"grid_n_log2": value}}, "grid_n_log2", True
+        if "profile" in sections:
+            yield command, {"profile": {"epsilon": "0.3"}}, "epsilon", False
+        if "linearizer" in sections:
+            yield command, {"linearizer": {"band": "0"}}, "band", True
+            staircase = {"kind": "staircase_x", "amplitude": None, "band": None, "levels": "0"}
+            yield command, {"linearizer": staircase}, "levels", True
+    yield "normest", {"normest": {"p": "3.0", "max_iter": None, "restarts": "0"}}, "restarts", False
+    yield "normest", {"normest": {"restarts": "0"}}, "restarts", True  # unread at p = 2
+    yield "normest", {"normest": {"max_iter": "0"}}, "max_iter", False
+    yield "dyadic", {"dyadic": {"count": "0"}}, "count", True
+    yield "dyadic", {"dyadic": {"depth": "-1"}}, "depth", False
+    yield "dyadic", {"dyadic": {"variant": "thm_4_2", "lip_constant": "2"}}, "lip_constant", False
+    for value in ("0", "-0.5"):
+        yield "decompose", {"decompose": {"ratio_lip": value}}, "ratio_lip", False
+
+
+def _changed(sections, changes):
+    """sections with each key in changes set to its value, or dropped for None."""
+    out = {name: dict(keys) for name, keys in sections.items()}
+    for name, keys in changes.items():
+        for key, value in keys.items():
+            if value is None:
+                del out[name][key]
+            else:
+                out[name][key] = value
+    return out
+
+
+_BAD_CASES = list(_bad_cases())
+
+
+# the table is small enough that a bound above its size runs every case
+@settings(derandomize=True, database=None, deadline=None, max_examples=2 * len(_BAD_CASES))
+@given(case=st.sampled_from(_BAD_CASES))
+def test_cli_config_with_one_value_out_of_range_exits_2_before_writing(fresh, case):
+    command, changes, key, named = case
+    config = fresh("bad.ini")
+    config.write_text(_config_text(_changed(_CLI_CONFIGS[command], changes)))
+    out = config.parent / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([command, "--config", str(config), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error" in err.getvalue()
+    assert not out.exists()
+    if named:
+        assert key in err.getvalue()
