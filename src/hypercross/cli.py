@@ -306,9 +306,9 @@ def cmd_normest(ctx: RunContext) -> None:
     profile = _build_profile(ctx)
     V, _ = _build_linearizer(ctx)
     ctx.start()
+    a_const = mu.smoothness_constant(profile)  # first: it rejects a profile its scan cannot use
     op = ne.linearized_operator(V, profile, beta)
     est = estimate(op)
-    a_const = mu.smoothness_constant(profile)
     rederived = gr.lp_norm(op.apply(est.witness), p) / gr.lp_norm(est.witness, p)
     consistent = abs(rederived - est.value) <= 1e-12 * abs(est.value)
     gr.write_hxf1(ctx.path("witness.hxf1"), ctx.n_log2, est.witness.samples)

@@ -20,9 +20,8 @@ stores it as one table, and :func:`psi2_space` keeps the kernel whose
 support radius the ratio check samples.
 
 The variable-scale terms (lemma, principal, error, small variation) are
-calls of the bucketed kernel :func:`hypercross.linearized.gather` over a
-BucketDecomposition of their own key array (V, its dyadic rounding or its
-dyadic floor), with a symbol per key.
+calls of the kernel :func:`hypercross.linearized.gather` on their own key
+array (V, its dyadic rounding or its dyadic floor), with a symbol per key.
 The lemma and error symbols are :class:`hypercross.linearized.ScaledSymbol`
 values, which the kernel may group by frequency instead of by V; the error
 part runs one gather per dyadic rounding of V, weighted by that rounding's
@@ -43,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, forward_transform, frequencies
+from .grid import GridMismatchError, SampledField, forward_transform, frequencies
 from .linearized import (
-    BucketDecomposition,
     LinearizerField,
     ScaledSymbol,
     dyadic_floor,
@@ -214,7 +212,7 @@ def _check_positive(V: LinearizerField) -> None:
 def _check_terms(f: SampledField, V: LinearizerField, family: LPFamily) -> None:
     _check_positive(V)
     if f.n_log2 != family.n_log2:
-        raise LadderError("field and family grids differ")
+        raise GridMismatchError("field and family grids differ")
 
 
 def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
@@ -225,8 +223,7 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
     argument stays strictly inside the flat region of m.
     """
     _check_terms(f, V, family)
-    buckets = BucketDecomposition(dyadic_round_up(V.values))
-    out = gather(forward_transform(f).coeffs, buckets, lambda vt: _below_symbol(family, m.epsilon / vt))
+    out = gather(forward_transform(f).coeffs, dyadic_round_up(V.values), lambda vt: _below_symbol(family, m.epsilon / vt))
     return SampledField(f.n_log2, out)
 
 
@@ -245,8 +242,8 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
         # discarded, take the class's smallest V, so the h groups dead on the
         # class are dead on the whole grid
         in_class = vt == c
-        buckets = BucketDecomposition(np.where(in_class, V.values, V.values[in_class].min()))
-        piece = gather(spec, buckets, ScaledSymbol(m, hyper, full - _below_symbol(family, m.epsilon / c)))
+        keys = np.where(in_class, V.values, V.values[in_class].min())
+        piece = gather(spec, keys, ScaledSymbol(m, hyper, full - _below_symbol(family, m.epsilon / c)))
         out[in_class] = piece[in_class]
     return SampledField(f.n_log2, out)
 
@@ -261,7 +258,7 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     _check_positive(V)
     weight = _defined(frequencies(f.n_log2), beta)[:, None]
     symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, weight)
-    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, BucketDecomposition(V.values), symbol))
+    return SampledField(f.n_log2, gather(forward_transform(f).coeffs, V.values, symbol))
 
 
 def large_variation_symbol(j: int, family: LPFamily, m: MultiplierProfile) -> SymbolGrid:
@@ -287,14 +284,13 @@ def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily,
     """
     _check_terms(f, V, family)
     base = dyadic_floor(V.values)
-    buckets = BucketDecomposition(base)
     hyper = _hyper_args(family)
     full = _full_symbol(family)
     # the rounded scale, hence the ladder pairs above it, is constant across an octave
     above = lambda b: full - _below_symbol(family, m.epsilon / dyadic_round_up(b))
     spec = forward_transform(f).coeffs
     r, dr = _SMALL_VARIATION_RATIOS, np.diff(_SMALL_VARIATION_RATIOS)
-    integrand = np.abs([gather(spec, buckets, lambda b: above(b) * hyper * m.derivative(b * ri * hyper, 1)) for ri in r])
+    integrand = np.abs([gather(spec, base, lambda b: above(b) * hyper * m.derivative(b * ri * hyper, 1)) for ri in r])
     trapezoids = 0.5 * (dr[:, None, None] * base) * (integrand[:-1] + integrand[1:])
     cum = np.concatenate([np.zeros((1,) + base.shape), np.cumsum(trapezoids, axis=0)])
     u = V.values / base  # exact: base is a power of two

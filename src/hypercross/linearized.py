@@ -7,26 +7,26 @@ class by one pair rule: the class names its point pairs and a ratio, and the
 worst pair is the witness.  The linearized operator gathers, at each output
 point, the fixed-multiplier result for the local scale V(x, y).  Every
 variable-scale operator in the package is one call of the kernel
-:func:`gather` over a BucketDecomposition of a key array (V, or a rounding
-of V); it reproduces the O(N^4) brute-force oracle exactly up to
-floating-point reassociation.  The operator handle with its exact adjoint,
-:func:`linearized_operator`, lives here too; it builds the kernel's plan
-once and runs :func:`gather` and its adjoint :func:`_scatter` on it.
+:func:`gather` on a key array (V, or a rounding of V); it reproduces the
+O(N^4) brute-force oracle exactly up to floating-point reassociation.  The
+operator handle with its exact adjoint, :func:`linearized_operator`, lives
+here too; it keeps one plan of the kernel and runs :func:`_gather` and its
+adjoint :func:`_scatter` on it.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
-orders.  On the V side it takes one transform per bucket, each evaluated at
-the bucket's points.  A :class:`ScaledSymbol` weight * m(V h), with h the
-argument grid (|xi| |eta|**beta), may instead be summed on the frequency
-side: one transform per distinct value of h where the weight is nonzero,
-each multiplied by m(V(x) h) at every point.  A continuous V has a distinct
-value at nearly every point, while h takes 17 values on the Pi_beta support
-at N = 32 and beta = 1.
+orders.  On the V side it takes one transform per distinct key, each
+evaluated at that key's points.  A :class:`ScaledSymbol` weight * m(V h),
+with h the argument grid (|xi| |eta|**beta), may instead be summed on the
+frequency side: one transform per distinct value of h where the weight is
+nonzero, each multiplied by m(V(x) h) at every point.  A continuous V has a
+distinct value at nearly every point, while h takes 17 values on the
+Pi_beta support at N = 32 and beta = 1.
 
 Only the transition band eps < V(x) h < R of the profile depends on the
 point, so the frequency side sorts each frequency into one of three bands by
-the smallest and the largest key, once per partition and symbol, and the
-kernel takes the frequency side when the banded groups are fewer than the
-partition's key groups; either side runs one transform per group it sums:
+the smallest and the largest key, once per plan, and the kernel takes the
+frequency side when the banded groups are fewer than the key groups; either
+side runs one transform per group it sums:
 
 - dead, key_min * h >= R: m(V(x) h) is exactly 0 at every point, so these
   groups take no transform and no profile call;
@@ -42,16 +42,17 @@ groups reassociates a sum of transforms in the synthesis and changes no bit
 in the analysis, where each of them was the transform of g * 1.
 
 Both sides group flat positions in one private format, :class:`_Groups`,
-built by one np.unique and one stable argsort: the partition groups its
-keys once, and the bands group the live frequencies of the symbol's support
-by h, with every flat h as the value 0, once per partition and symbol.
+built by one np.unique and one stable argsort.  A plan, :class:`_Plan`, is
+made once per key array and symbol: it groups the keys, bands the live
+frequencies of the symbol's support by h (every flat h as the value 0), and
+keeps the keys with the groups of the side it takes.
 Either side takes its groups in stacks of max(1, 2**13 // N^2), each a
 contiguous slice of the grouping, with one FFT call over the last two axes
 and one factor call per stack, because at the grid sizes of the battery a
 call costs more than its arithmetic.  Each
 group is still picked or added on its own, in group order, so the result
 does not depend on the stack size.  A stack holds at most max(N^2, 2**13)
-entries, so memory stays O(N^2): no (buckets, N, N) array is formed.
+entries, so memory stays O(N^2): no (groups, N, N) array is formed.
 """
 
 from __future__ import annotations
@@ -360,25 +361,10 @@ def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
     return _Groups(distinct, positions, labels[order] * size + positions)
 
 
-@dataclass(frozen=True)
-class BucketDecomposition:
-    """The grid grouped by equal key: the (N, N) key array, >= 0 (scales;
-    ValueError otherwise), and its groups, built once (a key 0.0 is the
-    first group)."""
-
-    keys: np.ndarray
-    groups: _Groups = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not np.all(self.keys >= 0):
-            raise ValueError("bucket keys must be >= 0")
-        object.__setattr__(self, "groups", _grouped(self.keys.ravel(), np.arange(self.keys.size), self.keys.size))
-
-
-def _check_grid(buckets: BucketDecomposition, arr: np.ndarray) -> None:
-    """Raise GridMismatchError unless arr lives on the grid of buckets."""
-    if np.shape(arr) != np.shape(buckets.keys):
-        raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {np.shape(buckets.keys)}")
+def _check_grid(plan: _Plan, arr: np.ndarray) -> None:
+    """Raise GridMismatchError unless arr lives on the grid of the plan's keys."""
+    if np.shape(arr) != np.shape(plan.keys):
+        raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {np.shape(plan.keys)}")
 
 
 @dataclass(frozen=True)
@@ -461,47 +447,52 @@ def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
 
 
 class _Plan(NamedTuple):
-    """What :func:`gather` and :func:`_scatter` sum over: the groups, the
-    factors of a stack of group values, and on the frequency side the
-    symbol's weight (None on the V side)."""
+    """What :func:`_gather` and :func:`_scatter` sum over: the (N, N) key
+    array, the groups, the factors of a stack of group values, and on the
+    frequency side the symbol's weight (None on the V side)."""
 
+    keys: np.ndarray
     groups: _Groups
     factors: callable
     weight: np.ndarray | float | None
 
 
-def _plan(buckets: BucketDecomposition, symbol_of) -> _Plan:
-    """The kernel's one rule: a :class:`ScaledSymbol` whose :func:`_h_bands`
-    hold fewer groups than buckets has key groups is summed over the bands,
-    with the factors h -> m(key * h) on the grid for a stack of h; any other
-    symbol is summed by key, with symbol_of on the stack's keys as a
-    (g, 1, 1) array (the contract of :func:`gather`)."""
+def _plan(keys: np.ndarray, symbol_of) -> _Plan:
+    """The kernel's one rule on a key array, >= 0 (scales; ValueError
+    otherwise), grouped by equal key (a key 0.0 is the first group): a
+    :class:`ScaledSymbol` whose :func:`_h_bands` hold fewer groups than the
+    keys is summed over the bands, with the factors h -> m(key * h) on the
+    grid for a stack of h; any other symbol is summed by key, with symbol_of
+    on the stack's keys as a (g, 1, 1) array (the contract of
+    :func:`gather`)."""
+    if not np.all(keys >= 0):
+        raise ValueError("bucket keys must be >= 0")
+    groups = _grouped(keys.ravel(), np.arange(keys.size), keys.size)
     if isinstance(symbol_of, ScaledSymbol):
-        bands = _h_bands(buckets.groups.values, symbol_of)
-        if bands.values.size < buckets.groups.values.size:
-            factors = lambda hs: symbol_of.m(buckets.keys * hs[:, None, None])
-            return _Plan(bands, factors, symbol_of.weight)
-    return _Plan(buckets.groups, lambda keys: symbol_of(keys[:, None, None]), None)
+        bands = _h_bands(groups.values, symbol_of)
+        if bands.values.size < groups.values.size:
+            return _Plan(keys, bands, lambda hs: symbol_of.m(keys * hs[:, None, None]), symbol_of.weight)
+    return _Plan(keys, groups, lambda values: symbol_of(values[:, None, None]), None)
 
 
-def _gather(spec: np.ndarray, buckets: BucketDecomposition, plan: _Plan) -> np.ndarray:
-    _check_grid(buckets, spec)
+def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:
+    _check_grid(plan, spec)
     if plan.weight is None:
         return _pick(_synthesis, spec, plan.groups, plan.factors)
     return _spread(_synthesis, spec * plan.weight, plan.groups, plan.factors)
 
 
-def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndarray:
+def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
     """Variable-symbol synthesis: out[x] = N^2 ifft2(spec * symbol_of(k))[x]
-    for each point x of the bucket with key k.
+    for each point x of the (N, N) key array, k = keys[x] >= 0.
 
-    The V side takes one inverse transform per bucket.  A
+    The V side takes one inverse transform per distinct key.  A
     :class:`ScaledSymbol` takes the frequency side instead when its three
     bands of h, set by the smallest and the largest key, hold fewer groups
-    than there are buckets.  The dead h (key_min * h >= R, where m(key * h) is
-    exactly 0) take no transform.  The flat h (key_max * h <= eps, where it
-    is exactly 1) take one inverse transform of spec * weight on their
-    union.  Each transition h takes one on its frequencies, times
+    than there are distinct keys.  The dead h (key_min * h >= R, where
+    m(key * h) is exactly 0) take no transform.  The flat h (key_max * h <=
+    eps, where it is exactly 1) take one inverse transform of spec * weight
+    on their union.  Each transition h takes one on its frequencies, times
     m(key(x) * h) at every point.  The module docstring shows why the bands
     are exact; the merge only reassociates the flat terms' sum.
 
@@ -513,20 +504,21 @@ def gather(spec: np.ndarray, buckets: BucketDecomposition, symbol_of) -> np.ndar
     symbols, one per key; numpy broadcasting gives this to any symbol built
     from key by elementwise arithmetic on (N, N) grids, a
     :class:`ScaledSymbol` among them."""
-    return _gather(spec, buckets, _plan(buckets, symbol_of))
+    return _gather(spec, _plan(keys, symbol_of))
 
 
-def _scatter(g: np.ndarray, buckets: BucketDecomposition, plan: _Plan) -> np.ndarray:
+def _scatter(g: np.ndarray, plan: _Plan) -> np.ndarray:
     """Exact adjoint of :func:`gather` for real symbols, in the unweighted
-    inner products: sum over buckets b of symbol_of(k_b) * fft2(g on b), with
-    the plan :func:`_plan` makes of the buckets and the symbol.
+    inner products: sum over the distinct keys k of symbol_of(k) *
+    fft2(g on the points with key k), with the plan :func:`_plan` makes of
+    the keys and the symbol.
 
     The side, the bands and the stacks follow :func:`gather`.  On the
     frequency side each transition h takes fft2(g * m(key * h)) on its
     frequencies, the flat h take one fft2(g) on theirs (each of their own
     transforms was fft2(g * 1), so the merge changes no bit), and the dead
     h stay 0; the result is times the weight."""
-    _check_grid(buckets, g)
+    _check_grid(plan, g)
     if plan.weight is None:
         return _spread(np.fft.fft2, g, plan.groups, plan.factors)
     return _pick(np.fft.fft2, g, plan.groups, plan.factors) * plan.weight
@@ -538,8 +530,8 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
     if f.n_log2 != V.n_log2:
         raise GridMismatchError("field and linearizer grids differ")
     n = f.n
-    base = forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
     hyper = hyperbolic_argument(f.n_log2, beta)
+    base = forward_transform(f).coeffs * pi_beta_mask(beta, f.n_log2).values
     phase = np.exp(2j * np.pi * np.outer(np.arange(n), frequencies(f.n_log2)) / n)  # both axes
     out = np.empty((n, n), dtype=np.complex128)
     for i in range(n):
@@ -558,19 +550,18 @@ class LinearOperatorHandle:
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
-    """The variable-scale operator as a gather of the spectrum over the
-    BucketDecomposition of V, with the symbol m(V h) weighted by the Pi_beta
-    mask; the adjoint is the matching :func:`_scatter`.  The handle groups
+    """The variable-scale operator as a gather of the spectrum keyed by V,
+    with the symbol m(V h) weighted by the Pi_beta mask; the adjoint is the
+    matching :func:`_scatter`.  The handle keeps one :func:`_plan`: it groups
     V, bands h, and picks the side once, at construction, so an apply or
     adjoint sorts nothing.  Key 0 gives the m(0) symbol."""
-    buckets = BucketDecomposition(V.values)
-    plan = _plan(buckets, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
+    plan = _plan(V.values, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
 
     def apply(f: SampledField) -> SampledField:
-        return SampledField(f.n_log2, _gather(forward_transform(f).coeffs, buckets, plan))
+        return SampledField(f.n_log2, _gather(forward_transform(f).coeffs, plan))
 
     def adjoint(g: SampledField) -> SampledField:
-        return SampledField(g.n_log2, np.fft.ifft2(_scatter(g.samples, buckets, plan)))
+        return SampledField(g.n_log2, np.fft.ifft2(_scatter(g.samples, plan)))
 
     return LinearOperatorHandle(V.n_log2, apply, adjoint)
 

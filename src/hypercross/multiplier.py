@@ -155,9 +155,15 @@ def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:
 
 def hyperbolic_argument(n_log2: int, beta: float) -> np.ndarray:
     """|xi| * |eta|**beta on the frequency grid (FFT order); |k|**beta follows
-    :func:`_abs_power`."""
+    :func:`_abs_power`.  ValueError where an argument overflows: at beta =
+    inf, and where the largest, (N/2)**(1 + beta), passes the largest float
+    (from beta of about 1024 / (n_log2 - 1) - 1 on)."""
     freqs = frequencies(n_log2)
-    return np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # beta = inf: 0 * inf is NaN
+        argument = np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
+    if not np.all(np.isfinite(argument)):
+        raise ValueError(f"|xi| |eta|**beta overflows at beta = {beta} on the N = {freqs.size} grid")
+    return argument
 
 
 def hyperbolic_symbol(lam: float, beta: float, m: MultiplierProfile, n_log2: int) -> SymbolGrid:

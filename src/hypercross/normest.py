@@ -33,10 +33,6 @@ from .linearized import LinearOperatorHandle, generate_linearizer, linearized_op
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
-def identity_operator(n_log2: int) -> LinearOperatorHandle:
-    return LinearOperatorHandle(n_log2, lambda f: f, lambda f: f)
-
-
 def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
     apply = functools.partial(apply_fixed_multiplier, symbol=symbol)
     # real symbols are self-adjoint in the weighted inner product

@@ -1,12 +1,15 @@
 import dataclasses
 import filecmp
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from hypercross import cli
 from hypercross import decomposition as de
 from hypercross import grid as g
+from hypercross import multiplier as mu
 from hypercross import normest as ne
 
 
@@ -226,6 +229,32 @@ def test_normest_witness_check_fails_on_inconsistent_estimate(tmp_path, capsys, 
     assert "FAIL normest.witness_consistency" in capsys.readouterr().out
 
 
+def test_normest_rejects_an_unusable_profile_before_it_estimates(tmp_path, capsys, monkeypatch):
+    # the plateau's transition width cubed underflows, so the derivative scan
+    # of the smoothness constant is not finite
+    calls = []
+    monkeypatch.setattr(ne, "l2_norm_power_iteration", lambda op, **kwargs: calls.append(op))
+    profile = "kind = plateau\nflat_radius = 1e-300\nsupport_radius = 2e-300"
+    cfg = _write(tmp_path, "n.ini", NORMEST_CONFIG.replace("kind = bump\nepsilon = 1.0", profile))
+    rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "profile produced non-finite values during the derivative scan" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_decompose_error_symbol_support_check_fails_on_a_symbol_off_its_band(tmp_path, capsys, monkeypatch):
+    # a frozen error symbol that is 1 everywhere is nonzero outside its band
+    monkeypatch.setattr(de, "large_variation_symbol", lambda j, family, m: mu.SymbolGrid(family.n_log2, np.ones((32, 32))))
+    linearizer = "kind = lip_y\nlip_constant = 1.0\nv_min = 0.03125\namplitude = 0.3"
+    cfg = _write(tmp_path, "de.ini", _DECOMPOSE_CONFIG.format(linearizer=linearizer))
+    rc = cli.main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_ASSERTION
+    assert "FAIL decompose.error_symbol_support" in capsys.readouterr().out
+    records = [json.loads(line) for line in (tmp_path / "o" / "report.jsonl").read_text().splitlines()]
+    assert [r["passed"] for r in records if r["check"] == "error_symbol_support"] == [False]
+
+
 def test_verify_level_key_rejected(tmp_path, capsys):
     cfg = _write(
         tmp_path,
@@ -366,6 +395,26 @@ def test_dyadic_thm_4_2_large_negative_beta_reaches_a_verdict(tmp_path, capsys):
     assert rc in (0, 1)
     assert "dyadic.selection_stability" in capsys.readouterr().out
     assert (tmp_path / "o" / "report.jsonl").stat().st_size > 0
+
+
+# a finite beta where |xi| |eta|**beta overflows: at N = 16 from beta = 341 on
+_OVERFLOWING_BETA = {
+    "apply": APPLY_CONFIG.format(method="bucketed").replace("beta = 1.0", "beta = 400"),
+    "normest": NORMEST_CONFIG.replace("grid_n_log2 = 3", "grid_n_log2 = 4") + "beta = 400\n",
+    "sweep": _SWEEP_CONFIG.replace("grid_n_log2 = 3", "grid_n_log2 = 4") + "beta = 400\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERFLOWING_BETA))
+def test_overflowing_beta_is_named_before_any_warning(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "b.ini", _OVERFLOWING_BETA[command])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: |xi| |eta|**beta overflows at beta = 400.0 on the N = 16 grid\n"
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_error_from_the_computation_creates_no_directory(tmp_path):

@@ -334,7 +334,7 @@ def test_terms_reject_a_family_on_another_grid(term):
     family = de.make_lp_family(1.0, 4)
     f = g.random_field(5, 0)
     V = lin.generate_linearizer("constant", {"value": 0.3}, 0, 5)
-    with pytest.raises(de.LadderError, match="field and family grids differ"):
+    with pytest.raises(g.GridMismatchError, match="field and family grids differ"):
         getattr(de, term)(f, V, family, mu.make_bump_profile(0.5))
 
 

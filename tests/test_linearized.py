@@ -263,7 +263,7 @@ def test_dyadic_round_up_rejects_nonpositive():
 
 
 def test_bucket_groups_of_a_constant_key():
-    groups = lin.BucketDecomposition(np.full((16, 16), 5.0)).groups
+    groups = lin._plan(np.full((16, 16), 5.0), lambda k: k).groups
     assert list(groups.values) == [5.0]
     assert np.array_equal(groups.positions, np.arange(16 * 16))
     assert np.array_equal(groups.flat, groups.positions)
@@ -276,7 +276,7 @@ def test_bucket_groups_partition_the_grid():
     vals = np.full((16, 16), 8.0)
     vals[3:7, 2:9] = 2.0
     vals[10:12, :] = 0.5
-    groups = lin.BucketDecomposition(vals).groups
+    groups = lin._plan(vals, lambda k: k).groups
     labels, positions = np.divmod(groups.flat, 16 * 16)
     assert list(groups.values) == [0.5, 2.0, 8.0]
     assert list(np.bincount(labels)) == [2 * 16, 4 * 7, 16 * 16 - 2 * 16 - 4 * 7]
@@ -289,7 +289,7 @@ def test_bucket_groups_partition_the_grid():
 def test_bucket_groups_put_key_zero_in_its_own_first_group():
     vals = np.full((16, 16), 1.0)
     vals[0, 5] = 0.0
-    groups = lin.BucketDecomposition(vals).groups
+    groups = lin._plan(vals, lambda k: k).groups
     assert list(groups.values) == [0.0, 1.0]
     assert list(groups.positions[groups.flat < 16 * 16]) == [5]
 
@@ -300,7 +300,7 @@ def test_kernel_inputs_reject_negative_scales():
         keys = np.full((8, 8), 0.5)
         keys[2, 3] = bad
         with pytest.raises(ValueError, match="bucket keys must be >= 0"):
-            lin.BucketDecomposition(keys)
+            lin._plan(keys, lambda k: k)
     with pytest.raises(ValueError, match="symbol arguments must be >= 0"):
         lin.ScaledSymbol(mu.make_bump_profile(0.5), -mu.hyperbolic_argument(3, 1.0), 1.0)
 
@@ -395,7 +395,6 @@ def test_gather_and_scatter_groupings_agree(beta):
     # callable the V side; the weight is the Pi_beta mask times a random factor
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("lip_x", _LIP_X, 2, 5)
-    buckets = lin.BucketDecomposition(V.values)
     hyper = mu.hyperbolic_argument(5, beta)
     weight = mu.pi_beta_mask(beta, 5).values * np.random.default_rng(5).uniform(0.5, 1.5, (32, 32))
     assert np.unique(hyper[weight != 0]).size < np.unique(V.values).size
@@ -404,8 +403,8 @@ def test_gather_and_scatter_groupings_agree(beta):
     spec = g.forward_transform(g.random_field(5, 3)).coeffs
     samples = g.random_field(5, 4).samples
     for kernel, arr in ((lin._gather, spec), (lin._scatter, samples)):
-        by_v = kernel(arr, buckets, lin._plan(buckets, plain))
-        by_h = kernel(arr, buckets, lin._plan(buckets, scaled))
+        by_v = kernel(arr, lin._plan(V.values, plain))
+        by_h = kernel(arr, lin._plan(V.values, scaled))
         assert np.linalg.norm(by_h - by_v) <= 1e-12 * np.linalg.norm(by_v)
 
 

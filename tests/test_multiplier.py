@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,24 @@ def test_abs_power_matches_its_definition():
         for beta in _GRID_BETAS:
             expected = [float(abs(k)) ** beta if k != 0 or beta >= 0 else 0.0 for k in freqs.tolist()]
             assert mu._abs_power(freqs, beta).tolist() == pytest.approx(expected, rel=2.0**-51, abs=0.0)
+
+
+def test_hyperbolic_argument_names_an_overflow():
+    # at N = 16 the largest argument is 8 * 8**beta = 2**(3 (1 + beta)): the
+    # largest float at beta = 340, inf from 341 on; at beta = inf, |xi| = 0
+    # times inf would be NaN.  |eta|**-400 underflows to 0 for |eta| = 8, so
+    # h = 0 there and m = 1, with no error
+    from hypercross.grid import frequencies
+
+    far = np.abs(frequencies(4)) == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mu.hyperbolic_argument(4, 340.0).max() == 2.0**1023
+        for beta in (341.0, 400.0, math.inf):
+            with pytest.raises(ValueError, match=rf"^\|xi\| \|eta\|\*\*beta overflows at beta = {beta} on the N = 16 grid$"):
+                mu.hyperbolic_argument(4, beta)
+        assert np.all(mu.hyperbolic_argument(4, -400.0)[:, far] == 0.0)
+        assert np.all(mu.hyperbolic_symbol(1.0, -400.0, mu.make_bump_profile(0.5), 4).values[:, far] == 1.0)
 
 
 def test_flat_radius():

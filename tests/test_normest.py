@@ -8,7 +8,7 @@ from hypercross import normest as ne
 
 
 def test_identity_operator_norms():
-    op = ne.identity_operator(4)
+    op = lin.LinearOperatorHandle(4, lambda f: f, lambda f: f)
     est = ne.l2_norm_power_iteration(op, seed=1)
     assert est.value == pytest.approx(1.0, abs=1e-10)
     assert est.converged
@@ -77,7 +77,7 @@ def test_lp_ascent_of_zero_operator():
 
 def test_l2_estimate_rejects_zero_max_iter():
     with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
-        ne.l2_norm_power_iteration(ne.identity_operator(3), max_iter=0)
+        ne.l2_norm_power_iteration(lin.LinearOperatorHandle(3, lambda f: f, lambda f: f), max_iter=0)
 
 
 def test_power_iteration_vs_ascent_cross_method():
@@ -171,7 +171,7 @@ def test_lp_ascent_applies_each_field_once():
 
 
 def test_lp_ascent_rejects_bad_p():
-    op = ne.identity_operator(3)
+    op = lin.LinearOperatorHandle(3, lambda f: f, lambda f: f)
     for p in (1.0, 0.3, float("inf")):
         with pytest.raises(ValueError):
             ne.lp_norm_ascent(op, p)

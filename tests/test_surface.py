@@ -29,7 +29,6 @@ TEST_REFERENCES = {
     "haar_eval": "builds the Haar functions the haar_transform tests in test_dyadic.py compare against",
     "DyadicInterval": "the interval argument of haar_eval",
     "psi2_space": "the space kernel whose cosine transform test_decomposition.py checks, so the octave window factors through psi2",
-    "identity_operator": "known-norm operator for the estimator tests in test_normest.py",
 }
 
 

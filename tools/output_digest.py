@@ -35,9 +35,9 @@ config per subcommand are digested too.
 The frequency grids the symbols are built on are digested at N = 8 to 256,
 at the ladder betas below and at -2, 2, inf and -inf: ``_abs_power`` of the
 frequencies, ``hyperbolic_argument``, ``pi_beta_mask`` and
-``hyperbolic_symbol`` at dilation 0.7 with bump eps 1/2 (the text of the
-ValueError where it raises, as at beta = inf, whose argument grid holds
-0 * inf).
+``hyperbolic_symbol`` at dilation 0.7 with bump eps 1/2 (for the last two,
+the text of the ValueError where they raise, as at beta = inf, where the
+argument grid overflows).
 
 The decomposition's ladder sums are digested where the scale family acts,
 at N = 8 to 256 and beta 1, -1, 0, 0.5, 1.5 and -0.75 (phi1 is divided by
@@ -239,22 +239,24 @@ def library_digests():
             yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} error", _digest(de.error_term(f, V, family, m).samples)
 
 
+def _digest_or_error(build) -> str:
+    """The digest of build(), or of the text of the ValueError it raises."""
+    try:
+        return _digest(build())
+    except ValueError as exc:
+        return _digest(f"ValueError: {exc}")
+
+
 def grid_digests():
     """(name, sha256) for the power, argument, mask and symbol grids."""
     m = mu.make_bump_profile(0.5)
     for n_log2 in LADDER_N_LOG2S:
         for beta in GRID_BETAS:
             prefix = f"N={1 << n_log2} beta={beta}"
-            with np.errstate(invalid="ignore"):  # beta = inf: |xi| = 0 times |eta|**inf = inf
-                argument = mu.hyperbolic_argument(n_log2, beta)
-                try:
-                    symbol = _digest(mu.hyperbolic_symbol(0.7, beta, m, n_log2).values)
-                except ValueError as exc:
-                    symbol = _digest(f"ValueError: {exc}")
             yield f"{prefix} _abs_power", _digest(mu._abs_power(gr.frequencies(n_log2), beta))
-            yield f"{prefix} hyperbolic_argument", _digest(argument)
+            yield f"{prefix} hyperbolic_argument", _digest_or_error(lambda: mu.hyperbolic_argument(n_log2, beta))
             yield f"{prefix} pi_beta_mask", _digest(mu.pi_beta_mask(beta, n_log2).values)
-            yield f"{prefix} hyperbolic_symbol lambda=0.7", symbol
+            yield f"{prefix} hyperbolic_symbol lambda=0.7", _digest_or_error(lambda: mu.hyperbolic_symbol(0.7, beta, m, n_log2).values)
 
 
 def _ratio_cases() -> dict:
