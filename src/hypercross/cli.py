@@ -306,7 +306,7 @@ def cmd_normest(ctx: RunContext) -> None:
     profile = _build_profile(ctx)
     V, _ = _build_linearizer(ctx)
     ctx.start()
-    a_const = mu.smoothness_constant(profile)  # first: it rejects a profile its scan cannot use
+    a_const = mu.smoothness_constant(profile)  # first: it rejects a radius ratio below the float range
     op = ne.linearized_operator(V, profile, beta)
     est = estimate(op)
     rederived = gr.lp_norm(op.apply(est.witness), p) / gr.lp_norm(est.witness, p)

@@ -9,9 +9,11 @@ depth <= n_log2 - 1 so every Haar half-interval contains at least one cell.
 The hypothesis-class generators take a Lipschitz constant 0 < L < inf.  Their
 two structural verifiers share one counter of steep dyadic blocks (squares,
 or x-intervals at one y).  The selection-stability check and the model
-operator take their scale pairs from one rule, and raise ValueError when beta
-is not finite or the side condition leaves no pair, instead of passing or
-summing vacuously.
+operator take their scale pairs, each with the size it compares with V, from
+one rule, and raise ValueError when beta is not finite or the side condition
+leaves no pair, instead of passing or summing vacuously.  The martingale
+averages and the dyadic maximal and square functions average blocks along
+axis 0 (x) or 1 (y), and raise ValueError for any other axis.
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ def _analysis_matrix(scale_exp: int, n_log2: int) -> np.ndarray:
     block = n >> scale_exp  # cells per interval
     if block < 2:
         raise ValueError(f"scale 2**-{scale_exp} unresolved on an N={n} grid")
-    height = math.sqrt(float(count))  # |I|**-1/2
+    cells = np.arange(n)
     mat = np.zeros((count, n))
-    for p in range(count):
-        mat[p, p * block : p * block + block // 2] = height / n
-        mat[p, p * block + block // 2 : (p + 1) * block] = -height / n
+    # +|I|**-1/2 / N on the left half of each interval, - on the right half
+    mat[cells // block, cells] = np.where(cells % block < block // 2, 1.0, -1.0) * (math.sqrt(float(count)) / n)
     return mat
 
 
@@ -101,7 +102,6 @@ def haar_transform(f: SampledField, depth: int) -> HaarCoefficients:
         raise ValueError(f"depth {depth} exceeds grid resolution (max {f.n_log2 - 1})")
     mats = [_analysis_matrix(a, f.n_log2) for a in range(depth + 1)]
     samples = f.samples
-    n = f.n
     coeffs = {}
     for a in range(depth + 1):
         left = mats[a] @ samples
@@ -129,35 +129,30 @@ def haar_inverse(h: HaarCoefficients) -> SampledField:
     return SampledField(h.n_log2, out)
 
 
-def _scale_pairs(depth: int, beta: float, L: float, variant: str) -> list[tuple[int, int]]:
-    """(a, b) for the scale pairs |I| = 2**-a, |J| = 2**-b with a, b <= depth
-    that meet the variant's side condition: every pair for thm_4_1,
-    |J|**beta >= L for thm_4_2, compared as exponents (-b beta >= log2 L) so
-    no power overflows.  Raises ValueError for a beta that is not finite (at
-    -inf every pair with |J| < 1 meets it and none is admissible), and when
-    no pair meets the condition (thm_4_2 with L > 1 or L nan): a check or a
-    sum over no pair is vacuous."""
+def _scale_pairs(depth: int, beta: float, L: float, variant: str) -> list[tuple[int, int, float]]:
+    """(a, b, size) for the scale pairs |I| = 2**-a, |J| = 2**-b with
+    a, b <= depth that meet the variant's side condition, where size is the
+    value the variant compares with V: every pair with size |I| |J| for
+    thm_4_1; for thm_4_2 the pairs with |J|**beta >= L, compared as exponents
+    (-b beta >= log2 L) so no power overflows, with size |I| |J|**beta (inf
+    where |J|**beta exceeds the float range).  Raises ValueError for a beta
+    that is not finite (at -inf every pair with |J| < 1 meets the condition
+    and none is admissible), and when no pair meets the condition (thm_4_2
+    with L > 1 or L nan): a check or a sum over no pair is vacuous."""
     if variant not in ("thm_4_1", "thm_4_2"):
         raise ValueError(f"unknown variant {variant!r}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
     scales = range(depth + 1)
     if variant == "thm_4_1":
-        pairs = [(a, b) for a in scales for b in scales]
+        pairs = [(a, b, math.ldexp(1.0, -a - b)) for a in scales for b in scales]
     else:
         log_l = -math.inf if L <= 0 else math.log2(L)  # nan for L nan, so no pair
-        pairs = [(a, b) for a in scales for b in scales if -b * beta >= log_l]
+        pairs = [(a, b, math.ldexp(1.0, -a) * 2.0 ** (-b * beta) if -b * beta < 1024 else math.inf)
+                 for a in scales for b in scales if -b * beta >= log_l]
     if not pairs:
         raise ValueError(f"no scale pair up to depth {depth} meets the {variant} side condition (L = {L}, beta = {beta})")
     return pairs
-
-
-def _size_product(a: int, b: int, beta: float, variant: str) -> float:
-    """|I| |J|**beta for thm_4_2, plain |I| |J| for thm_4_1; inf where
-    |J|**beta exceeds the float range."""
-    if variant == "thm_4_1":
-        return math.ldexp(1.0, -a - b)
-    return math.ldexp(1.0, -a) * 2.0 ** (-b * beta) if -b * beta < 1024 else math.inf
 
 
 def dyadic_model_operator(
@@ -185,17 +180,14 @@ def dyadic_model_operator(
     if variant == "thm_4_1" and not np.all(np.sqrt(V.values) > L):
         bad = int(np.sum(np.sqrt(V.values) <= L))
         raise HypothesisViolationError(f"sqrt(V) > L fails at {bad} grid points")
-    h = haar_transform(f, depth)
     n = f.n
-    v = V.values
+    mats = [_analysis_matrix(a, f.n_log2) for a in range(depth + 1)]
+    rows = [mat @ f.samples for mat in mats]  # <h_I, f(., y)> for each I and y, as haar_transform forms them
     out = np.zeros((n, n), dtype=np.complex128)
-    mats = {a: _analysis_matrix(a, f.n_log2) for a in range(depth + 1)}
-    for a, b in pairs:
-        admissible = _size_product(a, b, beta, variant) <= v
-        if not admissible.any():
-            continue
-        detail = (n * mats[a]).T @ h.coeffs[(a, b)] @ (n * mats[b])
-        out += np.where(admissible, detail, 0.0)
+    for a, b, size in pairs:
+        admissible = size <= V.values
+        if admissible.any():
+            out += np.where(admissible, (n * mats[a]).T @ (rows[a] @ mats[b].T) @ (n * mats[b]), 0.0)
     return SampledField(f.n_log2, out)
 
 
@@ -238,11 +230,11 @@ def check_selection_stability(
     n = V.n
     v = V.values
     # thm_4_1 checks the pairs with |I| <= |J|
-    pairs = [(a, b) for a, b in _scale_pairs(depth, beta, L, variant) if variant == "thm_4_2" or a >= b]
+    pairs = [(a, b, size) for a, b, size in _scale_pairs(depth, beta, L, variant) if variant == "thm_4_2" or a >= b]
     violations = 0
     witnesses: list[tuple] = []
-    for a, b in pairs:
-        admissible = _size_product(a, b, beta, variant) <= v
+    for a, b, size in pairs:
+        admissible = size <= v
         block = n >> a  # cells per I
         grouped = admissible.reshape(1 << a, block, n)
         bad = grouped.any(axis=1) & ~grouped.all(axis=1)
@@ -258,12 +250,13 @@ def check_selection_stability(
 
 
 def _axis_block_average(values: np.ndarray, cells: int, axis: int) -> np.ndarray:
-    n = values.shape[axis]
-    if axis == 0:
-        grouped = values.reshape(n // cells, cells, -1).mean(axis=1)
-        return np.repeat(grouped, cells, axis=0)
-    grouped = values.reshape(values.shape[0], n // cells, cells).mean(axis=2)
-    return np.repeat(grouped, cells, axis=1)
+    """Each run of ``cells`` entries along axis 0 (x) or 1 (y) replaced by
+    its mean; ValueError for any other axis, negative ones included."""
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis}")
+    shape = list(values.shape)
+    shape[axis : axis + 1] = [shape[axis] // cells, cells]
+    return np.repeat(values.reshape(shape).mean(axis=axis + 1), cells, axis=axis)
 
 
 def martingale_average(f: SampledField, scale: float, axis: int) -> SampledField:

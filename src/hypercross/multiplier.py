@@ -120,13 +120,22 @@ def make_bump_profile(eps: float) -> MultiplierProfile:
 def smoothness_constant(m: MultiplierProfile) -> float:
     """sum_{i<=3} sup_t |t^i m^(i)(t)| with exact derivatives, the sup taken
     over an equispaced scan of 2**16 + 1 points on [-2R, 2R], R =
-    support_radius."""
-    t = np.linspace(-2.0 * m.support_radius, 2.0 * m.support_radius, (1 << 16) + 1)
-    terms = (m(t), t * m.derivative(t, 1), t * t * m.derivative(t, 2), t * t * t * m.derivative(t, 3))
-    sups = [float(np.abs(term).max()) for term in terms]
-    if not all(map(math.isfinite, sups)):
-        raise ValueError("profile produced non-finite values during the derivative scan")
-    return sum(sups)
+    support_radius.
+
+    The sum depends only on epsilon / R, so the scan runs on the profile with
+    both radii divided by the power of two that puts R in [1, 2).  That
+    scaling is exact, so A keeps the bits of a scan at the given radii
+    wherever that scan has no overflowed or subnormal intermediate, and every
+    term stays finite (|t| <= 4, transition width >= 2**-52).  ValueError
+    when epsilon / R is so small that the scaled epsilon underflows to 0."""
+    shift = math.frexp(m.support_radius)[1] - 1
+    epsilon = math.ldexp(m.epsilon, -shift)
+    if epsilon == 0.0:
+        raise ValueError(f"epsilon / support_radius = {m.epsilon} / {m.support_radius} is below the float range of the derivative scan")
+    scaled = MultiplierProfile(epsilon, math.ldexp(m.support_radius, -shift))
+    t = np.linspace(-2.0 * scaled.support_radius, 2.0 * scaled.support_radius, (1 << 16) + 1)
+    terms = (scaled(t), t * scaled.derivative(t, 1), t * t * scaled.derivative(t, 2), t * t * t * scaled.derivative(t, 3))
+    return sum(float(np.abs(term).max()) for term in terms)
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,9 @@ def epsilon_sweep(
         raise ValueError("v_spec names no linearizer kind")
     v_params = {k: v for k, v in v_spec.items() if k != "kind"}
     V = generate_linearizer(v_spec["kind"], v_params, seed, n_log2)
+    profiles = [make_bump_profile(eps) for eps in eps_list]  # every width is checked before the first estimate
     rows = []
-    for eps in eps_list:
-        m = make_bump_profile(eps)
+    for m in profiles:
         a_const = smoothness_constant(m)
         op = linearized_operator(V, m, beta)
         if p == 2.0:
@@ -257,7 +257,7 @@ def epsilon_sweep(
         else:
             est = lp_norm_ascent(op, p, seed=seed)
         rows.append(
-            SweepRow(p, beta, float(eps), 1 << n_log2, seed, a_const, est.value, est.iterations, est.converged)
+            SweepRow(p, beta, float(m.epsilon), 1 << n_log2, seed, a_const, est.value, est.iterations, est.converged)
         )
     return SweepResult(tuple(rows))
 

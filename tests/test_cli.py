@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import json
+import math
 import warnings
 
 import numpy as np
@@ -133,6 +134,17 @@ def _sweep_csv(tmp_path, name, text):
     return (tmp_path / name / "sweep.csv").read_text()
 
 
+def test_sweep_checks_every_bump_width_before_it_estimates(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ne, "l2_norm_power_iteration", lambda op, **kwargs: calls.append(op))
+    cfg = _write(tmp_path, "s.ini", _SWEEP_CONFIG.replace("1.0, 0.5", "1.0, 0.5, 0.25, 0.3"))
+    rc = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "eps must be 2**-i for integer i >= 0, got 0.3" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_fills_in_the_constant_value(tmp_path):
     given = _sweep_csv(tmp_path, "given", _SWEEP_CONFIG + "\n[linearizer]\nkind = constant\nvalue = 1.0\n")
     assert _sweep_csv(tmp_path, "default", _SWEEP_CONFIG + "\n[linearizer]\nkind = constant\n") == given
@@ -229,16 +241,26 @@ def test_normest_witness_check_fails_on_inconsistent_estimate(tmp_path, capsys, 
     assert "FAIL normest.witness_consistency" in capsys.readouterr().out
 
 
-def test_normest_rejects_an_unusable_profile_before_it_estimates(tmp_path, capsys, monkeypatch):
-    # the plateau's transition width cubed underflows, so the derivative scan
-    # of the smoothness constant is not finite
+def test_normest_takes_a_plateau_whose_width_cubed_underflows(tmp_path):
+    profile = "kind = plateau\nflat_radius = 1e-300\nsupport_radius = 2e-300"
+    cfg = _write(tmp_path, "n.ini", NORMEST_CONFIG.replace("kind = bump\nepsilon = 1.0", profile))
+    assert cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    header, row = (tmp_path / "o" / "estimate.csv").read_text().splitlines()
+    a_const = float(row.split(",")[header.split(",").index("A")])
+    assert math.isfinite(a_const) and a_const == mu.smoothness_constant(mu.MultiplierProfile(1e-300, 2e-300))
+    assert a_const == pytest.approx(mu.smoothness_constant(mu.make_bump_profile(0.5)), rel=1e-12)
+
+
+def test_normest_rejects_a_sub_float_radius_ratio_before_it_estimates(tmp_path, capsys, monkeypatch):
+    # epsilon / support_radius is below 2**-1075, so the scan's rescaled
+    # epsilon underflows to 0
     calls = []
     monkeypatch.setattr(ne, "l2_norm_power_iteration", lambda op, **kwargs: calls.append(op))
-    profile = "kind = plateau\nflat_radius = 1e-300\nsupport_radius = 2e-300"
+    profile = "kind = plateau\nflat_radius = 5e-324\nsupport_radius = 4.0"
     cfg = _write(tmp_path, "n.ini", NORMEST_CONFIG.replace("kind = bump\nepsilon = 1.0", profile))
     rc = cli.main(["normest", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
-    assert "profile produced non-finite values during the derivative scan" in capsys.readouterr().err
+    assert "5e-324 / 4.0" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "o").exists()
 

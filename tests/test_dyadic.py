@@ -288,6 +288,16 @@ def test_martingale_average_rejects_non_dyadic_scale(scale):
         dy.martingale_average(g.random_field(3, 0), scale, axis=0)
 
 
+@pytest.mark.parametrize("axis", [-2, 2])
+def test_block_averages_reject_an_axis_other_than_x_or_y(axis):
+    f = g.random_field(3, 0)
+    message = rf"axis must be 0 \(x\) or 1 \(y\), got {axis}$"
+    with pytest.raises(ValueError, match=message):
+        dy.martingale_average(f, 1.0, axis)
+    with pytest.raises(ValueError, match=message):
+        dy.dyadic_square_function(f, axis)
+
+
 def test_martingale_differences_telescope():
     f = g.random_field(4, 40)
     total = np.zeros((16, 16), dtype=complex)

@@ -64,6 +64,15 @@ def test_smoothness_constant_regression_and_dilation_invariance():
     assert a_half == pytest.approx(BUMP_SMOOTHNESS_BASELINE, rel=1e-9)
     a_eighth = mu.smoothness_constant(mu.make_bump_profile(0.125))
     assert a_eighth == pytest.approx(a_half, rel=1e-12)
+    # the scan runs on the profile rescaled by a power of two, exactly, so a
+    # transition width whose cube underflows gives the same A
+    assert mu.smoothness_constant(mu.make_bump_profile(2.0**-340)) == a_half
+    assert mu.smoothness_constant(mu.MultiplierProfile(2.0**-1000, 2.0**-999)) == mu.smoothness_constant(mu.make_bump_profile(1.0))
+
+
+def test_smoothness_constant_of_a_huge_support_radius_is_finite():
+    # w**k overflows for the width w ~ 1e300 of the given profile
+    assert math.isfinite(mu.smoothness_constant(mu.MultiplierProfile(1.0, 1e300)))
 
 
 def test_hyperbolic_symbol_compact_support_far_out():

@@ -5,12 +5,14 @@ parent with one command:
 
     python3 tools/output_digest.py --against <parent>
 
-It extracts ``git archive <parent>`` into a temporary directory (copying
-this script in if that tree lacks it), runs the script there with the same
-interpreter, and prints ``k of M lines identical`` followed by the name of
-every output whose line differs or is on one side only; the exit status is
-1 when any line differs.  Without ``--against`` the script prints the
-``sha256  name`` lines of its own tree.
+It extracts ``git archive <parent>`` into a temporary directory, copies
+this script over that tree's own copy, so both sides digest the same outputs
+the same way, runs it there with the same interpreter, and prints ``k of M
+lines identical`` followed by the name of every output whose line differs or
+is on one side only; the exit status is 1 when any line differs.  A digest of
+an API the parent lacks fails that run loudly rather than comparing
+different sets.  Without ``--against`` the script prints the ``sha256  name``
+lines of its own tree.
 
 The package is imported from ``src/`` of the tree the script sits in.  The
 grid: N = 8, 16, 32; lip_x, lip_2d, staircase_x and dyadic_of_lipschitz
@@ -70,9 +72,11 @@ lambda 1/2, 1 and 2.
 
 The structural outputs are digested at N = 16 and 32 on a random field: the
 Haar expansion at full depth and its inverse, the thm_4_1 model operator on
-a 2D dyadic-metric field (L = 1/8), the martingale averages at every dyadic
-scale along both axes, the dyadic square functions, ``dyadic_maximal_m2``
-and ``hl_maximal_m1``.  A run takes a few seconds.
+a 2D dyadic-metric field (L = 1/8), the thm_4_2 model operator (sizes
+|I| |J|**beta) on a first-variable dyadic-metric field (L = 1/4, beta 1), the
+martingale averages at every dyadic scale along both axes, the dyadic square
+functions, ``dyadic_maximal_m2`` and ``hl_maximal_m1``.  A run takes a few
+seconds.
 """
 
 from __future__ import annotations
@@ -355,18 +359,20 @@ def _haar_text(h: dy.HaarCoefficients) -> str:
 
 
 def structural_digests():
-    """(name, sha256) for the Haar transform and its inverse, the thm_4_1
-    model operator on a 2D dyadic-metric field, the martingale averages at
-    every dyadic scale, the dyadic maximal and square functions and the
-    first-variable maximal function."""
-    generate, L, variant = DYADIC_METRICS["metric_2d"]
+    """(name, sha256) for the Haar transform and its inverse, the model
+    operator of each variant on its dyadic-metric field, the martingale
+    averages at every dyadic scale, the dyadic maximal and square functions
+    and the first-variable maximal function."""
     for n_log2 in STRUCTURAL_N_LOG2S:
         n = 1 << n_log2
         f = gr.random_field(n_log2, 70 + n_log2)
         h = dy.haar_transform(f, n_log2 - 1)
         outputs = {
             "haar_inverse": dy.haar_inverse(h),
-            "model_operator thm_4_1": dy.dyadic_model_operator(f, generate(L, n_log2, 1), 1.0, L, variant),
+            **{
+                f"model_operator {variant}": dy.dyadic_model_operator(f, generate(L, n_log2, 1), 1.0, L, variant)
+                for generate, L, variant in DYADIC_METRICS.values()
+            },
             "dyadic_maximal_m2": dy.dyadic_maximal_m2(f),
             "hl_maximal_m1": de.hl_maximal_m1(f),
         }
@@ -426,9 +432,8 @@ def compare(rev: str) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         script = Path(tmp) / "tools" / Path(__file__).name
-        if not script.exists():
-            script.parent.mkdir(exist_ok=True)
-            shutil.copy(__file__, script)
+        script.parent.mkdir(exist_ok=True)
+        shutil.copy(__file__, script)
         printed = subprocess.run([sys.executable, str(script)], check=True, stdout=subprocess.PIPE, text=True).stdout
     before = {name: digest for digest, name in (line.split("  ", 1) for line in printed.splitlines())}
     after = dict(digests())
