@@ -17,7 +17,8 @@ inside the octave and 1/2 at the two endpoints.  In the paper it is the
 product phi2_hat * psi2_hat of a frequency window and a kernel psi2 with
 compact space support; only that product enters the sums, so the family
 stores it as one table, and :func:`psi2_space` keeps the kernel whose
-support radius the ratio check samples.
+support radius the ratio check samples: psi2 is minus the second derivative
+of the profile ``MultiplierProfile(R/2, R)``, R = ``PSI2_SUPPORT_RADIUS``.
 
 The variable-scale terms (lemma, principal, error, small variation) are
 calls of the kernel :func:`hypercross.linearized.gather` on their own key
@@ -28,11 +29,15 @@ part runs one gather per dyadic rounding of V, weighted by that rounding's
 ladder pairs above the principal cutoff.
 The family (:class:`LPFamily`) is two arrays of ladder exponents and
 two tables with one row per ladder scale; phi1 is normalized per
-frequency at every beta.  Every ladder-pair sum is one :func:`_pair_sum`,
-the product phi1.T @ (mask @ octave), its mask over the (K, L) grid
-of t * s**beta.  The small-variation piece takes d/dtau on the symbol by
-the profile's exact derivative: one gather per tau node keyed by the dyadic
-floor of V, interpolated at V on the nine node ratios.
+frequency at every beta.  The sum over all ladder pairs is the outer
+product of the two axis sums.  A sum over part of them (the principal
+cutoff, a frozen large-variation window) is one :func:`_pair_sum`, the
+product phi1.T @ (mask @ octave), its mask over the (K, L) grid of
+t * s**beta; the error part weights each dyadic rounding by the full sum
+minus that rounding's principal sum.  The small-variation piece takes
+d/dtau on the symbol by the profile's exact derivative: one gather per tau
+node keyed by the dyadic floor of V, interpolated at V on the nine node
+ratios.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .multiplier import (
     _defined,
     hyperbolic_argument,
     smoothstep,
-    smoothstep_derivative,
 )
 
 PSI2_SUPPORT_RADIUS = 9.0 / 512.0  # < 2**-5 and < 2**-4/3; > one cell at N = 64
@@ -91,14 +95,9 @@ def _octave_product(u: np.ndarray) -> np.ndarray:
 
 
 def psi2_space(y):
-    """Space samples of psi2: a mean-zero C^3 kernel supported in
-    (-R, R), R = PSI2_SUPPORT_RADIUS."""
-    y = np.asarray(y, dtype=np.float64)
-    u = np.abs(y) / PSI2_SUPPORT_RADIUS
-    vals = np.where(
-        (u > 0.5) & (u < 1.0), 4.0 * smoothstep_derivative(2.0 * u - 1.0, 2) / PSI2_SUPPORT_RADIUS**2, 0.0
-    )
-    return vals
+    """Space samples of psi2 = -b'', b the profile MultiplierProfile(R/2, R),
+    R = PSI2_SUPPORT_RADIUS: a mean-zero C^3 kernel supported in (-R, R)."""
+    return -MultiplierProfile(PSI2_SUPPORT_RADIUS / 2, PSI2_SUPPORT_RADIUS).derivative(y, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 A profile is the even ramp :class:`MultiplierProfile`: 1 on |t| <= eps, a
 degree-11 smoothstep transition whose first five derivatives vanish at the
 knots, and 0 from the support radius on.  It is C^5, and since the
-transition is a polynomial its derivatives are exact
-(:meth:`MultiplierProfile.derivative`), which the smoothness-constant scan
-and the small-variation term use.  Bump profiles squeeze between the
+transition is a polynomial its derivatives are exact.
+:meth:`MultiplierProfile.derivative` is the only code that evaluates them:
+the smoothness-constant scan, the small-variation term and the kernel psi2
+of the scale decomposition all call it.  Bump profiles squeeze between the
 indicators of (-eps, eps) and (-2 eps, 2 eps); a plateau profile is
 ``MultiplierProfile(flat_radius, support_radius)`` itself, for any finite
 support radius above the flat radius.
@@ -33,9 +34,8 @@ from .grid import _grid_array, frequencies
 # Degree-11 smoothstep: S(0)=0, S(1)=1, S', .., S^(5) vanish at both knots.
 # Evaluated as x**6 * poly(x) on [0, 1/2] and by the symmetry S = 1 - S(1-x)
 # above 1/2, so values never leave [0, 1] through roundoff.
-_SMOOTHSTEP_POLY = (462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0)
 # row k: the coefficients of S^(k)(x) / x**(6-k), k = 0..6
-_SMOOTHSTEP_DERIVATIVE_POLYS = [[c * math.perm(j + 6, k) for j, c in enumerate(_SMOOTHSTEP_POLY)] for k in range(7)]
+_SMOOTHSTEP_DERIVATIVE_POLYS = [[c * math.perm(j + 6, k) for j, c in enumerate((462.0, -1980.0, 3465.0, -3080.0, 1386.0, -252.0))] for k in range(7)]
 
 
 def _smoothstep_lower(x, k: int = 0):
@@ -52,20 +52,6 @@ def smoothstep(u):
     x = np.clip(u, 0.0, 1.0)
     near = _smoothstep_lower(np.minimum(x, 1.0 - x))  # x up to 1/2, 1 - x above (exact there)
     return np.where(x <= 0.5, near, 1.0 - near)
-
-
-def smoothstep_derivative(u, k: int):
-    """k-th derivative of :func:`smoothstep`, 1 <= k <= 6 (zero outside (0, 1)).
-
-    Evaluated like the ramp: x**(6-k) * poly_k(x) on [0, 1/2], and above 1/2
-    by the symmetry S^(k)(1 - x) = (-1)**(k+1) S^(k)(x)."""
-    if k not in range(1, 7):
-        raise ValueError(f"derivative order must be 1 .. 6, got {k}")
-    u = np.asarray(u, dtype=np.float64)
-    x = np.clip(u, 0.0, 1.0)
-    near = _smoothstep_lower(np.minimum(x, 1.0 - x), k)  # x up to 1/2, 1 - x above (exact there)
-    out = np.where(x <= 0.5, near, (-1) ** (k + 1) * near)
-    return np.where((u <= 0.0) | (u >= 1.0), 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -99,14 +85,28 @@ class MultiplierProfile:
         return out
 
     def derivative(self, t, k: int):
-        """Exact k-th derivative, 1 <= k <= 6:
-        -sign(t)**k * S^(k)((|t| - epsilon) / w) / w**k on the transition
-        band, exactly 0 elsewhere."""
+        """Exact k-th derivative, 1 <= k <= 6: -sign(t)**k * S^(k)(u) / w**k
+        on the transition band, u = (|t| - epsilon) / w, and exactly 0
+        elsewhere and from u = 1 on, where S^(6) has a nonzero left limit.
+
+        S^(k) is evaluated like the ramp: x**(6-k) * poly_k(x) at x = u up
+        to u = 1/2, and above by the symmetry S^(k)(u) = (-1)**(k+1)
+        S^(k)(1 - u).  It divides by w k times, so no power of w overflows
+        or underflows on its own: the result is finite wherever the exact
+        value is (up to rounding at the ends of the float range), and beyond
+        that range it is the inf of the exact sign."""
+        if k not in range(1, 7):
+            raise ValueError(f"derivative order must be 1 .. 6, got {k}")
         t = np.asarray(t, dtype=np.float64)
         a = np.abs(t)
         out = np.zeros_like(a)
         band = ~(a <= self.epsilon) & ~(a >= self._stop)
-        out[band] = -np.sign(t[band]) ** k * smoothstep_derivative((a[band] - self.epsilon) / self._width, k) / self._width**k
+        u = (a[band] - self.epsilon) / self._width
+        near = _smoothstep_lower(np.minimum(u, 1.0 - u), k)  # u up to 1/2, 1 - u above (exact there)
+        value = -np.sign(t[band]) ** k * np.where(u >= 1.0, 0.0, np.where(u <= 0.5, near, (-1) ** (k + 1) * near))
+        for _ in range(k):
+            value /= self._width
+        out[band] = value
         return out
 
 

@@ -610,6 +610,36 @@ def test_beta_zero_domination_by_first_variable_maximal():
         assert np.all(np.abs(T.samples) <= C * M1.samples.real + 1e-12)
 
 
+def _domination_reference(m, V):
+    """domination_constant one distinct V at a time: the kernel row, its radially
+    non-increasing majorant Phi(d) = max |kernel| over torus distances >= d,
+    and sum_q (Phi outside window q-1 - Phi outside window q) * min(2 h_q + 1, N) / N
+    over the windows of half-width h_q = 2**q, q < log2 N."""
+    n = V.n
+    abs_freq = np.abs(g.frequencies(V.n_log2)).astype(np.float64)
+    dist = np.minimum(np.arange(n), n - np.arange(n))
+    half_widths = [1 << q for q in range(V.n_log2)]
+    outside = [0] + [h + 1 for h in half_widths]  # first distance outside window q-1
+    best = 0.0
+    for lam in np.unique(V.values):
+        kernel = np.abs(np.fft.ifft(m(max(lam, 1e-300) * abs_freq)) * n)
+        radial = np.array([kernel[dist == d].max() for d in range(n // 2 + 1)])
+        phi = np.append(np.maximum.accumulate(radial[::-1])[::-1], 0.0)
+        c = sum((phi[outside[q]] - phi[outside[q + 1]]) * min(2 * h + 1, n) / n for q, h in enumerate(half_widths))
+        best = max(best, c)
+    return best
+
+
+@pytest.mark.parametrize("n_log2", [4, 5])
+@pytest.mark.parametrize("eps", [0.5, 1.0])
+def test_domination_constant_matches_a_loop_per_value_reference(n_log2, eps):
+    # criterion 9's lip_x fields
+    m = mu.make_bump_profile(eps)
+    for seed in range(3):
+        V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 2.0}, seed, n_log2)
+        assert lin.domination_constant(m, V) == pytest.approx(_domination_reference(m, V), rel=1e-12, abs=0.0)
+
+
 def test_linearizer_serialization_sidecar(tmp_path):
     V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.5}, 9, 4)
     prefix = tmp_path / "lin"

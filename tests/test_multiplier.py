@@ -71,7 +71,7 @@ def test_smoothness_constant_regression_and_dilation_invariance():
 
 
 def test_smoothness_constant_of_a_huge_support_radius_is_finite():
-    # w**k overflows for the width w ~ 1e300 of the given profile
+    # the given profile's transition width is about 1e300
     assert math.isfinite(mu.smoothness_constant(mu.MultiplierProfile(1.0, 1e300)))
 
 
@@ -184,7 +184,7 @@ def test_flat_radius():
     [mu.make_bump_profile(1.0), mu.make_bump_profile(0.5), mu.make_bump_profile(2.0**-6), mu.MultiplierProfile(0.3, 1.1)],
     ids=["bump1", "bump0.5", "bump2**-6", "plateau0.3-1.1"],
 )
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 7))
 def test_profile_derivative_matches_expanded_polynomial(m, k):
     flat, radius = m.epsilon, m.support_radius
     width = radius - flat
@@ -238,6 +238,21 @@ def test_profile_matches_closed_form_bit_for_bit(make, flat, width):
         out = m(scalar)
         assert isinstance(out, np.ndarray) and out.shape == ()
         assert out.tobytes() == _closed_form(scalar, flat, width).tobytes()
+
+
+def test_profile_derivative_of_extreme_widths_stays_in_float_range():
+    # w**2 overflows for w ~ 1e300, and w**3 underflows for w = 1e-300
+    assert np.all(np.isfinite(mu.MultiplierProfile(1.0, 1e300).derivative(np.array([2.0]), 2)))
+    tiny = mu.MultiplierProfile(1e-300, 2e-300)
+    t = np.array([1.5e-300, -1.5e-300])  # u = 1/2
+    first = tiny.derivative(t, 1)
+    assert np.all(np.isfinite(first))
+    assert first == pytest.approx(-np.sign(t) * SMOOTHSTEP.deriv(1)(0.5) / 1e-300, rel=1e-12)
+    # the third derivative, -sign(t)**3 S^(3)(1/2) / w**3, lies beyond the float range
+    exact_sign = -np.sign(t) ** 3 * np.sign(SMOOTHSTEP.deriv(3)(0.5))
+    with np.errstate(over="ignore"):
+        third = tiny.derivative(t, 3)
+    assert np.all(np.isinf(third)) and np.array_equal(np.sign(third), exact_sign)
 
 
 def test_profile_derivative_rejects_order_outside_1_to_6():

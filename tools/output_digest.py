@@ -31,8 +31,11 @@ at beta 1 and -1 and bump eps 1/2 and 1: there the frequency side drops
 dead h groups (V_min h >= R) and merges flat ones (V_max h <= eps).  A plateau
 apply per field and beta, ``domination_constant`` (as ``float.hex``) per
 field and eps, ``smoothness_constant`` (as ``float.hex``) of each bump eps
-and of the plateau profile (0.75, 1.5), and the CLI artifacts of one small
-config per subcommand are digested too.
+and of the plateau profile (0.75, 1.5), ``MultiplierProfile.derivative`` at
+k = 1 to 6 on 4097 equispaced points of [-2R, 2R] (R the support radius)
+for bump eps 1/2 and the plateaus (0.75, 1.5) and (0.3, 1.1), ``psi2_space``
+on the N = 256 torus grid, and the CLI artifacts of one small config per
+subcommand are digested too.
 
 The frequency grids the symbols are built on are digested at N = 8 to 256,
 at the ladder betas below and at -2, 2, inf and -inf: ``_abs_power`` of the
@@ -146,6 +149,8 @@ ASCENT_PS = (1.5, 3.0)
 STRUCTURAL_N_LOG2S = (4, 5)
 L2_SEEDS = range(10)  # criterion 7's lip_x fields at N = 8
 L2_LAMBDAS = (0.5, 1.0, 2.0)  # criterion 7's fixed multipliers
+DERIVATIVE_SCAN_POINTS = (1 << 12) + 1
+PSI2_N_LOG2 = 8
 
 CLI_CONFIGS = {
     "apply": "[run]\ngrid_n_log2 = 4\nseed = 7\n\n[profile]\nkind = bump\nepsilon = 0.5\n\n"
@@ -187,6 +192,12 @@ def library_digests():
     profiles = {**{f"eps={eps}": mu.make_bump_profile(eps) for eps in EPSILONS}, "plateau": plateau}
     for label, m in profiles.items():
         yield f"{label} smoothness_constant", _digest(mu.smoothness_constant(m).hex())
+    derivative_profiles = {"eps=0.5": profiles["eps=0.5"], "plateau": plateau, "plateau=(0.3, 1.1)": mu.MultiplierProfile(0.3, 1.1)}
+    for label, m in derivative_profiles.items():
+        t = np.linspace(-2.0 * m.support_radius, 2.0 * m.support_radius, DERIVATIVE_SCAN_POINTS)
+        for k in range(1, 7):
+            yield f"{label} derivative k={k}", _digest(m.derivative(t, k))
+    yield f"N={1 << PSI2_N_LOG2} psi2_space", _digest(de.psi2_space(np.fft.fftfreq(1 << PSI2_N_LOG2)))
     for n_log2 in N_LOG2S:
         n = 1 << n_log2
         f = gr.random_field(n_log2, 50 + n_log2)
