@@ -21,23 +21,23 @@ support radius the ratio check samples: psi2 is minus the second derivative
 of the profile ``MultiplierProfile(R/2, R)``, R = ``PSI2_SUPPORT_RADIUS``.
 
 The variable-scale terms (lemma, principal, error, small variation) are
-calls of the kernel :func:`hypercross.linearized.gather` on their own key
-array (V, its dyadic rounding or its dyadic floor), with a symbol per key.
+calls of the kernel :func:`hypercross.linearized.gather` keyed by V or by
+its dyadic rounding vtilde (the rounded scale), with a symbol per key.
 The lemma and error symbols are :class:`hypercross.linearized.ScaledSymbol`
 values, which the kernel may group by frequency instead of by V; the error
-part runs one gather per dyadic rounding of V, weighted by that rounding's
-ladder pairs above the principal cutoff.
+part runs one gather per rounded scale, weighted by that scale's ladder
+pairs above the principal cutoff (:func:`_above_symbol`).
 The family (:class:`LPFamily`) is two arrays of ladder exponents and
 two tables with one row per ladder scale; phi1 is normalized per
 frequency at every beta.  The sum over all ladder pairs is the outer
 product of the two axis sums.  A sum over part of them (the principal
 cutoff, a frozen large-variation window) is one :func:`_pair_sum`, the
 product phi1.T @ (mask @ octave), its mask over the (K, L) grid of
-t * s**beta; the error part weights each dyadic rounding by the full sum
-minus that rounding's principal sum.  The small-variation piece takes
-d/dtau on the symbol by the profile's exact derivative: one gather per tau
-node keyed by the dyadic floor of V, interpolated at V on the nine node
-ratios.
+t * s**beta; the pairs above a rounded scale's cutoff, which weight the
+error and small-variation terms, are the full sum minus that scale's
+principal sum.  The small-variation piece takes d/dtau on the symbol by the
+profile's exact derivative: one gather per tau node keyed by the rounded
+scale, interpolated at V on the nine node ratios.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .grid import GridMismatchError, SampledField, forward_transform, frequencie
 from .linearized import (
     LinearizerField,
     ScaledSymbol,
-    dyadic_floor,
     dyadic_round_up,
     gather,
 )
@@ -64,7 +63,7 @@ from .multiplier import (
 )
 
 PSI2_SUPPORT_RADIUS = 9.0 / 512.0  # < 2**-5 and < 2**-4/3; > one cell at N = 64
-# tau nodes of the small-variation integral, as multiples r of the dyadic base
+# tau nodes of the small-variation integral, as multiples r of the dyadic base vtilde / 8
 _SMALL_VARIATION_RATIOS = 2.0 ** (np.arange(9) / 8)
 
 
@@ -203,15 +202,26 @@ def _full_symbol(family: LPFamily) -> np.ndarray:
     return w1[:, None] * g2[None, :]
 
 
+def _above_symbol(family: LPFamily, m: MultiplierProfile, vt) -> np.ndarray:
+    """Sum of pair symbols over the ladder pairs with t * s**beta >=
+    m.epsilon / vt, at a rounded scale vt (a (g, 1, 1) stack of them gives
+    g symbols): the full sum minus the principal sum below that cutoff."""
+    return _full_symbol(family) - _below_symbol(family, m.epsilon / vt)
+
+
 def _check_positive(V: LinearizerField) -> None:
     if np.any(V.values <= 0):
         raise ValueError("decomposition requires V > 0 on the grid")
 
 
-def _check_terms(f: SampledField, V: LinearizerField, family: LPFamily) -> None:
+def _spectrum_and_scale(f: SampledField, V: LinearizerField, family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
+    """What each rounding term starts from: the spectrum of f and the
+    rounded scale vtilde of V.  ValueError unless V > 0 (or when vtilde
+    would overflow), GridMismatchError unless f lives on the family's grid."""
     _check_positive(V)
     if f.n_log2 != family.n_log2:
         raise GridMismatchError("field and family grids differ")
+    return forward_transform(f).coeffs, dyadic_round_up(V.values)
 
 
 def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
@@ -221,19 +231,16 @@ def principal_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Mul
     vtilde is the pointwise dyadic rounding of V; on those pairs the profile
     argument stays strictly inside the flat region of m.
     """
-    _check_terms(f, V, family)
-    out = gather(forward_transform(f).coeffs, dyadic_round_up(V.values), lambda vt: _below_symbol(family, m.epsilon / vt))
+    spec, vt = _spectrum_and_scale(f, V, family)
+    out = gather(spec, vt, lambda c: _below_symbol(family, m.epsilon / c))
     return SampledField(f.n_log2, out)
 
 
 def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: MultiplierProfile) -> SampledField:
     """Profile-weighted complement of :func:`principal_term`: for each point,
     the remaining ladder pairs filtered through m(V(x,y) |xi|**beta |eta|)."""
-    _check_terms(f, V, family)
-    full = _full_symbol(family)
+    spec, vt = _spectrum_and_scale(f, V, family)
     hyper = _hyper_args(family)
-    spec = forward_transform(f).coeffs
-    vt = dyadic_round_up(V.values)
     out = np.empty(spec.shape, dtype=np.complex128)
     for c in np.unique(vt):
         # one gather per rounded scale c, its symbol weighted by the ladder
@@ -242,7 +249,7 @@ def error_term(f: SampledField, V: LinearizerField, family: LPFamily, m: Multipl
         # class are dead on the whole grid
         in_class = vt == c
         keys = np.where(in_class, V.values, V.values[in_class].min())
-        piece = gather(spec, keys, ScaledSymbol(m, hyper, full - _below_symbol(family, m.epsilon / c)))
+        piece = gather(spec, keys, ScaledSymbol(m, hyper, _above_symbol(family, m, c)))
         out[in_class] = piece[in_class]
     return SampledField(f.n_log2, out)
 
@@ -274,22 +281,20 @@ def small_variation_error(f: SampledField, V: LinearizerField, family: LPFamily,
     """Pointwise integral of |d/dtau E_tau f| from the dyadic base of V(x,y)
     up to V(x,y): the trapezoid rule on the 9 nodes tau = r * base, with the
     ratios r = 2**(i/8), i = 0..8, interpolated linearly at u = V / base.
+    The base is vtilde / 8, the largest power of two <= V, for vtilde the
+    rounded scale of V.
 
-    Node r * base is one gather keyed by the dyadic floor of V with the
-    symbol above(base) * d/dtau m(tau |xi|**beta |eta|), taken exactly as
-    |xi|**beta |eta| * m'(tau |xi|**beta |eta|) (d/dtau commutes with the
-    inverse FFT).  Exactly zero wherever V equals its dyadic base, hence
-    identically zero for fields taking values in {2**j}.
+    Node r * base is one gather keyed by vtilde with the symbol
+    :func:`_above_symbol` (vtilde) * d/dtau m(tau |xi|**beta |eta|), taken
+    exactly as |xi|**beta |eta| * m'(tau |xi|**beta |eta|) (d/dtau commutes
+    with the inverse FFT).  Exactly zero wherever V equals its dyadic base,
+    hence identically zero for fields taking values in {2**j}.
     """
-    _check_terms(f, V, family)
-    base = dyadic_floor(V.values)
+    spec, vt = _spectrum_and_scale(f, V, family)
+    base = vt / 8  # exact: vt is a power of two
     hyper = _hyper_args(family)
-    full = _full_symbol(family)
-    # the rounded scale, hence the ladder pairs above it, is constant across an octave
-    above = lambda b: full - _below_symbol(family, m.epsilon / dyadic_round_up(b))
-    spec = forward_transform(f).coeffs
     r, dr = _SMALL_VARIATION_RATIOS, np.diff(_SMALL_VARIATION_RATIOS)
-    integrand = np.abs([gather(spec, base, lambda b: above(b) * hyper * m.derivative(b * ri * hyper, 1)) for ri in r])
+    integrand = np.abs([gather(spec, vt, lambda c: _above_symbol(family, m, c) * hyper * m.derivative(c / 8 * ri * hyper, 1)) for ri in r])
     trapezoids = 0.5 * (dr[:, None, None] * base) * (integrand[:-1] + integrand[1:])
     cum = np.concatenate([np.zeros((1,) + base.shape), np.cumsum(trapezoids, axis=0)])
     u = V.values / base  # exact: base is a power of two

@@ -2,8 +2,9 @@
 
 Functions on the plane are modelled by band-limited periodic fields sampled on
 an N x N grid over [0,1)^2 with N = 2**n_log2.  The forward transform uses the
-e^{-2pi i (x xi + y eta)} sign convention and divides by N^2, so a constant
-field maps to a unit delta at frequency (0,0) and ``lp_norm`` is a mean.
+e^{-2pi i (x xi + y eta)} sign convention and numpy's ``norm="forward"``
+scaling, which divides by N^2, so a constant field maps to a unit delta at
+frequency (0,0) and ``lp_norm`` is a mean.
 
 Every N x N array of the package (samples, coefficients, symbol values, scale
 fields, HXF1 payloads) passes one check, :func:`_grid_array`: n_log2 >= 3,
@@ -75,8 +76,9 @@ class SampledField:
 class SpectralField:
     """DFT coefficients indexed by integer frequencies in {-N/2 .. N/2-1}^2.
 
-    Coefficients are stored in standard FFT order; ``frequencies`` gives the
-    integer frequency along one axis for each array index.
+    Coefficients are stored in standard FFT order, scaled as numpy's
+    ``norm="forward"`` scales them (divided by N^2); ``frequencies`` gives
+    the integer frequency along one axis for each array index.
     """
 
     n_log2: int
@@ -85,27 +87,21 @@ class SpectralField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _grid_array(self.n_log2, self.coeffs, np.complex128))
 
-    @property
-    def n(self) -> int:
-        return 1 << self.n_log2
-
 
 def frequencies(n_log2: int) -> np.ndarray:
     """Integer frequencies along one axis, in FFT storage order."""
     n = 1 << n_log2
-    return np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+    return np.fft.fftfreq(n, 1.0 / n).astype(np.int64)  # sample spacing 1/N: exact integers
 
 
 def forward_transform(f: SampledField) -> SpectralField:
     """DFT with the e^{-2pi i(x xi + y eta)} convention, normalized by 1/N^2."""
-    n2 = f.n * f.n
-    return SpectralField(f.n_log2, np.fft.fft2(f.samples) / n2)
+    return SpectralField(f.n_log2, np.fft.fft2(f.samples, norm="forward"))
 
 
 def inverse_transform(F: SpectralField) -> SampledField:
     """Inverse of :func:`forward_transform`."""
-    n2 = F.n * F.n
-    return SampledField(F.n_log2, np.fft.ifft2(F.coeffs) * n2)
+    return SampledField(F.n_log2, np.fft.ifft2(F.coeffs, norm="forward"))
 
 
 def lp_norm(f: SampledField, p: float) -> float:

@@ -426,8 +426,9 @@ def _spread(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
 
 
 def _synthesis(spec: np.ndarray) -> np.ndarray:
-    """N^2 ifft2 over the last two axes."""
-    return np.fft.ifft2(spec) * (spec.shape[-2] * spec.shape[-1])
+    """The inverse of the grid's forward transform over the last two axes:
+    ifft2 with numpy's ``norm="forward"`` (no 1/N^2)."""
+    return np.fft.ifft2(spec, norm="forward")
 
 
 def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
@@ -483,8 +484,9 @@ def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:
 
 
 def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
-    """Variable-symbol synthesis: out[x] = N^2 ifft2(spec * symbol_of(k))[x]
-    for each point x of the (N, N) key array, k = keys[x] >= 0.
+    """Variable-symbol synthesis: out[x] = ifft2(spec * symbol_of(k),
+    norm="forward")[x] for each point x of the (N, N) key array, k = keys[x]
+    >= 0.
 
     The V side takes one inverse transform per distinct key.  A
     :class:`ScaledSymbol` takes the frequency side instead when its three
@@ -589,7 +591,7 @@ def domination_constant(m: MultiplierProfile, V: LinearizerField) -> float:
     lams = np.maximum(np.unique(V.values), 1e-300)
     best = 0.0
     for start in range(0, lams.size, n):
-        kernel = np.abs(np.fft.ifft(m(lams[start : start + n, None] * abs_freq), axis=1) * n)
+        kernel = np.abs(np.fft.ifft(m(lams[start : start + n, None] * abs_freq), axis=1, norm="forward"))
         # a_q = per-row sup of |kernel| outside the previous window
         a = [kernel.max(axis=1)] + [kernel[:, dist > h].max(axis=1) for h in half_widths[:-1]] + [0.0]
         c = 0.0

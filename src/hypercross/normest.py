@@ -65,11 +65,10 @@ class NormEstimate:
 
 
 def _image_ratio(image: SampledField, w: SampledField, p: float) -> float:
-    """lp_norm(image, p) / lp_norm(w, p) for image = T w; 0 for w = 0."""
-    denom = lp_norm(w, p)
-    if denom == 0.0:
-        return 0.0
-    return lp_norm(image, p) / denom
+    """lp_norm(image, p) / lp_norm(w, p) for image = T w.  Every witness
+    passed here is nonzero: the L2 witness is a unit combination of
+    orthonormal fields, and each ascent iterate has unit mean square."""
+    return lp_norm(image, p) / lp_norm(w, p)
 
 
 def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -179,7 +178,7 @@ def lp_norm_ascent(
             g = image.samples.real
             norm_g = float(np.mean(np.abs(g) ** p) ** (1 / p))
             norm_f = float(np.mean(np.abs(f) ** p) ** (1 / p))
-            if norm_g == 0.0 or norm_f == 0.0:
+            if norm_g == 0.0:
                 break
             top = op.adjoint(SampledField(op.n_log2, _dual_direction(g, p, norm_g))).samples.real
             grad = (top - (norm_g / norm_f) * _dual_direction(f, p, norm_f)) / norm_f

@@ -320,6 +320,23 @@ def test_lemma_and_error_match_a_field_side_oracle(beta):
         assert np.abs(out.samples - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.0, 0.5, -1.0])
+def test_principal_matches_a_field_side_oracle(beta):
+    # T - S - E on mean-zero fields cannot see a principal cutoff that errs
+    # alike in S and E, so S is checked against the ladder pairs below
+    # eps / vtilde(V) directly, on criterion 4's lip_x field, which spans
+    # 4 rounded scales at N = 16
+    m = mu.make_bump_profile(0.5)
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 2.0**-7, "amplitude": 0.1}, 12, 4)
+    assert np.unique(lin.dyadic_round_up(V.values)).size == 4
+    family = de.make_lp_family(beta, 4)
+    f = g.random_field(4, 21)
+    ref = _field_side(f, V, lambda v: de._below_symbol(family, m.epsilon / lin.dyadic_round_up(v)))
+    out = de.principal_term(f, V, family, m).samples
+    assert np.abs(ref).max() > 0.0
+    assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_all_terms_vanish_on_zero_field(fam):
     m = mu.make_bump_profile(0.5)
     zero = g.SampledField(6, np.zeros((64, 64)))

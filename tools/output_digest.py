@@ -28,7 +28,11 @@ A three-valued V with a zero band (the group of key 0) digests the apply
 and adjoint only, since the decomposition terms need V > 0.  The lemma and
 error terms are digested at N = 64 too, on a lip_2d field with floor 1/4
 at beta 1 and -1 and bump eps 1/2 and 1: there the frequency side drops
-dead h groups (V_min h >= R) and merges flat ones (V_max h <= eps).  A plateau
+dead h groups (V_min h >= R) and merges flat ones (V_max h <= eps).  The
+principal, error and small-variation terms are digested at N = 64 on a
+lip_x field (v_min 2**-7, amplitude 0.1, seed 12) at the same betas and
+widths: its values span 4 rounded scales, each a group of the rounding
+terms' keys, where the lip_2d field spans one.  A plateau
 apply per field and beta, ``domination_constant`` (as ``float.hex``) per
 field and eps, ``smoothness_constant`` (as ``float.hex``) of each bump eps
 and of the plateau profile (0.75, 1.5), ``MultiplierProfile.derivative`` at
@@ -121,6 +125,7 @@ ZERO_BAND_LEVELS = (0.0, 0.4, 0.9)  # rows in quarters: 1/4, 1/2, 1/4
 BANDED_N_LOG2 = 6
 BANDED_FIELD = {"lip_constant": 0.5, "floor": 0.25}  # lip_2d: both bands bite at beta 1 and -1
 BANDED_BETAS = (1.0, -1.0)
+ROUNDED_FIELD = {"lip_constant": 1.0, "v_min": 2.0**-7, "amplitude": 0.1}  # lip_x, seed 12: 4 rounded scales at N = 64
 BETAS = (1.0, 0.0, -1.0, 0.5)
 LADDER_N_LOG2S = (3, 4, 5, 6, 7, 8)
 LADDER_BETAS = (1.0, -1.0, 0.0, 0.5, 1.5, -0.75)
@@ -246,12 +251,16 @@ def library_digests():
     n = 1 << BANDED_N_LOG2
     f = gr.random_field(BANDED_N_LOG2, 50 + BANDED_N_LOG2)
     V = lin.generate_linearizer("lip_2d", BANDED_FIELD, 11, BANDED_N_LOG2)
+    rounded = lin.generate_linearizer("lip_x", ROUNDED_FIELD, 12, BANDED_N_LOG2)
+    assert np.unique(lin.dyadic_round_up(rounded.values)).size == 4
     for beta in BANDED_BETAS:
         family = de.make_lp_family(beta, BANDED_N_LOG2)
         for eps in EPSILONS:
             m = mu.make_bump_profile(eps)
             yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} lemma", _digest(de.lemma_operator(f, V, m, beta).samples)
             yield f"N={n} lip_2d floor=0.25 eps={eps} beta={beta} error", _digest(de.error_term(f, V, family, m).samples)
+            for term in (de.principal_term, de.error_term, de.small_variation_error):
+                yield f"N={n} lip_x v_min=2**-7 eps={eps} beta={beta} {term.__name__}", _digest(term(f, rounded, family, m).samples)
 
 
 def _digest_or_error(build) -> str:
