@@ -194,8 +194,6 @@ def _build_linearizer(ctx: RunContext) -> tuple[lin.LinearizerField, dict]:
 
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     denom = math.sqrt(float(np.mean(np.abs(a) ** 2)))
-    if denom == 0.0:
-        return 0.0
     return math.sqrt(float(np.mean(np.abs(a - b) ** 2))) / denom
 
 

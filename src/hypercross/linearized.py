@@ -140,14 +140,9 @@ def _adjacent_max_diff(values: np.ndarray, axis: int) -> float:
     return float(np.abs(np.roll(values, -1, axis=axis) - values).max())
 
 
-def _two_axis_lipschitz_noise(n_log2: int, rng: np.random.Generator, params: dict, lip: float, floor: float) -> np.ndarray:
-    """floor + band-limited noise scaled so each grid step along either axis
-    changes it by at most 0.95 lip / (N sqrt(2)): axis-step control implies
-    euclidean control up to sqrt(2) via l1 paths."""
-    w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
-    measured = max(_adjacent_max_diff(w, axis=0), _adjacent_max_diff(w, axis=1)) * (1 << n_log2)
-    scale = 0.95 * lip / (measured * math.sqrt(2.0))
-    return floor + scale * (w - w.min())
+# the axis a one-variable class bounds: its noise is scaled along it, and its
+# pair rule takes the neighbours along it
+_AXIS = {"lip_x": 0, "lip_y": 1, "staircase_x": 0}
 
 
 # the parameters each linearizer kind reads, with their types; a key has one
@@ -165,8 +160,16 @@ _LINEARIZER_KEYS = {
 def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> LinearizerField:
     """Deterministic pseudo-random field satisfying the declared regularity.
 
-    Noise fields are band-limited trigonometric polynomials (hence periodic)
-    rescaled so the measured grid constants hold with >= 5% margin.
+    'lip_x', 'lip_y', 'lip_2d' and 'dyadic_of_lipschitz' follow one noise
+    rule: a band-limited trigonometric polynomial (hence periodic), shifted
+    to start at the floor (v_min, or the floor of 'lip_2d') and scaled so
+    each step along a bounded axis, the wrap-around step included, is at
+    most 0.95 lip / (N sqrt(k)).  'lip_x' and 'lip_y' bound their one axis
+    (k = 1); the other two bound both (k = 2, since axis-step control
+    implies euclidean control up to sqrt(2) via l1 paths), and
+    'dyadic_of_lipschitz' then takes the dyadic floor.  The amplitude caps
+    the spread of 'lip_x' and 'lip_y', and scales alone a draw that does not
+    vary along its axis.
     'constant' takes value (default 1), >= 0.  Every other kind takes
     lip_constant (default 1), finite and > 0; the kinds with a v_min take it
     finite and >= 0 (default 1/2), and those with a band or levels take it
@@ -199,54 +202,48 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         if params.get(key, 1) < 1:
             raise ValueError(f"linearizer kind {kind!r} needs {key} >= 1, got {params[key]}")
 
-    if kind in ("lip_x", "lip_y"):
-        w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
-        axis = 0 if kind == "lip_x" else 1
-        measured = _adjacent_max_diff(w, axis=axis) * n
-        amplitude = params.get("amplitude")
-        if measured > 0:
-            scale = 0.95 * lip / measured
-            if amplitude is not None:
-                scale = min(scale, scale * amplitude / (np.ptp(w) * scale))
-        elif amplitude is not None:  # no variation along the axis, so no Lipschitz limit on the scale
-            scale = amplitude / np.ptp(w)
-        else:
-            raise ValueError(f"{kind} noise for seed {seed} does not vary along its axis; give an amplitude")
-        v = v_min + scale * (w - w.min())
-        return LinearizerField(n_log2, v, Regularity(kind, lip=lip, floor=v_min), seed)
+    if kind == "staircase_x":
+        # reflecting +-1 random walks quantized to steps of size 0.9 lip/N,
+        # each a half-length walk followed by its mirror image, so it closes
+        # on the torus.  Every step, the seam included, is 0 or one step, so
+        # the Lipschitz constant is met with margin while the number of
+        # distinct values stays small.
+        levels = params.get("levels", max(8, n // 2))
+        step = 0.9 * lip / n
 
-    if kind == "lip_2d":
-        floor = params.get("floor", lip * lip)
-        if floor < lip * lip:
-            raise ValueError(f"floor {floor} below lip_constant**2 = {lip * lip}")
-        v = _two_axis_lipschitz_noise(n_log2, rng, params, lip, floor)
-        return LinearizerField(n_log2, v, Regularity("lip_2d", lip=lip, floor=floor), seed)
+        def walk() -> np.ndarray:
+            half = np.empty(n // 2, dtype=np.int64)
+            cur = int(rng.integers(0, levels))
+            for i in range(n // 2):
+                half[i] = cur
+                move = int(rng.integers(-1, 2))
+                cur = min(max(cur + move, 0), levels - 1)
+            return np.concatenate([half, half[::-1]])
 
+        v = v_min + step * (walk()[:, None] + walk()[None, :])
+        return LinearizerField(n_log2, v, Regularity("staircase_x", lip=lip, floor=v_min), seed)
+
+    floor = params.get("floor", lip * lip) if kind == "lip_2d" else v_min
+    if kind == "lip_2d" and floor < lip * lip:
+        raise ValueError(f"floor {floor} below lip_constant**2 = {lip * lip}")
+    if kind == "dyadic_of_lipschitz" and v_min <= 0:
+        raise ValueError("dyadic_of_lipschitz needs v_min > 0")
+    axes = (_AXIS[kind],) if kind in _AXIS else (0, 1)
+    w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
+    measured = max(_adjacent_max_diff(w, axis=axis) for axis in axes) * n
+    amplitude = params.get("amplitude")
+    if measured > 0:
+        scale = 0.95 * lip / (measured * math.sqrt(len(axes)))
+        if amplitude is not None:  # amplitude / ptp(w) alone would round differently
+            scale = min(scale, scale * amplitude / (np.ptp(w) * scale))
+    elif amplitude is not None:  # no variation along the axis, so no Lipschitz limit on the scale
+        scale = amplitude / np.ptp(w)
+    else:
+        raise ValueError(f"{kind} noise for seed {seed} does not vary along its axis; give an amplitude")
+    v = floor + scale * (w - w.min())
     if kind == "dyadic_of_lipschitz":
-        if v_min <= 0:
-            raise ValueError("dyadic_of_lipschitz needs v_min > 0")
-        v = _two_axis_lipschitz_noise(n_log2, rng, params, lip, v_min)
-        return LinearizerField(n_log2, dyadic_floor(v), Regularity("dyadic_of_lipschitz", lip=lip), seed)
-
-    # staircase_x: reflecting +-1 random walks quantized to steps of size
-    # 0.9 lip/N, each a half-length walk followed by its mirror image, so it
-    # closes on the torus.  Every step, the seam included, is 0 or one step,
-    # so the Lipschitz constant is met with margin while the number of
-    # distinct values stays small.
-    levels = params.get("levels", max(8, n // 2))
-    step = 0.9 * lip / n
-
-    def walk() -> np.ndarray:
-        half = np.empty(n // 2, dtype=np.int64)
-        cur = int(rng.integers(0, levels))
-        for i in range(n // 2):
-            half[i] = cur
-            move = int(rng.integers(-1, 2))
-            cur = min(max(cur + move, 0), levels - 1)
-        return np.concatenate([half, half[::-1]])
-
-    v = v_min + step * (walk()[:, None] + walk()[None, :])
-    return LinearizerField(n_log2, v, Regularity("staircase_x", lip=lip, floor=v_min), seed)
+        return LinearizerField(n_log2, dyadic_floor(v), Regularity(kind, lip=lip), seed)
+    return LinearizerField(n_log2, v, Regularity(kind, lip=lip, floor=floor), seed)
 
 
 @dataclass(frozen=True)
@@ -286,8 +283,8 @@ def _neighbour_pairs(n: int, axis: int, wrap: bool):
 def _pair_rule(kind: str, n: int, lip: float, seed: int):
     """The point pairs (a, b) of a regularity class, their distances, and the
     ratio of (V(a), V(b), distance) that must stay <= 1 on every pair."""
-    if kind in ("lip_x", "lip_y", "staircase_x"):
-        pairs = _neighbour_pairs(n, 1 if kind == "lip_y" else 0, wrap=False)
+    if kind in _AXIS:
+        pairs = _neighbour_pairs(n, _AXIS[kind], wrap=False)
         return (*pairs, lambda va, vb, dist: np.abs(va - vb) / (lip * dist))
     if kind == "lip_2d":
         triples = (_neighbour_pairs(n, 0, wrap=True), _neighbour_pairs(n, 1, wrap=True), _random_pairs(n, seed))

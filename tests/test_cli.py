@@ -2,6 +2,8 @@ import dataclasses
 import filecmp
 import json
 import math
+import runpy
+import sys
 import warnings
 
 import numpy as np
@@ -108,6 +110,19 @@ def test_verify_constant_config_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+def test_module_entry_exits_with_the_status_of_main(tmp_path, monkeypatch, capsys):
+    # python -m hypercross.cli runs the module afresh as __main__; dropping
+    # the imported copy keeps runpy from warning about it
+    cfg = _write(tmp_path, "v.ini", "[run]\ngrid_n_log2 = 3\n\n[linearizer]\nkind = constant\nvalue = 0.5\n")
+    monkeypatch.delitem(sys.modules, "hypercross.cli")
+    monkeypatch.setattr(sys, "argv", ["hypercross", "verify", "--config", cfg, "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("hypercross.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
 
 
 def test_sweep_writes_csv(tmp_path):

@@ -37,6 +37,25 @@ def test_generated_lip_x_passes_checker():
     assert rep.worst_ratio <= 0.96  # 5% margin by construction
 
 
+@pytest.mark.parametrize("kind, axes", [("lip_x", (0,)), ("lip_y", (1,)), ("lip_2d", (0, 1))])
+@pytest.mark.parametrize("n_log2", [3, 4, 5, 6])
+def test_noise_kinds_meet_their_step_bound_with_five_percent_margin(kind, axes, n_log2):
+    # the largest step along the bounded axes, the wrap-around step
+    # included, is 0.95 lip / (N sqrt(k)) for k bounded axes
+    lip = 0.7
+    for seed in range(10):
+        values = lin.generate_linearizer(kind, {"lip_constant": lip}, seed, n_log2).values
+        step = max(np.abs(np.roll(values, -1, axis=axis) - values).max() for axis in axes)
+        assert step * (1 << n_log2) == pytest.approx(0.95 * lip / math.sqrt(len(axes)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_log2", [3, 4, 5, 6])
+def test_amplitude_caps_the_spread_of_lip_x(n_log2):
+    for seed in range(10):
+        V = lin.generate_linearizer("lip_x", {"amplitude": 0.1}, seed, n_log2)
+        assert np.ptp(V.values) == pytest.approx(0.1, rel=1e-12)
+
+
 def test_exact_linear_field_ratio_one():
     n = 32
     x = np.arange(n) / n

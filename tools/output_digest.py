@@ -62,13 +62,19 @@ six of ``generate_linearizer`` and the two dyadic-metric generators) at
 seeds 0, 1 and 2: ``verify_lipschitz`` at N = 8 to 64 in the five classes
 lip_x, lip_y, lip_2d, dyadic_of_lipschitz and staircase_x (passed, the
 worst ratio as ``float.hex``, and the witness as ints when the worst ratio
-is positive), and at N = 16 to 64 the two dyadic-metric block counts and
+is positive), the field itself (its values with the repr of its
+``Regularity``), and at N = 16 to 64 the two dyadic-metric block counts and
 the ``check_selection_stability`` record, on the dyadic-metric fields and
 on copies scaled by 1/4 with one x-row raised to 1.  The values of the
 first-variable dyadic-metric field at N = 64, seeds 0, 1 and 2, are digested
 at L = nextafter(2**-2, 0) too, where a log2 that rounds would pick powers
 of two above the bound, and the values of the 2D dyadic-metric field at
-N = 64, seeds 0, 1 and 2, at L = 0.07, 1/8 and 0.3.
+N = 64, seeds 0, 1 and 2, at L = 0.07, 1/8 and 0.3.  The generator is
+pinned on two more fields with their regularity: the amplitude-capped lip_x
+field above (v_min 2**-7, amplitude 0.1) at N = 8 to 64 and seeds 0, 1 and
+2, where the cap binds, and the lip_y draw of seed 2096991651 at N = 64 with
+amplitude 0.3, which does not vary along its axis, so the amplitude alone
+scales it.
 
 The Lp ascent is digested at p = 1.5 and 3 (2 restarts, 10 iterations,
 bump eps 1/2, beta 1) on the lip_x and staircase_x fields at N = 8 and 16:
@@ -139,6 +145,7 @@ LIPSCHITZ_FIELDS = {
     "constant": {"value": 0.5},
     "lip_y": {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0},
 }
+FLAT_LIP_Y = (2096991651, 6, {"amplitude": 0.3})  # seed, n_log2, params: the draw does not vary along y
 LIPSCHITZ_MODES = ("lip_x", "lip_y", "lip_2d", "dyadic_of_lipschitz", "staircase_x")
 DYADIC_N_LOG2S = (4, 5, 6)
 DYADIC_METRICS = {
@@ -324,11 +331,20 @@ def _generated_fields(n_log2: int, seed: int):
         yield f"dyadic_{name}", generate(L, n_log2, seed)
 
 
+def _field_digest(V: lin.LinearizerField) -> str:
+    """The digest of a field's values together with its regularity."""
+    return _digest(f"{_digest(V.values)} {V.regularity!r}")
+
+
 def hypothesis_digests():
-    """(name, sha256) for the regularity and dyadic-metric checks."""
+    """(name, sha256) for the generated fields and the regularity and
+    dyadic-metric checks."""
     for n_log2 in LIPSCHITZ_N_LOG2S:
         for seed in HYPOTHESIS_SEEDS:
+            rounded = lin.generate_linearizer("lip_x", ROUNDED_FIELD, seed, n_log2)
+            yield f"N={1 << n_log2} lip_x v_min=2**-7 seed={seed} field", _field_digest(rounded)
             for kind, V in _generated_fields(n_log2, seed):
+                yield f"N={1 << n_log2} {kind} seed={seed} field", _field_digest(V)
                 for mode in LIPSCHITZ_MODES:
                     rep = lin.verify_lipschitz(V, lin.Regularity(mode, lip=V.regularity.lip), seed)
                     witness = None
@@ -336,6 +352,10 @@ def hypothesis_digests():
                         witness = [[int(t) for t in point] for point in rep.witness]
                     text = f"{rep.passed} {rep.worst_ratio.hex()} {witness}"
                     yield f"N={1 << n_log2} {kind} seed={seed} verify_lipschitz {mode}", _digest(text)
+    seed, n_log2, params = FLAT_LIP_Y
+    flat = lin.generate_linearizer("lip_y", params, seed, n_log2)
+    assert lin._adjacent_max_diff(flat.values, axis=1) == 0.0
+    yield f"N={1 << n_log2} lip_y amplitude=0.3 seed={seed} field", _field_digest(flat)
     for n_log2 in DYADIC_N_LOG2S:
         for seed in HYPOTHESIS_SEEDS:
             for name, (generate, L, variant) in DYADIC_METRICS.items():

@@ -9,10 +9,13 @@ From ``pytest_configure`` to the end of the session it traces every thread
 (``sys.settrace`` and ``threading.settrace``), recording the lines run in
 frames whose code lies in ``src/hypercross``.  It then prints each statement
 of the package none of whose lines ran, as ``path:line: source``, and their
-count.  A statement's lines are the lines the compiler gives its bytecode,
-less those of any statement nested in it; a function's prologue (the
-instructions up to its ``RESUME``, attributed to the ``def`` line) is not a
-line of its body.  Tracing slows the run by about half.
+count.  The session then exits 1 when the count is not 0 and every test
+passed (a run with failures keeps its own status), so the whole suite is a
+gate on untested statements; a run of part of the suite fails it too.  A
+statement's lines are the lines the compiler gives its bytecode, less those
+of any statement nested in it; a function's prologue (the instructions up to
+its ``RESUME``, attributed to the ``def`` line) is not a line of its body.
+Tracing slows the run by about half.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercross"
 
 _ran: dict[str, set[int]] = {}
 _traced: dict[str, bool] = {}
+_missing: list[tuple[Path, int, str]] = []
 
 
 def _record(frame, event, arg):
@@ -101,11 +105,13 @@ def pytest_configure(config):
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     threading.settrace(None)
+    _missing[:] = untested_statements()
+    if _missing and session.exitstatus == 0:
+        session.exitstatus = 1
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    missing = untested_statements()
     terminalreporter.section("untested statements")
-    for path, line, text in missing:
+    for path, line, text in _missing:
         terminalreporter.write_line(f"{path.relative_to(PACKAGE.parents[1])}:{line}: {text}")
-    terminalreporter.write_line(f"{len(missing)} statements of {PACKAGE.name} never ran")
+    terminalreporter.write_line(f"{len(_missing)} statements of {PACKAGE.name} never ran")
