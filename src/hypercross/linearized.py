@@ -46,13 +46,17 @@ built by one np.unique and one stable argsort.  A plan, :class:`_Plan`, is
 made once per key array and symbol: it groups the keys, bands the live
 frequencies of the symbol's support by h (every flat h as the value 0), and
 keeps the keys with the groups of the side it takes.
-Either side takes its groups in stacks of max(1, 2**13 // N^2), each a
-contiguous slice of the grouping, with one FFT call over the last two axes
-and one factor call per stack, because at the grid sizes of the battery a
-call costs more than its arithmetic.  Each
-group is still picked or added on its own, in group order, so the result
-does not depend on the stack size.  A stack holds at most max(N^2, 2**13)
-entries, so memory stays O(N^2): no (groups, N, N) array is formed.
+The kernel takes one grid or a stack of B grids shaped (..., N, N); each
+stack of groups runs on all B grids at once.  Either side takes its groups
+in stacks of max(1, 2**13 // (B N^2)), each a contiguous slice of the
+grouping, with one FFT call over the last two axes and one factor call per
+stack, because at the grid sizes of the battery a call costs more than its
+arithmetic.  Each group is still picked or added on its own, in group order,
+so the result does not depend on the stack size, and each grid of a stack
+comes out with the bits of its own call.  A stack of groups holds at most
+max(B N^2, 2**13) entries, within max(N^2, 2**13) for the stacks of at most
+max(1, 2**13 // N^2) grids that the package passes, so memory stays O(N^2):
+no (groups, N, N) array is formed.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import numpy as np
 from .grid import (
     GridMismatchError,
     SampledField,
+    _finite,
     _grid_array,
     forward_transform,
     frequencies,
@@ -359,8 +364,9 @@ def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
 
 
 def _check_grid(plan: _Plan, arr: np.ndarray) -> None:
-    """Raise GridMismatchError unless arr lives on the grid of the plan's keys."""
-    if np.shape(arr) != np.shape(plan.keys):
+    """Raise GridMismatchError unless arr, a grid or a stack of grids, lives
+    on the grid of the plan's keys: its last two axes are theirs."""
+    if np.shape(arr)[-2:] != np.shape(plan.keys):
         raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {np.shape(plan.keys)}")
 
 
@@ -387,10 +393,12 @@ class ScaledSymbol:
 _STACK = 1 << 13
 
 
-def _stacks(groups: _Groups, size: int):
-    """Consecutive runs of at most max(1, _STACK // size) groups, each as
-    (its values, its slice of the grouping, the flat index of its start)."""
-    step = max(1, _STACK // size)
+def _stacks(groups: _Groups, shape: tuple):
+    """Consecutive runs of at most max(1, _STACK // (B N^2)) groups for a stack
+    of B grids shaped (..., N, N), each as (its values, its slice of the
+    grouping, the flat index of its start)."""
+    size = shape[-2] * shape[-1]
+    step = max(1, _STACK // math.prod(shape))
     lo = 0
     for first in range(0, groups.values.size, step):
         hi = int(groups.flat.searchsorted((first + step) * size))
@@ -399,26 +407,29 @@ def _stacks(groups: _Groups, size: int):
 
 
 def _pick(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
-    """out[x] = transform(arr * factor(v))[x] for each position x of the
-    group of value v, where factors(values) stacks the factors of a stack of
-    values."""
-    out = np.zeros(arr.size, dtype=np.complex128)
-    for values, part, start in _stacks(groups, arr.size):
-        picked = transform(arr * factors(values)).reshape(-1)
-        out[groups.positions[part]] = picked[groups.flat[part] - start]
+    """out[..., x] = transform(arr * factor(v))[..., x] for each position x
+    of the group of value v, on every grid of a stack shaped (..., N, N),
+    where factors(values) stacks the factors of a stack of values."""
+    size = arr.shape[-2] * arr.shape[-1]
+    out = np.zeros((arr.size // size, size), dtype=np.complex128)
+    for values, part, start in _stacks(groups, arr.shape):
+        picked = transform(arr[..., None, :, :] * factors(values)).reshape(out.shape[0], -1)
+        out[:, groups.positions[part]] = picked[:, groups.flat[part] - start]
     return out.reshape(arr.shape)
 
 
 def _spread(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
-    """Sum over the groups of transform(arr restricted to the group) * factor,
-    with factors as in :func:`_pick`; the terms are added in group order."""
-    flat = np.asarray(arr, dtype=np.complex128).ravel()
-    out = np.zeros(np.shape(arr), dtype=np.complex128)
-    for values, part, start in _stacks(groups, flat.size):
-        restricted = np.zeros(values.size * flat.size, dtype=np.complex128)
-        restricted[groups.flat[part] - start] = flat[groups.positions[part]]
-        for term in transform(restricted.reshape((values.size,) + out.shape)) * factors(values):
-            out += term
+    """Sum over the groups of transform(arr restricted to the group) * factor
+    on every grid of a stack shaped (..., N, N), with factors as in
+    :func:`_pick`; the terms are added in group order."""
+    rows = np.asarray(arr, dtype=np.complex128).reshape(-1, arr.shape[-2] * arr.shape[-1])
+    out = np.zeros(arr.shape, dtype=np.complex128)
+    for values, part, start in _stacks(groups, arr.shape):
+        restricted = np.zeros((rows.shape[0], values.size * rows.shape[1]), dtype=np.complex128)
+        restricted[:, groups.flat[part] - start] = rows[:, groups.positions[part]]
+        terms = transform(restricted.reshape(arr.shape[:-2] + (values.size,) + arr.shape[-2:])) * factors(values)
+        for k in range(values.size):
+            out += terms[..., k, :, :]
     return out
 
 
@@ -483,7 +494,8 @@ def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:
 def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
     """Variable-symbol synthesis: out[x] = ifft2(spec * symbol_of(k),
     norm="forward")[x] for each point x of the (N, N) key array, k = keys[x]
-    >= 0.
+    >= 0.  spec is one spectrum or a stack of them shaped (..., N, N), each
+    synthesized as it would be alone.
 
     The V side takes one inverse transform per distinct key.  A
     :class:`ScaledSymbol` takes the frequency side instead when its three
@@ -495,10 +507,12 @@ def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
     m(key(x) * h) at every point.  The module docstring shows why the bands
     are exact; the merge only reassociates the flat terms' sum.
 
-    Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call, with one
-    factor call per stack (symbol_of on the stack's keys, or m on a stack of
-    h); each group is then picked or added in turn, in key or h order.  A
-    stack holds at most max(N^2, 2**13) entries.  So symbol_of is called with
+    Groups go in stacks of max(1, 2**13 // (B N^2)) per ifft2 call, for a
+    stack of B spectra (B = 1 for one), with one factor call per stack
+    (symbol_of on the stack's keys, or m on a stack of h); each group is
+    then picked or added in turn, in key or h order.  A stack holds at most
+    max(B N^2, 2**13) entries, so at most max(N^2, 2**13) for B <= max(1,
+    2**13 // N^2).  So symbol_of is called with
     the keys of a stack as a (g, 1, 1) array and returns the (g, N, N)
     symbols, one per key; numpy broadcasting gives this to any symbol built
     from key by elementwise arithmetic on (N, N) grids, a
@@ -510,7 +524,8 @@ def _scatter(g: np.ndarray, plan: _Plan) -> np.ndarray:
     """Exact adjoint of :func:`gather` for real symbols, in the unweighted
     inner products: sum over the distinct keys k of symbol_of(k) *
     fft2(g on the points with key k), with the plan :func:`_plan` makes of
-    the keys and the symbol.
+    the keys and the symbol, on one grid g or on each grid of a stack shaped
+    (..., N, N).
 
     The side, the bands and the stacks follow :func:`gather`.  On the
     frequency side each transition h takes fft2(g * m(key * h)) on its
@@ -541,11 +556,28 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
 
 @dataclass(frozen=True)
 class LinearOperatorHandle:
-    """A grid-linear operator with an explicit adjoint."""
+    """A grid-linear operator with an explicit adjoint.
+
+    apply_stack maps a stack of samples shaped (B, N, N) to the (B, N, N)
+    stack of their images under apply.  It keeps the grid contract of
+    :class:`SampledField` on the stack: the last two axes are (N, N) and
+    every entry of the input and of the output is finite, or it raises
+    ValueError (GridMismatchError from the linearized handle when the axes
+    differ).  A handle built without apply_stack gets the loop of apply over
+    the B grids.  dataclasses.replace keeps apply_stack, so replace apply
+    and apply_stack together."""
 
     n_log2: int
     apply: callable
     adjoint: callable
+    apply_stack: callable = None
+
+    def __post_init__(self) -> None:
+        if self.apply_stack is None:
+            object.__setattr__(self, "apply_stack", self._apply_each)
+
+    def _apply_each(self, samples: np.ndarray) -> np.ndarray:
+        return np.stack([self.apply(SampledField(self.n_log2, grid)).samples for grid in samples])
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
@@ -553,16 +585,23 @@ def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -
     with the symbol m(V h) weighted by the Pi_beta mask; the adjoint is the
     matching :func:`_scatter`.  The handle keeps one :func:`_plan`: it groups
     V, bands h, and picks the side once, at construction, so an apply or
-    adjoint sorts nothing.  Key 0 gives the m(0) symbol."""
+    adjoint sorts nothing.  apply_stack runs the kernel once on the whole
+    stack (one fft2, then one gather), and apply is apply_stack on one grid.
+    Key 0 gives the m(0) symbol."""
     plan = _plan(V.values, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
 
+    def apply_stack(samples: np.ndarray) -> np.ndarray:
+        _check_grid(plan, samples)
+        spec = np.fft.fft2(_finite(np.asarray(samples, dtype=np.complex128)), norm="forward")
+        return _finite(_gather(spec, plan))
+
     def apply(f: SampledField) -> SampledField:
-        return SampledField(f.n_log2, _gather(forward_transform(f).coeffs, plan))
+        return SampledField(f.n_log2, apply_stack(f.samples))
 
     def adjoint(g: SampledField) -> SampledField:
         return SampledField(g.n_log2, np.fft.ifft2(_scatter(g.samples, plan)))
 
-    return LinearOperatorHandle(V.n_log2, apply, adjoint)
+    return LinearOperatorHandle(V.n_log2, apply, adjoint, apply_stack)
 
 
 def apply_linearized_bucketed(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:

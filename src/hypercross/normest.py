@@ -1,6 +1,8 @@
 """Operator-norm estimation: the L2 norm by Golub-Kahan-Lanczos
 bidiagonalization, the Lp ascent, the bump-width sweep, and a dense SVD oracle
-for small grids.
+for small grids.  The oracle's matrix is the image of the N^2 basis fields,
+taken through the handle's ``apply_stack`` in chunks of max(1, 2**13 // N^2)
+fields: one stacked kernel pass per chunk for the linearized operator.
 
 Estimates are certified lower bounds: every reported value is re-derivable as
 lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  The L2 estimator
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SampledField, apply_fixed_multiplier, lp_norm
-from .linearized import LinearOperatorHandle, generate_linearizer, linearized_operator
+from .linearized import _STACK, LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
@@ -40,13 +42,17 @@ def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
-    """Column-by-column materialization (basis fields); small grids only."""
+    """The N^2 x N^2 matrix of op, column k the image of the k-th basis field
+    (1 at flat index k, 0 elsewhere); small grids only.  The basis goes
+    through op.apply_stack in chunks of max(1, 2**13 // N^2) fields, so
+    beyond the matrix no array holds more than one chunk of fields."""
     n = 1 << op.n_log2
-    cols = np.empty((n * n, n * n), dtype=np.complex128)
-    for idx in range(n * n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[idx // n, idx % n] = 1.0
-        cols[:, idx] = op.apply(SampledField(op.n_log2, e)).samples.ravel()
+    size = n * n
+    step = max(1, _STACK // size)
+    cols = np.empty((size, size), dtype=np.complex128)
+    for first in range(0, size, step):
+        basis = np.eye(min(step, size - first), size, first, dtype=np.complex128)
+        cols[:, first : first + step] = op.apply_stack(basis.reshape(-1, n, n)).reshape(-1, size).T
     return cols
 
 

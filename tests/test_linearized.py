@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -614,6 +615,152 @@ def test_outputs_do_not_depend_on_the_stack_size(monkeypatch, beta, kind):
         monkeypatch.setattr(lin, "_STACK", stack)
         outputs.append({name: run(f, V, fam, m, beta).samples.tobytes() for name, run in _STACK_INVARIANT_OUTPUTS.items()})
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# (V, beta, whether the plan takes the V side) at N = 8: the zero band and a
+# staircase take the V side, a lip_x field the frequency side
+_STACKED_CASES = {
+    "zero_band beta=1": (lambda: _three_valued(3, low=0.0), 1.0, True),
+    "staircase_x beta=-1": (lambda: lin.generate_linearizer("staircase_x", {}, 4, 3).values, -1.0, True),
+    "lip_x beta=1": (lambda: lin.generate_linearizer("lip_x", _LIP_X, 0, 3).values, 1.0, False),
+    "lip_x beta=-1": (lambda: lin.generate_linearizer("lip_x", _LIP_X, 0, 3).values, -1.0, False),
+}
+
+
+def _stacked_plan(case):
+    make_keys, beta, by_key = _STACKED_CASES[case]
+    keys = make_keys()
+    symbol = lin.ScaledSymbol(mu.make_bump_profile(0.5), mu.hyperbolic_argument(3, beta), mu.pi_beta_mask(beta, 3).values)
+    plan = lin._plan(keys, symbol)
+    assert (plan.weight is None) == by_key
+    return plan, keys, symbol
+
+
+def _complex_stack(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("stack_size", [lin._STACK, 1])
+@pytest.mark.parametrize("lead", [(2, 3), (1,)])
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+def test_stacked_kernel_matches_the_per_grid_calls_bit_for_bit(monkeypatch, case, lead, stack_size):
+    # a stack of grids shaped (..., N, N) goes through one kernel call; each
+    # of its grids comes out with the bits of its own call.  A stack size of
+    # 1 puts one group in each stack, so a call runs several stacks.
+    monkeypatch.setattr(lin, "_STACK", stack_size)
+    plan, keys, symbol = _stacked_plan(case)
+    stack = _complex_stack(lead + (8, 8), 7)
+    for kernel in (lin._gather, lin._scatter):
+        out = kernel(stack, plan)
+        assert out.shape == stack.shape
+        for index in np.ndindex(*lead):
+            assert out[index].tobytes() == kernel(stack[index], plan).tobytes()
+    assert lin.gather(stack, keys, symbol).tobytes() == lin._gather(stack, plan).tobytes()
+
+
+def _stack_handles():
+    """The linearized handle at N = 8 and a handle with the same apply that
+    takes the default loop for its stacks."""
+    op = lin.linearized_operator(lin.generate_linearizer("lip_x", _LIP_X, 0, 3), mu.make_bump_profile(0.5), 1.0)
+    return {"linearized": op, "loop": lin.LinearOperatorHandle(3, op.apply, op.adjoint)}
+
+
+@pytest.mark.parametrize("shape", [(2, 8, 16), (2, 16, 8), (3, 16, 16), (8,)])
+def test_stacked_kernel_rejects_a_stack_on_another_grid(shape):
+    plan = _stacked_plan("lip_x beta=1")[0]
+    op = _stack_handles()["linearized"]
+    for run in (lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan), op.apply_stack):
+        with pytest.raises(g.GridMismatchError):
+            run(np.zeros(shape, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("handle", ["linearized", "loop"])
+def test_apply_stack_is_apply_on_each_grid(handle):
+    op = _stack_handles()[handle]
+    stack = _complex_stack((5, 8, 8), 3)
+    out = op.apply_stack(stack)
+    assert out.shape == (5, 8, 8)
+    for k in range(5):
+        assert out[k].tobytes() == op.apply(g.SampledField(3, stack[k])).samples.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0), (2, 3, 4), (4, 7, 7)])
+@pytest.mark.parametrize("handle", ["linearized", "loop"])
+def test_apply_stack_rejects_a_non_finite_entry(handle, where, bad):
+    stack = _complex_stack((5, 8, 8), 3)
+    stack[where] = bad
+    with pytest.raises(ValueError, match="grid array holds non-finite values"):
+        _stack_handles()[handle].apply_stack(stack)
+
+
+@pytest.mark.parametrize("handle", ["linearized", "loop"])
+def test_apply_stack_rejects_a_non_finite_image(handle):
+    # every entry finite, but the transform of the second grid overflows
+    stack = np.ones((2, 8, 8), dtype=np.complex128)
+    stack[1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="grid array holds non-finite values"):
+        _stack_handles()[handle].apply_stack(stack)
+
+
+@pytest.mark.parametrize("kind, beta", [("lip_x", 1.0), ("staircase_x", -1.0)])
+def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta):
+    # at N = 8 the 64 basis fields go through the handle's apply_stack as one
+    # chunk: one fft2 of all of them and one ifft2 per stack of groups, where
+    # the column loop ran 64 of each.  At N = 16 they go in chunks of
+    # 2**13 // N^2 fields, and neither a transform nor a profile call sees
+    # more than max(N^2, _STACK) entries.
+    m = mu.make_bump_profile(0.5)
+    shapes = {"fft2": [], "ifft2": [], "profile": [], "apply_stack": []}
+    originals = {"fft2": np.fft.fft2, "ifft2": np.fft.ifft2}
+    profile = mu.MultiplierProfile.__call__
+
+    def counted(name):
+        def wrapper(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return originals[name](a, *args, **kwargs)
+
+        return wrapper
+
+    def sized_profile(self, t):
+        shapes["profile"].append(np.shape(t))
+        return profile(self, t)
+
+    for n_log2 in (3, 4):
+        n = 1 << n_log2
+        V = lin.generate_linearizer(kind, _LIP_X if kind == "lip_x" else {}, 0, n_log2)
+        op = lin.linearized_operator(V, m, beta)
+        plan = lin._plan(V.values, lin.ScaledSymbol(m, mu.hyperbolic_argument(n_log2, beta), mu.pi_beta_mask(beta, n_log2).values))
+        groups = plan.groups.values.size
+        apply_stack = op.apply_stack
+
+        def recorded(samples):
+            shapes["apply_stack"].append(np.shape(samples))
+            return apply_stack(samples)
+
+        op = dataclasses.replace(op, apply_stack=recorded)
+        for name in shapes:
+            shapes[name].clear()
+        monkeypatch.setattr(np.fft, "fft2", counted("fft2"))
+        monkeypatch.setattr(np.fft, "ifft2", counted("ifft2"))
+        monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
+        dense = ne.dense_matrix(op)
+        monkeypatch.undo()
+        chunk = min(n**2, max(1, lin._STACK // n**2))
+        assert shapes["apply_stack"] == [(chunk, n, n)] * (n**2 // chunk)
+        assert shapes["fft2"] == [(chunk, n, n)] * (n**2 // chunk)
+        step = max(1, lin._STACK // (chunk * n**2))
+        assert len(shapes["ifft2"]) == (n**2 // chunk) * -(-groups // step)
+        assert len(shapes["profile"]) == len(shapes["ifft2"])
+        bound = max(n**2, lin._STACK)
+        assert max(math.prod(shape) for shape in shapes["fft2"] + shapes["ifft2"] + shapes["profile"]) <= bound
+        if n_log2 == 3:
+            assert (len(shapes["fft2"]), len(shapes["ifft2"])) == (1, -(-groups // 2))
+        k = 37  # a column against the apply of its basis field
+        e = np.zeros(n * n, dtype=np.complex128)
+        e[k] = 1.0
+        assert dense[:, k].tobytes() == op.apply(g.SampledField(n_log2, e.reshape(n, n))).samples.ravel().tobytes()
 
 
 def test_beta_zero_domination_by_first_variable_maximal():

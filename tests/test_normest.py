@@ -213,3 +213,18 @@ def test_sweep_away_from_p_2_runs_the_lp_ascent(monkeypatch):
 def test_sweep_needs_a_linearizer_kind():
     with pytest.raises(ValueError, match="names no linearizer kind"):
         ne.epsilon_sweep(2.0, 1.0, {"lip_constant": 1.0, "v_min": 0.125}, [1.0], 3, 0)
+
+
+@pytest.mark.parametrize("n_log2, rows", [(3, 10), (3, 60), (4, 37), (4, 100)])
+def test_orthogonalize_leaves_no_component_on_a_nearly_spanned_vector(n_log2, rows):
+    # x lies within 1e-10 of the span of the rows, so one projection pass
+    # leaves rounding of about 1e-16 |x| on the basis, 1e-6 of what remains;
+    # the second pass takes it to rounding of the remainder
+    size = 1 << 2 * n_log2
+    rng = np.random.default_rng(rows)
+    q, _ = np.linalg.qr(rng.standard_normal((size, rows)) + 1j * rng.standard_normal((size, rows)))
+    basis = q.T
+    x = (rng.standard_normal(rows) + 1j * rng.standard_normal(rows)) @ basis
+    x = x + 1e-10 * (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2 * size)
+    out = ne._orthogonalize(x, basis)
+    assert np.abs(basis.conj() @ out).max() <= 1e-12 * np.linalg.norm(out)

@@ -81,7 +81,9 @@ bump eps 1/2, beta 1) on the lip_x and staircase_x fields at N = 8 and 16:
 its value as ``float.hex``, iteration count, converged flag and witness.
 The L2 estimator is digested the same way on criterion 7's operators at
 N = 8: the lip_x fields at seeds 0 to 9 and the fixed multipliers at
-lambda 1/2, 1 and 2.
+lambda 1/2, 1 and 2.  The dense SVD oracle is digested on those operators
+and on the N = 8 operators of the grid (each field, beta and bump eps):
+``dense_operator_norm`` as ``float.hex`` with the sha256 of ``dense_matrix``.
 
 The structural outputs are digested at N = 16 and 32 on a random field: the
 Haar expansion at full depth and its inverse, the thm_4_1 model operator on
@@ -425,21 +427,41 @@ def structural_digests():
             yield f"N={n} {name}", _digest(out.samples)
 
 
-def l2_digests():
-    """(name, sha256) for the L2 estimator on criterion 7's operators at
-    N = 8: value (as ``float.hex``), iteration count, converged flag and
-    witness."""
+def _l2_operators() -> dict:
+    """name -> (operator, max_iter, seed) for criterion 7's operators at
+    N = 8, as criterion 7 runs them."""
     m = mu.make_bump_profile(1.0)
-    ops = {}  # name -> (operator, max_iter, seed), as criterion 7 runs them
+    ops = {}
     for seed in L2_SEEDS:
         V = lin.generate_linearizer("lip_x", FIELDS["lip_x"], seed, 3)
         ops[f"lip_x seed={seed}"] = (lin.linearized_operator(V, m, 1.0), 200, seed)
     for lam in L2_LAMBDAS:
         ops[f"fixed_multiplier lambda={lam}"] = (ne.fixed_multiplier_operator(mu.hyperbolic_symbol(lam, 1.0, m, 3)), 300, 1)
-    for name, (op, max_iter, seed) in ops.items():
+    return ops
+
+
+def l2_digests():
+    """(name, sha256) for the L2 estimator on criterion 7's operators at
+    N = 8: value (as ``float.hex``), iteration count, converged flag and
+    witness."""
+    for name, (op, max_iter, seed) in _l2_operators().items():
         est = ne.l2_norm_power_iteration(op, max_iter=max_iter, seed=seed)
         text = f"{est.value.hex()} {est.iterations} {est.converged} {_digest(est.witness.samples)}"
         yield f"N=8 {name} l2_norm_power_iteration", _digest(text)
+
+
+def dense_digests():
+    """(name, sha256) for the dense SVD oracle at N = 8: ``dense_operator_norm``
+    (as ``float.hex``) and ``dense_matrix`` of criterion 7's operators and of
+    the operator of each field of the grid at every beta and bump eps."""
+    ops = {name: op for name, (op, _, _) in _l2_operators().items()}
+    for kind, params in FIELDS.items():
+        V = lin.generate_linearizer(kind, params, 11, 3)
+        for beta in BETAS:
+            for eps in EPSILONS:
+                ops[f"{kind} eps={eps} beta={beta}"] = lin.linearized_operator(V, mu.make_bump_profile(eps), beta)
+    for name, op in ops.items():
+        yield f"N=8 {name} dense", _digest(f"{ne.dense_operator_norm(op).hex()} {_digest(ne.dense_matrix(op))}")
 
 
 def cli_digests():
@@ -460,7 +482,7 @@ def cli_digests():
 
 def digests():
     """(name, sha256) for every output the script covers, in print order."""
-    for generate in (library_digests, grid_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, cli_digests):
+    for generate in (library_digests, grid_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, dense_digests, cli_digests):
         yield from generate()
 
 
