@@ -49,14 +49,19 @@ keeps the keys with the groups of the side it takes.
 The kernel takes one grid or a stack of B grids shaped (..., N, N); each
 stack of groups runs on all B grids at once.  Either side takes its groups
 in stacks of max(1, 2**13 // (B N^2)), each a contiguous slice of the
-grouping, with one FFT call over the last two axes and one factor call per
-stack, because at the grid sizes of the battery a call costs more than its
-arithmetic.  Each group is still picked or added on its own, in group order,
-so the result does not depend on the stack size, and each grid of a stack
-comes out with the bits of its own call.  A stack of groups holds at most
-max(B N^2, 2**13) entries, within max(N^2, 2**13) for the stacks of at most
-max(1, 2**13 // N^2) grids that the package passes, so memory stays O(N^2):
-no (groups, N, N) array is formed.
+grouping, with one FFT call over the last two axes per stack, because at the
+grid sizes of the battery a call costs more than its arithmetic.  The
+factors (m(key * h) on the frequency side, the symbols on the V side) come
+from one call for all g groups when they fit in one stack of one grid, g N^2
+<= max(N^2, 2**13): the plan keeps them as a read-only (g, N, N) table, so
+an operator handle applied many times evaluates m once.  Otherwise each
+stack makes one factor call on its groups.  Each group's factors are
+computed on their own, and each group is still picked or added on its own,
+in group order, so the result does not depend on the stack size or on the
+table, and each grid of a stack comes out with the bits of its own call.  A
+stack of groups holds at most max(B N^2, 2**13) entries and the table at
+most max(N^2, 2**13), within max(N^2, 2**13) for the stacks of at most
+max(1, 2**13 // N^2) grids that the package passes, so memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -395,25 +400,27 @@ _STACK = 1 << 13
 
 def _stacks(groups: _Groups, shape: tuple):
     """Consecutive runs of at most max(1, _STACK // (B N^2)) groups for a stack
-    of B grids shaped (..., N, N), each as (its values, its slice of the
-    grouping, the flat index of its start)."""
+    of B grids shaped (..., N, N), each as (its slice of the group indices,
+    its slice of the grouping, the flat index of its start)."""
     size = shape[-2] * shape[-1]
     step = max(1, _STACK // math.prod(shape))
+    count = groups.values.size
     lo = 0
-    for first in range(0, groups.values.size, step):
-        hi = int(groups.flat.searchsorted((first + step) * size))
-        yield groups.values[first : first + step], slice(lo, hi), first * size
+    for first in range(0, count, step):
+        last = min(first + step, count)
+        hi = int(groups.flat.searchsorted(last * size))
+        yield slice(first, last), slice(lo, hi), first * size
         lo = hi
 
 
 def _pick(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
     """out[..., x] = transform(arr * factor(v))[..., x] for each position x
     of the group of value v, on every grid of a stack shaped (..., N, N),
-    where factors(values) stacks the factors of a stack of values."""
+    where factors(stack) gives the factors of a slice of the group indices."""
     size = arr.shape[-2] * arr.shape[-1]
     out = np.zeros((arr.size // size, size), dtype=np.complex128)
-    for values, part, start in _stacks(groups, arr.shape):
-        picked = transform(arr[..., None, :, :] * factors(values)).reshape(out.shape[0], -1)
+    for stack, part, start in _stacks(groups, arr.shape):
+        picked = transform(arr[..., None, :, :] * factors(stack)).reshape(out.shape[0], -1)
         out[:, groups.positions[part]] = picked[:, groups.flat[part] - start]
     return out.reshape(arr.shape)
 
@@ -424,11 +431,12 @@ def _spread(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
     :func:`_pick`; the terms are added in group order."""
     rows = np.asarray(arr, dtype=np.complex128).reshape(-1, arr.shape[-2] * arr.shape[-1])
     out = np.zeros(arr.shape, dtype=np.complex128)
-    for values, part, start in _stacks(groups, arr.shape):
-        restricted = np.zeros((rows.shape[0], values.size * rows.shape[1]), dtype=np.complex128)
+    for stack, part, start in _stacks(groups, arr.shape):
+        count = stack.stop - stack.start
+        restricted = np.zeros((rows.shape[0], count * rows.shape[1]), dtype=np.complex128)
         restricted[:, groups.flat[part] - start] = rows[:, groups.positions[part]]
-        terms = transform(restricted.reshape(arr.shape[:-2] + (values.size,) + arr.shape[-2:])) * factors(values)
-        for k in range(values.size):
+        terms = transform(restricted.reshape(arr.shape[:-2] + (count,) + arr.shape[-2:])) * factors(stack)
+        for k in range(count):
             out += terms[..., k, :, :]
     return out
 
@@ -457,13 +465,23 @@ def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
 
 class _Plan(NamedTuple):
     """What :func:`_gather` and :func:`_scatter` sum over: the (N, N) key
-    array, the groups, the factors of a stack of group values, and on the
-    frequency side the symbol's weight (None on the V side)."""
+    array, the groups, the rule that evaluates the (g, N, N) factors of an
+    array of g group values, on the frequency side the symbol's weight (None
+    on the V side), and the factors of every group as a read-only table when
+    the grouping fits in one stack of one grid (None otherwise)."""
 
     keys: np.ndarray
     groups: _Groups
-    factors: callable
+    evaluate: callable
     weight: np.ndarray | float | None
+    table: np.ndarray | None = None
+
+    def factors(self, stack: slice) -> np.ndarray:
+        """The factors of the groups in a slice of the group indices: a view
+        of the table, or evaluated on those groups' values."""
+        if self.table is None:
+            return self.evaluate(self.groups.values[stack])
+        return self.table[stack]
 
 
 def _plan(keys: np.ndarray, symbol_of) -> _Plan:
@@ -471,17 +489,25 @@ def _plan(keys: np.ndarray, symbol_of) -> _Plan:
     otherwise), grouped by equal key (a key 0.0 is the first group): a
     :class:`ScaledSymbol` whose :func:`_h_bands` hold fewer groups than the
     keys is summed over the bands, with the factors h -> m(key * h) on the
-    grid for a stack of h; any other symbol is summed by key, with symbol_of
-    on the stack's keys as a (g, 1, 1) array (the contract of
-    :func:`gather`)."""
+    grid for an array of h; any other symbol is summed by key, with
+    symbol_of on the keys as a (g, 1, 1) array (the contract of
+    :func:`gather`).  When the g groups fit in one stack of one grid, g N^2
+    <= max(N^2, _STACK), their factors are evaluated here in one call and
+    kept as the table, at most max(N^2, _STACK) entries."""
     if not np.all(keys >= 0):
         raise ValueError("bucket keys must be >= 0")
     groups = _grouped(keys.ravel(), np.arange(keys.size), keys.size)
+    weight, evaluate = None, lambda values: symbol_of(values[:, None, None])
     if isinstance(symbol_of, ScaledSymbol):
         bands = _h_bands(groups.values, symbol_of)
         if bands.values.size < groups.values.size:
-            return _Plan(keys, bands, lambda hs: symbol_of.m(keys * hs[:, None, None]), symbol_of.weight)
-    return _Plan(keys, groups, lambda values: symbol_of(values[:, None, None]), None)
+            groups, weight = bands, symbol_of.weight
+            evaluate = lambda hs: symbol_of.m(keys * hs[:, None, None])
+    table = None
+    if groups.values.size * keys.size <= max(keys.size, _STACK):
+        table = evaluate(groups.values)
+        table.flags.writeable = False
+    return _Plan(keys, groups, evaluate, weight, table)
 
 
 def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -508,15 +534,17 @@ def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
     are exact; the merge only reassociates the flat terms' sum.
 
     Groups go in stacks of max(1, 2**13 // (B N^2)) per ifft2 call, for a
-    stack of B spectra (B = 1 for one), with one factor call per stack
-    (symbol_of on the stack's keys, or m on a stack of h); each group is
-    then picked or added in turn, in key or h order.  A stack holds at most
-    max(B N^2, 2**13) entries, so at most max(N^2, 2**13) for B <= max(1,
-    2**13 // N^2).  So symbol_of is called with
-    the keys of a stack as a (g, 1, 1) array and returns the (g, N, N)
-    symbols, one per key; numpy broadcasting gives this to any symbol built
-    from key by elementwise arithmetic on (N, N) grids, a
-    :class:`ScaledSymbol` among them."""
+    stack of B spectra (B = 1 for one); each group is then picked or added
+    in turn, in key or h order.  The factors (symbol_of on the keys, or m on
+    the h) of all g groups come from one call, kept as a read-only (g, N, N)
+    table, when g N^2 <= max(N^2, 2**13); otherwise from one call per stack,
+    on the stack's groups.  A stack holds at most max(B N^2, 2**13) entries,
+    so at most max(N^2, 2**13) for B <= max(1, 2**13 // N^2), and the table
+    at most max(N^2, 2**13).  So symbol_of is called with the keys of a
+    stack, or all the keys, as a (g, 1, 1) array and returns the (g, N, N)
+    symbols, one per key, each computed on its own key; numpy broadcasting
+    gives this to any symbol built from key by elementwise arithmetic on
+    (N, N) grids, a :class:`ScaledSymbol` among them."""
     return _gather(spec, _plan(keys, symbol_of))
 
 

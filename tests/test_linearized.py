@@ -562,14 +562,32 @@ def test_side_rule_counts_the_banded_groups(monkeypatch):
     assert gap <= 1e-10 * np.linalg.norm(tf) * np.linalg.norm(b.samples)
 
 
-def test_handle_groups_frequencies_once(monkeypatch):
-    # a lip_x V at N = 16 takes the frequency side; the handle grouped and
-    # banded its h when it was built, so no apply or adjoint sorts, searches
-    # or regroups
-    V = lin.generate_linearizer("lip_x", _LIP_X, 0, 4)
-    assert np.unique(V.values).size > 9  # h = |xi| takes 9 values on the mask
-    op = lin.linearized_operator(V, mu.make_bump_profile(0.5), 1.0)
-    calls = []
+# (N log2, beta, groups) of the lip_x handle: at N = 16 its 8 groups fit in
+# one stack of 2**13 entries, at N = 32 its 51 do not
+_HANDLE_CASES = {"N=16 beta=1": (4, 1.0, 8), "N=32 beta=-1": (5, -1.0, 51)}
+
+
+@pytest.mark.parametrize("stack", [1, lin._STACK, 1 << 20])
+@pytest.mark.parametrize("case", sorted(_HANDLE_CASES))
+def test_handle_groups_frequencies_once(monkeypatch, case, stack):
+    # a lip_x V takes the frequency side; the handle grouped and banded its h
+    # when it was built, so no apply or adjoint sorts, searches or regroups.
+    # When its g groups fit in one stack of one grid, g N^2 <= max(N^2,
+    # _STACK), it evaluated m on them then too, so no apply or adjoint calls
+    # m; otherwise each stack of groups makes one call of at most max(N^2,
+    # _STACK) entries.
+    default = lin._STACK
+    monkeypatch.setattr(lin, "_STACK", stack)
+    n_log2, beta, groups = _HANDLE_CASES[case]
+    n = 1 << n_log2
+    V = lin.generate_linearizer("lip_x", _LIP_X, 0, n_log2)
+    assert np.unique(V.values).size > groups
+    m = mu.make_bump_profile(0.5)
+    op = lin.linearized_operator(V, m, beta)
+    plan = lin._plan(V.values, lin.ScaledSymbol(m, mu.hyperbolic_argument(n_log2, beta), mu.pi_beta_mask(beta, n_log2).values))
+    assert plan.weight is not None and plan.groups.values.size == groups
+    calls, profile_sizes = [], []
+    profile = mu.MultiplierProfile.__call__
 
     def counted(name):
         original = getattr(np, name)
@@ -580,13 +598,27 @@ def test_handle_groups_frequencies_once(monkeypatch):
 
         return wrapper
 
+    def sized_profile(self, t):
+        profile_sizes.append(np.size(t))
+        return profile(self, t)
+
     for name in ("unique", "argsort", "sort", "searchsorted"):
         monkeypatch.setattr(np, name, counted(name))
-    f, b = g.random_field(4, 1), g.random_field(4, 2)
+    monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
+    f, b = g.random_field(n_log2, 1), g.random_field(n_log2, 2)
     for _ in range(3):
         op.apply(f)
         op.adjoint(b)
+    op.apply_stack(_complex_stack((3, n, n), 5))
     assert calls == []
+    if groups * n**2 <= max(n**2, stack):
+        assert profile_sizes == []
+    else:
+        per_stack = [-(-groups // max(1, stack // (lead * n**2))) for lead in (1, 3)]
+        assert len(profile_sizes) == 6 * per_stack[0] + per_stack[1]
+        assert max(profile_sizes) <= max(n**2, stack)
+    # the default stack holds the N = 16 grouping and not the N = 32 one
+    assert (case == "N=16 beta=1") == (groups * n**2 <= max(n**2, default))
 
 
 _STACK_INVARIANT_OUTPUTS = {
@@ -657,6 +689,33 @@ def test_stacked_kernel_matches_the_per_grid_calls_bit_for_bit(monkeypatch, case
         for index in np.ndindex(*lead):
             assert out[index].tobytes() == kernel(stack[index], plan).tobytes()
     assert lin.gather(stack, keys, symbol).tobytes() == lin._gather(stack, plan).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+def test_a_reused_handle_keeps_its_bits(monkeypatch, case):
+    # a handle applied and adjointed three times returns the bits of a fresh
+    # handle each time, whether its plan keeps the factors as a table or
+    # evaluates them per stack: one group per stack (_STACK = 1) keeps no
+    # table for these groupings, and the default and 2**20 keep one.  The
+    # table is read-only, so a kernel that wrote to it would fail loudly.
+    make_keys, beta, _ = _STACKED_CASES[case]
+    V = lin.LinearizerField(3, make_keys())
+    m = mu.make_bump_profile(0.5)
+    f, b = g.random_field(3, 1), g.random_field(3, 2)
+    runs = []
+    for stack in (1, lin._STACK, 1 << 20):
+        monkeypatch.setattr(lin, "_STACK", stack)
+        plan = _stacked_plan(case)[0]
+        assert plan.groups.values.size > 1
+        assert (plan.table is None) == (stack == 1)
+        assert plan.table is None or not plan.table.flags.writeable
+        op = lin.linearized_operator(V, m, beta)
+        fresh = lin.linearized_operator(V, m, beta)
+        want = (fresh.apply(f).samples.tobytes(), fresh.adjoint(b).samples.tobytes())
+        for _ in range(3):
+            runs.append((op.apply(f).samples.tobytes(), op.adjoint(b).samples.tobytes()))
+            assert runs[-1] == want
+    assert len(set(runs)) == 1
 
 
 def _stack_handles():
@@ -752,7 +811,10 @@ def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta):
         assert shapes["fft2"] == [(chunk, n, n)] * (n**2 // chunk)
         step = max(1, lin._STACK // (chunk * n**2))
         assert len(shapes["ifft2"]) == (n**2 // chunk) * -(-groups // step)
-        assert len(shapes["profile"]) == len(shapes["ifft2"])
+        # the handle evaluated m on every group when it was built if they fit
+        # in one stack of one grid; otherwise each stack makes one call
+        fits = groups * n**2 <= max(n**2, lin._STACK)
+        assert len(shapes["profile"]) == (0 if fits else len(shapes["ifft2"]))
         bound = max(n**2, lin._STACK)
         assert max(math.prod(shape) for shape in shapes["fft2"] + shapes["ifft2"] + shapes["profile"]) <= bound
         if n_log2 == 3:

@@ -18,7 +18,9 @@ The package is imported from ``src/`` of the tree the script sits in.  The
 grid: N = 8, 16, 32; lip_x, lip_2d, staircase_x and dyadic_of_lipschitz
 fields; bump eps 1/2 and 1; beta 1, 0, -1 and 0.5.  Each point digests the
 operator apply and adjoint, the lemma operator, the principal, error and
-small-variation terms.  A mean-zero field digests the apply, adjoint,
+small-variation terms.  At N = 8 and 16 the second and third apply and
+adjoint of the same operator handle are digested too, so an output that
+changes when a handle is reused shows.  A mean-zero field digests the apply, adjoint,
 lemma, principal and error terms at every point too: each odd row of it is
 the negated even row before it, and each odd column likewise, so the fast
 transform gives a spectrum exactly zero on the lines xi = 0 and eta = 0 and
@@ -122,6 +124,7 @@ from hypercross import multiplier as mu  # noqa: E402
 from hypercross import normest as ne  # noqa: E402
 
 N_LOG2S = (3, 4, 5)
+REUSE_N_LOG2S = (3, 4)  # the second and third apply and adjoint of a handle
 FIELDS = {
     "lip_x": {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0},
     "lip_2d": {"lip_constant": 0.5},
@@ -238,6 +241,9 @@ def library_digests():
                     }
                     for name, out in outputs.items():
                         yield f"N={n} {kind} eps={eps} beta={beta} {name}", _digest(out.samples)
+                    for call in (2, 3) if n_log2 in REUSE_N_LOG2S else ():
+                        yield f"N={n} {kind} eps={eps} beta={beta} apply call={call}", _digest(op.apply(f).samples)
+                        yield f"N={n} {kind} eps={eps} beta={beta} adjoint call={call}", _digest(op.adjoint(g).samples)
                     mean_zero = {
                         "apply": op.apply(f0),
                         "adjoint": op.adjoint(g0),
