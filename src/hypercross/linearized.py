@@ -42,10 +42,14 @@ groups reassociates a sum of transforms in the synthesis and changes no bit
 in the analysis, where each of them was the transform of g * 1.
 
 Both sides group flat positions in one private format, :class:`_Groups`,
-built by one np.unique and one stable argsort.  A plan, :class:`_Plan`, is
-made once per key array and symbol: it groups the keys, bands the live
-frequencies of the symbol's support by h (every flat h as the value 0), and
-keeps the keys with the groups of the side it takes.
+built by one stable argsort of the values.  A plan, :class:`_Plan`, is made
+once per key array and symbol: it sorts the keys once, bands the live
+frequencies of the symbol's support by h (every flat h as the value 0),
+counts the distinct keys, and keeps the keys with the groups of the side it
+takes; it groups the keys only when it takes the key side, which a
+continuous V rarely does.  Every 2-D transform is the pair
+:func:`grid._fft2` and :func:`grid._ifft2`, numpy's fft2 and ifft2 bit for
+bit.
 The kernel takes one grid or a stack of B grids shaped (..., N, N); each
 stack of groups runs on all B grids at once.  Either side takes its groups
 in stacks of max(1, 2**13 // (B N^2)), each a contiguous slice of the
@@ -76,8 +80,10 @@ import numpy as np
 from .grid import (
     GridMismatchError,
     SampledField,
+    _fft2,
     _finite,
     _grid_array,
+    _ifft2,
     forward_transform,
     frequencies,
     write_hxf1,
@@ -361,11 +367,15 @@ class _Groups(NamedTuple):
 
 
 def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
-    """positions on a grid of size points grouped by their values."""
-    distinct, labels = np.unique(values, return_inverse=True)
-    order = np.argsort(labels, kind="stable")
+    """positions on a grid of size points grouped by their values, from one
+    stable argsort of the values: a group starts where the sorted value
+    changes, and equal values keep the order of their positions."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
     positions = positions[order]
-    return _Groups(distinct, positions, labels[order] * size + positions)
+    return _Groups(ordered[starts], positions, (np.cumsum(starts) - 1) * size + positions)
 
 
 def _check_grid(plan: _Plan, arr: np.ndarray) -> None:
@@ -444,15 +454,15 @@ def _spread(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
 def _synthesis(spec: np.ndarray) -> np.ndarray:
     """The inverse of the grid's forward transform over the last two axes:
     ifft2 with numpy's ``norm="forward"`` (no 1/N^2)."""
-    return np.fft.ifft2(spec, norm="forward")
+    return _ifft2(spec, norm="forward")
 
 
 def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
     """The frequencies where the symbol's weight is nonzero, grouped by h in
     the three bands of the module docstring, set by the smallest and the
-    largest of the sorted keys: the dead h are dropped, the flat h take the
-    value 0 (whose factor m(0) is 1) and so form one group, and each
-    transition h keeps its own group.  A flat h is live (key_min h <=
+    largest of the sorted keys, keys[0] and keys[-1]: the dead h are
+    dropped, the flat h take the value 0 (whose factor m(0) is 1) and so
+    form one group, and each transition h keeps its own group.  A flat h is live (key_min h <=
     key_max h <= eps < R), and a transition h is > 0, so the flat group,
     when there is one, comes first."""
     m, hyper = symbol.m, symbol.hyper
@@ -486,23 +496,28 @@ class _Plan(NamedTuple):
 
 def _plan(keys: np.ndarray, symbol_of) -> _Plan:
     """The kernel's one rule on a key array, >= 0 (scales; ValueError
-    otherwise), grouped by equal key (a key 0.0 is the first group): a
-    :class:`ScaledSymbol` whose :func:`_h_bands` hold fewer groups than the
-    keys is summed over the bands, with the factors h -> m(key * h) on the
-    grid for an array of h; any other symbol is summed by key, with
-    symbol_of on the keys as a (g, 1, 1) array (the contract of
-    :func:`gather`).  When the g groups fit in one stack of one grid, g N^2
-    <= max(N^2, _STACK), their factors are evaluated here in one call and
-    kept as the table, at most max(N^2, _STACK) entries."""
+    otherwise): a :class:`ScaledSymbol` whose :func:`_h_bands` hold fewer
+    groups than there are distinct keys is summed over the bands, with the
+    factors h -> m(key * h) on the grid for an array of h; any other symbol
+    is summed by key, grouped by equal key (a key 0.0 is the first group),
+    with symbol_of on the keys as a (g, 1, 1) array (the contract of
+    :func:`gather`).  The side is decided on the keys sorted once (their
+    ends set the bands, and the changes between neighbours count the
+    distinct keys), and the keys are grouped only when the key side runs.
+    When the g groups fit in one stack of one grid, g N^2 <= max(N^2,
+    _STACK), their factors are evaluated here in one call and kept as the
+    table, at most max(N^2, _STACK) entries."""
     if not np.all(keys >= 0):
         raise ValueError("bucket keys must be >= 0")
-    groups = _grouped(keys.ravel(), np.arange(keys.size), keys.size)
     weight, evaluate = None, lambda values: symbol_of(values[:, None, None])
     if isinstance(symbol_of, ScaledSymbol):
-        bands = _h_bands(groups.values, symbol_of)
-        if bands.values.size < groups.values.size:
+        ordered = np.sort(keys, axis=None)
+        bands = _h_bands(ordered, symbol_of)
+        if bands.values.size < 1 + np.count_nonzero(ordered[1:] != ordered[:-1]):
             groups, weight = bands, symbol_of.weight
             evaluate = lambda hs: symbol_of.m(keys * hs[:, None, None])
+    if weight is None:
+        groups = _grouped(keys.ravel(), np.arange(keys.size), keys.size)
     table = None
     if groups.values.size * keys.size <= max(keys.size, _STACK):
         table = evaluate(groups.values)
@@ -562,8 +577,8 @@ def _scatter(g: np.ndarray, plan: _Plan) -> np.ndarray:
     h stay 0; the result is times the weight."""
     _check_grid(plan, g)
     if plan.weight is None:
-        return _spread(np.fft.fft2, g, plan.groups, plan.factors)
-    return _pick(np.fft.fft2, g, plan.groups, plan.factors) * plan.weight
+        return _spread(_fft2, g, plan.groups, plan.factors)
+    return _pick(_fft2, g, plan.groups, plan.factors) * plan.weight
 
 
 def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:
@@ -611,23 +626,28 @@ class LinearOperatorHandle:
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
     """The variable-scale operator as a gather of the spectrum keyed by V,
     with the symbol m(V h) weighted by the Pi_beta mask; the adjoint is the
-    matching :func:`_scatter`.  The handle keeps one :func:`_plan`: it groups
-    V, bands h, and picks the side once, at construction, so an apply or
-    adjoint sorts nothing.  apply_stack runs the kernel once on the whole
-    stack (one fft2, then one gather), and apply is apply_stack on one grid.
-    Key 0 gives the m(0) symbol."""
+    matching :func:`_scatter`.  The handle keeps one :func:`_plan`: it sorts
+    V, bands h, picks the side and groups it once, at construction, so an
+    apply or adjoint sorts nothing.  apply_stack runs the kernel once on the
+    whole stack (one fft2, then one gather).  apply runs it on one grid
+    with the bits of apply_stack; it leaves the finiteness checks to
+    :class:`SampledField`, which made its input and checks its output.  Key
+    0 gives the m(0) symbol."""
     plan = _plan(V.values, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
+
+    def image(samples: np.ndarray) -> np.ndarray:
+        return _gather(_fft2(samples, norm="forward"), plan)
 
     def apply_stack(samples: np.ndarray) -> np.ndarray:
         _check_grid(plan, samples)
-        spec = np.fft.fft2(_finite(np.asarray(samples, dtype=np.complex128)), norm="forward")
-        return _finite(_gather(spec, plan))
+        return _finite(image(_finite(np.asarray(samples, dtype=np.complex128))))
 
     def apply(f: SampledField) -> SampledField:
-        return SampledField(f.n_log2, apply_stack(f.samples))
+        # f is finite by construction, and SampledField checks the image
+        return SampledField(f.n_log2, image(f.samples))
 
     def adjoint(g: SampledField) -> SampledField:
-        return SampledField(g.n_log2, np.fft.ifft2(_scatter(g.samples, plan)))
+        return SampledField(g.n_log2, _ifft2(_scatter(g.samples, plan)))
 
     return LinearOperatorHandle(V.n_log2, apply, adjoint, apply_stack)
 

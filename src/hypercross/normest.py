@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linearized
 from .grid import SampledField, apply_fixed_multiplier, lp_norm
-from .linearized import _STACK, LinearOperatorHandle, generate_linearizer, linearized_operator
+from .linearized import LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
@@ -44,11 +45,12 @@ def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
     """The N^2 x N^2 matrix of op, column k the image of the k-th basis field
     (1 at flat index k, 0 elsewhere); small grids only.  The basis goes
-    through op.apply_stack in chunks of max(1, 2**13 // N^2) fields, so
-    beyond the matrix no array holds more than one chunk of fields."""
+    through op.apply_stack in chunks of max(1, S // N^2) fields, with S the
+    kernel's stack bound (2**13) read at call time, so beyond the matrix no
+    array holds more than one chunk of fields."""
     n = 1 << op.n_log2
     size = n * n
-    step = max(1, _STACK // size)
+    step = max(1, linearized._STACK // size)
     cols = np.empty((size, size), dtype=np.complex128)
     for first in range(0, size, step):
         basis = np.eye(min(step, size - first), size, first, dtype=np.complex128)
@@ -86,6 +88,16 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
+def _with_room(rows: np.ndarray, filled: int, limit: int) -> np.ndarray:
+    """rows, or once its first filled rows take all of it, a buffer of
+    min(2 * len(rows), limit) rows that starts with them."""
+    if filled < len(rows):
+        return rows
+    grown = np.empty((min(2 * len(rows), limit), rows.shape[1]), dtype=rows.dtype)
+    grown[:filled] = rows
+    return grown
+
+
 def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
     """B_k: alphas on the diagonal, the first k - 1 betas above it."""
     return np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
@@ -107,7 +119,8 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
     Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992) bound how far
     below the norm a random start can leave the value.
 
-    It keeps at most min(max_iter, N^2) basis fields per side.  The witness is
+    It keeps at most min(max_iter, N^2) basis fields per side, as the rows
+    of a buffer that doubles when full, up to that bound.  The witness is
     the Ritz vector and the value is re-derived from it, hence a lower bound
     on the operator norm.  The name is kept from the power iteration this
     replaced: criterion 7, the CLI and the sweep call it by that name."""
@@ -117,20 +130,23 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
     n = 1 << op.n_log2
     v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).ravel()
     v /= np.linalg.norm(v)
-    right = np.empty((0, n * n), dtype=np.complex128)
-    left = np.empty((0, n * n), dtype=np.complex128)
+    steps = min(max_iter, n * n)
+    right = np.empty((1, n * n), dtype=np.complex128)
+    left = np.empty((1, n * n), dtype=np.complex128)
     alphas: list[float] = []
     betas: list[float] = []
     converged = False
-    for _ in range(min(max_iter, n * n)):
-        right = np.vstack([right, v])
-        u = _orthogonalize(op.apply(SampledField(op.n_log2, v.reshape(n, n))).samples.ravel(), left)
+    for k in range(steps):
+        right = _with_room(right, k, steps)
+        right[k] = v
+        u = _orthogonalize(op.apply(SampledField(op.n_log2, v.reshape(n, n))).samples.ravel(), left[:k])
         alphas.append(float(np.linalg.norm(u)))
         if alphas[-1] <= 1e-12 * max(alphas):
             converged = True
             break
-        left = np.vstack([left, u / alphas[-1]])
-        w = _orthogonalize(op.adjoint(SampledField(op.n_log2, left[-1].reshape(n, n))).samples.ravel(), right)
+        left = _with_room(left, k, steps)
+        left[k] = u / alphas[-1]
+        w = _orthogonalize(op.adjoint(SampledField(op.n_log2, left[k].reshape(n, n))).samples.ravel(), right[: k + 1])
         betas.append(float(np.linalg.norm(w)))
         z, s, _ = np.linalg.svd(_bidiagonal(alphas, betas))
         if betas[-1] * abs(z[-1, 0]) <= 1e-12 * s[0]:
@@ -138,7 +154,7 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
             break
         v = w / betas[-1]
     _, _, yh = np.linalg.svd(_bidiagonal(alphas, betas))
-    witness = SampledField(op.n_log2, (yh[0] @ right).reshape(n, n))
+    witness = SampledField(op.n_log2, (yh[0] @ right[: len(alphas)]).reshape(n, n))
     return NormEstimate(2.0, _image_ratio(op.apply(witness), witness, 2.0), len(alphas), witness, converged)
 
 

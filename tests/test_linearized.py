@@ -314,6 +314,38 @@ def test_bucket_groups_put_key_zero_in_its_own_first_group():
     assert list(groups.positions[groups.flat < 16 * 16]) == [5]
 
 
+def _grouped_by_two_sorts(values, positions, size):
+    """The grouping as np.unique with its inverse and a stable argsort of
+    those labels form it."""
+    distinct, labels = np.unique(values, return_inverse=True)
+    order = np.argsort(labels, kind="stable")
+    return distinct, positions[order], labels[order] * size + positions[order]
+
+
+def _grouping_inputs(case):
+    """(values, positions) at N = 32: the keys of a V, or the h of the
+    Pi_beta support."""
+    if case.startswith("h"):
+        beta = float(case.split("=")[1])
+        support = np.flatnonzero(mu.pi_beta_mask(beta, 5).values)
+        return mu.hyperbolic_argument(5, beta).ravel()[support], support
+    keys = {
+        "lip_x": lambda: lin.generate_linearizer("lip_x", _LIP_X, 0, 5).values,
+        "staircase_x": lambda: lin.generate_linearizer("staircase_x", {}, 4, 5).values,
+        "zero band": lambda: _three_valued(5, low=0.0),
+    }[case]()
+    return keys.ravel(), np.arange(keys.size)
+
+
+@pytest.mark.parametrize("case", ["lip_x", "staircase_x", "zero band", "h beta=1", "h beta=-1"])
+def test_one_sort_grouping_matches_the_two_sort_form(case):
+    values, positions = _grouping_inputs(case)
+    got = lin._grouped(values, positions, 32 * 32)
+    for mine, theirs in zip(got, _grouped_by_two_sorts(values, positions, 32 * 32)):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def test_kernel_inputs_reject_negative_scales():
     # the frequency-side bands take key * h monotone in key and h
     for bad in (-0.5, math.nan):
@@ -509,7 +541,7 @@ def test_banded_gather_transforms_only_the_live_h(monkeypatch, run, n_log2, beta
     assert expected < hs.size
     f = g.random_field(n_log2, 1)
     stacks, profile_sizes = [], []
-    ifft2, profile = np.fft.ifft2, mu.MultiplierProfile.__call__
+    ifft2, profile = lin._ifft2, mu.MultiplierProfile.__call__
 
     def counted_ifft2(a, *args, **kwargs):
         stacks.append(np.shape(a))
@@ -519,7 +551,7 @@ def test_banded_gather_transforms_only_the_live_h(monkeypatch, run, n_log2, beta
         profile_sizes.append(np.size(t))
         return profile(self, t)
 
-    monkeypatch.setattr(np.fft, "ifft2", counted_ifft2)
+    monkeypatch.setattr(lin, "_ifft2", counted_ifft2)
     monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
     apply(f, V, m, beta)
     assert all(shape[-2:] == (n, n) for shape in stacks)
@@ -546,13 +578,13 @@ def test_side_rule_counts_the_banded_groups(monkeypatch):
     rng = np.random.default_rng(3)
     b = g.SampledField(5, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     stacks = []
-    ifft2 = np.fft.ifft2
+    ifft2 = lin._ifft2
 
     def counted_ifft2(a, *args, **kwargs):
         stacks.append(np.shape(a))
         return ifft2(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifft2", counted_ifft2)
+    monkeypatch.setattr(lin, "_ifft2", counted_ifft2)
     tf = op.apply(f).samples
     assert sum(shape[0] for shape in stacks) == 33
     monkeypatch.undo()
@@ -560,6 +592,18 @@ def test_side_rule_counts_the_banded_groups(monkeypatch):
     tb = op.adjoint(b).samples
     gap = abs(np.vdot(b.samples, tf) - np.vdot(tb, f.samples))
     assert gap <= 1e-10 * np.linalg.norm(tf) * np.linalg.norm(b.samples)
+
+
+@pytest.mark.parametrize("levels, by_key", [((0.5, 0.6, 0.7), False), ((0.5, 0.7), True)])
+def test_side_rule_takes_the_bands_only_when_they_are_fewer(levels, by_key):
+    # h takes two values, each in the transition band of every key, so two
+    # banded groups: fewer than three distinct keys, and not fewer than two
+    keys = np.resize(np.array(levels), (8, 8))
+    hyper = np.ones((8, 8))
+    hyper[0, :4] = 1.2
+    plan = lin._plan(keys, lin.ScaledSymbol(mu.make_bump_profile(0.5), hyper, 1.0))
+    assert (plan.weight is None) == by_key
+    assert plan.groups.values.size == (len(levels) if by_key else 2)
 
 
 # (N log2, beta, groups) of the lip_x handle: at N = 16 its 8 groups fit in
@@ -668,6 +712,41 @@ def _stacked_plan(case):
     return plan, keys, symbol
 
 
+def _counted_groupings(monkeypatch):
+    """The number of values in each _grouped call from now on."""
+    grouped, sizes = lin._grouped, []
+
+    def counted(values, positions, size):
+        sizes.append(values.size)
+        return grouped(values, positions, size)
+
+    monkeypatch.setattr(lin, "_grouped", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+def test_a_frequency_side_plan_groups_no_keys(monkeypatch, beta):
+    # a continuous V at N = 32 takes the frequency side: the plan sorts its
+    # keys to count them, and groups only the live h of the bands
+    V = lin.generate_linearizer("lip_x", _LIP_X, 0, 5)
+    symbol = lin.ScaledSymbol(mu.make_bump_profile(0.5), mu.hyperbolic_argument(5, beta), mu.pi_beta_mask(beta, 5).values)
+    sizes = _counted_groupings(monkeypatch)
+    plan = lin._plan(V.values, symbol)
+    assert plan.weight is not None
+    assert sizes == [plan.groups.positions.size]
+    assert plan.groups.values.size < np.unique(V.values).size
+
+
+@pytest.mark.parametrize("case", ["zero_band beta=1", "staircase_x beta=-1"])
+def test_a_key_side_plan_groups_its_keys(monkeypatch, case):
+    # the bands are grouped to choose the side, then the keys, once
+    sizes = _counted_groupings(monkeypatch)
+    plan, keys, _ = _stacked_plan(case)
+    assert len(sizes) == 2 and sizes[1] == keys.size
+    for mine, theirs in zip(plan.groups, _grouped_by_two_sorts(keys.ravel(), np.arange(keys.size), keys.size)):
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def _complex_stack(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -756,23 +835,28 @@ def test_apply_stack_rejects_a_non_finite_entry(handle, where, bad):
 
 @pytest.mark.parametrize("handle", ["linearized", "loop"])
 def test_apply_stack_rejects_a_non_finite_image(handle):
-    # every entry finite, but the transform of the second grid overflows
+    # every entry finite, but the transform of the second grid overflows;
+    # apply leaves the check of its image to SampledField
     stack = np.ones((2, 8, 8), dtype=np.complex128)
     stack[1] = 1e308
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="grid array holds non-finite values"):
-        _stack_handles()[handle].apply_stack(stack)
+    op = _stack_handles()[handle]
+    for run in (op.apply_stack, lambda a: op.apply(g.SampledField(3, a[1]))):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="grid array holds non-finite values"):
+            run(stack)
 
 
+@pytest.mark.parametrize("stack", [lin._STACK, 1])
 @pytest.mark.parametrize("kind, beta", [("lip_x", 1.0), ("staircase_x", -1.0)])
-def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta):
+def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta, stack):
     # at N = 8 the 64 basis fields go through the handle's apply_stack as one
     # chunk: one fft2 of all of them and one ifft2 per stack of groups, where
     # the column loop ran 64 of each.  At N = 16 they go in chunks of
     # 2**13 // N^2 fields, and neither a transform nor a profile call sees
-    # more than max(N^2, _STACK) entries.
+    # more than max(N^2, _STACK) entries.  The chunks follow _STACK as it is
+    # when dense_matrix runs: at 1, every chunk is one field.
     m = mu.make_bump_profile(0.5)
     shapes = {"fft2": [], "ifft2": [], "profile": [], "apply_stack": []}
-    originals = {"fft2": np.fft.fft2, "ifft2": np.fft.ifft2}
+    originals = {"fft2": lin._fft2, "ifft2": lin._ifft2}
     profile = mu.MultiplierProfile.__call__
 
     def counted(name):
@@ -788,6 +872,7 @@ def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta):
 
     for n_log2 in (3, 4):
         n = 1 << n_log2
+        monkeypatch.setattr(lin, "_STACK", stack)
         V = lin.generate_linearizer(kind, _LIP_X if kind == "lip_x" else {}, 0, n_log2)
         op = lin.linearized_operator(V, m, beta)
         plan = lin._plan(V.values, lin.ScaledSymbol(m, mu.hyperbolic_argument(n_log2, beta), mu.pi_beta_mask(beta, n_log2).values))
@@ -801,11 +886,10 @@ def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta):
         op = dataclasses.replace(op, apply_stack=recorded)
         for name in shapes:
             shapes[name].clear()
-        monkeypatch.setattr(np.fft, "fft2", counted("fft2"))
-        monkeypatch.setattr(np.fft, "ifft2", counted("ifft2"))
+        monkeypatch.setattr(lin, "_fft2", counted("fft2"))
+        monkeypatch.setattr(lin, "_ifft2", counted("ifft2"))
         monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
         dense = ne.dense_matrix(op)
-        monkeypatch.undo()
         chunk = min(n**2, max(1, lin._STACK // n**2))
         assert shapes["apply_stack"] == [(chunk, n, n)] * (n**2 // chunk)
         assert shapes["fft2"] == [(chunk, n, n)] * (n**2 // chunk)
@@ -818,7 +902,9 @@ def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta):
         bound = max(n**2, lin._STACK)
         assert max(math.prod(shape) for shape in shapes["fft2"] + shapes["ifft2"] + shapes["profile"]) <= bound
         if n_log2 == 3:
-            assert (len(shapes["fft2"]), len(shapes["ifft2"])) == (1, -(-groups // 2))
+            want = (1, -(-groups // 2)) if stack > 1 else (n**2, n**2 * groups)
+            assert (len(shapes["fft2"]), len(shapes["ifft2"])) == want
+        monkeypatch.undo()
         k = 37  # a column against the apply of its basis field
         e = np.zeros(n * n, dtype=np.complex128)
         e[k] = 1.0
