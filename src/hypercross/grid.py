@@ -139,20 +139,6 @@ def lp_norm(f: SampledField, p: float) -> float:
     return float(np.mean(mags**p) ** (1.0 / p))
 
 
-def apply_fixed_multiplier(f: SampledField, symbol) -> SampledField:
-    """Apply an x-independent multiplier: output spectrum = symbol * spectrum.
-
-    ``symbol`` must expose ``n_log2`` and real ``values`` aligned with the FFT
-    frequency order (any SymbolGrid-shaped object works).
-    """
-    if symbol.n_log2 != f.n_log2:
-        raise GridMismatchError(
-            f"symbol grid n_log2={symbol.n_log2} does not match field n_log2={f.n_log2}"
-        )
-    spec = forward_transform(f)
-    return inverse_transform(SpectralField(f.n_log2, spec.coeffs * symbol.values))
-
-
 # ---------------------------------------------------------------------------
 # Serialization: HXF1 flat binary and CSV interchange.
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ worst pair is the witness.  The linearized operator gathers, at each output
 point, the fixed-multiplier result for the local scale V(x, y).  Every
 variable-scale operator in the package is one call of the kernel
 :func:`gather` on a key array (V, or a rounding of V); it reproduces the
-O(N^4) brute-force oracle exactly up to floating-point reassociation.  The
-operator handle with its exact adjoint, :func:`linearized_operator`, lives
-here too; it keeps one plan of the kernel and runs :func:`_gather` and its
-adjoint :func:`_scatter` on it.
+O(N^4) brute-force oracle exactly up to floating-point reassociation.  Every
+operator handle of the package is built by one constructor,
+:meth:`LinearOperatorHandle.of`, from a map on stacks of grids and its
+adjoint map; :func:`linearized_operator` keeps one plan of the kernel and
+gives ``of`` :func:`_gather` and its adjoint :func:`_scatter` on it.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
 orders.  On the V side it takes one transform per distinct key, each
@@ -64,8 +65,11 @@ computed on their own, and each group is still picked or added on its own,
 in group order, so the result does not depend on the stack size or on the
 table, and each grid of a stack comes out with the bits of its own call.  A
 stack of groups holds at most max(B N^2, 2**13) entries and the table at
-most max(N^2, 2**13), within max(N^2, 2**13) for the stacks of at most
-max(1, 2**13 // N^2) grids that the package passes, so memory stays O(N^2).
+most max(N^2, 2**13).  That is within max(N^2, 2**13), so memory stays
+O(N^2), because a handle's apply_stack, :meth:`LinearOperatorHandle.of`,
+splits every stack into stacks of at most max(1, 2**13 // N^2) grids, and
+the rest of the package passes one grid at a time.  An empty stack of grids
+maps to an empty stack.
 """
 
 from __future__ import annotations
@@ -378,11 +382,12 @@ def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
     return _Groups(ordered[starts], positions, (np.cumsum(starts) - 1) * size + positions)
 
 
-def _check_grid(plan: _Plan, arr: np.ndarray) -> None:
-    """Raise GridMismatchError unless arr, a grid or a stack of grids, lives
-    on the grid of the plan's keys: its last two axes are theirs."""
-    if np.shape(arr)[-2:] != np.shape(plan.keys):
-        raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {np.shape(plan.keys)}")
+def _on_grid(arr: np.ndarray, shape: tuple) -> np.ndarray:
+    """arr, a grid or a stack of grids, once it lives on the grid of that
+    shape: its last two axes are shape.  GridMismatchError otherwise."""
+    if np.shape(arr)[-2:] != shape:
+        raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -412,9 +417,9 @@ def _stacks(groups: _Groups, shape: tuple):
     """Consecutive runs of at most max(1, _STACK // (B N^2)) groups for a stack
     of B grids shaped (..., N, N), each as (its slice of the group indices,
     its slice of the grouping, the flat index of its start)."""
-    size = shape[-2] * shape[-1]
-    step = max(1, _STACK // math.prod(shape))
-    count = groups.values.size
+    size, entries = shape[-2] * shape[-1], math.prod(shape)
+    step = max(1, _STACK // max(entries, 1))
+    count = groups.values.size if entries else 0  # an empty stack of grids maps to an empty stack
     lo = 0
     for first in range(0, count, step):
         last = min(first + step, count)
@@ -526,7 +531,7 @@ def _plan(keys: np.ndarray, symbol_of) -> _Plan:
 
 
 def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:
-    _check_grid(plan, spec)
+    _on_grid(spec, plan.keys.shape)
     if plan.weight is None:
         return _pick(_synthesis, spec, plan.groups, plan.factors)
     return _spread(_synthesis, spec * plan.weight, plan.groups, plan.factors)
@@ -575,7 +580,7 @@ def _scatter(g: np.ndarray, plan: _Plan) -> np.ndarray:
     frequencies, the flat h take one fft2(g) on theirs (each of their own
     transforms was fft2(g * 1), so the merge changes no bit), and the dead
     h stay 0; the result is times the weight."""
-    _check_grid(plan, g)
+    _on_grid(g, plan.keys.shape)
     if plan.weight is None:
         return _spread(_fft2, g, plan.groups, plan.factors)
     return _pick(_fft2, g, plan.groups, plan.factors) * plan.weight
@@ -599,28 +604,44 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
 
 @dataclass(frozen=True)
 class LinearOperatorHandle:
-    """A grid-linear operator with an explicit adjoint.
+    """A grid-linear operator with an explicit adjoint, built by :meth:`of`
+    from a map and its adjoint map on arrays shaped (..., N, N).
 
-    apply_stack maps a stack of samples shaped (B, N, N) to the (B, N, N)
-    stack of their images under apply.  It keeps the grid contract of
-    :class:`SampledField` on the stack: the last two axes are (N, N) and
-    every entry of the input and of the output is finite, or it raises
-    ValueError (GridMismatchError from the linearized handle when the axes
-    differ).  A handle built without apply_stack gets the loop of apply over
-    the B grids.  dataclasses.replace keeps apply_stack, so replace apply
-    and apply_stack together."""
+    apply and adjoint take a SampledField on the handle's grid and return
+    one; apply_stack maps a stack of samples shaped (..., N, N) to the stack
+    of their images under apply, each grid with the bits of its own apply.
+    All three raise GridMismatchError for an array whose last two axes are
+    not (N, N), and apply_stack raises ValueError unless every entry of its
+    input and of its image is finite (apply leaves that to SampledField).
+    dataclasses.replace keeps apply_stack, so replace apply and apply_stack
+    together."""
 
     n_log2: int
     apply: callable
     adjoint: callable
-    apply_stack: callable = None
+    apply_stack: callable
 
-    def __post_init__(self) -> None:
-        if self.apply_stack is None:
-            object.__setattr__(self, "apply_stack", self._apply_each)
+    @classmethod
+    def of(cls, n_log2: int, forward, backward) -> LinearOperatorHandle:
+        """The handle of forward with adjoint backward.  apply_stack gives
+        forward at most max(1, 2**13 // N^2) grids per call (the kernel's
+        stack bound, read at call time), so a stack of any length keeps the
+        kernel within its memory bound; an empty stack maps to an empty
+        stack without a call."""
+        n = 1 << n_log2
 
-    def _apply_each(self, samples: np.ndarray) -> np.ndarray:
-        return np.stack([self.apply(SampledField(self.n_log2, grid)).samples for grid in samples])
+        def apply_stack(samples: np.ndarray) -> np.ndarray:
+            stack = _finite(np.asarray(_on_grid(samples, (n, n)), dtype=np.complex128)).reshape(-1, n, n)
+            out = np.empty(stack.shape, dtype=np.complex128)
+            step = max(1, _STACK // (n * n))
+            for first in range(0, len(stack), step):
+                out[first : first + step] = forward(stack[first : first + step])
+            return _finite(out).reshape(np.shape(samples))
+
+        def on_fields(grid_map):
+            return lambda f: SampledField(n_log2, grid_map(_on_grid(f.samples, (n, n))))
+
+        return cls(n_log2, on_fields(forward), on_fields(backward), apply_stack)
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
@@ -628,28 +649,10 @@ def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -
     with the symbol m(V h) weighted by the Pi_beta mask; the adjoint is the
     matching :func:`_scatter`.  The handle keeps one :func:`_plan`: it sorts
     V, bands h, picks the side and groups it once, at construction, so an
-    apply or adjoint sorts nothing.  apply_stack runs the kernel once on the
-    whole stack (one fft2, then one gather).  apply runs it on one grid
-    with the bits of apply_stack; it leaves the finiteness checks to
-    :class:`SampledField`, which made its input and checks its output.  Key
-    0 gives the m(0) symbol."""
+    apply or adjoint sorts nothing.  Its map is one fft2 and one gather on
+    a grid or a stack of grids.  Key 0 gives the m(0) symbol."""
     plan = _plan(V.values, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
-
-    def image(samples: np.ndarray) -> np.ndarray:
-        return _gather(_fft2(samples, norm="forward"), plan)
-
-    def apply_stack(samples: np.ndarray) -> np.ndarray:
-        _check_grid(plan, samples)
-        return _finite(image(_finite(np.asarray(samples, dtype=np.complex128))))
-
-    def apply(f: SampledField) -> SampledField:
-        # f is finite by construction, and SampledField checks the image
-        return SampledField(f.n_log2, image(f.samples))
-
-    def adjoint(g: SampledField) -> SampledField:
-        return SampledField(g.n_log2, _ifft2(_scatter(g.samples, plan)))
-
-    return LinearOperatorHandle(V.n_log2, apply, adjoint, apply_stack)
+    return LinearOperatorHandle.of(V.n_log2, lambda s: _gather(_fft2(s, norm="forward"), plan), lambda s: _ifft2(_scatter(s, plan)))
 
 
 def apply_linearized_bucketed(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:

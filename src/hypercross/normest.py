@@ -1,14 +1,10 @@
 """Operator-norm estimation: the L2 norm by Golub-Kahan-Lanczos
 bidiagonalization, the Lp ascent, the bump-width sweep, and a dense SVD oracle
-for small grids.  The oracle's matrix is the image of the N^2 basis fields,
-taken through the handle's ``apply_stack`` in chunks of max(1, 2**13 // N^2)
-fields: one stacked kernel pass per chunk for the linearized operator.
+for small grids.
 
 Estimates are certified lower bounds: every reported value is re-derivable as
-lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  The L2 estimator
-keeps the name ``l2_norm_power_iteration`` of the power iteration it
-replaced, since criterion 7, the CLI, the sweep and the benchmark call it by
-that name.  Its ``converged`` flag is a Ritz-residual test; the ascent's is a
+lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  The L2
+estimator's ``converged`` flag is a Ritz-residual test; the ascent's is a
 heuristic.  Neither upgrades a bound to an exact norm: a random start can
 miss the top singular vector.
 
@@ -16,46 +12,41 @@ The L2 estimator holds at most min(max_iter, N^2) basis fields on each side:
 with the default max_iter = 200, at most 25 MiB at N = 64 and 100 MiB at
 N = 128.  Measured runs stop far earlier.  ``hypercross normest`` with p = 2,
 lip_x V (v_min = 1/2), bump eps = 1 and seed 4 takes 17 steps, and its
-tracemalloc peak is 7.2 MiB at N = 64 and 15.8 MiB at N = 128 (7.2 and
-8.0 MiB with power iteration).  ``hypercross sweep`` on a staircase_x V (8 levels, eps 1, 1/2 and
-1/4, seed 5) takes 17 to 49 steps per width at those sizes.
+tracemalloc peak is 7.2 MiB at N = 64 and 15.8 MiB at N = 128.
+``hypercross sweep`` on a staircase_x V (8 levels, eps 1, 1/2 and 1/4,
+seed 5) takes 17 to 49 steps per width at those sizes.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linearized
-from .grid import SampledField, apply_fixed_multiplier, lp_norm
+from .grid import SampledField, _fft2, _ifft2, lp_norm
 from .linearized import LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
 def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
-    apply = functools.partial(apply_fixed_multiplier, symbol=symbol)
+    """The x-independent multiplier: each image's spectrum is the input's
+    times symbol.values (real, in the FFT frequency order)."""
+
+    def multiply(samples: np.ndarray) -> np.ndarray:
+        return _ifft2(_fft2(samples, norm="forward") * symbol.values, norm="forward")
+
     # real symbols are self-adjoint in the weighted inner product
-    return LinearOperatorHandle(symbol.n_log2, apply, apply)
+    return LinearOperatorHandle.of(symbol.n_log2, multiply, multiply)
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
     """The N^2 x N^2 matrix of op, column k the image of the k-th basis field
-    (1 at flat index k, 0 elsewhere); small grids only.  The basis goes
-    through op.apply_stack in chunks of max(1, S // N^2) fields, with S the
-    kernel's stack bound (2**13) read at call time, so beyond the matrix no
-    array holds more than one chunk of fields."""
+    (1 at flat index k, 0 elsewhere); small grids only.  The N^2 basis
+    fields go through op.apply_stack in one call."""
     n = 1 << op.n_log2
-    size = n * n
-    step = max(1, linearized._STACK // size)
-    cols = np.empty((size, size), dtype=np.complex128)
-    for first in range(0, size, step):
-        basis = np.eye(min(step, size - first), size, first, dtype=np.complex128)
-        cols[:, first : first + step] = op.apply_stack(basis.reshape(-1, n, n)).reshape(-1, size).T
-    return cols
+    return op.apply_stack(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n)).reshape(n * n, n * n).T
 
 
 def dense_operator_norm(op: LinearOperatorHandle) -> float:
@@ -123,7 +114,8 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
     of a buffer that doubles when full, up to that bound.  The witness is
     the Ritz vector and the value is re-derived from it, hence a lower bound
     on the operator norm.  The name is kept from the power iteration this
-    replaced: criterion 7, the CLI and the sweep call it by that name."""
+    replaced, since criterion 7, the CLI, the sweep and the benchmark call it
+    by that name."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)

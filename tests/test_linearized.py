@@ -364,7 +364,7 @@ def test_constant_v_collapses_to_fixed_multiplier():
     out = lin.apply_linearized_bruteforce(f, V, m, 1.0)
     sym = mu.hyperbolic_symbol(0.7, 1.0, m, 4)
     mask = mu.pi_beta_mask(1.0, 4)
-    fixed = g.apply_fixed_multiplier(g.apply_fixed_multiplier(f, sym), mask)
+    fixed = ne.fixed_multiplier_operator(mask).apply(ne.fixed_multiplier_operator(sym).apply(f))
     assert np.abs(out.samples - fixed.samples).max() < 1e-11
 
 
@@ -619,7 +619,8 @@ def test_handle_groups_frequencies_once(monkeypatch, case, stack):
     # When its g groups fit in one stack of one grid, g N^2 <= max(N^2,
     # _STACK), it evaluated m on them then too, so no apply or adjoint calls
     # m; otherwise each stack of groups makes one call of at most max(N^2,
-    # _STACK) entries.
+    # _STACK) entries.  apply_stack gives the kernel max(1, _STACK // N^2)
+    # of its 3 grids per call.
     default = lin._STACK
     monkeypatch.setattr(lin, "_STACK", stack)
     n_log2, beta, groups = _HANDLE_CASES[case]
@@ -658,8 +659,9 @@ def test_handle_groups_frequencies_once(monkeypatch, case, stack):
     if groups * n**2 <= max(n**2, stack):
         assert profile_sizes == []
     else:
-        per_stack = [-(-groups // max(1, stack // (lead * n**2))) for lead in (1, 3)]
-        assert len(profile_sizes) == 6 * per_stack[0] + per_stack[1]
+        step = max(1, stack // n**2)
+        leads = [1] * 6 + [min(step, 3 - first) for first in range(0, 3, step)]
+        assert len(profile_sizes) == sum(-(-groups // max(1, stack // (lead * n**2))) for lead in leads)
         assert max(profile_sizes) <= max(n**2, stack)
     # the default stack holds the N = 16 grouping and not the N = 32 one
     assert (case == "N=16 beta=1") == (groups * n**2 <= max(n**2, default))
@@ -798,22 +800,59 @@ def test_a_reused_handle_keeps_its_bits(monkeypatch, case):
 
 
 def _stack_handles():
-    """The linearized handle at N = 8 and a handle with the same apply that
-    takes the default loop for its stacks."""
-    op = lin.linearized_operator(lin.generate_linearizer("lip_x", _LIP_X, 0, 3), mu.make_bump_profile(0.5), 1.0)
-    return {"linearized": op, "loop": lin.LinearOperatorHandle(3, op.apply, op.adjoint)}
+    """Handles at N = 8 from each constructor in the package, and one whose
+    map runs the linearized apply grid by grid: the checks and the stacking
+    of LinearOperatorHandle.of do not depend on the map."""
+    m = mu.make_bump_profile(0.5)
+    op = lin.linearized_operator(lin.generate_linearizer("lip_x", _LIP_X, 0, 3), m, 1.0)
+
+    def each(run):
+        return lambda s: np.reshape([run(g.SampledField(3, grid)).samples for grid in np.reshape(s, (-1, 8, 8))], np.shape(s))
+
+    return {
+        "linearized": op,
+        "fixed": ne.fixed_multiplier_operator(mu.hyperbolic_symbol(1.0, 1.0, m, 3)),
+        "loop": lin.LinearOperatorHandle.of(3, each(op.apply), each(op.adjoint)),
+    }
+
+
+_HANDLES = ["linearized", "fixed", "loop"]
 
 
 @pytest.mark.parametrize("shape", [(2, 8, 16), (2, 16, 8), (3, 16, 16), (8,)])
 def test_stacked_kernel_rejects_a_stack_on_another_grid(shape):
     plan = _stacked_plan("lip_x beta=1")[0]
-    op = _stack_handles()["linearized"]
-    for run in (lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan), op.apply_stack):
+    handles = _stack_handles()
+    runs = [lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan)]
+    for run in runs + [op.apply_stack for op in handles.values()]:
         with pytest.raises(g.GridMismatchError):
             run(np.zeros(shape, dtype=np.complex128))
 
 
-@pytest.mark.parametrize("handle", ["linearized", "loop"])
+@pytest.mark.parametrize("handle", _HANDLES)
+def test_apply_and_adjoint_reject_a_field_on_another_grid(handle):
+    op = _stack_handles()[handle]
+    for run in (op.apply, op.adjoint):
+        with pytest.raises(g.GridMismatchError):
+            run(g.random_field(4, 0))
+
+
+@pytest.mark.parametrize("handle", _HANDLES)
+def test_an_empty_stack_maps_to_an_empty_stack(handle):
+    out = _stack_handles()[handle].apply_stack(np.zeros((0, 8, 8)))
+    assert out.shape == (0, 8, 8) and out.dtype == np.complex128
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+def test_the_kernel_maps_an_empty_stack_to_an_empty_stack(case):
+    plan, keys, symbol = _stacked_plan(case)
+    for run in (lambda a: lin.gather(a, keys, symbol), lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan)):
+        for shape in ((0, 8, 8), (2, 0, 8, 8)):
+            out = run(np.zeros(shape, dtype=np.complex128))
+            assert out.shape == shape and out.dtype == np.complex128
+
+
+@pytest.mark.parametrize("handle", _HANDLES)
 def test_apply_stack_is_apply_on_each_grid(handle):
     op = _stack_handles()[handle]
     stack = _complex_stack((5, 8, 8), 3)
@@ -825,7 +864,7 @@ def test_apply_stack_is_apply_on_each_grid(handle):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("where", [(0, 0, 0), (2, 3, 4), (4, 7, 7)])
-@pytest.mark.parametrize("handle", ["linearized", "loop"])
+@pytest.mark.parametrize("handle", _HANDLES)
 def test_apply_stack_rejects_a_non_finite_entry(handle, where, bad):
     stack = _complex_stack((5, 8, 8), 3)
     stack[where] = bad
@@ -833,7 +872,7 @@ def test_apply_stack_rejects_a_non_finite_entry(handle, where, bad):
         _stack_handles()[handle].apply_stack(stack)
 
 
-@pytest.mark.parametrize("handle", ["linearized", "loop"])
+@pytest.mark.parametrize("handle", _HANDLES)
 def test_apply_stack_rejects_a_non_finite_image(handle):
     # every entry finite, but the transform of the second grid overflows;
     # apply leaves the check of its image to SampledField
@@ -848,12 +887,13 @@ def test_apply_stack_rejects_a_non_finite_image(handle):
 @pytest.mark.parametrize("stack", [lin._STACK, 1])
 @pytest.mark.parametrize("kind, beta", [("lip_x", 1.0), ("staircase_x", -1.0)])
 def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta, stack):
-    # at N = 8 the 64 basis fields go through the handle's apply_stack as one
-    # chunk: one fft2 of all of them and one ifft2 per stack of groups, where
-    # the column loop ran 64 of each.  At N = 16 they go in chunks of
+    # the N^2 basis fields go through the handle's apply_stack in one call,
+    # which gives the kernel chunks of max(1, _STACK // N^2) fields: at N = 8
+    # one chunk, so one fft2 of all of them and one ifft2 per stack of
+    # groups, where a column loop ran 64 of each.  At N = 16 the chunks hold
     # 2**13 // N^2 fields, and neither a transform nor a profile call sees
     # more than max(N^2, _STACK) entries.  The chunks follow _STACK as it is
-    # when dense_matrix runs: at 1, every chunk is one field.
+    # when apply_stack runs: at 1, every chunk is one field.
     m = mu.make_bump_profile(0.5)
     shapes = {"fft2": [], "ifft2": [], "profile": [], "apply_stack": []}
     originals = {"fft2": lin._fft2, "ifft2": lin._ifft2}
@@ -891,7 +931,7 @@ def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta, stack):
         monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
         dense = ne.dense_matrix(op)
         chunk = min(n**2, max(1, lin._STACK // n**2))
-        assert shapes["apply_stack"] == [(chunk, n, n)] * (n**2 // chunk)
+        assert shapes["apply_stack"] == [(n**2, n, n)]
         assert shapes["fft2"] == [(chunk, n, n)] * (n**2 // chunk)
         step = max(1, lin._STACK // (chunk * n**2))
         assert len(shapes["ifft2"]) == (n**2 // chunk) * -(-groups // step)

@@ -192,15 +192,17 @@ _DENSE_FIELDS = st.builds(lambda kind, seed: lin.generate_linearizer(kind, {}, s
 @example(V=_ZERO_BAND, beta=-1.0, m=mu.make_bump_profile(0.5))
 def test_dense_matrices_match_the_bruteforce_and_the_adjoint(V, beta, m):
     # the matrix on all 64 basis fields: dense takes the handle's stacked
-    # apply, checked against the brute force run field by field; the handle
-    # with apply and adjoint swapped takes the default loop over all 64
-    # fields, so the adjoint's _scatter is checked on every field and not
-    # only on random pairs
+    # apply, checked against the brute force run field by field; the adjoint
+    # is run on every basis field too, so its _scatter is checked on every
+    # field and not only on random pairs.  The brute-force and adjoint
+    # matrices are loops of one-field calls here, so the oracle does not go
+    # through apply_stack.
     op = lin.linearized_operator(V, m, beta)
     dense = ne.dense_matrix(op)
-    brute = ne.dense_matrix(lin.LinearOperatorHandle(3, lambda f: lin.apply_linearized_bruteforce(f, V, m, beta), None))
+    basis = [g.SampledField(3, e.reshape(8, 8)) for e in np.eye(64)]
+    brute = np.array([lin.apply_linearized_bruteforce(e, V, m, beta).samples.ravel() for e in basis]).T
     assert np.linalg.norm(dense - brute) <= 1e-10 * np.linalg.norm(brute)
-    adjoint = ne.dense_matrix(lin.LinearOperatorHandle(op.n_log2, op.adjoint, op.apply))
+    adjoint = np.array([op.adjoint(e).samples.ravel() for e in basis]).T
     assert np.linalg.norm(adjoint - dense.conj().T) <= 1e-10 * np.linalg.norm(dense)
 
 
