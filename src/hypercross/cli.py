@@ -1,14 +1,16 @@
 """Batch experiment runner: subcommands wiring config files to the package.
 
-Config files are flat INI text with one section per concern; a section or
-key outside the schema is rejected when the file is parsed.  The file is
-read once: its bytes are parsed and give the provenance's config hash.  Each command
-reads its keys through :meth:`RunContext.take`, and :meth:`RunContext.start`
-rejects every key it did not read (a section another command uses, a key of
-another profile kind, ``[normest] max_iter`` with p != 2) before anything is
-computed.  Every number in a config must be finite, and nothing is written,
-not even the output directory, until the command has its results.  Check
-thresholds are the acceptance battery's pinned tolerances, not keys.
+Config files are flat INI text with one section per concern; a section no
+command reads is rejected when the file is parsed.  The file is read once:
+its bytes are parsed and give the provenance's config hash.  Each command
+reads its keys through :meth:`RunContext.take`, which parses a key's text as
+the type of its default and checks it there, and :meth:`RunContext.start`
+rejects every key it did not read (an unknown key, a section another command
+uses, a key of another profile kind, ``[normest] max_iter`` with p != 2)
+before anything is computed.  Every number in a config must be finite, and
+nothing is written, not even the output directory, until the command has its
+results.  Check thresholds are the acceptance battery's pinned tolerances,
+not keys.
 Artifacts (HXF1 fields, CSV tables, JSON-lines logs) carry the config hash,
 seed and grid size.  There is no parallel mode: reruns with the same config
 and seed are byte-identical.  Exit status: 0 when every check passes, 1 when
@@ -57,53 +59,40 @@ class ConfigError(ValueError):
 
 
 def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {s!r}") from None
 
 
 def _parse_float_list(s: str) -> list[float]:
     return [float(tok) for tok in s.replace(",", " ").split()]
 
 
-_SCHEMA = {
-    "run": {"grid_n_log2": int, "seed": int},
-    "profile": {"kind": str, "epsilon": float, "flat_radius": float, "support_radius": float},
-    "linearizer": {"kind": str, **{key: typ for keys in lin._LINEARIZER_KEYS.values() for key, typ in keys.items()}},
-    "apply": {"beta": float, "method": str, "compare_oracle": _parse_bool},
-    "dyadic": {"variant": str, "lip_constant": float, "depth": int, "count": int, "beta": float},
-    "decompose": {"beta": float, "ratio_variant": str, "ratio_lip": float},
-    "normest": {"p": float, "beta": float, "restarts": int, "max_iter": int},
-    "sweep": {"p": float, "beta": float, "eps_list": _parse_float_list},
-    "verify": {},
-}
+def _parse(section: str, key: str, raw: str, typ: type):
+    """The text of section.key as a typ: a bool by its INI spellings, a list
+    as its floats, else typ(raw).  A float, or a list entry, must be finite."""
+    try:
+        value = {bool: _parse_bool, list: _parse_float_list}.get(typ, typ)(raw)
+        if typ in (float, list) and not np.isfinite(value).all():
+            raise ValueError(f"{raw!r} is not finite")
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+    return value
 
 
 def load_config(text: str, path: str = "<string>") -> dict:
-    """Parse config text; path names it in configparser's messages."""
+    """Parse config text into {section: {key: text}}; path names it in
+    configparser's messages.  A section no command reads is rejected."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    config: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {"run", "profile", "linearizer", *_COMMANDS}:
             raise ConfigError(f"unknown section [{section}]")
-        config[section] = {}
-        for key, raw in parser.items(section):
-            known = _SCHEMA[section]
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            try:
-                config[section][key] = value = known[key](raw)
-                if known[key] in (float, _parse_float_list) and not np.isfinite(value).all():
-                    raise ValueError(f"{raw!r} is not finite")
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-    return config
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 class RunContext:
@@ -133,12 +122,14 @@ class RunContext:
         self.failures = 0
 
     def take(self, section: str, key: str, default):
-        """The value of section.key, or the default when the file omits it."""
+        """The value of section.key parsed as the type of the default, or the
+        default when the file omits it."""
         self._unread.discard((section, key))
-        return self.config.get(section, {}).get(key, default)
+        raw = self.config.get(section, {}).get(key)
+        return default if raw is None else _parse(section, key, raw, type(default))
 
     def take_all(self, section: str) -> dict:
-        """Every key of the section; the caller validates them."""
+        """The text of every key of the section; the caller parses them."""
         values = dict(self.config.get(section, {}))
         self._unread -= {(section, key) for key in values}
         return values
@@ -180,9 +171,14 @@ def _build_profile(ctx: RunContext) -> mu.MultiplierProfile:
 
 
 def _linearizer_spec(ctx: RunContext) -> dict:
-    """The [linearizer] section with kind = constant by default; the
-    generator holds the defaults of the parameters."""
-    return {"kind": "constant", **ctx.take_all("linearizer")}
+    """The [linearizer] section with kind = constant by default, each key
+    the kind reads parsed by its type in lin._LINEARIZER_KEYS.  The
+    generator holds the defaults of the parameters and rejects the keys,
+    left as text, that the kind does not read."""
+    params = ctx.take_all("linearizer")
+    kind = params.pop("kind", "constant")
+    types = lin._LINEARIZER_KEYS.get(kind, {})
+    return {"kind": kind, **{key: _parse("linearizer", key, raw, types[key]) if key in types else raw for key, raw in params.items()}}
 
 
 def _build_linearizer(ctx: RunContext) -> tuple[lin.LinearizerField, dict]:
@@ -321,8 +317,6 @@ def cmd_sweep(ctx: RunContext) -> None:
     beta = ctx.take("sweep", "beta", 1.0)
     eps_list = ctx.take("sweep", "eps_list", [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
     v_spec = _linearizer_spec(ctx)
-    if not eps_list:
-        raise ConfigError("sweep.eps_list is empty")
     ctx.start()
     result = ne.epsilon_sweep(p, beta, v_spec, eps_list, ctx.n_log2, ctx.seed)
     ne.write_sweep_csv(ctx.path("sweep.csv"), result)

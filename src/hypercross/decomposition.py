@@ -165,7 +165,10 @@ def _axis_sums(family: LPFamily) -> tuple[np.ndarray, np.ndarray]:
 
 
 def calderon_residual(f: SampledField, family: LPFamily) -> float:
-    """||f - sum_k sum_l P1 P2 P3 f||_2 / ||f||_2 over the dyadic ladders."""
+    """||f - sum_k sum_l P1 P2 P3 f||_2 / ||f||_2 over the dyadic ladders;
+    GridMismatchError unless f lives on the family's grid."""
+    if f.n_log2 != family.n_log2:
+        raise GridMismatchError("field and family grids differ")
     spec = forward_transform(f)
     diff = spec.coeffs * (1.0 - _full_symbol(family))
     denom = math.sqrt(float(np.sum(np.abs(spec.coeffs) ** 2)))

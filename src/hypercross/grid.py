@@ -146,11 +146,9 @@ def lp_norm(f: SampledField, p: float) -> float:
 def write_hxf1(path, n_log2: int, values: np.ndarray) -> None:
     """Write a complex N x N array: magic 'HXF1', u32-LE n_log2, then the
     row-major payload as little-endian complex128, the bytes of (re, im)
-    float64 pairs."""
-    n = 1 << n_log2
-    arr = np.asarray(values, dtype="<c16")
-    if arr.shape != (n, n):
-        raise ValueError(f"array shape {arr.shape} does not match n_log2={n_log2}")
+    float64 pairs.  An array read_hxf1 would refuse (n_log2 < 3, another
+    shape, a non-finite entry) raises ValueError before the file opens."""
+    arr = _grid_array(n_log2, values, "<c16")
     with open(path, "wb") as fh:
         fh.write(HXF1_MAGIC + struct.pack("<I", n_log2) + arr.tobytes())
 

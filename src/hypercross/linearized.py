@@ -166,7 +166,7 @@ _AXIS = {"lip_x": 0, "lip_y": 1, "staircase_x": 0}
 
 
 # the parameters each linearizer kind reads, with their types; a key has one
-# type across the kinds, and the CLI's [linearizer] section is their union
+# type across the kinds
 _LINEARIZER_KEYS = {
     "constant": {"value": float},
     "lip_x": {"lip_constant": float, "v_min": float, "band": int, "amplitude": float},
@@ -187,9 +187,9 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     most 0.95 lip / (N sqrt(k)).  'lip_x' and 'lip_y' bound their one axis
     (k = 1); the other two bound both (k = 2, since axis-step control
     implies euclidean control up to sqrt(2) via l1 paths), and
-    'dyadic_of_lipschitz' then takes the dyadic floor.  The amplitude caps
-    the spread of 'lip_x' and 'lip_y', and scales alone a draw that does not
-    vary along its axis.
+    'dyadic_of_lipschitz' then takes the dyadic floor.  The amplitude,
+    finite and >= 0, caps the spread of 'lip_x' and 'lip_y', and scales alone
+    a draw that does not vary along its axis.
     'constant' takes value (default 1), >= 0.  Every other kind takes
     lip_constant (default 1), finite and > 0; the kinds with a v_min take it
     finite and >= 0 (default 1/2), and those with a band or levels take it
@@ -218,6 +218,9 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     v_min = params.get("v_min", 0.5)  # lip_2d takes none, so it keeps the default there
     if not 0.0 <= v_min < math.inf:
         raise ValueError(f"linearizer kind {kind!r} needs a finite v_min >= 0, got {v_min}")
+    amplitude = params.get("amplitude")
+    if amplitude is not None and not 0.0 <= amplitude < math.inf:
+        raise ValueError(f"linearizer kind {kind!r} needs a finite amplitude >= 0, got {amplitude}")
     for key in ("band", "levels"):
         if params.get(key, 1) < 1:
             raise ValueError(f"linearizer kind {kind!r} needs {key} >= 1, got {params[key]}")
@@ -251,7 +254,6 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     axes = (_AXIS[kind],) if kind in _AXIS else (0, 1)
     w = _band_limited_noise(n_log2, rng, band=params.get("band", 3))
     measured = max(_adjacent_max_diff(w, axis=axis) for axis in axes) * n
-    amplitude = params.get("amplitude")
     if measured > 0:
         scale = 0.95 * lip / (measured * math.sqrt(len(axes)))
         if amplitude is not None:  # amplitude / ptp(w) alone would round differently

@@ -8,11 +8,14 @@ estimator's ``converged`` flag is a Ritz-residual test; the ascent's is a
 heuristic.  Neither upgrades a bound to an exact norm: a random start can
 miss the top singular vector.
 
-The L2 estimator holds at most min(max_iter, N^2) basis fields on each side:
-with the default max_iter = 200, at most 25 MiB at N = 64 and 100 MiB at
-N = 128.  Measured runs stop far earlier.  ``hypercross normest`` with p = 2,
-lip_x V (v_min = 1/2), bump eps = 1 and seed 4 takes 17 steps, and its
-tracemalloc peak is 7.2 MiB at N = 64 and 15.8 MiB at N = 128.
+The L2 estimator allocates its two bases once, min(max_iter, N^2) fields
+each, and writes only the rows its steps fill: with the default
+max_iter = 200, at most 25 MiB at N = 64 and 100 MiB at N = 128 if every
+row is filled.  Measured runs stop far earlier.  ``hypercross normest``
+with p = 2, lip_x V (v_min = 1/2), bump eps = 1 and seed 4 takes 17 steps;
+on a 2-core x86-64 Linux host its peak resident set, the interpreter
+included, is 44 MiB at N = 64 and 54 MiB at N = 128.  (tracemalloc counts
+the unwritten rows too, and reports 27 and 105 MiB.)
 ``hypercross sweep`` on a staircase_x V (8 levels, eps 1, 1/2 and 1/4,
 seed 5) takes 17 to 49 steps per width at those sizes.
 """
@@ -79,16 +82,6 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _with_room(rows: np.ndarray, filled: int, limit: int) -> np.ndarray:
-    """rows, or once its first filled rows take all of it, a buffer of
-    min(2 * len(rows), limit) rows that starts with them."""
-    if filled < len(rows):
-        return rows
-    grown = np.empty((min(2 * len(rows), limit), rows.shape[1]), dtype=rows.dtype)
-    grown[:filled] = rows
-    return grown
-
-
 def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
     """B_k: alphas on the diagonal, the first k - 1 betas above it."""
     return np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
@@ -110,12 +103,12 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
     Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992) bound how far
     below the norm a random start can leave the value.
 
-    It keeps at most min(max_iter, N^2) basis fields per side, as the rows
-    of a buffer that doubles when full, up to that bound.  The witness is
-    the Ritz vector and the value is re-derived from it, hence a lower bound
-    on the operator norm.  The name is kept from the power iteration this
-    replaced, since criterion 7, the CLI, the sweep and the benchmark call it
-    by that name."""
+    It keeps the basis fields of each side as the rows of one array of
+    min(max_iter, N^2) rows, allocated once; a row no step reaches is never
+    written.  The witness is the Ritz vector and the value is re-derived
+    from it, hence a lower bound on the operator norm.  The name is kept
+    from the power iteration this replaced, since criterion 7, the CLI, the
+    sweep and the benchmark call it by that name."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
@@ -123,20 +116,18 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
     v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).ravel()
     v /= np.linalg.norm(v)
     steps = min(max_iter, n * n)
-    right = np.empty((1, n * n), dtype=np.complex128)
-    left = np.empty((1, n * n), dtype=np.complex128)
+    right = np.empty((steps, n * n), dtype=np.complex128)
+    left = np.empty((steps, n * n), dtype=np.complex128)
     alphas: list[float] = []
     betas: list[float] = []
     converged = False
     for k in range(steps):
-        right = _with_room(right, k, steps)
         right[k] = v
         u = _orthogonalize(op.apply(SampledField(op.n_log2, v.reshape(n, n))).samples.ravel(), left[:k])
         alphas.append(float(np.linalg.norm(u)))
         if alphas[-1] <= 1e-12 * max(alphas):
             converged = True
             break
-        left = _with_room(left, k, steps)
         left[k] = u / alphas[-1]
         w = _orthogonalize(op.adjoint(SampledField(op.n_log2, left[k].reshape(n, n))).samples.ravel(), right[: k + 1])
         betas.append(float(np.linalg.norm(w)))
@@ -255,7 +246,9 @@ def epsilon_sweep(
     """Norm estimates of the operator of one generated V across bump widths,
     one row per eps with the smoothness constant A of the bump.  v_spec is
     the generator's kind and parameters; a spec without a kind raises
-    ValueError."""
+    ValueError, as does an empty eps_list."""
+    if len(eps_list) == 0:
+        raise ValueError("eps_list holds no bump width")
     if "kind" not in v_spec:
         raise ValueError("v_spec names no linearizer kind")
     v_params = {k: v for k, v in v_spec.items() if k != "kind"}

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import json
 import math
+import re
 import runpy
 import sys
 import warnings
@@ -357,8 +358,12 @@ _BAD_CONFIGS = {
     # values that fail to parse, and kinds and methods outside the package
     "grid_n_log2_not_an_int": ("verify", "[run]\ngrid_n_log2 = four\n"),
     "compare_oracle_maybe": ("apply", APPLY_CONFIG.format(method="bucketed") + "compare_oracle = maybe\n"),
+    # parsed by the kind's type: as a float, 2.5 would reach the generator and round to band 2
+    "linearizer_band_not_an_int": ("verify", "[run]\ngrid_n_log2 = 4\n\n[linearizer]\nkind = lip_x\nband = 2.5\n"),
     "unknown_profile_kind": ("verify", "[run]\ngrid_n_log2 = 4\n\n[profile]\nkind = gauss\n"),
     "unknown_apply_method": ("apply", APPLY_CONFIG.format(method="fft")),
+    # a section no command reads, even with no keys to leave unread
+    "empty_unknown_section": ("verify", "[run]\ngrid_n_log2 = 4\n\n[nonsense]\n"),
 }
 # every number in a config must be finite: (command, the key the error names, text)
 _NON_FINITE = {
@@ -399,15 +404,20 @@ def test_bad_config_exits_config_error(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", sorted(_NON_FINITE))
-def test_non_finite_number_is_rejected_where_the_config_is_parsed(case):
-    _, key, text = _NON_FINITE[case]
-    with pytest.raises(cli.ConfigError, match=rf"^bad value for {key}: '.*' is not finite$"):
-        cli.load_config(text)
+def test_non_finite_number_is_rejected_where_the_config_is_parsed(tmp_path, capsys, case):
+    # the command's take parses the value and checks it before anything is written
+    command, key, text = _NON_FINITE[case]
+    cfg = _write(tmp_path, "bad.ini", text)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert re.fullmatch(rf"config error: bad value for {key}: '[^']*' is not finite\n", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_boolean_spellings():
-    for raw, value in [("true", True), ("On", True), ("false", False), ("0", False)]:
-        assert cli.load_config(f"[apply]\ncompare_oracle = {raw}\n") == {"apply": {"compare_oracle": value}}
+    for raw, value in [("1", True), ("yes", True), ("True", True), ("On", True)] + [("0", False), ("no", False), ("FALSE", False), ("off", False)]:
+        assert cli._parse_bool(raw) is value
+    with pytest.raises(ValueError, match="^not a boolean: 'maybe'$"):
+        cli._parse_bool("maybe")
 
 
 def test_decompose_rejects_ratio_lip_before_the_terms_run(tmp_path, monkeypatch):

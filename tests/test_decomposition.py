@@ -346,13 +346,22 @@ def test_all_terms_vanish_on_zero_field(fam):
     assert np.abs(de.small_variation_error(zero, V, fam, m).samples).max() == 0.0
 
 
-@pytest.mark.parametrize("term", ["principal_term", "error_term", "small_variation_error"])
+@pytest.mark.parametrize(
+    "term",
+    [
+        de.principal_term,
+        de.error_term,
+        de.small_variation_error,
+        lambda f, V, family, m: de.calderon_residual(f, family),  # numpy's broadcast error before
+    ],
+    ids=["principal_term", "error_term", "small_variation_error", "calderon_residual"],
+)
 def test_terms_reject_a_family_on_another_grid(term):
     family = de.make_lp_family(1.0, 4)
     f = g.random_field(5, 0)
     V = lin.generate_linearizer("constant", {"value": 0.3}, 0, 5)
     with pytest.raises(g.GridMismatchError, match="field and family grids differ"):
-        getattr(de, term)(f, V, family, mu.make_bump_profile(0.5))
+        term(f, V, family, mu.make_bump_profile(0.5))
 
 
 # the terms that round V up to a power of two, then the lemma, which needs V > 0 too

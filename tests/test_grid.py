@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -230,16 +232,31 @@ def test_hxf1_rejects_truncated_payload(tmp_path):
 
 
 def test_hxf1_write_rejects_the_wrong_shape(tmp_path):
-    with pytest.raises(ValueError, match=r"array shape \(8, 8\) does not match n_log2=4"):
+    with pytest.raises(ValueError, match=r"array shape \(8, 8\) does not match N=16"):
         g.write_hxf1(tmp_path / "f.hxf1", 4, np.ones((8, 8)))
     assert not (tmp_path / "f.hxf1").exists()
 
 
-def test_hxf1_rejects_non_finite_payload(tmp_path):
-    samples = g.random_field(4, 11).samples.copy()
+def _nan_at_3_5(n_log2):
+    samples = g.random_field(n_log2, 11).samples.copy()
     samples[3, 5] = np.nan
+    return samples
+
+
+@pytest.mark.parametrize(
+    "n_log2, values, message",
+    [(2, np.zeros((4, 4)), "grid must be at least 8x8"), (3, _nan_at_3_5(3), "grid array holds non-finite values")],
+)
+def test_hxf1_write_refuses_what_the_reader_refuses(tmp_path, n_log2, values, message):
+    # both files were written, and read_hxf1 raised these errors on them
+    with pytest.raises(ValueError, match=message):
+        g.write_hxf1(tmp_path / "f.hxf1", n_log2, values)
+    assert not (tmp_path / "f.hxf1").exists()
+
+
+def test_hxf1_rejects_non_finite_payload(tmp_path):
     path = tmp_path / "nan.hxf1"
-    g.write_hxf1(path, 4, samples)
+    path.write_bytes(g.HXF1_MAGIC + struct.pack("<I", 4) + _nan_at_3_5(4).astype("<c16").tobytes())
     with pytest.raises(ValueError, match="non-finite"):
         g.read_hxf1(path)
 

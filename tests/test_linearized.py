@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from hypercross import cli
 from hypercross import decomposition as de
 from hypercross import dyadic as dy
 from hypercross import grid as g
@@ -218,12 +217,12 @@ def test_generator_rejects_band_and_levels_below_one(kind, key, value):
         lin.generate_linearizer(kind, {key: value}, 1, 4)
 
 
-def test_cli_linearizer_section_is_the_union_of_the_kinds():
-    schema = dict(cli._SCHEMA["linearizer"])
-    assert schema.pop("kind") is str
-    for keys in lin._LINEARIZER_KEYS.values():
-        assert {key: schema[key] for key in keys} == keys  # one type per key across the kinds
-    assert set(schema) == set().union(*lin._LINEARIZER_KEYS.values())
+@pytest.mark.parametrize("kind", ["lip_x", "lip_y"])
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -0.1])
+def test_generator_rejects_an_amplitude_that_is_not_finite_and_at_least_zero(kind, amplitude):
+    # nan and inf left the field uncapped, and -0.1 failed later as a negative V
+    with pytest.raises(ValueError, match=f"^linearizer kind '{kind}' needs a finite amplitude >= 0, got {amplitude}$"):
+        lin.generate_linearizer(kind, {"v_min": 0.05, "amplitude": amplitude}, 3, 5)
 
 
 def test_lip_y_draw_without_variation_along_its_axis():

@@ -221,6 +221,12 @@ def test_sweep_needs_a_linearizer_kind():
         ne.epsilon_sweep(2.0, 1.0, {"lip_constant": 1.0, "v_min": 0.125}, [1.0], 3, 0)
 
 
+def test_sweep_needs_a_bump_width():
+    # an empty sweep returned no rows, and its log_shape_ratio failed in max()
+    with pytest.raises(ValueError, match="^eps_list holds no bump width$"):
+        ne.epsilon_sweep(2.0, 1.0, {"kind": "constant"}, [], 3, 0)
+
+
 @pytest.mark.parametrize("n_log2, rows", [(3, 10), (3, 60), (4, 37), (4, 100)])
 def test_orthogonalize_leaves_no_component_on_a_nearly_spanned_vector(n_log2, rows):
     # x lies within 1e-10 of the span of the rows, so one projection pass
