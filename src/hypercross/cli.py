@@ -112,6 +112,9 @@ class RunContext:
         except ValueError as exc:
             raise ConfigError(f"bad value for run.grid_n_log2: {exc}") from exc
         seed = self.take("run", "seed", 0)
+        for name, value in (("run.seed", seed), ("--seed", args.seed)):
+            if value is not None and value < 0:
+                raise ConfigError(f"bad value for {name}: {value} is negative")
         self.seed = args.seed if args.seed is not None else seed
         self.provenance = {
             "config_sha256": hashlib.sha256(data).hexdigest()[:16],

@@ -56,16 +56,9 @@ def _grid_array(n_log2: int, values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     if arr.shape != (n, n):
         raise ValueError(f"array shape {arr.shape} does not match N={n}")
-    _finite(arr)
-    arr.setflags(write=False)
-    return arr
-
-
-def _finite(arr: np.ndarray) -> np.ndarray:
-    """arr, a grid or a stack of grids, once every entry is finite (the grid
-    contract); ValueError otherwise."""
     if not np.isfinite(arr).all():
         raise ValueError("grid array holds non-finite values")
+    arr.setflags(write=False)
     return arr
 
 

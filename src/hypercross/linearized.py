@@ -10,9 +10,11 @@ variable-scale operator in the package is one call of the kernel
 :func:`gather` on a key array (V, or a rounding of V); it reproduces the
 O(N^4) brute-force oracle exactly up to floating-point reassociation.  Every
 operator handle of the package is built by one constructor,
-:meth:`LinearOperatorHandle.of`, from a map on stacks of grids and its
-adjoint map; :func:`linearized_operator` keeps one plan of the kernel and
-gives ``of`` :func:`_gather` and its adjoint :func:`_scatter` on it.
+:meth:`LinearOperatorHandle.of`, from a key array and a symbol under the
+contract of :func:`gather`: it keeps one plan of the kernel for its apply,
+:func:`_gather`, and its adjoint, :func:`_scatter`, and keeps the keys and
+the symbol, from which the dense oracle of :mod:`normest` is built apart
+from the kernel.
 
 The kernel sums out(x) = sum_k symbol(V(x))[k] f^[k] e(x.k) in one of two
 orders.  On the V side it takes one transform per distinct key, each
@@ -51,25 +53,20 @@ takes; it groups the keys only when it takes the key side, which a
 continuous V rarely does.  Every 2-D transform is the pair
 :func:`grid._fft2` and :func:`grid._ifft2`, numpy's fft2 and ifft2 bit for
 bit.
-The kernel takes one grid or a stack of B grids shaped (..., N, N); each
-stack of groups runs on all B grids at once.  Either side takes its groups
-in stacks of max(1, 2**13 // (B N^2)), each a contiguous slice of the
-grouping, with one FFT call over the last two axes per stack, because at the
-grid sizes of the battery a call costs more than its arithmetic.  The
-factors (m(key * h) on the frequency side, the symbols on the V side) come
-from one call for all g groups when they fit in one stack of one grid, g N^2
-<= max(N^2, 2**13): the plan keeps them as a read-only (g, N, N) table, so
-an operator handle applied many times evaluates m once.  Otherwise each
-stack makes one factor call on its groups.  Each group's factors are
-computed on their own, and each group is still picked or added on its own,
-in group order, so the result does not depend on the stack size or on the
-table, and each grid of a stack comes out with the bits of its own call.  A
-stack of groups holds at most max(B N^2, 2**13) entries and the table at
-most max(N^2, 2**13).  That is within max(N^2, 2**13), so memory stays
-O(N^2), because a handle's apply_stack, :meth:`LinearOperatorHandle.of`,
-splits every stack into stacks of at most max(1, 2**13 // N^2) grids, and
-the rest of the package passes one grid at a time.  An empty stack of grids
-maps to an empty stack.
+
+The kernel takes one (N, N) grid per call.  Either side takes its groups
+in stacks of max(1, 2**13 // N^2), each a contiguous slice of the grouping,
+with one FFT call over the last two axes per stack, because at the grid
+sizes of the battery a call costs more than its arithmetic.  The factors
+(m(key * h) on the frequency side, the symbols on the V side) come from one
+call for all g groups when they fit in one stack, g N^2 <= max(N^2,
+2**13): the plan keeps them as a read-only (g, N, N) table, so an operator
+handle applied many times evaluates m once.  Otherwise each stack makes one
+factor call on its groups.  Each group's factors are computed on their own,
+and each group is still picked or added on its own, in group order, so the
+result does not depend on the stack size or on the table.  A stack of
+groups and the table hold at most max(N^2, 2**13) entries, so memory stays
+O(N^2).
 """
 
 from __future__ import annotations
@@ -85,7 +82,6 @@ from .grid import (
     GridMismatchError,
     SampledField,
     _fft2,
-    _finite,
     _grid_array,
     _ifft2,
     forward_transform,
@@ -190,11 +186,13 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
     'dyadic_of_lipschitz' then takes the dyadic floor.  The amplitude,
     finite and >= 0, caps the spread of 'lip_x' and 'lip_y', and scales alone
     a draw that does not vary along its axis.
-    'constant' takes value (default 1), >= 0.  Every other kind takes
-    lip_constant (default 1), finite and > 0; the kinds with a v_min take it
-    finite and >= 0 (default 1/2), and those with a band or levels take it
-    >= 1 (default 3, and max(8, N/2)).  An unknown kind, a parameter the
-    kind does not read, or a value out of range raises ValueError.
+    'constant' takes value (default 1), finite and >= 0.  Every other kind
+    takes lip_constant (default 1), finite and > 0; the kinds with a v_min
+    take it finite and >= 0 (default 1/2), 'lip_2d' takes a floor (default
+    lip_constant**2), finite and >= lip_constant**2, and the kinds with a
+    band or levels take it >= 1 (default 3, and max(8, N/2)).  An unknown
+    kind, a parameter the kind does not read, or a value out of range
+    raises ValueError naming the kind and the parameter.
     """
     keys = _LINEARIZER_KEYS.get(kind)
     if keys is None:
@@ -208,8 +206,8 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
 
     if kind == "constant":
         c = params.get("value", 1.0)
-        if c < 0:
-            raise ValueError("constant linearizer must be >= 0")
+        if not 0.0 <= c < math.inf:
+            raise ValueError(f"linearizer kind {kind!r} needs a finite value >= 0, got {c}")
         return LinearizerField(n_log2, np.full((n, n), c), Regularity("constant"), seed)
 
     lip = params.get("lip_constant", 1.0)
@@ -247,8 +245,8 @@ def generate_linearizer(kind: str, params: dict, seed: int, n_log2: int) -> Line
         return LinearizerField(n_log2, v, Regularity("staircase_x", lip=lip, floor=v_min), seed)
 
     floor = params.get("floor", lip * lip) if kind == "lip_2d" else v_min
-    if kind == "lip_2d" and floor < lip * lip:
-        raise ValueError(f"floor {floor} below lip_constant**2 = {lip * lip}")
+    if kind == "lip_2d" and not lip * lip <= floor < math.inf:
+        raise ValueError(f"linearizer kind {kind!r} needs a finite floor >= lip_constant**2 = {lip * lip}, got {floor}")
     if kind == "dyadic_of_lipschitz" and v_min <= 0:
         raise ValueError("dyadic_of_lipschitz needs v_min > 0")
     axes = (_AXIS[kind],) if kind in _AXIS else (0, 1)
@@ -365,7 +363,8 @@ def dyadic_floor(values) -> np.ndarray:
 class _Groups(NamedTuple):
     """Positions on a grid of S points grouped by value: the sorted distinct
     values, the positions in group order (increasing within a group), and
-    their flat indices group * S + position in a stack of grids (increasing)."""
+    their flat indices group * S + position in the (g, N, N) array of the
+    groups' grids (increasing)."""
 
     values: np.ndarray
     positions: np.ndarray
@@ -384,12 +383,10 @@ def _grouped(values: np.ndarray, positions: np.ndarray, size: int) -> _Groups:
     return _Groups(ordered[starts], positions, (np.cumsum(starts) - 1) * size + positions)
 
 
-def _on_grid(arr: np.ndarray, shape: tuple) -> np.ndarray:
-    """arr, a grid or a stack of grids, once it lives on the grid of that
-    shape: its last two axes are shape.  GridMismatchError otherwise."""
-    if np.shape(arr)[-2:] != shape:
+def _on_grid(arr: np.ndarray, shape: tuple) -> None:
+    """GridMismatchError unless arr is a grid of that shape."""
+    if np.shape(arr) != shape:
         raise GridMismatchError(f"array of shape {np.shape(arr)} on a grid of shape {shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -415,46 +412,41 @@ class ScaledSymbol:
 _STACK = 1 << 13
 
 
-def _stacks(groups: _Groups, shape: tuple):
-    """Consecutive runs of at most max(1, _STACK // (B N^2)) groups for a stack
-    of B grids shaped (..., N, N), each as (its slice of the group indices,
-    its slice of the grouping, the flat index of its start)."""
-    size, entries = shape[-2] * shape[-1], math.prod(shape)
-    step = max(1, _STACK // max(entries, 1))
-    count = groups.values.size if entries else 0  # an empty stack of grids maps to an empty stack
+def _stacks(groups: _Groups, size: int):
+    """Consecutive runs of at most max(1, _STACK // size) groups on a grid of
+    size points, each as (its slice of the group indices, its slice of the
+    grouping, the flat index of its start)."""
+    step = max(1, _STACK // size)
     lo = 0
-    for first in range(0, count, step):
-        last = min(first + step, count)
+    for first in range(0, groups.values.size, step):
+        last = min(first + step, groups.values.size)
         hi = int(groups.flat.searchsorted(last * size))
         yield slice(first, last), slice(lo, hi), first * size
         lo = hi
 
 
 def _pick(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
-    """out[..., x] = transform(arr * factor(v))[..., x] for each position x
-    of the group of value v, on every grid of a stack shaped (..., N, N),
-    where factors(stack) gives the factors of a slice of the group indices."""
-    size = arr.shape[-2] * arr.shape[-1]
-    out = np.zeros((arr.size // size, size), dtype=np.complex128)
-    for stack, part, start in _stacks(groups, arr.shape):
-        picked = transform(arr[..., None, :, :] * factors(stack)).reshape(out.shape[0], -1)
-        out[:, groups.positions[part]] = picked[:, groups.flat[part] - start]
+    """out[x] = transform(arr * factor(v))[x] for each position x of the
+    group of value v, where factors(stack) gives the (k, N, N) factors of a
+    slice of the group indices."""
+    out = np.zeros(arr.size, dtype=np.complex128)
+    for stack, part, start in _stacks(groups, arr.size):
+        picked = transform(arr * factors(stack)).ravel()
+        out[groups.positions[part]] = picked[groups.flat[part] - start]
     return out.reshape(arr.shape)
 
 
 def _spread(transform, arr: np.ndarray, groups: _Groups, factors) -> np.ndarray:
-    """Sum over the groups of transform(arr restricted to the group) * factor
-    on every grid of a stack shaped (..., N, N), with factors as in
-    :func:`_pick`; the terms are added in group order."""
-    rows = np.asarray(arr, dtype=np.complex128).reshape(-1, arr.shape[-2] * arr.shape[-1])
+    """Sum over the groups of transform(arr restricted to the group) *
+    factor, with factors as in :func:`_pick`; the terms are added in group
+    order."""
+    values = np.asarray(arr, dtype=np.complex128).ravel()
     out = np.zeros(arr.shape, dtype=np.complex128)
-    for stack, part, start in _stacks(groups, arr.shape):
-        count = stack.stop - stack.start
-        restricted = np.zeros((rows.shape[0], count * rows.shape[1]), dtype=np.complex128)
-        restricted[:, groups.flat[part] - start] = rows[:, groups.positions[part]]
-        terms = transform(restricted.reshape(arr.shape[:-2] + (count,) + arr.shape[-2:])) * factors(stack)
-        for k in range(count):
-            out += terms[..., k, :, :]
+    for stack, part, start in _stacks(groups, values.size):
+        restricted = np.zeros((stack.stop - stack.start) * values.size, dtype=np.complex128)
+        restricted[groups.flat[part] - start] = values[groups.positions[part]]
+        for term in transform(restricted.reshape((-1,) + arr.shape)) * factors(stack):
+            out += term
     return out
 
 
@@ -485,7 +477,7 @@ class _Plan(NamedTuple):
     array, the groups, the rule that evaluates the (g, N, N) factors of an
     array of g group values, on the frequency side the symbol's weight (None
     on the V side), and the factors of every group as a read-only table when
-    the grouping fits in one stack of one grid (None otherwise)."""
+    the grouping fits in one stack (None otherwise)."""
 
     keys: np.ndarray
     groups: _Groups
@@ -511,9 +503,9 @@ def _plan(keys: np.ndarray, symbol_of) -> _Plan:
     :func:`gather`).  The side is decided on the keys sorted once (their
     ends set the bands, and the changes between neighbours count the
     distinct keys), and the keys are grouped only when the key side runs.
-    When the g groups fit in one stack of one grid, g N^2 <= max(N^2,
-    _STACK), their factors are evaluated here in one call and kept as the
-    table, at most max(N^2, _STACK) entries."""
+    When the g groups fit in one stack, g N^2 <= max(N^2, _STACK), their
+    factors are evaluated here in one call and kept as the table, at most
+    max(N^2, _STACK) entries."""
     if not np.all(keys >= 0):
         raise ValueError("bucket keys must be >= 0")
     weight, evaluate = None, lambda values: symbol_of(values[:, None, None])
@@ -542,8 +534,7 @@ def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:
 def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
     """Variable-symbol synthesis: out[x] = ifft2(spec * symbol_of(k),
     norm="forward")[x] for each point x of the (N, N) key array, k = keys[x]
-    >= 0.  spec is one spectrum or a stack of them shaped (..., N, N), each
-    synthesized as it would be alone.
+    >= 0, with spec an (N, N) spectrum (GridMismatchError otherwise).
 
     The V side takes one inverse transform per distinct key.  A
     :class:`ScaledSymbol` takes the frequency side instead when its three
@@ -555,18 +546,17 @@ def gather(spec: np.ndarray, keys: np.ndarray, symbol_of) -> np.ndarray:
     m(key(x) * h) at every point.  The module docstring shows why the bands
     are exact; the merge only reassociates the flat terms' sum.
 
-    Groups go in stacks of max(1, 2**13 // (B N^2)) per ifft2 call, for a
-    stack of B spectra (B = 1 for one); each group is then picked or added
-    in turn, in key or h order.  The factors (symbol_of on the keys, or m on
-    the h) of all g groups come from one call, kept as a read-only (g, N, N)
-    table, when g N^2 <= max(N^2, 2**13); otherwise from one call per stack,
-    on the stack's groups.  A stack holds at most max(B N^2, 2**13) entries,
-    so at most max(N^2, 2**13) for B <= max(1, 2**13 // N^2), and the table
-    at most max(N^2, 2**13).  So symbol_of is called with the keys of a
-    stack, or all the keys, as a (g, 1, 1) array and returns the (g, N, N)
-    symbols, one per key, each computed on its own key; numpy broadcasting
-    gives this to any symbol built from key by elementwise arithmetic on
-    (N, N) grids, a :class:`ScaledSymbol` among them."""
+    Groups go in stacks of max(1, 2**13 // N^2) per ifft2 call; each group
+    is then picked or added in turn, in key or h order.  The factors
+    (symbol_of on the keys, or m on the h) of all g groups come from one
+    call, kept as a read-only (g, N, N) table, when g N^2 <= max(N^2,
+    2**13); otherwise from one call per stack, on the stack's groups.  A
+    stack and the table hold at most max(N^2, 2**13) entries.  So symbol_of
+    is called with the keys of a stack, or all the keys, as a (g, 1, 1)
+    array and returns the (g, N, N) symbols, one per key, each computed on
+    its own key; numpy broadcasting gives this to any symbol built from key
+    by elementwise arithmetic on (N, N) grids, a :class:`ScaledSymbol`
+    among them."""
     return _gather(spec, _plan(keys, symbol_of))
 
 
@@ -574,8 +564,7 @@ def _scatter(g: np.ndarray, plan: _Plan) -> np.ndarray:
     """Exact adjoint of :func:`gather` for real symbols, in the unweighted
     inner products: sum over the distinct keys k of symbol_of(k) *
     fft2(g on the points with key k), with the plan :func:`_plan` makes of
-    the keys and the symbol, on one grid g or on each grid of a stack shaped
-    (..., N, N).
+    the keys and the symbol, on an (N, N) grid g.
 
     The side, the bands and the stacks follow :func:`gather`.  On the
     frequency side each transition h takes fft2(g * m(key * h)) on its
@@ -606,55 +595,45 @@ def apply_linearized_bruteforce(f: SampledField, V: LinearizerField, m: Multipli
 
 @dataclass(frozen=True)
 class LinearOperatorHandle:
-    """A grid-linear operator with an explicit adjoint, built by :meth:`of`
-    from a map and its adjoint map on arrays shaped (..., N, N).
+    """The grid-linear operator f -> gather(fft2(f, norm="forward"), keys,
+    symbol_of) with its adjoint, built by :meth:`of` from the (N, N) key
+    array and the symbol it keeps as fields.
 
     apply and adjoint take a SampledField on the handle's grid and return
-    one; apply_stack maps a stack of samples shaped (..., N, N) to the stack
-    of their images under apply, each grid with the bits of its own apply.
-    All three raise GridMismatchError for an array whose last two axes are
-    not (N, N), and apply_stack raises ValueError unless every entry of its
-    input and of its image is finite (apply leaves that to SampledField).
-    dataclasses.replace keeps apply_stack, so replace apply and apply_stack
-    together."""
+    one; both raise GridMismatchError for a field on another grid, and the
+    image's SampledField checks its finiteness.  The fields keys and
+    symbol_of describe the operator itself, so an oracle built from them
+    (:func:`hypercross.normest.dense_matrix`) runs none of apply's code;
+    dataclasses.replace of apply and adjoint keeps them."""
 
     n_log2: int
     apply: callable
     adjoint: callable
-    apply_stack: callable
+    keys: np.ndarray
+    symbol_of: callable
 
     @classmethod
-    def of(cls, n_log2: int, forward, backward) -> LinearOperatorHandle:
-        """The handle of forward with adjoint backward.  apply_stack gives
-        forward at most max(1, 2**13 // N^2) grids per call (the kernel's
-        stack bound, read at call time), so a stack of any length keeps the
-        kernel within its memory bound; an empty stack maps to an empty
-        stack without a call."""
-        n = 1 << n_log2
-
-        def apply_stack(samples: np.ndarray) -> np.ndarray:
-            stack = _finite(np.asarray(_on_grid(samples, (n, n)), dtype=np.complex128)).reshape(-1, n, n)
-            out = np.empty(stack.shape, dtype=np.complex128)
-            step = max(1, _STACK // (n * n))
-            for first in range(0, len(stack), step):
-                out[first : first + step] = forward(stack[first : first + step])
-            return _finite(out).reshape(np.shape(samples))
-
-        def on_fields(grid_map):
-            return lambda f: SampledField(n_log2, grid_map(_on_grid(f.samples, (n, n))))
-
-        return cls(n_log2, on_fields(forward), on_fields(backward), apply_stack)
+    def of(cls, V: LinearizerField, symbol_of) -> LinearOperatorHandle:
+        """The handle of the symbol under :func:`gather`'s contract keyed by
+        V.  It keeps one :func:`_plan`: it sorts V, bands h, picks the side
+        and groups it once, here, so an apply or adjoint sorts nothing.  The
+        map is one fft2 and one :func:`_gather`, and the adjoint one
+        :func:`_scatter` and one ifft2."""
+        plan = _plan(V.values, symbol_of)
+        return cls(
+            V.n_log2,
+            lambda f: SampledField(V.n_log2, _gather(_fft2(f.samples, norm="forward"), plan)),
+            lambda f: SampledField(V.n_log2, _ifft2(_scatter(f.samples, plan))),
+            V.values,
+            symbol_of,
+        )
 
 
 def linearized_operator(V: LinearizerField, m: MultiplierProfile, beta: float) -> LinearOperatorHandle:
     """The variable-scale operator as a gather of the spectrum keyed by V,
     with the symbol m(V h) weighted by the Pi_beta mask; the adjoint is the
-    matching :func:`_scatter`.  The handle keeps one :func:`_plan`: it sorts
-    V, bands h, picks the side and groups it once, at construction, so an
-    apply or adjoint sorts nothing.  Its map is one fft2 and one gather on
-    a grid or a stack of grids.  Key 0 gives the m(0) symbol."""
-    plan = _plan(V.values, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
-    return LinearOperatorHandle.of(V.n_log2, lambda s: _gather(_fft2(s, norm="forward"), plan), lambda s: _ifft2(_scatter(s, plan)))
+    matching :func:`_scatter`.  Key 0 gives the m(0) symbol."""
+    return LinearOperatorHandle.of(V, ScaledSymbol(m, hyperbolic_argument(V.n_log2, beta), pi_beta_mask(beta, V.n_log2).values))
 
 
 def apply_linearized_bucketed(f: SampledField, V: LinearizerField, m: MultiplierProfile, beta: float) -> SampledField:

@@ -8,6 +8,10 @@ estimator's ``converged`` flag is a Ritz-residual test; the ascent's is a
 heuristic.  Neither upgrades a bound to an exact norm: a random start can
 miss the top singular vector.
 
+The dense oracle is built from what a handle stands for, its key array and
+symbol, and not from its apply: it shares no code with the kernel that the
+estimators run, so a fault in that kernel shows as a gap between them.
+
 The L2 estimator allocates its two bases once, min(max_iter, N^2) fields
 each, and writes only the rows its steps fill: with the default
 max_iter = 200, at most 25 MiB at N = 64 and 100 MiB at N = 128 if every
@@ -28,28 +32,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, _fft2, _ifft2, lp_norm
-from .linearized import LinearOperatorHandle, generate_linearizer, linearized_operator
+from .grid import SampledField, _ifft2, lp_norm
+from .linearized import LinearizerField, LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
 
 def fixed_multiplier_operator(symbol: SymbolGrid) -> LinearOperatorHandle:
     """The x-independent multiplier: each image's spectrum is the input's
-    times symbol.values (real, in the FFT frequency order)."""
-
-    def multiply(samples: np.ndarray) -> np.ndarray:
-        return _ifft2(_fft2(samples, norm="forward") * symbol.values, norm="forward")
-
-    # real symbols are self-adjoint in the weighted inner product
-    return LinearOperatorHandle.of(symbol.n_log2, multiply, multiply)
+    times symbol.values (real, in the FFT frequency order).  It is the
+    handle of the zero field with the constant symbol, one key group."""
+    zero = LinearizerField(symbol.n_log2, np.zeros(symbol.values.shape))
+    return LinearOperatorHandle.of(zero, lambda key: np.broadcast_to(symbol.values, key.shape[:-2] + symbol.values.shape))
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
-    """The N^2 x N^2 matrix of op, column k the image of the k-th basis field
-    (1 at flat index k, 0 elsewhere); small grids only.  The N^2 basis
-    fields go through op.apply_stack in one call."""
+    """The N^2 x N^2 matrix of op from its key array and symbol, not from
+    its apply: row x is the kernel ifft2(symbol_of(v)) of the row's key
+    v = keys[x] at x - y, the sum over k of symbol_of(v)[k] e((x - y).k)
+    / N^2 that apply takes at x.  It calls symbol_of once on the distinct
+    keys and ifft2 once on their (g, N, N) symbols, and runs no apply,
+    adjoint or kernel of :mod:`linearized`, so it checks them.  Its memory
+    is the matrix's own N^4 entries: small grids only."""
     n = 1 << op.n_log2
-    return op.apply_stack(np.eye(n * n, dtype=np.complex128).reshape(-1, n, n)).reshape(n * n, n * n).T
+    values, rows = np.unique(op.keys, return_inverse=True)
+    kernels = _ifft2(op.symbol_of(values[:, None, None]))
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n  # (x - y) mod N on one axis
+    return kernels[rows.reshape(n, n, 1, 1), shift[:, None, :, None], shift[None, :, None, :]].reshape(n * n, n * n)
 
 
 def dense_operator_norm(op: LinearOperatorHandle) -> float:
@@ -164,6 +172,8 @@ def lp_norm_ascent(
         raise ValueError(f"p must be finite and > 1, got {p}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     n = 1 << op.n_log2
     best_val = -math.inf
     best_w = None

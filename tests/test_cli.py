@@ -485,6 +485,16 @@ def test_grid_n_log2_below_3_names_the_key(tmp_path, capsys, n_log2):
     assert f"bad value for run.grid_n_log2: grid must be at least 8x8 (n_log2 >= 3), got n_log2={n_log2}" in err
 
 
+@pytest.mark.parametrize("seed, flag, name", [("-5", None, "run.seed"), ("7", "-3", "--seed"), ("-5", "3", "run.seed")])
+def test_negative_seed_names_where_it_was_read(tmp_path, capsys, seed, flag, name):
+    cfg = _write(tmp_path, "s.ini", APPLY_CONFIG.format(method="bucketed").replace("seed = 7", f"seed = {seed}"))
+    argv = ["apply", "--config", cfg, "--out", str(tmp_path / "o")] + (["--seed", flag] if flag else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    value = flag if name == "--seed" else seed
+    assert capsys.readouterr().err == f"config error: bad value for {name}: {value} is negative\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_section_not_used_by_command_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "x.ini", "[run]\ngrid_n_log2 = 4\n\n[sweep]\np = 2.0\n")
     rc = cli.main(["apply", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -159,7 +159,7 @@ def test_generator_rejects_bad_params():
         lin.generate_linearizer("lip_2d", {"lip_constant": 1.0, "floor": 0.5}, 0, 4)
     with pytest.raises(ValueError):
         lin.generate_linearizer("nope", {}, 0, 4)
-    with pytest.raises(ValueError, match="constant linearizer must be >= 0"):
+    with pytest.raises(ValueError, match="linearizer kind 'constant' needs a finite value >= 0, got -0.5"):
         lin.generate_linearizer("constant", {"value": -0.5}, 0, 4)
     with pytest.raises(ValueError, match="needs a finite v_min >= 0, got -0.1"):
         lin.generate_linearizer("lip_x", {"v_min": -0.1}, 0, 4)
@@ -223,6 +223,13 @@ def test_generator_rejects_an_amplitude_that_is_not_finite_and_at_least_zero(kin
     # nan and inf left the field uncapped, and -0.1 failed later as a negative V
     with pytest.raises(ValueError, match=f"^linearizer kind '{kind}' needs a finite amplitude >= 0, got {amplitude}$"):
         lin.generate_linearizer(kind, {"v_min": 0.05, "amplitude": amplitude}, 3, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind, key", [("constant", "value"), ("lip_2d", "floor")])
+def test_generator_names_a_non_finite_value_or_floor(kind, key, bad):
+    with pytest.raises(ValueError, match=rf"linearizer kind '{kind}' needs a finite {key} >= .*, got {bad}"):
+        lin.generate_linearizer(kind, {key: bad}, 0, 4)
 
 
 def test_lip_y_draw_without_variation_along_its_axis():
@@ -615,11 +622,10 @@ _HANDLE_CASES = {"N=16 beta=1": (4, 1.0, 8), "N=32 beta=-1": (5, -1.0, 51)}
 def test_handle_groups_frequencies_once(monkeypatch, case, stack):
     # a lip_x V takes the frequency side; the handle grouped and banded its h
     # when it was built, so no apply or adjoint sorts, searches or regroups.
-    # When its g groups fit in one stack of one grid, g N^2 <= max(N^2,
-    # _STACK), it evaluated m on them then too, so no apply or adjoint calls
-    # m; otherwise each stack of groups makes one call of at most max(N^2,
-    # _STACK) entries.  apply_stack gives the kernel max(1, _STACK // N^2)
-    # of its 3 grids per call.
+    # When its g groups fit in one stack, g N^2 <= max(N^2, _STACK), it
+    # evaluated m on them then too, so no apply or adjoint calls m;
+    # otherwise each stack of groups makes one call of at most max(N^2,
+    # _STACK) entries.
     default = lin._STACK
     monkeypatch.setattr(lin, "_STACK", stack)
     n_log2, beta, groups = _HANDLE_CASES[case]
@@ -653,14 +659,11 @@ def test_handle_groups_frequencies_once(monkeypatch, case, stack):
     for _ in range(3):
         op.apply(f)
         op.adjoint(b)
-    op.apply_stack(_complex_stack((3, n, n), 5))
     assert calls == []
     if groups * n**2 <= max(n**2, stack):
         assert profile_sizes == []
     else:
-        step = max(1, stack // n**2)
-        leads = [1] * 6 + [min(step, 3 - first) for first in range(0, 3, step)]
-        assert len(profile_sizes) == sum(-(-groups // max(1, stack // (lead * n**2))) for lead in leads)
+        assert len(profile_sizes) == 6 * -(-groups // max(1, stack // n**2))
         assert max(profile_sizes) <= max(n**2, stack)
     # the default stack holds the N = 16 grouping and not the N = 32 one
     assert (case == "N=16 beta=1") == (groups * n**2 <= max(n**2, default))
@@ -696,7 +699,7 @@ def test_outputs_do_not_depend_on_the_stack_size(monkeypatch, beta, kind):
 
 # (V, beta, whether the plan takes the V side) at N = 8: the zero band and a
 # staircase take the V side, a lip_x field the frequency side
-_STACKED_CASES = {
+_PLAN_CASES = {
     "zero_band beta=1": (lambda: _three_valued(3, low=0.0), 1.0, True),
     "staircase_x beta=-1": (lambda: lin.generate_linearizer("staircase_x", {}, 4, 3).values, -1.0, True),
     "lip_x beta=1": (lambda: lin.generate_linearizer("lip_x", _LIP_X, 0, 3).values, 1.0, False),
@@ -704,8 +707,8 @@ _STACKED_CASES = {
 }
 
 
-def _stacked_plan(case):
-    make_keys, beta, by_key = _STACKED_CASES[case]
+def _case_plan(case):
+    make_keys, beta, by_key = _PLAN_CASES[case]
     keys = make_keys()
     symbol = lin.ScaledSymbol(mu.make_bump_profile(0.5), mu.hyperbolic_argument(3, beta), mu.pi_beta_mask(beta, 3).values)
     plan = lin._plan(keys, symbol)
@@ -742,50 +745,27 @@ def test_a_frequency_side_plan_groups_no_keys(monkeypatch, beta):
 def test_a_key_side_plan_groups_its_keys(monkeypatch, case):
     # the bands are grouped to choose the side, then the keys, once
     sizes = _counted_groupings(monkeypatch)
-    plan, keys, _ = _stacked_plan(case)
+    plan, keys, _ = _case_plan(case)
     assert len(sizes) == 2 and sizes[1] == keys.size
     for mine, theirs in zip(plan.groups, _grouped_by_two_sorts(keys.ravel(), np.arange(keys.size), keys.size)):
         assert mine.tobytes() == theirs.tobytes()
 
 
-def _complex_stack(shape, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-@pytest.mark.parametrize("stack_size", [lin._STACK, 1])
-@pytest.mark.parametrize("lead", [(2, 3), (1,)])
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
-def test_stacked_kernel_matches_the_per_grid_calls_bit_for_bit(monkeypatch, case, lead, stack_size):
-    # a stack of grids shaped (..., N, N) goes through one kernel call; each
-    # of its grids comes out with the bits of its own call.  A stack size of
-    # 1 puts one group in each stack, so a call runs several stacks.
-    monkeypatch.setattr(lin, "_STACK", stack_size)
-    plan, keys, symbol = _stacked_plan(case)
-    stack = _complex_stack(lead + (8, 8), 7)
-    for kernel in (lin._gather, lin._scatter):
-        out = kernel(stack, plan)
-        assert out.shape == stack.shape
-        for index in np.ndindex(*lead):
-            assert out[index].tobytes() == kernel(stack[index], plan).tobytes()
-    assert lin.gather(stack, keys, symbol).tobytes() == lin._gather(stack, plan).tobytes()
-
-
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+@pytest.mark.parametrize("case", sorted(_PLAN_CASES))
 def test_a_reused_handle_keeps_its_bits(monkeypatch, case):
     # a handle applied and adjointed three times returns the bits of a fresh
     # handle each time, whether its plan keeps the factors as a table or
     # evaluates them per stack: one group per stack (_STACK = 1) keeps no
     # table for these groupings, and the default and 2**20 keep one.  The
     # table is read-only, so a kernel that wrote to it would fail loudly.
-    make_keys, beta, _ = _STACKED_CASES[case]
+    make_keys, beta, _ = _PLAN_CASES[case]
     V = lin.LinearizerField(3, make_keys())
     m = mu.make_bump_profile(0.5)
     f, b = g.random_field(3, 1), g.random_field(3, 2)
     runs = []
     for stack in (1, lin._STACK, 1 << 20):
         monkeypatch.setattr(lin, "_STACK", stack)
-        plan = _stacked_plan(case)[0]
+        plan = _case_plan(case)[0]
         assert plan.groups.values.size > 1
         assert (plan.table is None) == (stack == 1)
         assert plan.table is None or not plan.table.flags.writeable
@@ -798,156 +778,89 @@ def test_a_reused_handle_keeps_its_bits(monkeypatch, case):
     assert len(set(runs)) == 1
 
 
-def _stack_handles():
-    """Handles at N = 8 from each constructor in the package, and one whose
-    map runs the linearized apply grid by grid: the checks and the stacking
-    of LinearOperatorHandle.of do not depend on the map."""
+def _handles():
+    """Handles at N = 8 from each constructor in the package: the linearized
+    operator of a lip_x field and a fixed multiplier."""
     m = mu.make_bump_profile(0.5)
-    op = lin.linearized_operator(lin.generate_linearizer("lip_x", _LIP_X, 0, 3), m, 1.0)
-
-    def each(run):
-        return lambda s: np.reshape([run(g.SampledField(3, grid)).samples for grid in np.reshape(s, (-1, 8, 8))], np.shape(s))
-
     return {
-        "linearized": op,
+        "linearized": lin.linearized_operator(lin.generate_linearizer("lip_x", _LIP_X, 0, 3), m, 1.0),
         "fixed": ne.fixed_multiplier_operator(mu.hyperbolic_symbol(1.0, 1.0, m, 3)),
-        "loop": lin.LinearOperatorHandle.of(3, each(op.apply), each(op.adjoint)),
     }
 
 
-_HANDLES = ["linearized", "fixed", "loop"]
+_HANDLES = ["linearized", "fixed"]
 
 
-@pytest.mark.parametrize("shape", [(2, 8, 16), (2, 16, 8), (3, 16, 16), (8,)])
-def test_stacked_kernel_rejects_a_stack_on_another_grid(shape):
-    plan = _stacked_plan("lip_x beta=1")[0]
-    handles = _stack_handles()
-    runs = [lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan)]
-    for run in runs + [op.apply_stack for op in handles.values()]:
+@pytest.mark.parametrize("shape", [(1, 8, 8), (2, 8, 16), (2, 16, 8), (3, 16, 16), (8,)])
+def test_the_kernel_rejects_an_array_on_another_grid(shape):
+    # the kernel takes one (N, N) grid; a stack of them is on another grid
+    plan = _case_plan("lip_x beta=1")[0]
+    for run in (lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan)):
         with pytest.raises(g.GridMismatchError):
             run(np.zeros(shape, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("handle", _HANDLES)
 def test_apply_and_adjoint_reject_a_field_on_another_grid(handle):
-    op = _stack_handles()[handle]
+    op = _handles()[handle]
     for run in (op.apply, op.adjoint):
         with pytest.raises(g.GridMismatchError):
             run(g.random_field(4, 0))
 
 
 @pytest.mark.parametrize("handle", _HANDLES)
-def test_an_empty_stack_maps_to_an_empty_stack(handle):
-    out = _stack_handles()[handle].apply_stack(np.zeros((0, 8, 8)))
-    assert out.shape == (0, 8, 8) and out.dtype == np.complex128
-
-
-@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
-def test_the_kernel_maps_an_empty_stack_to_an_empty_stack(case):
-    plan, keys, symbol = _stacked_plan(case)
-    for run in (lambda a: lin.gather(a, keys, symbol), lambda a: lin._gather(a, plan), lambda a: lin._scatter(a, plan)):
-        for shape in ((0, 8, 8), (2, 0, 8, 8)):
-            out = run(np.zeros(shape, dtype=np.complex128))
-            assert out.shape == shape and out.dtype == np.complex128
+def test_apply_rejects_a_non_finite_image(handle):
+    # every entry finite, but the transform overflows; the image's
+    # SampledField rejects it
+    op = _handles()[handle]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="grid array holds non-finite values"):
+        op.apply(g.SampledField(3, np.full((8, 8), 1e308, dtype=np.complex128)))
 
 
 @pytest.mark.parametrize("handle", _HANDLES)
-def test_apply_stack_is_apply_on_each_grid(handle):
-    op = _stack_handles()[handle]
-    stack = _complex_stack((5, 8, 8), 3)
-    out = op.apply_stack(stack)
-    assert out.shape == (5, 8, 8)
-    for k in range(5):
-        assert out[k].tobytes() == op.apply(g.SampledField(3, stack[k])).samples.tobytes()
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("where", [(0, 0, 0), (2, 3, 4), (4, 7, 7)])
-@pytest.mark.parametrize("handle", _HANDLES)
-def test_apply_stack_rejects_a_non_finite_entry(handle, where, bad):
-    stack = _complex_stack((5, 8, 8), 3)
-    stack[where] = bad
-    with pytest.raises(ValueError, match="grid array holds non-finite values"):
-        _stack_handles()[handle].apply_stack(stack)
-
-
-@pytest.mark.parametrize("handle", _HANDLES)
-def test_apply_stack_rejects_a_non_finite_image(handle):
-    # every entry finite, but the transform of the second grid overflows;
-    # apply leaves the check of its image to SampledField
-    stack = np.ones((2, 8, 8), dtype=np.complex128)
-    stack[1] = 1e308
-    op = _stack_handles()[handle]
-    for run in (op.apply_stack, lambda a: op.apply(g.SampledField(3, a[1]))):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="grid array holds non-finite values"):
-            run(stack)
+def test_adjoint_rejects_a_non_finite_image(handle):
+    op = _handles()[handle]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="grid array holds non-finite values"):
+        op.adjoint(g.SampledField(3, np.full((8, 8), 1e308, dtype=np.complex128)))
 
 
 @pytest.mark.parametrize("stack", [lin._STACK, 1])
 @pytest.mark.parametrize("kind, beta", [("lip_x", 1.0), ("staircase_x", -1.0)])
 def test_dense_matrix_takes_one_stacked_pass(monkeypatch, kind, beta, stack):
-    # the N^2 basis fields go through the handle's apply_stack in one call,
-    # which gives the kernel chunks of max(1, _STACK // N^2) fields: at N = 8
-    # one chunk, so one fft2 of all of them and one ifft2 per stack of
-    # groups, where a column loop ran 64 of each.  At N = 16 the chunks hold
-    # 2**13 // N^2 fields, and neither a transform nor a profile call sees
-    # more than max(N^2, _STACK) entries.  The chunks follow _STACK as it is
-    # when apply_stack runs: at 1, every chunk is one field.
+    # the dense oracle evaluates the symbol once, on the g distinct keys as a
+    # (g, 1, 1) array, and takes one ifft2 of the (g, N, N) symbols, at N = 8
+    # and 16 and whatever the kernel's stack size; a column is the apply of
+    # its basis field to rounding
+    monkeypatch.setattr(lin, "_STACK", stack)
     m = mu.make_bump_profile(0.5)
-    shapes = {"fft2": [], "ifft2": [], "profile": [], "apply_stack": []}
-    originals = {"fft2": lin._fft2, "ifft2": lin._ifft2}
-    profile = mu.MultiplierProfile.__call__
+    ifft2_shapes = []
+    ifft2 = ne._ifft2
 
-    def counted(name):
-        def wrapper(a, *args, **kwargs):
-            shapes[name].append(np.shape(a))
-            return originals[name](a, *args, **kwargs)
+    def recorded_ifft2(a, *args, **kwargs):
+        ifft2_shapes.append(np.shape(a))
+        return ifft2(a, *args, **kwargs)
 
-        return wrapper
-
-    def sized_profile(self, t):
-        shapes["profile"].append(np.shape(t))
-        return profile(self, t)
-
+    monkeypatch.setattr(ne, "_ifft2", recorded_ifft2)
     for n_log2 in (3, 4):
         n = 1 << n_log2
-        monkeypatch.setattr(lin, "_STACK", stack)
         V = lin.generate_linearizer(kind, _LIP_X if kind == "lip_x" else {}, 0, n_log2)
         op = lin.linearized_operator(V, m, beta)
-        plan = lin._plan(V.values, lin.ScaledSymbol(m, mu.hyperbolic_argument(n_log2, beta), mu.pi_beta_mask(beta, n_log2).values))
-        groups = plan.groups.values.size
-        apply_stack = op.apply_stack
+        keys = np.unique(V.values)
+        symbol_shapes = []
 
-        def recorded(samples):
-            shapes["apply_stack"].append(np.shape(samples))
-            return apply_stack(samples)
+        def recorded_symbol(key, symbol_of=op.symbol_of):
+            symbol_shapes.append(np.shape(key))
+            return symbol_of(key)
 
-        op = dataclasses.replace(op, apply_stack=recorded)
-        for name in shapes:
-            shapes[name].clear()
-        monkeypatch.setattr(lin, "_fft2", counted("fft2"))
-        monkeypatch.setattr(lin, "_ifft2", counted("ifft2"))
-        monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
-        dense = ne.dense_matrix(op)
-        chunk = min(n**2, max(1, lin._STACK // n**2))
-        assert shapes["apply_stack"] == [(n**2, n, n)]
-        assert shapes["fft2"] == [(chunk, n, n)] * (n**2 // chunk)
-        step = max(1, lin._STACK // (chunk * n**2))
-        assert len(shapes["ifft2"]) == (n**2 // chunk) * -(-groups // step)
-        # the handle evaluated m on every group when it was built if they fit
-        # in one stack of one grid; otherwise each stack makes one call
-        fits = groups * n**2 <= max(n**2, lin._STACK)
-        assert len(shapes["profile"]) == (0 if fits else len(shapes["ifft2"]))
-        bound = max(n**2, lin._STACK)
-        assert max(math.prod(shape) for shape in shapes["fft2"] + shapes["ifft2"] + shapes["profile"]) <= bound
-        if n_log2 == 3:
-            want = (1, -(-groups // 2)) if stack > 1 else (n**2, n**2 * groups)
-            assert (len(shapes["fft2"]), len(shapes["ifft2"])) == want
-        monkeypatch.undo()
+        ifft2_shapes.clear()
+        dense = ne.dense_matrix(dataclasses.replace(op, symbol_of=recorded_symbol))
+        assert symbol_shapes == [(keys.size, 1, 1)]
+        assert ifft2_shapes == [(keys.size, n, n)]
         k = 37  # a column against the apply of its basis field
         e = np.zeros(n * n, dtype=np.complex128)
         e[k] = 1.0
-        assert dense[:, k].tobytes() == op.apply(g.SampledField(n_log2, e.reshape(n, n))).samples.ravel().tobytes()
+        column = op.apply(g.SampledField(n_log2, e.reshape(n, n))).samples.ravel()
+        assert np.linalg.norm(dense[:, k] - column) <= 1e-13 * np.linalg.norm(column)
 
 
 def test_beta_zero_domination_by_first_variable_maximal():

@@ -9,12 +9,15 @@ from hypercross import multiplier as mu
 from hypercross import normest as ne
 
 
-def _identity(samples):
-    return samples
+def _constant_multiplier(n_log2, value):
+    """The fixed multiplier of the constant symbol value: the identity for 1,
+    the zero operator for 0."""
+    n = 1 << n_log2
+    return ne.fixed_multiplier_operator(mu.SymbolGrid(n_log2, np.full((n, n), value)))
 
 
 def test_identity_operator_norms():
-    op = lin.LinearOperatorHandle.of(4, _identity, _identity)
+    op = _constant_multiplier(4, 1.0)
     est = ne.l2_norm_power_iteration(op, seed=1)
     assert est.value == pytest.approx(1.0, abs=1e-10)
     assert est.converged
@@ -63,12 +66,8 @@ def test_l2_estimate_cut_short_is_not_converged():
     assert est.value == pytest.approx(_rederived(op, est), abs=1e-12)
 
 
-def _zero(samples):
-    return 0 * samples
-
-
 def test_l2_estimate_of_zero_operator():
-    est = ne.l2_norm_power_iteration(lin.LinearOperatorHandle.of(3, _zero, _zero), seed=1)
+    est = ne.l2_norm_power_iteration(_constant_multiplier(3, 0.0), seed=1)
     assert est.value == 0.0
     assert est.converged
     assert np.all(np.isfinite(est.witness.samples))
@@ -76,14 +75,14 @@ def test_l2_estimate_of_zero_operator():
 
 def test_lp_ascent_of_zero_operator():
     # the image has no lp norm to ascend on, so each restart stops at once
-    est = ne.lp_norm_ascent(lin.LinearOperatorHandle.of(3, _zero, _zero), 3.0, restarts=2, seed=1)
+    est = ne.lp_norm_ascent(_constant_multiplier(3, 0.0), 3.0, restarts=2, seed=1)
     assert (est.value, est.iterations) == (0.0, 2)
     assert np.all(np.isfinite(est.witness.samples))
 
 
 def test_l2_estimate_rejects_zero_max_iter():
     with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
-        ne.l2_norm_power_iteration(lin.LinearOperatorHandle.of(3, _identity, _identity), max_iter=0)
+        ne.l2_norm_power_iteration(_constant_multiplier(3, 1.0), max_iter=0)
 
 
 def test_power_iteration_vs_ascent_cross_method():
@@ -147,6 +146,78 @@ def test_lower_bound_soundness_against_dense_oracle():
         assert asc.value <= exact + 1e-8
 
 
+def _columns(op):
+    """The images under op.apply of the N^2 basis fields, as columns."""
+    n = 1 << op.n_log2
+    return np.array([op.apply(g.SampledField(op.n_log2, e.reshape(n, n))).samples.ravel() for e in np.eye(n * n)]).T
+
+
+# (keys at N = 8, whether the plan takes the key side): a lip_x field takes
+# the frequency side, a three-valued field the key side, and its zero band
+# is the group of key 0
+_DENSE_KEYS = {
+    "lip_x": (lambda: lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, 2, 3).values, False),
+    "three_valued": (lambda: np.repeat([0.1, 0.4, 0.9], [2, 4, 2])[:, None] * np.ones((1, 8)), True),
+    "zero_band": (lambda: np.repeat([0.0, 0.4, 0.9], [2, 4, 2])[:, None] * np.ones((1, 8)), True),
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0, -1.0, 0.5])
+@pytest.mark.parametrize("case", sorted(_DENSE_KEYS))
+def test_dense_matrix_is_the_columns_of_apply(case, beta):
+    make_keys, by_key = _DENSE_KEYS[case]
+    op = ne.linearized_operator(lin.LinearizerField(3, make_keys()), mu.make_bump_profile(0.5), beta)
+    assert (lin._plan(op.keys, op.symbol_of).weight is None) == by_key
+    columns = _columns(op)
+    assert np.linalg.norm(ne.dense_matrix(op) - columns) <= 1e-13 * np.linalg.norm(columns)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0, -1.0, 0.5])
+@pytest.mark.parametrize("case", sorted(_DENSE_KEYS))
+def test_the_adjoint_is_the_conjugate_transpose_of_the_dense_matrix(case, beta):
+    # the adjoint runs _scatter, which the oracle shares no code with
+    op = ne.linearized_operator(lin.LinearizerField(3, _DENSE_KEYS[case][0]()), mu.make_bump_profile(0.5), beta)
+    columns = _columns(dataclasses.replace(op, apply=op.adjoint))
+    assert np.linalg.norm(ne.dense_matrix(op).conj().T - columns) <= 1e-13 * np.linalg.norm(columns)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_dense_matrix_of_a_fixed_multiplier_is_the_columns_of_apply(lam):
+    op = ne.fixed_multiplier_operator(mu.hyperbolic_symbol(lam, 1.0, mu.make_bump_profile(1.0), 3))
+    columns = _columns(op)
+    assert np.linalg.norm(ne.dense_matrix(op) - columns) <= 1e-13 * np.linalg.norm(columns)
+
+
+def test_dense_matrix_runs_no_kernel_and_no_apply(monkeypatch):
+    # the oracle is built from the handle's keys and symbol alone
+    def refuse(*args):
+        raise AssertionError("the dense oracle ran the fast path")
+
+    ops = [_criterion_7_operator(0), ne.fixed_multiplier_operator(mu.hyperbolic_symbol(1.0, 1.0, mu.make_bump_profile(1.0), 3))]
+    want = [ne.dense_matrix(op) for op in ops]
+    monkeypatch.setattr(lin, "_gather", refuse)
+    monkeypatch.setattr(lin, "_scatter", refuse)
+    for op, dense in zip(ops, want):
+        op = dataclasses.replace(op, apply=refuse, adjoint=refuse)
+        assert ne.dense_matrix(op).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["apply", "kernel"])
+def test_the_dense_oracle_sees_a_fault_in_the_fast_path(monkeypatch, fault):
+    # an apply scaled by 1.001, by the handle or in the gather kernel, lifts
+    # the L2 estimate above the oracle's norm
+    op = _criterion_7_operator(0)
+    exact = ne.dense_operator_norm(op)
+    if fault == "apply":
+        inner = op.apply
+        op = dataclasses.replace(op, apply=lambda f: g.SampledField(3, 1.001 * inner(f).samples))
+    else:
+        gather = lin._gather
+        monkeypatch.setattr(lin, "_gather", lambda spec, plan: 1.001 * gather(spec, plan))
+        assert ne.dense_operator_norm(op) == exact
+    assert ne.l2_norm_power_iteration(op, seed=0).value > exact + 1e-8
+
+
 def test_ascent_best_never_decreases_with_restarts():
     m = mu.make_bump_profile(0.5)
     V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, 9, 3)
@@ -177,12 +248,14 @@ def test_lp_ascent_applies_each_field_once():
 
 
 def test_lp_ascent_rejects_bad_p():
-    op = lin.LinearOperatorHandle.of(3, _identity, _identity)
+    op = _constant_multiplier(3, 1.0)
     for p in (1.0, 0.3, float("inf")):
         with pytest.raises(ValueError):
             ne.lp_norm_ascent(op, p)
     with pytest.raises(ValueError, match="restarts"):
         ne.lp_norm_ascent(op, 2.0, restarts=0)
+    with pytest.raises(ValueError, match="iters must be >= 0, got -4"):
+        ne.lp_norm_ascent(op, 2.0, iters=-4)
 
 
 def test_sweep_reproducible_and_shape(tmp_path):

@@ -173,10 +173,7 @@ def test_kernel_sides_agree_on_any_keys(keys, beta, m, seed):
     by_h = lin._Plan(keys, lin._h_bands(np.unique(keys), scaled), lambda hs: m(keys * hs[:, None, None]), scaled.weight)
     spec = g.forward_transform(g.random_field(3, seed)).coeffs
     samples = g.random_field(3, seed + 1).samples
-    # and a stack of three grids shaped (3, 1, N, N) on each side
-    specs = np.stack([spec] + [g.forward_transform(g.random_field(3, seed + k)).coeffs for k in (2, 3)])[:, None]
-    stack = np.stack([samples] + [g.random_field(3, seed + k).samples for k in (4, 5)])[:, None]
-    for kernel, arr in ((lin._gather, spec), (lin._scatter, samples), (lin._gather, specs), (lin._scatter, stack)):
+    for kernel, arr in ((lin._gather, spec), (lin._scatter, samples)):
         want = kernel(arr, by_key)
         assert np.linalg.norm(kernel(arr, by_h) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -191,12 +188,10 @@ _DENSE_FIELDS = st.builds(lambda kind, seed: lin.generate_linearizer(kind, {}, s
 @given(V=_DENSE_FIELDS, beta=_BETAS, m=_PROFILES)
 @example(V=_ZERO_BAND, beta=-1.0, m=mu.make_bump_profile(0.5))
 def test_dense_matrices_match_the_bruteforce_and_the_adjoint(V, beta, m):
-    # the matrix on all 64 basis fields: dense takes the handle's stacked
-    # apply, checked against the brute force run field by field; the adjoint
-    # is run on every basis field too, so its _scatter is checked on every
-    # field and not only on random pairs.  The brute-force and adjoint
-    # matrices are loops of one-field calls here, so the oracle does not go
-    # through apply_stack.
+    # the matrix on all 64 basis fields: dense is built from the handle's
+    # keys and symbol, checked against the brute force run field by field;
+    # the adjoint is run on every basis field too, so its _scatter is
+    # checked on every field and not only on random pairs.
     op = lin.linearized_operator(V, m, beta)
     dense = ne.dense_matrix(op)
     basis = [g.SampledField(3, e.reshape(8, 8)) for e in np.eye(64)]

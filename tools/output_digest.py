@@ -87,12 +87,6 @@ lambda 1/2, 1 and 2.  The dense SVD oracle is digested on those operators
 and on the N = 8 operators of the grid (each field, beta and bump eps):
 ``dense_operator_norm`` as ``float.hex`` with the sha256 of ``dense_matrix``.
 
-A handle's ``apply_stack`` is digested on a fixed stack of 5 random grids:
-for the lip_x field's handle (bump eps 1/2) at N = 64 and 128 and beta 1
-and -1, and for the fixed multiplier of dilation 0.7 (bump eps 1/2, beta 1)
-at N = 8 to 64.  From N = 64 on, a stack of 5 grids is more than the kernel
-takes per call, so these lines show that splitting it keeps every bit.
-
 The structural outputs are digested at N = 16 and 32 on a random field: the
 Haar expansion at full depth and its inverse, the thm_4_1 model operator on
 a 2D dyadic-metric field (L = 1/8), the thm_4_2 model operator (sizes
@@ -172,9 +166,6 @@ ASCENT_PS = (1.5, 3.0)
 STRUCTURAL_N_LOG2S = (4, 5)
 L2_SEEDS = range(10)  # criterion 7's lip_x fields at N = 8
 L2_LAMBDAS = (0.5, 1.0, 2.0)  # criterion 7's fixed multipliers
-STACK_GRIDS = 5
-STACK_N_LOG2S = (6, 7)  # the lip_x handle's apply_stack
-FIXED_STACK_N_LOG2S = (3, 4, 5, 6)  # the fixed multiplier's apply_stack
 DERIVATIVE_SCAN_POINTS = (1 << 12) + 1
 PSI2_N_LOG2 = 8
 
@@ -479,26 +470,6 @@ def dense_digests():
         yield f"N=8 {name} dense", _digest(f"{ne.dense_operator_norm(op).hex()} {_digest(ne.dense_matrix(op))}")
 
 
-def stack_digests():
-    """(name, sha256) for ``apply_stack`` of the lip_x handle and of the fixed
-    multiplier on a fixed stack of random grids."""
-    m = mu.make_bump_profile(0.5)
-
-    def stack(n_log2: int) -> np.ndarray:
-        rng = np.random.default_rng(n_log2)
-        shape = (STACK_GRIDS, 1 << n_log2, 1 << n_log2)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    for n_log2 in STACK_N_LOG2S:
-        V = lin.generate_linearizer("lip_x", FIELDS["lip_x"], 11, n_log2)
-        for beta in (1.0, -1.0):
-            op = lin.linearized_operator(V, m, beta)
-            yield f"N={1 << n_log2} lip_x eps=0.5 beta={beta} apply_stack", _digest(op.apply_stack(stack(n_log2)))
-    for n_log2 in FIXED_STACK_N_LOG2S:
-        op = ne.fixed_multiplier_operator(mu.hyperbolic_symbol(0.7, 1.0, m, n_log2))
-        yield f"N={1 << n_log2} fixed_multiplier lambda=0.7 apply_stack", _digest(op.apply_stack(stack(n_log2)))
-
-
 def cli_digests():
     """(name, sha256) for the exit status, standard output and every artifact
     of one run of each subcommand."""
@@ -517,7 +488,7 @@ def cli_digests():
 
 def digests():
     """(name, sha256) for every output the script covers, in print order."""
-    for generate in (library_digests, grid_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, dense_digests, stack_digests, cli_digests):
+    for generate in (library_digests, grid_digests, ladder_digests, hypothesis_digests, ascent_digests, structural_digests, l2_digests, dense_digests, cli_digests):
         yield from generate()
 
 

@@ -4,13 +4,15 @@ The linearized operator's symbol m(V(x) h) depends on V only through the
 transition band eps < V(x) h < R of the profile: on a dead h (V_min h >= R)
 it is 0 at every point and on a flat h (V_max h <= eps) it is 1.  A case
 with no transition h runs a fixed multiplier, so a check that passes there
-says nothing about the variable scale.  This script replays the handle plans
-of criteria 1, 7, 8 and 9 of ``tests/test_acceptance.py`` (their fields,
-profiles, betas and grids) through ``linearized._plan`` and
-``linearized._h_bands``, and prints one line per criterion: the number of
-cases, the dead, flat and transition h counts (min, median and max over the
-cases, each h a distinct value of the argument grid on the Pi_beta support),
-how many plans take the key side, and the cases with no transition h.
+says nothing about the variable scale.  This script replays the handles of
+criteria 1, 7, 8 and 9 of ``tests/test_acceptance.py`` (their fields,
+profiles, betas and grids): it takes each handle's keys and masked symbol
+from ``linearized.linearized_operator``, runs them through
+``linearized._plan`` and ``linearized._h_bands``, and prints one line per
+criterion: the number of cases, the dead, flat and transition h counts
+(min, median and max over the cases, each h a distinct value of the
+argument grid on the Pi_beta support), how many plans take the key side,
+and the cases with no transition h.
 
     python3 tools/regime_audit.py
 
@@ -66,13 +68,14 @@ def criterion_cases():
 def band_counts(V: lin.LinearizerField, m: mu.MultiplierProfile, beta: float) -> tuple[int, int, int, bool]:
     """(dead, flat, transition) h counts of the handle's symbol on V, and
     whether its plan takes the key side."""
-    symbol = lin.ScaledSymbol(m, mu.hyperbolic_argument(V.n_log2, beta), mu.pi_beta_mask(beta, V.n_log2).values)
+    op = lin.linearized_operator(V, m, beta)
+    symbol = op.symbol_of
     hyper = np.ravel(symbol.hyper)
     support = np.flatnonzero(np.broadcast_to(symbol.weight, np.shape(symbol.hyper)))
-    bands = lin._h_bands(np.sort(V.values, axis=None), symbol)
+    bands = lin._h_bands(np.sort(op.keys, axis=None), symbol)
     live = np.unique(hyper[bands.positions]).size
     transition = int(np.count_nonzero(bands.values))
-    key_side = lin._plan(V.values, symbol).weight is None
+    key_side = lin._plan(op.keys, symbol).weight is None
     return np.unique(hyper[support]).size - live, live - transition, transition, key_side
 
 
