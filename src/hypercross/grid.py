@@ -128,8 +128,13 @@ def lp_norm(f: SampledField, p: float) -> float:
     """Normalized lp mean (N^{-2} sum |f|^p)^{1/p} for p in (1, inf)."""
     if not np.isfinite(p) or p <= 1.0:
         raise ValueError(f"p must be finite and > 1, got {p}")
-    mags = np.abs(f.samples)
-    return float(np.mean(mags**p) ** (1.0 / p))
+    return _lp_mean(f.samples, p)
+
+
+def _lp_mean(values: np.ndarray, p: float) -> float:
+    """(mean |values|^p)^{1/p}: :func:`lp_norm`'s formula on a bare array,
+    real or complex, with p unchecked."""
+    return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ bidiagonalization, the Lp ascent, the bump-width sweep, and a dense SVD oracle
 for small grids.
 
 Estimates are certified lower bounds: every reported value is re-derivable as
-lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  The L2
-estimator's ``converged`` flag is a Ritz-residual test; the ascent's is a
-heuristic.  Neither upgrades a bound to an exact norm: a random start can
-miss the top singular vector.
+lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  A step of the
+L2 estimator costs one apply and one adjoint; so does a step of the Lp
+ascent, whose line search scores every trial step size from two images it
+holds, and a restart of the ascent whose iterate moved costs one more apply
+at the end, which gives its value.  The L2 estimator's ``converged`` flag is
+a Ritz-residual test; the ascent's is a heuristic.  Neither upgrades a bound
+to an exact norm: a random start can miss the top singular vector.
 
 The dense oracle is built from what a handle stands for, its key array and
 symbol, and not from its apply: it shares no code with the kernel that the
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, _ifft2, lp_norm
+from .grid import SampledField, _ifft2, _lp_mean, lp_norm
 from .linearized import LinearizerField, LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
@@ -164,10 +167,17 @@ def lp_norm_ascent(
 ) -> NormEstimate:
     """Maximize lp_norm(T f, p) / lp_norm(f, p) by normalized gradient ascent
     with backtracking line search, over real witness fields, keeping the best
-    value across restarts (independent streams per restart).
+    value across restarts (independent streams per restart): the p-norm power
+    method of Higham (Numer. Math. 1992) with a backtracking step.
 
-    Each iterate is applied once: an accepted candidate's image T f gives the
-    next gradient, and the best value is returned as computed from it."""
+    Each step applies the adjoint once, for the gradient, and T once, to the
+    unit direction d.  T is linear, so no trial step size s is applied: the
+    image of (f + s d)/c is (T f + s T d)/c.  The images stay complex, so the
+    value takes |T f| and the gradient Re(T f).  A restart whose iterate
+    moved applies its last iterate once more and takes its value from that
+    image; one that never moved keeps its first apply.  Every value is thus
+    lp_norm(T w, p) / lp_norm(w, p) of its witness w bit for bit, and a
+    restart costs at most iters + 2 applies and iters adjoints."""
     if not (np.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
     if restarts < 1:
@@ -184,15 +194,15 @@ def lp_norm_ascent(
         f = rng.standard_normal((n, n))
         f /= np.sqrt(np.mean(f**2))
         field = SampledField(op.n_log2, f)
-        image = op.apply(field)
-        val = _image_ratio(image, field, p)
+        image = op.apply(field).samples
+        norm_f = _lp_mean(f, p)
+        val = _lp_mean(image, p) / norm_f
         step = 1.0
-        converged = False
+        converged = moved = False
         for _ in range(iters):
             total_iters += 1
-            g = image.samples.real
-            norm_g = float(np.mean(np.abs(g) ** p) ** (1 / p))
-            norm_f = float(np.mean(np.abs(f) ** p) ** (1 / p))
+            g = image.real
+            norm_g = _lp_mean(g, p)
             if norm_g == 0.0:
                 break
             top = op.adjoint(SampledField(op.n_log2, _dual_direction(g, p, norm_g))).samples.real
@@ -201,20 +211,27 @@ def lp_norm_ascent(
             if gnorm < 1e-14:
                 converged = True
                 break
+            d = grad / gnorm
+            image_d = op.apply(SampledField(op.n_log2, d)).samples
             while step > 1e-8:
-                cand = f + step * grad / gnorm
-                cand /= np.sqrt(np.mean(cand**2))
-                cand_field = SampledField(op.n_log2, cand)
-                cand_image = op.apply(cand_field)
-                cand_val = _image_ratio(cand_image, cand_field, p)
+                cand = f + step * d
+                scale = np.sqrt(np.mean(cand**2))
+                cand /= scale
+                cand_image = (image + step * image_d) / scale
+                cand_norm = _lp_mean(cand, p)
+                cand_val = _lp_mean(cand_image, p) / cand_norm
                 if cand_val > val + 1e-14:
-                    f, field, image, val = cand, cand_field, cand_image, cand_val
+                    f, image, norm_f, val = cand, cand_image, cand_norm, cand_val
+                    moved = True
                     step *= 1.5
                     break
                 step *= 0.5
             else:  # no step improved the value
                 converged = True
                 break
+        if moved:
+            field = SampledField(op.n_log2, f)
+            val = _image_ratio(op.apply(field), field, p)
         if val > best_val:
             best_val = val
             best_w = field
