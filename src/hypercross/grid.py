@@ -173,14 +173,12 @@ def read_hxf1(path) -> tuple[int, np.ndarray]:
 
 
 def write_field_csv(path, field: SampledField) -> None:
-    """CSV interchange with columns i, j, re, im."""
+    """CSV interchange with columns i, j, re, im: the bytes csv.writer makes
+    of one row per sample, with re and im as their float repr, written in
+    one pass (no field needs quoting; rows end in csv's \\r\\n)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "re", "im"])
-        for i in range(field.n):
-            row = field.samples[i]
-            for j in range(field.n):
-                writer.writerow([i, j, repr(float(row[j].real)), repr(float(row[j].imag))])
+        fh.write("i,j,re,im\r\n")
+        fh.writelines(f"{i},{j},{z.real!r},{z.imag!r}\r\n" for i, row in enumerate(field.samples.tolist()) for j, z in enumerate(row))
 
 
 def read_field_csv(path, n_log2: int) -> SampledField:

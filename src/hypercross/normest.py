@@ -1,6 +1,5 @@
-"""Operator-norm estimation: the L2 norm by Golub-Kahan-Lanczos
-bidiagonalization, the Lp ascent, the bump-width sweep, and a dense SVD oracle
-for small grids.
+"""Operator-norm estimation: the L2 norm by Lanczos on T*T, the Lp ascent,
+the bump-width sweep, and a dense SVD oracle for small grids.
 
 Estimates are certified lower bounds: every reported value is re-derivable as
 lp_norm(T w, p) / lp_norm(w, p) from its stored witness w.  A step of the
@@ -15,16 +14,18 @@ The dense oracle is built from what a handle stands for, its key array and
 symbol, and not from its apply: it shares no code with the kernel that the
 estimators run, so a fault in that kernel shows as a gap between them.
 
-The L2 estimator allocates its two bases once, min(max_iter, N^2) fields
-each, and writes only the rows its steps fill: with the default
-max_iter = 200, at most 25 MiB at N = 64 and 100 MiB at N = 128 if every
+The L2 estimator allocates its one basis once, min(max_iter, N^2) complex
+fields, and writes only the rows its steps fill: with the default
+max_iter = 200, at most 12.5 MiB at N = 64 and 50 MiB at N = 128 if every
 row is filled.  Measured runs stop far earlier.  ``hypercross normest``
-with p = 2, lip_x V (v_min = 1/2), bump eps = 1 and seed 4 takes 17 steps;
+with p = 2, lip_x V (v_min = 1/2), bump eps = 1 and seed 4 takes 18 steps;
 on a 2-core x86-64 Linux host its peak resident set, the interpreter
-included, is 44 MiB at N = 64 and 54 MiB at N = 128.  (tracemalloc counts
-the unwritten rows too, and reports 27 and 105 MiB.)
+included, is 44 MiB at N = 64 and 49 to 50 MiB at N = 128.  (tracemalloc
+counts the unwritten rows too, and reports 23 and 63 MiB.)  At beta = -1
+and N = 128 the same run fills all 200 rows and peaks at 95 MiB.
 ``hypercross sweep`` on a staircase_x V (8 levels, eps 1, 1/2 and 1/4,
-seed 5) takes 17 to 49 steps per width at those sizes.
+seed 5) takes 15 to 49 steps per width at those sizes, and peaks at 107 MiB
+at N = 256.
 """
 
 from __future__ import annotations
@@ -93,69 +94,72 @@ def _orthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
-    """B_k: alphas on the diagonal, the first k - 1 betas above it."""
-    return np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
-
-
 def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed: int = 0) -> NormEstimate:
-    """Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer.
-    Anal. 1965) from a random complex start, with full reorthogonalization of
-    both bases.  Step k costs one apply and one adjoint and extends
+    """Lanczos on T*T (Lanczos, J. Res. Nat. Bur. Standards 1950) from a
+    random complex start, with full reorthogonalization of its one basis.
+    Step k costs one apply and one adjoint: w = T*(T v_k), alpha_k =
+    Re <v_k, w>, and w orthogonalized against v_1..v_k has norm beta_k and
+    direction v_{k+1}.  So
 
-        T V_k = U_k B_k,   T* U_k = V_k B_k* + beta_k v_{k+1} e_k*,
+        T*T V_k = V_k A_k + beta_k v_{k+1} e_k*,
 
-    with B_k upper bidiagonal: alpha_1..alpha_k on the diagonal, beta_1..
-    beta_{k-1} above it.  If (sigma, z, y) is the top singular triple of B_k,
-    the Ritz vector V_k y is mapped by T onto sigma U_k z exactly, and T* U_k z
-    misses sigma V_k y by beta_k |z_k|.  The run stops once that residual is at
-    most 1e-12 sigma (``converged``), when alpha_k vanishes (an invariant
-    subspace: also ``converged``), or after min(max_iter, N^2) steps.
-    Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 1992) bound how far
-    below the norm a random start can leave the value.
+    with A_k real symmetric tridiagonal: alpha_1..alpha_k on the diagonal,
+    beta_1..beta_{k-1} beside it.  In exact arithmetic this is
+    Golub-Kahan-Lanczos (GKL) bidiagonalization (Golub & Kahan, SIAM J.
+    Numer. Anal. 1965) from the same start, with A_k = B_k* B_k, but it
+    keeps one basis in place of two and orthogonalizes once per step.  It
+    is also the setting of the Kuczynski-Wozniakowski bound (SIAM J. Matrix
+    Anal. Appl. 1992) on how far below the norm a random start can leave
+    the value.
 
-    It keeps the basis fields of each side as the rows of one array of
-    min(max_iter, N^2) rows, allocated once; a row no step reaches is never
-    written.  The witness is the Ritz vector and the value is re-derived
-    from it, hence a lower bound on the operator norm.  The name is kept
-    from the power iteration this replaced, since criterion 7, the CLI, the
-    sweep and the benchmark call it by that name."""
+    If (theta, y) is the top eigenpair of A_k, the Ritz vector V_k y misses
+    being an eigenvector of T*T by beta_k |y_k|.  The run stops once that
+    residual is at most 1e-12 theta (``converged``): GKL's Ritz-residual test
+    times sigma = sqrt(theta), so the same rule.  A zero beta_k, an invariant
+    subspace, passes it.  Otherwise the run stops after min(max_iter, N^2)
+    steps.  It can take one step more than GKL: near a cluster of singular
+    values, eigh gives y_k to absolute accuracy where the bidiagonal SVD
+    gives it to relative accuracy, so the residual can read high once.
+
+    The basis fields are the rows of one array of min(max_iter, N^2) rows,
+    allocated once; a row no step reaches is never written.  The witness is
+    the last step's Ritz vector and the value is re-derived from it, hence a
+    lower bound on the operator norm.  The name is kept from the power
+    iteration this replaced, since criterion 7, the CLI, the sweep and the
+    benchmark call it by that name."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     n = 1 << op.n_log2
     v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).ravel()
     v /= np.linalg.norm(v)
-    steps = min(max_iter, n * n)
-    right = np.empty((steps, n * n), dtype=np.complex128)
-    left = np.empty((steps, n * n), dtype=np.complex128)
+    basis = np.empty((min(max_iter, n * n), n * n), dtype=np.complex128)
     alphas: list[float] = []
     betas: list[float] = []
     converged = False
-    for k in range(steps):
-        right[k] = v
-        u = _orthogonalize(op.apply(SampledField(op.n_log2, v.reshape(n, n))).samples.ravel(), left[:k])
-        alphas.append(float(np.linalg.norm(u)))
-        if alphas[-1] <= 1e-12 * max(alphas):
-            converged = True
-            break
-        left[k] = u / alphas[-1]
-        w = _orthogonalize(op.adjoint(SampledField(op.n_log2, left[k].reshape(n, n))).samples.ravel(), right[: k + 1])
+    for k in range(len(basis)):
+        basis[k] = v
+        w = op.adjoint(op.apply(SampledField(op.n_log2, v.reshape(n, n)))).samples.ravel()
+        alphas.append(float(np.vdot(v, w).real))
+        w = _orthogonalize(w, basis[: k + 1])
         betas.append(float(np.linalg.norm(w)))
-        z, s, _ = np.linalg.svd(_bidiagonal(alphas, betas))
-        if betas[-1] * abs(z[-1, 0]) <= 1e-12 * s[0]:
+        # eigh reads the lower triangle: alphas on the diagonal, the first k - 1 betas below it
+        theta, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+        if betas[-1] * abs(y[-1, -1]) <= 1e-12 * theta[-1]:
             converged = True
             break
         v = w / betas[-1]
-    _, _, yh = np.linalg.svd(_bidiagonal(alphas, betas))
-    witness = SampledField(op.n_log2, (yh[0] @ right[: len(alphas)]).reshape(n, n))
+    witness = SampledField(op.n_log2, (y[:, -1] @ basis[: len(alphas)]).reshape(n, n))
     return NormEstimate(2.0, _image_ratio(op.apply(witness), witness, 2.0), len(alphas), witness, converged)
 
 
 def _dual_direction(h: np.ndarray, p: float, norm: float) -> np.ndarray:
     """Gradient of the weighted lp norm at h: sgn(h) (|h|/norm)**(p-1), for
-    norm > 0."""
-    return np.sign(h) * (np.abs(h) / norm) ** (p - 1.0)
+    norm > 0, with the sign h/|h| (0 where h = 0) of a real or a complex h.
+    On a real h it is np.sign(h) bit for bit; numpy < 2 gives np.sign of a
+    complex number the sign of its real part, so it is not called."""
+    a = np.abs(h)
+    return np.divide(h, a, out=np.zeros_like(h), where=a > 0) * (a / norm) ** (p - 1.0)
 
 
 def lp_norm_ascent(
@@ -172,12 +176,15 @@ def lp_norm_ascent(
 
     Each step applies the adjoint once, for the gradient, and T once, to the
     unit direction d.  T is linear, so no trial step size s is applied: the
-    image of (f + s d)/c is (T f + s T d)/c.  The images stay complex, so the
-    value takes |T f| and the gradient Re(T f).  A restart whose iterate
-    moved applies its last iterate once more and takes its value from that
-    image; one that never moved keeps its first apply.  Every value is thus
-    lp_norm(T w, p) / lp_norm(w, p) of its witness w bit for bit, and a
-    restart costs at most iters + 2 applies and iters adjoints."""
+    image of (f + s d)/c is (T f + s T d)/c.  The images stay complex: the
+    value takes |T f|, and the gradient of lp(|T f|) over real f is
+    Re T*(sgn(T f) |T f|**(p-1)) with the complex sign, so where T maps real
+    fields to complex ones the ascent climbs the value it reports.  A
+    restart whose iterate moved applies its last iterate once more and takes
+    its value from that image; one that never moved keeps its first apply.
+    Every value is thus lp_norm(T w, p) / lp_norm(w, p) of its witness w
+    bit for bit, and a restart costs at most iters + 2 applies and iters
+    adjoints."""
     if not (np.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be finite and > 1, got {p}")
     if restarts < 1:
@@ -201,12 +208,11 @@ def lp_norm_ascent(
         converged = moved = False
         for _ in range(iters):
             total_iters += 1
-            g = image.real
-            norm_g = _lp_mean(g, p)
-            if norm_g == 0.0:
+            if val == 0.0:
                 break
-            top = op.adjoint(SampledField(op.n_log2, _dual_direction(g, p, norm_g))).samples.real
-            grad = (top - (norm_g / norm_f) * _dual_direction(f, p, norm_f)) / norm_f
+            # the image's lp norm is val * norm_f
+            top = op.adjoint(SampledField(op.n_log2, _dual_direction(image, p, val * norm_f))).samples.real
+            grad = (top - val * _dual_direction(f, p, norm_f)) / norm_f
             gnorm = float(np.sqrt(np.mean(grad**2)))
             if gnorm < 1e-14:
                 converged = True

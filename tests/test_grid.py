@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -284,3 +285,24 @@ def test_csv_roundtrip(tmp_path):
     g.write_field_csv(path, f)
     back = g.read_field_csv(path, 4)
     assert np.array_equal(back.samples, f.samples)
+
+
+def test_csv_bytes_are_those_of_csv_writer(tmp_path):
+    # the one-pass writer must make what csv.writer made of each row, on
+    # signed zeros, subnormals and large exponents too
+    samples = g.random_field(3, 17).samples.copy()
+    samples[0, :4] = [-0.0, complex(0.0, -0.0), complex(-0.0, 5e-324), complex(1e300, -2.5e-308)]
+    samples[5, 7] = complex(-1.7976931348623157e308, 1e-310)
+    field = g.SampledField(3, samples)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "re", "im"])
+        for i in range(8):
+            for j in range(8):
+                writer.writerow([i, j, repr(float(samples[i, j].real)), repr(float(samples[i, j].imag))])
+    path = tmp_path / "field.csv"
+    g.write_field_csv(path, field)
+    assert path.read_bytes() == want.read_bytes()
+    assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
+    assert np.array_equal(g.read_field_csv(path, 3).samples.view(np.int64), samples.view(np.int64))

@@ -34,7 +34,7 @@ def test_fixed_multiplier_matches_max_symbol():
         op = ne.fixed_multiplier_operator(sym)
         est = ne.l2_norm_power_iteration(op, max_iter=300, seed=2)
         assert est.value == pytest.approx(np.abs(sym.values).max(), abs=1e-10)
-        assert est.iterations <= 64  # the bases span the whole 8 x 8 grid by then
+        assert est.iterations <= 64  # the basis spans the whole 8 x 8 grid by then
 
 
 def _criterion_7_operator(seed):
@@ -48,7 +48,8 @@ def _rederived(op, est):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_l2_estimate_matches_dense_svd_on_criterion_7_fields(seed):
-    # catches a bidiagonal with the betas on the wrong side, which reads up to 0.19 low
+    # catches a tridiagonal with the betas on the side eigh does not read,
+    # which reads up to 0.22 low
     op = _criterion_7_operator(seed)
     est = ne.l2_norm_power_iteration(op, seed=seed)
     assert est.value == pytest.approx(ne.dense_operator_norm(op), abs=1e-10)
@@ -64,6 +65,42 @@ def test_l2_estimate_matches_dense_svd_where_a_transition_h_is_live(seed):
     exact = ne.dense_operator_norm(op)
     assert exact > 1.0 + 1e-5
     assert ne.l2_norm_power_iteration(op, seed=seed).value == pytest.approx(exact, abs=1e-12)
+
+
+def _transition_count(op):
+    """The transition h of a linearized handle: the h where m(V h) depends
+    on V."""
+    return np.count_nonzero(lin._h_bands(np.sort(op.keys, axis=None), op.symbol_of).values)
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_l2_estimate_matches_dense_svd_at_n_32(seed, beta):
+    # criterion 7's field at N = 32, where seed 1 too has transition h (none
+    # at N = 8) and every dense norm is 1.065 to 1.114
+    V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, seed, 5)
+    op = ne.linearized_operator(V, mu.make_bump_profile(1.0), beta)
+    assert _transition_count(op) > 0
+    exact = ne.dense_operator_norm(op)
+    assert exact > 1.0 + 1e-3
+    est = ne.l2_norm_power_iteration(op, seed=seed)
+    assert est.converged
+    assert est.value == pytest.approx(exact, abs=1e-12)
+
+
+def test_l2_sweep_with_a_transition_h_in_every_row_matches_dense_svd():
+    # criterion 8's field at beta = -1 and N = 16: every width keeps 4 to 20
+    # transition h, so no row is the bare Pi_beta projection's 1
+    spec = {"kind": "staircase_x", "lip_constant": 1.0, "v_min": 0.125, "levels": 48}
+    widths = [0.5, 0.25, 0.125, 0.0625]
+    rows = ne.epsilon_sweep(2.0, -1.0, spec, widths, 4, 42).rows
+    V = lin.generate_linearizer("staircase_x", {k: v for k, v in spec.items() if k != "kind"}, 42, 4)
+    assert [r.epsilon for r in rows] == widths
+    for row in rows:
+        op = ne.linearized_operator(V, mu.make_bump_profile(row.epsilon), -1.0)
+        assert _transition_count(op) >= 1, row.epsilon
+        assert row.estimate > 1.0 + 1e-3, row.epsilon
+        assert row.estimate == pytest.approx(ne.dense_operator_norm(op), abs=1e-12), row.epsilon
 
 
 def test_l2_estimate_cut_short_is_not_converged():
@@ -273,7 +310,8 @@ def test_lp_ascent_applies_each_field_once():
 
 def _apply_per_trial_ascent(op, p, restarts, iters, seed):
     """The Lp ascent as it was when it applied T to every trial step size,
-    kept as the reference for the line search that combines two images."""
+    kept as the reference for the line search that combines two images.  Its
+    gradient is that of lp(|T f|), with the complex sign of T f."""
     n = 1 << op.n_log2
     best_val, best_w, total_iters, any_converged = -np.inf, None, 0, False
     for r in range(restarts):
@@ -287,7 +325,7 @@ def _apply_per_trial_ascent(op, p, restarts, iters, seed):
         converged = False
         for _ in range(iters):
             total_iters += 1
-            gr = image.samples.real
+            gr = image.samples
             norm_g = float(np.mean(np.abs(gr) ** p) ** (1 / p))
             norm_f = float(np.mean(np.abs(f) ** p) ** (1 / p))
             if norm_g == 0.0:
@@ -338,6 +376,34 @@ def test_lp_ascent_follows_the_apply_per_trial_reference(case, p):
     assert est.value == pytest.approx(ref.value, rel=1e-12)
     assert (est.iterations, est.converged) == (ref.iterations, ref.converged)
     assert est.value == _rederived(op, est)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lp_ascent_climbs_a_purely_imaginary_image(p):
+    # sign(xi), Nyquist line 0, maps a real field to an imaginary one: the
+    # real part of the image is 0, and a gradient taken from it stops every
+    # restart at its start (0.919 at p = 1.5, 0.896 at p = 3), below the 1.0
+    # of cos(2 pi x)
+    xi = g.frequencies(3).astype(float)
+    symbol = np.sign(xi)[:, None] * np.ones((1, 8))
+    symbol[4] = 0.0
+    op = ne.fixed_multiplier_operator(mu.SymbolGrid(3, symbol))
+    est = ne.lp_norm_ascent(op, p, restarts=4, iters=30, seed=0)
+    assert est.value >= 1.0
+    assert est.value == _rederived(op, est)
+
+
+def test_dual_direction_takes_the_sign_of_real_and_complex_arrays():
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal(64)
+    real[:3] = [0.0, -0.0, 5e-324]
+    want = np.sign(real) * (np.abs(real) / 0.7) ** 0.5
+    assert ne._dual_direction(real, 1.5, 0.7).tobytes() == want.tobytes()
+    cplx = real + 1j * rng.standard_normal(64)
+    cplx[:2] = 0.0
+    out = ne._dual_direction(cplx, 3.0, 0.7)
+    assert np.array_equal(out[:2], [0.0, 0.0])
+    assert np.allclose(out[2:], cplx[2:] / np.abs(cplx[2:]) * (np.abs(cplx[2:]) / 0.7) ** 2.0, rtol=1e-15, atol=0)
 
 
 def test_lp_ascent_rejects_bad_p():
