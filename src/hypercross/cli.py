@@ -295,7 +295,7 @@ def cmd_decompose(ctx: RunContext) -> None:
 def cmd_normest(ctx: RunContext) -> None:
     p = ctx.take("normest", "p", 2.0)
     beta = ctx.take("normest", "beta", 1.0)
-    # p picks the estimator: Golub-Kahan-Lanczos at p = 2, the Lp ascent otherwise
+    # p picks the estimator: Lanczos on T*T at p = 2, the Lp ascent otherwise
     if p == 2.0:
         estimate = functools.partial(ne.l2_norm_power_iteration, max_iter=ctx.take("normest", "max_iter", 200), seed=ctx.seed)
     else:
@@ -311,7 +311,7 @@ def cmd_normest(ctx: RunContext) -> None:
     gr.write_hxf1(ctx.path("witness.hxf1"), ctx.n_log2, est.witness.samples)
     row = ne.SweepRow(p, beta, profile.epsilon, 1 << ctx.n_log2, ctx.seed, a_const, est.value, est.iterations, est.converged)
     ne.write_sweep_csv(ctx.path("estimate.csv"), ne.SweepResult((row,)))
-    ctx.log(estimate=est.value, iterations=est.iterations, converged=est.converged, p=p)
+    ctx.log(estimate=est.value, iterations=est.iterations, converged=est.converged, residual=est.residual, p=p)
     ctx.check("witness_consistency", consistent, f"estimate {est.value:.6f}, re-derived {rederived:.6f}")
 
 

@@ -102,6 +102,18 @@ def test_lp_norm_half_grid_indicator():
     assert abs(g.lp_norm(f, 2.0) - np.sqrt(2.0)) < 1e-14
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n_log2", [3, 4, 5, 6, 7, 8])
+def test_lp_mean_is_the_np_mean_formula_bit_for_bit(n_log2, p):
+    # the one mean is np.add.reduce / size; the 1/p power stays the scalar power
+    n = 1 << n_log2
+    rng = np.random.default_rng(n_log2)
+    real = rng.standard_normal((n, n))
+    for values in (real, real + 1j * rng.standard_normal((n, n)), 1e-3 * real**3):
+        assert g._lp_mean(values, p) == float(np.mean(np.abs(values) ** p) ** (1 / p))
+        assert g._mean(np.abs(values) ** p) == np.mean(np.abs(values) ** p)
+
+
 def test_lp_norm_rejects_bad_p():
     f = g.SampledField(4, np.ones((16, 16)))
     for p in (1.0, 0.5, -2.0, float("inf"), float("nan")):

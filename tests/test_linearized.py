@@ -621,7 +621,10 @@ _HANDLE_CASES = {"N=16 beta=1": (4, 1.0, 8), "N=32 beta=-1": (5, -1.0, 51)}
 @pytest.mark.parametrize("case", sorted(_HANDLE_CASES))
 def test_handle_groups_frequencies_once(monkeypatch, case, stack):
     # a lip_x V takes the frequency side; the handle grouped and banded its h
-    # when it was built, so no apply or adjoint sorts, searches or regroups.
+    # and cut the grouping into stacks when it was built, so no apply or
+    # adjoint sorts, searches, regroups or walks the stacks again.  The walk
+    # searches by the method ndarray.searchsorted, which the np.searchsorted
+    # patch does not see, so _stacks is counted on its own.
     # When its g groups fit in one stack, g N^2 <= max(N^2, _STACK), it
     # evaluated m on them then too, so no apply or adjoint calls m;
     # otherwise each stack of groups makes one call of at most max(N^2,
@@ -654,6 +657,8 @@ def test_handle_groups_frequencies_once(monkeypatch, case, stack):
 
     for name in ("unique", "argsort", "sort", "searchsorted"):
         monkeypatch.setattr(np, name, counted(name))
+    stacks = lin._stacks
+    monkeypatch.setattr(lin, "_stacks", lambda *args: calls.append("_stacks") or stacks(*args))
     monkeypatch.setattr(mu.MultiplierProfile, "__call__", sized_profile)
     f, b = g.random_field(n_log2, 1), g.random_field(n_log2, 2)
     for _ in range(3):
@@ -667,6 +672,30 @@ def test_handle_groups_frequencies_once(monkeypatch, case, stack):
         assert max(profile_sizes) <= max(n**2, stack)
     # the default stack holds the N = 16 grouping and not the N = 32 one
     assert (case == "N=16 beta=1") == (groups * n**2 <= max(n**2, default))
+
+
+@pytest.mark.parametrize("stack", [1, 3 * 64, lin._STACK, 1 << 20])
+@pytest.mark.parametrize("transform", ["identity", "synthesis", "fft2"])
+def test_spread_sums_signed_zeros_as_the_term_by_term_loop(monkeypatch, transform, stack):
+    # five key groups on an 8 x 8 grid, with -0.0 in the array and in the
+    # factors; the reference adds each group's term in turn to a zero start.
+    # One group per stack, three, and all five in one stack.
+    monkeypatch.setattr(lin, "_STACK", stack)
+    run = {"identity": lambda a: a, "synthesis": lin._synthesis, "fft2": g._fft2}[transform]
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 5, (8, 8)).astype(np.float64)
+    arr = np.abs(rng.standard_normal((8, 8))) + 1j * np.abs(rng.standard_normal((8, 8)))
+    arr[1::3] = complex(-0.0, -0.0)
+    factors = np.where(rng.random((5, 8, 8)) < 0.4, -0.0, rng.standard_normal((5, 8, 8)))
+    factors[:, 0] = -0.0
+    plan = lin._Plan(keys, lin._grouped(keys.ravel(), np.arange(64), 64), lambda values: factors[values.astype(int)], None)
+    terms = [run(np.where(keys == value, arr, 0.0)) * factors[int(value)] for value in plan.groups.values]
+    want = np.zeros((8, 8), dtype=np.complex128)
+    for term in terms:
+        want += term
+    assert lin._spread(run, arr, plan).tobytes() == want.tobytes()
+    # every term is a signed zero on row 0, and some of them are -0.0
+    assert not np.array(terms)[:, 0].any() and np.signbit(np.array(terms).real[:, 0]).any()
 
 
 _STACK_INVARIANT_OUTPUTS = {

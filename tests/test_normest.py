@@ -113,17 +113,46 @@ def test_l2_estimate_cut_short_is_not_converged():
     assert est.value == pytest.approx(_rederived(op, est), abs=1e-12)
 
 
+# the criterion-7 fields with a live transition h: each needs more than two
+# steps, so max_iter = 2 cuts its run short
+_LIVE_SEEDS = [0, 2, 5, 6, 8, 9]
+
+
+@pytest.mark.parametrize("max_iter", [2, 200])
+@pytest.mark.parametrize("seed", _LIVE_SEEDS)
+def test_l2_residual_passes_the_test_exactly_when_converged(seed, max_iter):
+    est = ne.l2_norm_power_iteration(_criterion_7_operator(seed), max_iter=max_iter, seed=seed)
+    assert type(est.residual) is float and est.residual >= 0.0
+    assert (est.residual <= 1e-12) == est.converged
+    assert est.converged == (max_iter == 200)
+
+
+@pytest.mark.parametrize("seed", _LIVE_SEEDS)
+def test_l2_residual_is_the_ritz_residual_of_the_witness(seed):
+    # the witness w is the unit Ritz vector with Rayleigh quotient theta =
+    # value**2, and T*T w - theta w = beta_k y_k v_{k+1}: its norm over
+    # theta is the residual, here recomputed from the operator
+    op = _criterion_7_operator(seed)
+    est = ne.l2_norm_power_iteration(op, max_iter=2, seed=seed)
+    w = est.witness.samples
+    theta = est.value**2
+    gap = op.adjoint(op.apply(est.witness)).samples - theta * w
+    assert est.residual > 1e-6
+    assert np.linalg.norm(gap) / (theta * np.linalg.norm(w)) == pytest.approx(est.residual, rel=1e-6)
+
+
 def test_l2_estimate_of_zero_operator():
     est = ne.l2_norm_power_iteration(_constant_multiplier(3, 0.0), seed=1)
     assert est.value == 0.0
     assert est.converged
+    assert est.residual == 0.0
     assert np.all(np.isfinite(est.witness.samples))
 
 
 def test_lp_ascent_of_zero_operator():
     # the image has no lp norm to ascend on, so each restart stops at once
     est = ne.lp_norm_ascent(_constant_multiplier(3, 0.0), 3.0, restarts=2, seed=1)
-    assert (est.value, est.iterations) == (0.0, 2)
+    assert (est.value, est.iterations, est.residual) == (0.0, 2, None)
     assert np.all(np.isfinite(est.witness.samples))
 
 

@@ -106,7 +106,6 @@ import json
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -495,10 +494,12 @@ def digests():
 def compare(rev: str) -> int:
     """Print how many digest lines of ``git archive rev`` this tree matches,
     then the name of each line that differs; 1 when any differs."""
+    # imported here, not at the top: the copy of this script that runs in
+    # the archive's tree may find no git_tree.py beside it
+    from git_tree import extract
+
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, stdout=subprocess.PIPE).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+        extract(rev, Path(tmp))
         script = Path(tmp) / "tools" / Path(__file__).name
         script.parent.mkdir(exist_ok=True)
         shutil.copy(__file__, script)
