@@ -225,17 +225,18 @@ def cmd_dyadic(ctx: RunContext) -> None:
     L = ctx.take("dyadic", "lip_constant", 0.125)
     depth = ctx.take("dyadic", "depth", 6)
     count = ctx.take("dyadic", "count", 5)
-    # only thm_4_2 weighs |J| by beta; thm_4_1 compares the plain |I| |J|
-    beta = 1.0 if variant == "thm_4_1" else ctx.take("dyadic", "beta", 1.0)
+    # thm_4_1 draws a field Lipschitz in both variables and compares the plain
+    # |I| |J|; thm_4_2 draws one Lipschitz in x and weighs |J| by beta
+    if variant == "thm_4_1":
+        generate, beta = dy.generate_dyadic_metric_2d, 1.0
+    else:
+        generate, beta = dy.generate_dyadic_metric_x, ctx.take("dyadic", "beta", 1.0)
     if count < 1:
         raise ConfigError(f"[dyadic] needs count >= 1, got {count}")
     ctx.start()
     total_viol = 0
     for i in range(count):
-        if variant == "thm_4_1":
-            V = dy.generate_dyadic_metric_2d(L, ctx.n_log2, ctx.seed + i)
-        else:
-            V = dy.generate_dyadic_metric_x(L, ctx.n_log2, ctx.seed + i)
+        V = generate(L, ctx.n_log2, ctx.seed + i)
         rep = dy.check_selection_stability(V, L, beta, variant, depth=depth)
         total_viol += rep.violations
         ctx.log(**rep.record(), case=i)

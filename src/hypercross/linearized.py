@@ -60,17 +60,15 @@ with one FFT call over the last two axes per stack, because at the grid
 sizes of the battery a call costs more than its arithmetic.  The plan keeps
 its stacks, each as its slice of the group indices, its positions and their
 flat indices in the stack's grids, so an apply or adjoint searches nothing
-and subtracts no offset.  The factors
-(m(key * h) on the frequency side, the symbols on the V side) come from one
-call for all g groups when they fit in one stack, g N^2 <= max(N^2,
-2**13): the plan keeps them as a read-only (g, N, N) table, so an operator
-handle applied many times evaluates m once.  Otherwise each stack makes one
-factor call on its groups.  Each group's factors are computed on their own,
-each group is picked on its own, and a stack's terms are summed by one
-reduction that adds them in group order, so the result does not depend on
-the stack size or on the table.  A stack of
-groups and the table hold at most max(N^2, 2**13) entries, so memory stays
-O(N^2).
+and subtracts no offset.  A plan keeps the factors of its groups (m(key * h)
+on the frequency side, the symbols on the V side) when they make one stack:
+it evaluates them once, in one call, into a read-only (g, N, N) table, so an
+operator handle applied many times evaluates m once.  Otherwise each stack
+makes one factor call on its groups.  Each group's factors are computed on
+their own, each group is picked on its own, and a stack's terms are summed
+by one reduction that adds them in group order, so the result does not
+depend on the stack size or on the table.  A stack of groups, and so the
+table, holds at most max(N^2, 2**13) entries, so memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -101,12 +99,20 @@ class Regularity:
 
     kind is one of 'constant', 'lip_x', 'lip_y', 'lip_2d',
     'dyadic_of_lipschitz', 'dyadic_metric_2d', 'dyadic_metric_x',
-    'staircase_x', or 'none'.
+    'staircase_x', or 'none'.  lip, when given, is finite and > 0, and floor
+    finite and >= 0 (ValueError otherwise), so no pair rule divides by a
+    lip <= 0 and no floor check compares with NaN.
     """
 
     kind: str
     lip: float | None = None
     floor: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.lip is not None and not 0.0 < self.lip < math.inf:
+            raise ValueError(f"Regularity needs a finite lip > 0, got {self.lip}")
+        if self.floor is not None and not 0.0 <= self.floor < math.inf:
+            raise ValueError(f"Regularity needs a finite floor >= 0, got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -480,26 +486,26 @@ def _h_bands(keys: np.ndarray, symbol: ScaledSymbol) -> _Groups:
 class _Plan:
     """What :func:`_gather` and :func:`_scatter` sum over: the (N, N) key
     array, the groups, the rule that evaluates the (g, N, N) factors of an
-    array of g group values, on the frequency side the symbol's weight (None
-    on the V side), and the factors of every group as a read-only table when
-    the grouping fits in one stack (None otherwise).  It derives the groups'
-    stacks, :func:`_stacks`, once, so no apply or adjoint searches the
-    grouping.  A plain class with slots: a frozen dataclass or a NamedTuple
-    here adds 0.1-0.6 ms to every import of the module."""
+    array of g group values, and on the frequency side the symbol's weight
+    (None on the V side).  It derives the groups' stacks, :func:`_stacks`,
+    once, so no apply or adjoint searches the grouping, and keeps the
+    factors as a table by the module docstring's rule (None otherwise).  A
+    plain class with slots: a frozen dataclass or a NamedTuple here adds
+    0.1-0.6 ms to every import of the module."""
 
     __slots__ = ("keys", "groups", "evaluate", "weight", "table", "stacks")
 
-    def __init__(self, keys: np.ndarray, groups: _Groups, evaluate: callable,
-                 weight: np.ndarray | float | None, table: np.ndarray | None = None) -> None:
-        self.keys, self.groups, self.evaluate, self.weight, self.table = keys, groups, evaluate, weight, table
+    def __init__(self, keys: np.ndarray, groups: _Groups, evaluate: callable, weight: np.ndarray | float | None) -> None:
+        self.keys, self.groups, self.evaluate, self.weight, self.table = keys, groups, evaluate, weight, None
         self.stacks = tuple(_stacks(groups, keys.size))
+        if len(self.stacks) == 1:
+            self.table = evaluate(groups.values)
+            self.table.flags.writeable = False
 
     def factors(self, stack: slice) -> np.ndarray:
         """The factors of the groups in a slice of the group indices: a view
         of the table, or evaluated on those groups' values."""
-        if self.table is None:
-            return self.evaluate(self.groups.values[stack])
-        return self.table[stack]
+        return self.evaluate(self.groups.values[stack]) if self.table is None else self.table[stack]
 
 
 def _plan(keys: np.ndarray, symbol_of) -> _Plan:
@@ -512,25 +518,16 @@ def _plan(keys: np.ndarray, symbol_of) -> _Plan:
     :func:`gather`).  The side is decided on the keys sorted once (their
     ends set the bands, and the changes between neighbours count the
     distinct keys), and the keys are grouped only when the key side runs.
-    When the g groups fit in one stack, g N^2 <= max(N^2, _STACK), their
-    factors are evaluated here in one call and kept as the table, at most
-    max(N^2, _STACK) entries."""
+    The :class:`_Plan` keeps the factors by the module docstring's rule."""
     if not np.all(keys >= 0):
         raise ValueError("bucket keys must be >= 0")
-    weight, evaluate = None, lambda values: symbol_of(values[:, None, None])
     if isinstance(symbol_of, ScaledSymbol):
         ordered = np.sort(keys, axis=None)
         bands = _h_bands(ordered, symbol_of)
         if bands.values.size < 1 + np.count_nonzero(ordered[1:] != ordered[:-1]):
-            groups, weight = bands, symbol_of.weight
-            evaluate = lambda hs: symbol_of.m(keys * hs[:, None, None])
-    if weight is None:
-        groups = _grouped(keys.ravel(), np.arange(keys.size), keys.size)
-    table = None
-    if groups.values.size * keys.size <= max(keys.size, _STACK):
-        table = evaluate(groups.values)
-        table.flags.writeable = False
-    return _Plan(keys, groups, evaluate, weight, table)
+            return _Plan(keys, bands, lambda hs: symbol_of.m(keys * hs[:, None, None]), symbol_of.weight)
+    groups = _grouped(keys.ravel(), np.arange(keys.size), keys.size)
+    return _Plan(keys, groups, lambda values: symbol_of(values[:, None, None]), None)
 
 
 def _gather(spec: np.ndarray, plan: _Plan) -> np.ndarray:

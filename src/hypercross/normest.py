@@ -282,7 +282,13 @@ class SweepResult:
     rows: tuple
 
     def log_shape_ratio(self) -> float:
-        """max over rows of estimate/(log2(1/eps)+1) divided by the min."""
+        """max over rows of estimate/(log2(1/eps)+1) divided by the min.
+
+        The lab models the bound's shape as A (log2(1/eps) + 1); a bump's A is
+        the same at every width, so it cancels here.  The ratio tells little
+        apart: on criterion 8's widths 2**-1..2**-6 a constant estimate and
+        one growing as (log2(1/eps) + 1)**2 both read 3.5, under the limit
+        of 4."""
         q = [r.estimate / (math.log2(1.0 / r.epsilon) + 1.0) for r in self.rows]
         return max(q) / min(q)
 
@@ -298,7 +304,9 @@ def epsilon_sweep(
     """Norm estimates of the operator of one generated V across bump widths,
     one row per eps with the smoothness constant A of the bump.  v_spec is
     the generator's kind and parameters; a spec without a kind raises
-    ValueError, as does an empty eps_list."""
+    ValueError, as does an empty eps_list.  The rows' shape statistic,
+    :meth:`SweepResult.log_shape_ratio`, cannot tell a constant estimate
+    from log-squared growth on criterion 8's widths: both read 3.5."""
     if len(eps_list) == 0:
         raise ValueError("eps_list holds no bump width")
     if "kind" not in v_spec:

@@ -183,6 +183,30 @@ def test_linearizer_field_rejects_values_outside_its_class(value, regularity, me
         lin.LinearizerField(3, values, regularity)
 
 
+@pytest.mark.parametrize("lip", [0.0, -1.0, -0.0, math.inf, -math.inf, math.nan])
+def test_regularity_rejects_a_lip_that_is_not_finite_and_positive(lip):
+    # a lip <= 0 made every ratio of the lip_x, lip_y and staircase_x rule
+    # <= 0, so every field passed; inf passed every field too
+    for kind in ("lip_x", "lip_y", "lip_2d", "staircase_x", "dyadic_of_lipschitz"):
+        with pytest.raises(ValueError, match="Regularity needs a finite lip > 0"):
+            lin.Regularity(kind, lip=lip)
+
+
+@pytest.mark.parametrize("floor", [-1e-300, -1.0, math.inf, -math.inf, math.nan])
+def test_regularity_rejects_a_floor_that_is_not_finite_and_nonnegative(floor):
+    # a NaN floor switched off LinearizerField's floor check
+    with pytest.raises(ValueError, match="Regularity needs a finite floor >= 0"):
+        lin.Regularity("lip_x", lip=1.0, floor=floor)
+
+
+def test_regularity_keeps_none_and_the_edges_of_its_ranges():
+    assert lin.Regularity("lip_x").lip is None and lin.Regularity("lip_x").floor is None
+    assert lin.Regularity("lip_x", lip=5e-324, floor=0.0).floor == 0.0
+    # an 8 x 8 uniform(0, 50) field fails the lip_x rule at lip 1
+    V = lin.LinearizerField(3, np.random.default_rng(0).uniform(0, 50, (8, 8)))
+    assert not lin.verify_lipschitz(V, lin.Regularity("lip_x", lip=1.0)).passed
+
+
 def test_verify_lipschitz_has_no_pair_rule_for_the_dyadic_metric_classes():
     # dyadic.verify_dyadic_metric_2d checks that class block by block
     V = lin.generate_linearizer("constant", {"value": 0.5}, 0, 3)
@@ -679,7 +703,8 @@ def test_handle_groups_frequencies_once(monkeypatch, case, stack):
 def test_spread_sums_signed_zeros_as_the_term_by_term_loop(monkeypatch, transform, stack):
     # five key groups on an 8 x 8 grid, with -0.0 in the array and in the
     # factors; the reference adds each group's term in turn to a zero start.
-    # One group per stack, three, and all five in one stack.
+    # One group per stack, three, and all five in one stack, where the
+    # hand-built plan keeps them as its read-only table as _plan's would.
     monkeypatch.setattr(lin, "_STACK", stack)
     run = {"identity": lambda a: a, "synthesis": lin._synthesis, "fft2": g._fft2}[transform]
     rng = np.random.default_rng(3)
@@ -689,6 +714,9 @@ def test_spread_sums_signed_zeros_as_the_term_by_term_loop(monkeypatch, transfor
     factors = np.where(rng.random((5, 8, 8)) < 0.4, -0.0, rng.standard_normal((5, 8, 8)))
     factors[:, 0] = -0.0
     plan = lin._Plan(keys, lin._grouped(keys.ravel(), np.arange(64), 64), lambda values: factors[values.astype(int)], None)
+    assert len(plan.stacks) == -(-5 // max(1, stack // 64))
+    assert (plan.table is None) == (len(plan.stacks) > 1)
+    assert plan.table is None or not plan.table.flags.writeable
     terms = [run(np.where(keys == value, arr, 0.0)) * factors[int(value)] for value in plan.groups.values]
     want = np.zeros((8, 8), dtype=np.complex128)
     for term in terms:

@@ -88,6 +88,20 @@ def test_l2_estimate_matches_dense_svd_at_n_32(seed, beta):
     assert est.value == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_l2_estimate_converges_in_the_grid_size(seed):
+    # criterion 7's field past the pre-asymptotic grids: seed 0 reads 1.06453
+    # at N = 64 and 1.06440 at N = 128, seed 1 1.06195 and 1.06179, so the
+    # two grids agree to 1.5e-4 relative
+    values = []
+    for n_log2 in (6, 7):
+        V = lin.generate_linearizer("lip_x", {"lip_constant": 1.0, "v_min": 0.05, "amplitude": 1.0}, seed, n_log2)
+        est = ne.l2_norm_power_iteration(ne.linearized_operator(V, mu.make_bump_profile(1.0), 1.0), seed=seed)
+        assert est.converged, n_log2
+        values.append(est.value)
+    assert values[1] == pytest.approx(values[0], rel=1e-3)
+
+
 def test_l2_sweep_with_a_transition_h_in_every_row_matches_dense_svd():
     # criterion 8's field at beta = -1 and N = 16: every width keeps 4 to 20
     # transition h, so no row is the bare Pi_beta projection's 1
