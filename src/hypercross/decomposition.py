@@ -58,7 +58,7 @@ from .multiplier import (
     MultiplierProfile,
     SymbolGrid,
     _defined,
-    hyperbolic_argument,
+    _transposed_argument,
     smoothstep,
 )
 
@@ -184,7 +184,7 @@ def calderon_residual(f: SampledField, family: LPFamily) -> float:
 def _hyper_args(family: LPFamily) -> np.ndarray:
     """|xi|**beta * |eta| on the frequency grid (exponent on the xi axis): the
     transpose of the package's |xi| * |eta|**beta grid, with equal products."""
-    return hyperbolic_argument(family.n_log2, family.beta).T
+    return _transposed_argument(family.n_log2, family.beta)
 
 
 def _pair_sum(family: LPFamily, keep) -> np.ndarray:
@@ -266,7 +266,7 @@ def lemma_operator(f: SampledField, V: LinearizerField, m: MultiplierProfile, be
     :func:`hypercross.multiplier.hyperbolic_symbol`, transposed)."""
     _check_positive(V)
     weight = _defined(frequencies(f.n_log2), beta)[:, None]
-    symbol = ScaledSymbol(m, hyperbolic_argument(f.n_log2, beta).T, weight)
+    symbol = ScaledSymbol(m, _transposed_argument(f.n_log2, beta), weight)
     return SampledField(f.n_log2, gather(forward_transform(f).coeffs, V.values, symbol))
 
 

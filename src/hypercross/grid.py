@@ -17,7 +17,8 @@ its arithmetic.  An 8 x 8 ``ifft2`` takes 8.8 us and the same two passes
 
 Every N x N array of the package (samples, coefficients, symbol values, scale
 fields, HXF1 payloads) passes one check, :func:`_grid_array`: n_log2 >= 3,
-shape (N, N) and every entry finite; the object keeps a read-only copy.
+shape (N, N) and every entry finite; the object keeps a read-only copy, or
+the array itself where the package has just made it (:func:`_made_field`).
 
 Each field file is read once and decoded by its format: an HXF1 payload is
 one row-major little-endian complex128 array, checked against the n_log2 of
@@ -51,9 +52,13 @@ def _grid_array(n_log2: int, values, dtype) -> np.ndarray:
     """The grid contract, checked once for every N x N array of the package:
     n_log2 >= 3, shape (N, N) and every entry finite.  Returns a read-only
     copy in the given dtype; anything else raises ValueError."""
+    return _checked(n_log2, np.array(values, dtype=dtype))
+
+
+def _checked(n_log2: int, arr: np.ndarray) -> np.ndarray:
+    """:func:`_grid_array`'s checks on arr itself, which becomes read-only."""
     _check_n_log2(n_log2)
     n = 1 << n_log2
-    arr = np.array(values, dtype=dtype)
     if arr.shape != (n, n):
         raise ValueError(f"array shape {arr.shape} does not match N={n}")
     if not np.isfinite(arr).all():
@@ -81,6 +86,15 @@ class SampledField:
         return 1 << self.n_log2
 
 
+def _made_field(n_log2: int, samples: np.ndarray) -> SampledField:
+    """SampledField(n_log2, samples) without the copy, for an array the
+    package has just made and no longer writes; it becomes read-only."""
+    field = object.__new__(SampledField)
+    object.__setattr__(field, "n_log2", n_log2)
+    object.__setattr__(field, "samples", _checked(n_log2, np.asarray(samples, dtype=np.complex128)))
+    return field
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """DFT coefficients indexed by integer frequencies in {-N/2 .. N/2-1}^2.
@@ -97,10 +111,43 @@ class SpectralField:
         object.__setattr__(self, "coeffs", _grid_array(self.n_log2, self.coeffs, np.complex128))
 
 
-def frequencies(n_log2: int) -> np.ndarray:
-    """Integer frequencies along one axis, in FFT storage order."""
+_MISSING = object()
+
+
+class _Memo:
+    """build's values for the last ``bound`` keys used, least recently used
+    evicted first; an error is not kept.  Callers share a value, so build
+    makes its arrays read-only."""
+
+    __slots__ = ("build", "bound", "entries")
+
+    def __init__(self, build, bound: int) -> None:
+        self.build, self.bound, self.entries = build, bound, {}
+
+    def __call__(self, *key):
+        value = self.entries.pop(key, _MISSING)
+        if value is _MISSING:
+            value = self.build(*key)
+            if len(self.entries) == self.bound:
+                del self.entries[next(iter(self.entries))]
+        self.entries[key] = value
+        return value
+
+
+def _frequencies(n_log2: int) -> np.ndarray:
     n = 1 << n_log2
-    return np.fft.fftfreq(n, 1.0 / n).astype(np.int64)  # sample spacing 1/N: exact integers
+    freqs = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)  # sample spacing 1/N: exact integers
+    freqs.flags.writeable = False
+    return freqs
+
+
+_FREQUENCIES = _Memo(_frequencies, 8)
+
+
+def frequencies(n_log2: int) -> np.ndarray:
+    """Integer frequencies along one axis, in FFT storage order: a read-only
+    array, memoized for the last 8 grid sizes."""
+    return _FREQUENCIES(n_log2)
 
 
 def _fft2(a: np.ndarray, norm: str | None = None) -> np.ndarray:

@@ -20,6 +20,12 @@ on the first variable, works with the transpose of this grid.
 |k|**beta has a value unless k = 0 and beta < 0; the one predicate
 ``_defined`` says so, and the power, the symbol and the Pi_beta mask are
 each written from it, 0 where it is false.
+
+The argument grid, its transpose and the Pi_beta mask depend on (n_log2,
+beta) alone: a memo keyed by (n_log2, float(beta)) keeps the last 8 of
+each, read-only, each grid with its stable order by value, from which
+:mod:`hypercross.linearized` cuts its bands.  At N = 256 a grid entry holds
+at most 1 MiB and a mask 0.5 MiB: 12 MiB in all.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _grid_array, frequencies
+from .grid import _grid_array, _Memo, frequencies
 
 # Degree-11 smoothstep: S(0)=0, S(1)=1, S', .., S^(5) vanish at both knots.
 # Evaluated as x**6 * poly(x) on [0, 1/2] and by the symmetry S = 1 - S(1-x)
@@ -39,11 +45,14 @@ _SMOOTHSTEP_DERIVATIVE_POLYS = [[c * math.perm(j + 6, k) for j, c in enumerate((
 
 
 def _smoothstep_lower(x, k: int = 0):
-    """S^(k)(x) = x**(6-k) * poly_k(x); accurate on [0, 1/2], nonnegative for k = 0."""
+    """S^(k)(x) = x**(6-k) * poly_k(x); accurate on [0, 1/2], nonnegative for
+    k = 0.  Horner's rule, in place."""
     acc = np.zeros_like(x)
     for c in reversed(_SMOOTHSTEP_DERIVATIVE_POLYS[k]):
-        acc = acc * x + c
-    return x ** (6 - k) * acc
+        acc *= x
+        acc += c
+    acc *= x ** (6 - k)
+    return acc
 
 
 def smoothstep(u):
@@ -162,17 +171,48 @@ def _abs_power(freq: np.ndarray, beta: float) -> np.ndarray:
     return np.power(a, beta, out=np.zeros_like(a), where=_defined(freq, beta))
 
 
+def _argument(n_log2: int, beta: float, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only argument grid, or its transpose, and its stable order
+    by value."""
+    if transposed:
+        grid = hyperbolic_argument(n_log2, beta).T
+    else:
+        freqs = frequencies(n_log2)
+        with np.errstate(over="ignore", invalid="ignore"):  # beta = inf: 0 * inf is NaN
+            grid = np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"|xi| |eta|**beta overflows at beta = {beta} on the N = {freqs.size} grid")
+        grid.flags.writeable = False
+    order = np.argsort(grid, axis=None, kind="stable")
+    order.flags.writeable = False
+    return grid, order
+
+
+_ARGUMENTS = _Memo(_argument, 8)
+
+
 def hyperbolic_argument(n_log2: int, beta: float) -> np.ndarray:
-    """|xi| * |eta|**beta on the frequency grid (FFT order); |k|**beta follows
-    :func:`_abs_power`.  ValueError where an argument overflows: at beta =
-    inf, and where the largest, (N/2)**(1 + beta), passes the largest float
-    (from beta of about 1024 / (n_log2 - 1) - 1 on)."""
-    freqs = frequencies(n_log2)
-    with np.errstate(over="ignore", invalid="ignore"):  # beta = inf: 0 * inf is NaN
-        argument = np.abs(freqs).astype(np.float64)[:, None] * _abs_power(freqs, beta)[None, :]
-    if not np.all(np.isfinite(argument)):
-        raise ValueError(f"|xi| |eta|**beta overflows at beta = {beta} on the N = {freqs.size} grid")
-    return argument
+    """|xi| * |eta|**beta on the frequency grid (FFT order), read-only and
+    memoized; |k|**beta follows :func:`_abs_power`.  ValueError where an
+    argument overflows: at beta = inf, and where the largest, (N/2)**(1 +
+    beta), passes the largest float (from beta of about 1024 / (n_log2 - 1)
+    - 1 on)."""
+    return _ARGUMENTS(n_log2, float(beta), False)[0]
+
+
+def _transposed_argument(n_log2: int, beta: float) -> np.ndarray:
+    """|xi|**beta * |eta|, the transpose of :func:`hyperbolic_argument`,
+    memoized with an order of its own."""
+    return _ARGUMENTS(n_log2, float(beta), True)[0]
+
+
+def _argument_order(hyper: np.ndarray) -> np.ndarray | None:
+    """The order of a memoized argument grid, found by identity; None for
+    any other array."""
+    for grid, order in _ARGUMENTS.entries.values():
+        if grid is hyper:
+            return order
+    return None
 
 
 def hyperbolic_symbol(lam: float, beta: float, m: MultiplierProfile, n_log2: int) -> SymbolGrid:
@@ -184,13 +224,21 @@ def hyperbolic_symbol(lam: float, beta: float, m: MultiplierProfile, n_log2: int
     return SymbolGrid(n_log2, m(lam * hyperbolic_argument(n_log2, beta)) * _defined(frequencies(n_log2), beta))
 
 
+def _pi_beta_mask(n_log2: int, beta: float) -> SymbolGrid:
+    eta = frequencies(n_log2)
+    keep = _defined(eta, beta) & (_abs_power(eta, beta) <= 1.0)
+    return SymbolGrid(n_log2, np.broadcast_to(keep, (eta.size, eta.size)).astype(np.float64))
+
+
+_MASKS = _Memo(_pi_beta_mask, 8)
+
+
 def pi_beta_mask(beta: float, n_log2: int) -> SymbolGrid:
     """Indicator of Pi_beta = {|eta|**beta <= 1} on the frequency grid, the
-    eta where |eta|**beta is defined (:func:`_defined`) and at most 1.
+    eta where |eta|**beta is defined (:func:`_defined`) and at most 1;
+    memoized.
 
     beta > 0 keeps |eta| <= 1 (the eta = 0 line included), beta < 0 keeps
     |eta| >= 1 (eta = 0 dropped), beta = 0 keeps everything.
     """
-    eta = frequencies(n_log2)
-    keep = _defined(eta, beta) & (_abs_power(eta, beta) <= 1.0)
-    return SymbolGrid(n_log2, np.broadcast_to(keep, (eta.size, eta.size)).astype(np.float64))
+    return _MASKS(n_log2, float(beta))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, _ifft2, _lp_mean, _mean, lp_norm
+from .grid import SampledField, _ifft2, _lp_mean, _made_field, _mean, lp_norm
 from .linearized import LinearizerField, LinearOperatorHandle, generate_linearizer, linearized_operator
 from .multiplier import SymbolGrid, make_bump_profile, smoothness_constant
 
@@ -157,7 +157,7 @@ def l2_norm_power_iteration(op: LinearOperatorHandle, max_iter: int = 200, seed:
     tridiagonal = np.zeros((steps, steps))
     for k in range(steps):
         basis[k] = v
-        w = op.adjoint(op.apply(SampledField(op.n_log2, v.reshape(n, n)))).samples.ravel()
+        w = op.adjoint(op.apply(_made_field(op.n_log2, v.reshape(n, n)))).samples.ravel()
         tridiagonal[k, k] = np.vdot(v, w).real
         w = _orthogonalize(w, basis[: k + 1])
         beta = float(np.linalg.norm(w))
@@ -230,14 +230,14 @@ def lp_norm_ascent(
             if val == 0.0:
                 break
             # the image's lp norm is val * norm_f
-            top = op.adjoint(SampledField(op.n_log2, _dual_direction(image, p, val * norm_f))).samples.real
+            top = op.adjoint(_made_field(op.n_log2, _dual_direction(image, p, val * norm_f))).samples.real
             grad = (top - val * _dual_direction(f, p, norm_f)) / norm_f
             gnorm = float(np.sqrt(_mean(grad**2)))
             if gnorm < 1e-14:
                 converged = True
                 break
             d = grad / gnorm
-            image_d = op.apply(SampledField(op.n_log2, d)).samples
+            image_d = op.apply(_made_field(op.n_log2, d)).samples
             while step > 1e-8:
                 cand = f + step * d
                 scale = np.sqrt(_mean(cand**2))

@@ -318,3 +318,15 @@ def test_csv_bytes_are_those_of_csv_writer(tmp_path):
     assert path.read_bytes() == want.read_bytes()
     assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
     assert np.array_equal(g.read_field_csv(path, 3).samples.view(np.int64), samples.view(np.int64))
+
+
+def test_a_made_field_keeps_its_array_and_checks_it():
+    # the wrap for arrays the package has just made: no copy, the same checks
+    samples = np.ones((8, 8), dtype=np.complex128)
+    field = g._made_field(3, samples)
+    assert field.samples is samples and not samples.flags.writeable and field.n_log2 == 3
+    real = np.ones((8, 8))
+    assert g._made_field(3, real).samples.dtype == np.complex128 and real.flags.writeable
+    for n_log2, bad, match in ((3, np.full((8, 8), np.inf + 0j), "non-finite"), (3, np.ones((8, 4), complex), "does not match"), (2, np.ones((4, 4), complex), "at least 8x8")):
+        with pytest.raises(ValueError, match=match):
+            g._made_field(n_log2, bad)

@@ -387,6 +387,39 @@ def test_kernel_inputs_reject_negative_scales():
         lin.ScaledSymbol(mu.make_bump_profile(0.5), -mu.hyperbolic_argument(3, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_inputs_reject_a_weight_that_is_not_finite(bad):
+    # a NaN or inf Pi_beta weight at one frequency would make gather's image
+    # non-finite at N = 8; the symbol refuses it, as it does a scalar weight
+    m, hyper = mu.make_bump_profile(0.5), mu.hyperbolic_argument(3, 1.0)
+    weight = mu.pi_beta_mask(1.0, 3).values.copy()
+    weight[1, 2] = bad
+    for w in (weight, bad):
+        with pytest.raises(ValueError, match="symbol weight must be finite"):
+            lin.ScaledSymbol(m, hyper, w)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernel_inputs_reject_an_argument_grid_that_is_not_finite(bad):
+    # hyper[1, 1] = inf times a key 0 would be NaN in m's argument
+    hyper = mu.hyperbolic_argument(3, 1.0).copy()
+    hyper[1, 1] = bad
+    with pytest.raises(ValueError, match="symbol arguments must be >= 0 and finite"):
+        lin.ScaledSymbol(mu.make_bump_profile(0.5), hyper, 1.0)
+
+
+def test_a_symbol_keeps_a_memoized_grid_and_copies_any_other():
+    m = mu.make_bump_profile(0.5)
+    hyper = mu._transposed_argument(4, -1.0)
+    memoized = lin.ScaledSymbol(m, hyper, 1.0)
+    assert memoized.hyper is hyper and memoized.order is mu._argument_order(hyper)
+    custom = np.array(hyper)
+    own = lin.ScaledSymbol(m, custom, 1.0)
+    custom[0, 0] = 99.0  # the symbol keeps the grid it was built on
+    assert own.hyper is not custom and not own.hyper.flags.writeable and own.hyper[0, 0] == hyper[0, 0]
+    assert np.array_equal(own.order, np.argsort(hyper, axis=None, kind="stable"))
+
+
 def test_constant_v_collapses_to_fixed_multiplier():
     m = mu.make_bump_profile(0.5)
     f = g.random_field(4, 3)

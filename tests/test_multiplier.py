@@ -260,3 +260,118 @@ def test_profile_derivative_rejects_order_outside_1_to_6():
     for k in (0, 7, -1):
         with pytest.raises(ValueError, match="derivative order"):
             m.derivative(0.75, k)
+
+
+def _fresh_frequencies(n_log2):
+    n = 1 << n_log2
+    return np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+
+
+def _fresh_argument(n_log2, beta):
+    """|xi| |eta|**beta built anew, as the unmemoized construction built it."""
+    freqs = _fresh_frequencies(n_log2)
+    power = np.abs(freqs).astype(np.float64)
+    power = np.power(power, beta, out=np.zeros_like(power), where=(freqs != 0) | (beta >= 0.0))
+    return np.abs(freqs).astype(np.float64)[:, None] * power[None, :]
+
+
+def _fresh_mask(beta, n_log2):
+    eta = _fresh_frequencies(n_log2)
+    defined = (eta != 0) | (beta >= 0.0)
+    power = np.power(np.abs(eta).astype(np.float64), beta, out=np.zeros(eta.size), where=defined)
+    return np.broadcast_to(defined & (power <= 1.0), (eta.size, eta.size)).astype(np.float64)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+_MEMO_BETAS = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 1, np.float64(1.5)]
+
+
+@pytest.mark.parametrize("n_log2", range(3, 9))
+def test_memoized_grid_constants_equal_a_fresh_build(n_log2):
+    # each call is compared: the first builds the value, the second reads it
+    # back from the memo; each argument grid's order is the stable argsort
+    # of its flat entries
+    from hypercross.grid import frequencies
+
+    for _ in range(2):
+        assert _same_bytes(frequencies(n_log2), _fresh_frequencies(n_log2))
+        for beta in _MEMO_BETAS:
+            fresh = _fresh_argument(n_log2, beta)
+            for grid, expected in ((mu.hyperbolic_argument(n_log2, beta), fresh), (mu._transposed_argument(n_log2, beta), fresh.T)):
+                assert _same_bytes(grid, expected)
+                assert _same_bytes(mu._argument_order(grid), np.argsort(expected, axis=None, kind="stable"))
+            assert _same_bytes(mu.pi_beta_mask(beta, n_log2).values, _fresh_mask(beta, n_log2))
+
+
+def test_an_int_and_a_numpy_beta_share_the_key_of_a_float():
+    assert mu.hyperbolic_argument(5, 1) is mu.hyperbolic_argument(5, 1.0) is mu.hyperbolic_argument(5, np.float64(1.0))
+    assert mu._transposed_argument(5, 2) is mu._transposed_argument(5, np.float64(2.0))
+    assert mu.pi_beta_mask(1, 5) is mu.pi_beta_mask(np.float64(1.0), 5)
+    assert mu._argument_order(mu.hyperbolic_argument(5, 1.0).copy()) is None
+
+
+def test_memoized_grids_are_read_only():
+    from hypercross.grid import frequencies
+
+    hyper = mu.hyperbolic_argument(4, 1.0)
+    for arr in (frequencies(4), hyper, mu._transposed_argument(4, 1.0), mu._argument_order(hyper), mu.pi_beta_mask(1.0, 4).values):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+
+
+def test_an_overflowing_argument_raises_on_every_call():
+    # errors are not memoized: each call builds again and raises again
+    for _ in range(3):
+        for build in (mu.hyperbolic_argument, mu._transposed_argument):
+            with pytest.raises(ValueError, match="overflows at beta = 400.0"):
+                build(4, 400.0)
+    assert not [key for key in mu._ARGUMENTS.entries if key[1] == 400.0]
+
+
+def test_a_memo_holds_no_more_than_its_bound():
+    from hypercross import grid as g
+
+    memos = (g._FREQUENCIES, mu._ARGUMENTS, mu._MASKS)
+    for i in range(20):
+        g.frequencies(3 + i % 12)
+        mu.hyperbolic_argument(3, i / 8)
+        mu._transposed_argument(3, i / 8)
+        mu.pi_beta_mask(i / 8, 3)
+        assert all(len(memo.entries) <= memo.bound for memo in memos)
+    assert all(len(memo.entries) == memo.bound == 8 for memo in memos)
+    # the least recently used key goes first
+    assert list(mu._MASKS.entries) == [(3, i / 8) for i in range(12, 20)]
+    mu.pi_beta_mask(12 / 8, 3)
+    mu.pi_beta_mask(20 / 8, 3)
+    assert list(mu._MASKS.entries)[0] == (3, 14 / 8) and list(mu._MASKS.entries)[-2:] == [(3, 12 / 8), (3, 20 / 8)]
+
+
+def _horner_by_temporaries(x, k=0):
+    """S^(k)(x) as the lower branch evaluated it with a temporary per step."""
+    acc = np.zeros_like(x)
+    for c in reversed(mu._SMOOTHSTEP_DERIVATIVE_POLYS[k]):
+        acc = acc * x + c
+    return x ** (6 - k) * acc
+
+
+@pytest.mark.parametrize(
+    "m",
+    [mu.make_bump_profile(0.5), mu.MultiplierProfile(0.3, 1.1), mu.MultiplierProfile(1.0, float(np.nextafter(1.0, 2.0))), mu.MultiplierProfile(5e-324, 2e-323)],
+    ids=["bump", "plateau", "one-ulp band", "subnormal"],
+)
+def test_in_place_horner_keeps_the_bits(monkeypatch, m):
+    stop = m._stop
+    edges = [0.0, -0.0, m.epsilon, stop, np.nextafter(m.epsilon, math.inf), np.nextafter(stop, -math.inf), math.nan, 5e-324, 1e308, -1e308, math.inf]
+    t = np.concatenate([edges, np.linspace(-2 * m.support_radius, 2 * m.support_radius, 1001)])
+    x = np.array([0.0, 5e-324, 0.25, 0.5, math.nan])
+    runs = []
+    for lower in (mu._smoothstep_lower, _horner_by_temporaries):
+        monkeypatch.setattr(mu, "_smoothstep_lower", lower)
+        with np.errstate(over="ignore"):  # a subnormal width overflows the derivatives to inf
+            runs.append([m(t)] + [m.derivative(t, k) for k in range(1, 7)] + [mu._smoothstep_lower(x, k) for k in range(7)])
+    got, expected = runs
+    for mine, theirs in zip(got, expected):
+        assert _same_bytes(mine, theirs)

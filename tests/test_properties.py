@@ -7,6 +7,7 @@ database, so tier-1 stays reproducible, and each property is bounded by
 """
 
 import contextlib
+import math
 import io
 import struct
 
@@ -176,6 +177,73 @@ def test_kernel_sides_agree_on_any_keys(keys, beta, m, seed):
     for kernel, arr in ((lin._gather, spec), (lin._scatter, samples)):
         want = kernel(arr, by_key)
         assert np.linalg.norm(kernel(arr, by_h) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _h_bands_by_sorting(keys, symbol):
+    """The h bands as the sort-based construction built them: the support in
+    position order, its live values (0 for a flat h), then one stable
+    argsort of those values to group them."""
+    m, hyper = symbol.m, symbol.hyper
+    support = np.flatnonzero(np.broadcast_to(symbol.weight, np.shape(hyper)))
+    hs = np.ravel(hyper)[support]
+    live = keys[0] * hs < m.support_radius
+    flat = keys[-1] * hs <= m.epsilon
+    values, positions = np.where(flat, 0.0, hs)[live], support[live]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return ordered[starts], positions[order], (np.cumsum(starts) - 1) * np.size(hyper) + positions[order]
+
+
+# the ends of the sorted keys: 0, the subnormal, values inside and beyond
+# the bands, and inf (inf * 0 is NaN, neither live nor flat)
+_BAND_KEYS = st.sampled_from([0.0, 5e-324, 1e-3, 0.05, 0.25, 0.5, 1.0, 3.0, 1e300, math.inf])
+
+
+def _band_symbol(m, n_log2, beta, grid, weight):
+    """A ScaledSymbol on the memoized argument grid, its transpose or a given
+    grid, weighted by the Pi_beta mask, by where |xi|**beta is defined, by a
+    scalar or by a given array."""
+    if isinstance(grid, str):
+        grid = (mu.hyperbolic_argument if grid == "argument" else mu._transposed_argument)(n_log2, beta)
+    if isinstance(weight, str):
+        weight = mu.pi_beta_mask(beta, n_log2).values if weight == "mask" else mu._defined(g.frequencies(n_log2), beta)[:, None]
+    return lin.ScaledSymbol(m, grid, weight)
+
+
+@st.composite
+def _band_cases(draw):
+    n_log2, beta, m = draw(_N_LOG2S), draw(_BETAS), draw(_PROFILES | st.just(mu.MultiplierProfile(0.3, 1.1)))
+    n = 1 << n_log2
+    ties = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 7.5, 1e300])
+    grid = draw(st.sampled_from(["argument", "transposed"]) | hnp.arrays(np.float64, (n, n), elements=ties))
+    weight = draw(st.sampled_from(["mask", "defined", 1.0, 0.0]) | hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 1.0, -0.5])))
+    keys = np.sort([draw(_BAND_KEYS), draw(_BAND_KEYS)])
+    return keys, _band_symbol(m, n_log2, beta, grid, weight)
+
+
+_BUMP = mu.make_bump_profile(0.5)
+
+
+@settings(_KERNEL, max_examples=200)
+@given(case=_band_cases())
+@example(case=(np.array([0.0, 0.0]), _band_symbol(_BUMP, 3, 1.0, "argument", "mask")))  # key 0: all flat
+@example(case=(np.array([0.0, 3.0]), _band_symbol(_BUMP, 4, -1.0, "transposed", "defined")))  # key 0 with transitions
+@example(case=(np.array([math.inf, math.inf]), _band_symbol(_BUMP, 3, 1.0, "argument", "mask")))  # all dead
+@example(case=(np.array([1e300, 1e300]), _band_symbol(_BUMP, 3, -0.5, "argument", 1.0)))  # only h = 0 live
+@example(case=(np.array([0.05, 1.0]), _band_symbol(_BUMP, 3, 1.0, "argument", 0.0)))  # zero weight
+@example(case=(np.array([0.05, 1.0]), _band_symbol(_BUMP, 3, 1.0, np.tile([0.0, 2.0, 0.5, 0.5], (8, 2)), "mask")))  # custom grid
+def test_h_bands_match_the_sort_based_construction(case):
+    # the bands cut from the presorted h order are the bands of sorting the
+    # support's live values, byte for byte
+    keys, symbol = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = lin._h_bands(keys, symbol)
+        expected = _h_bands_by_sorting(keys, symbol)
+    for mine, theirs in zip(got, expected):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
 
 
 # the output digest's three-valued V with a zero band (the group of key 0):
